@@ -12,6 +12,7 @@ Exit codes: 0 all goals proved (unknowns tolerated unless --strict),
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -21,8 +22,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .arith import ArithCtx, falsify, prove_vc, recheck
-from .expr import Implies, RatLit
+from .expr import EvalError, Implies, RatLit
 from .program import SimConfig, format_trace, simulate_traced
+from .store import StoreError
 from .syntax import Goal, ModelFile, ParseError, parse, pretty_expr, pretty_method
 from .tactics import (
     FlowCertError, PROVED, ProofResult, REFUTED, TacticError, UNKNOWN,
@@ -69,11 +71,9 @@ def _certify_flows(model: ModelFile, seed: int):
         try:
             if decl.lipschitz is not None:
                 cert = certify_flow(ode, decl.flow, ctx,
-                                    lipschitz=decl.lipschitz,
-                                    seed=ctx.seed, flow_id=decl.name)
+                                    lipschitz=decl.lipschitz, flow_id=decl.name)
             else:
-                cert = local_flow_auto(ode, decl.flow, ctx,
-                                       seed=ctx.seed, flow_id=decl.name)
+                cert = local_flow_auto(ode, decl.flow, ctx, flow_id=decl.name)
             table.register(ode.frame, ode.rhs, decl.flow, flow_id=decl.name)
             reports[decl.name] = {"ok": True, "lipschitz": str(cert.lipschitz),
                                   "samples": cert.samples}
@@ -251,7 +251,7 @@ def cmd_verify(args) -> int:
         print(f"flow {name}: {tag}")
 
     report = {
-        "schema": 1,
+        "schema": 2,
         "model": model.name,
         "file": os.path.basename(args.file),
         "seed": args.seed,
@@ -383,7 +383,12 @@ def _parse_value(s: str):
         return False
     if s.startswith("["):
         return tuple(_parse_value(p) for p in _split_top(s[1:-1]))
-    return Fraction(s)
+    v = Fraction(s)
+    try:
+        float(v)
+    except OverflowError:
+        raise ValueError(f"{s} is beyond the simulator's float range") from None
+    return v
 
 
 def _parse_init(pairs: list) -> dict:
@@ -404,13 +409,20 @@ def cmd_simulate(args) -> int:
     prog = model.programs.get(args.program)
     if prog is None:
         raise ModelError(f"no program named {args.program!r}")
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise ModelError(f"--step must be positive and finite, got {args.step}")
+    if not (math.isfinite(args.horizon) and args.horizon >= 0):
+        raise ModelError(f"--horizon must be non-negative and finite, got {args.horizon}")
     try:
         vals = _parse_init(args.init or [])
         s0 = model.dataspace.make_store(vals, default_missing=True)
-    except (ValueError, ModelError) as e:
+    except (ValueError, ZeroDivisionError, StoreError, ModelError) as e:
         raise ModelError(f"bad initial state: {e}") from e
     cfg = SimConfig(step=args.step, horizon=args.horizon, rng_seed=args.seed)
-    trace = format_trace(simulate_traced(prog, s0, cfg))
+    try:
+        trace = format_trace(simulate_traced(prog, s0, cfg))
+    except (EvalError, OverflowError) as e:
+        raise ModelError(f"simulation stopped: {e}") from e
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as f:
             f.write(trace)

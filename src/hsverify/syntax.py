@@ -14,6 +14,7 @@ the inner product.  Undeclared identifiers in expressions are logical
 variables, so goal formulas can quantify over initial values for free.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -190,6 +191,12 @@ _FUNCS1 = {"sin": Sin, "cos": Cos, "exp": Exp, "ln": Ln, "sqrt": Sqrt,
 
 _TOP_KEYWORDS = ("dataspace", "program", "flow", "goal")
 
+# How deeply brackets, conditionals, quantifiers, function calls, prefix
+# operators, implications and sub-programs may nest, together.  One level
+# of expression nesting costs the recursive reader about a dozen stack
+# frames, so this keeps deep input well inside the interpreter's limit.
+MAX_NESTING = 64
+
 
 # ---------------------------------------------------------------------------
 # The reader
@@ -205,6 +212,7 @@ class _Parser:
         self.programs = {}
         self.flows = []
         self.goals = []
+        self.depth = 0
 
     # -- token plumbing
 
@@ -241,6 +249,17 @@ class _Parser:
     def fail(self, msg: str, tok: Optional[Token] = None) -> ParseError:
         t = tok or self.peek()
         return ParseError(msg, t.line, t.col)
+
+    @contextmanager
+    def nested(self):
+        """One level deeper; past MAX_NESTING the input is refused."""
+        if self.depth == MAX_NESTING:
+            raise self.fail(f"nested more than {MAX_NESTING} levels deep")
+        self.depth += 1
+        try:
+            yield
+        finally:
+            self.depth -= 1
 
     def space(self) -> Dataspace:
         if self.ds is None:
@@ -373,7 +392,8 @@ class _Parser:
         e = self.or_level()
         if self.at("->"):
             self.next()
-            return Implies(e, self.impl_level())
+            with self.nested():
+                return Implies(e, self.impl_level())
         return e
 
     def or_level(self) -> Expr:
@@ -392,7 +412,8 @@ class _Parser:
 
     def not_level(self) -> Expr:
         if self.take("not"):
-            return Not(self.not_level())
+            with self.nested():
+                return Not(self.not_level())
         return self.cmp_level()
 
     _CMP = {"=": Eq, "<=": Le, "<": Lt, ">=": Ge, ">": Gt, "!=": Neq}
@@ -449,7 +470,8 @@ class _Parser:
     def unary_level(self) -> Expr:
         if self.at("-"):
             self.next()
-            e = self.unary_level()
+            with self.nested():
+                e = self.unary_level()
             if isinstance(e, RatLit):
                 return RatLit(-e.value)
             return Neg(e)
@@ -486,27 +508,31 @@ class _Parser:
             self.next()
             return RatLit(t.value)
         if self.take("("):
-            e = self.expr()
+            with self.nested():
+                e = self.expr()
             self.expect(")")
             return e
         if self.take("["):
-            items = [self.expr()]
-            while self.take(","):
-                items.append(self.expr())
+            with self.nested():
+                items = [self.expr()]
+                while self.take(","):
+                    items.append(self.expr())
             self.expect("]")
             return VecLit(tuple(items))
         if self.take("if"):
-            c = self.expr()
-            self.expect("then")
-            a = self.expr()
-            self.expect("else")
-            b = self.expr()
+            with self.nested():
+                c = self.expr()
+                self.expect("then")
+                a = self.expr()
+                self.expect("else")
+                b = self.expr()
             return Ite(c, a, b)
         if self.at("exists") or self.at("forall"):
             q = self.next().text
             v = self.ident("bound variable").text
             self.expect(".")
-            body = self.impl_level()
+            with self.nested():
+                body = self.impl_level()
             return (Exists if q == "exists" else Forall)(v, body)
         if t.kind == "ident":
             self.next()
@@ -516,14 +542,16 @@ class _Parser:
                 return FALSE
             if t.text in _FUNCS1 and self.at("("):
                 self.next()
-                arg = self.expr()
+                with self.nested():
+                    arg = self.expr()
                 self.expect(")")
                 return _FUNCS1[t.text](arg)
             if t.text == "inner" and self.at("("):
                 self.next()
-                a = self.expr()
-                self.expect(",")
-                b = self.expr()
+                with self.nested():
+                    a = self.expr()
+                    self.expect(",")
+                    b = self.expr()
                 self.expect(")")
                 return Inner(a, b)
             if t.text in self.space().names():
@@ -574,12 +602,14 @@ class _Parser:
             start = self.peek()
             c = self.check_bool(self.expr(), start)
             self.expect("then")
-            a = self.unit()
-            self.expect("else")
-            b = self.unit()
+            with self.nested():
+                a = self.unit()
+                self.expect("else")
+                b = self.unit()
             return If(c, a, b)
         if self.take("loop"):
-            body = self.program()
+            with self.nested():
+                body = self.program()
             self.expect("inv")
             start = self.peek()
             inv = self.check_bool(self.expr(), start)
@@ -589,7 +619,8 @@ class _Parser:
         if self.at("(") and self.assignment_ahead():
             return self.assignment()
         if self.take("("):
-            p = self.program()
+            with self.nested():
+                p = self.program()
             self.expect(")")
             return p
         if t.kind == "ident" and self.peek(1).text in (":=", "["):

@@ -83,7 +83,7 @@ def test_json_report_shape(capsys, tmp_path):
     code, _, _ = run(capsys, "verify", MODELS / "decay.hsv", "--json", rp)
     assert code == 0
     rep = json.loads(rp.read_text())
-    assert rep["schema"] == 1
+    assert rep["schema"] == 2
     assert rep["file"] == "decay.hsv"
     assert set(rep["goals"]) == {"pos_ghost", "pos_flow", "pos_evol"}
     assert all(g["status"] == "proved" for g in rep["goals"].values())
@@ -188,3 +188,30 @@ def test_simulate_trace_file(capsys, tmp_path):
     assert code == 0
     assert out == "" or "wrote" in out
     assert tr.read_text().startswith("0.000000\t")
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--step", "0"),
+    ("--step", "-0.1"),
+    ("--step", "nan"),
+    ("--horizon", "-1"),
+    ("--horizon", "inf"),
+    ("--init", "x=1e400"),
+    ("--init", "x=1/0"),
+    ("--init", "nope=1"),
+    ("--init", "x=[1,2]"),
+])
+def test_simulate_rejects_bad_arguments(capsys, flag, value):
+    code, out, err = run(capsys, "simulate", MODELS / "decay.hsv",
+                         "--program", "dec", "--horizon", "1", flag, value)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert out == ""
+
+
+def test_simulate_evaluation_error_is_reported(capsys):
+    # the all-zero default state divides 0 by co = 0 in the drain guard
+    code, _, err = run(capsys, "simulate", MODELS / "tank.hsv", "--program", "tank",
+                       "--step", "0.05", "--horizon", "4")
+    assert code == 1
+    assert err.startswith("error: simulation stopped:")

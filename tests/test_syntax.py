@@ -27,6 +27,7 @@ from hsverify.expr import (
     RatLit,
     ScalarMul,
     Sub,
+    Subst,
     TRUE,
     VecLit,
     eval_expr,
@@ -38,6 +39,7 @@ from hsverify.store import BOOL, CONSTANT, GHOST, REAL, VARIABLE, Var, vec
 from hsverify.syntax import (
     FlowDecl,
     Goal,
+    MAX_NESTING,
     Method,
     ModelFile,
     ParseError,
@@ -321,6 +323,26 @@ def test_duplicate_names_rejected():
     with pytest.raises(ParseError, match="duplicate goal"):
         parse(PREAMBLE + "\ngoal g : { true } noop { true } by wp\n"
                          "goal g : { true } noop { true } by wp")
+
+
+def nested_parens(depth):
+    return ("dataspace d {\n  variables x : real;\n}\n"
+            "program p = x := " + "(" * depth + "x" + ")" * depth + "\n")
+
+
+def test_nesting_at_the_limit_parses():
+    m = parse(nested_parens(MAX_NESTING))
+    assert m.programs["p"] == Assign(Subst(((Var("x"), read("x")),)))
+
+
+def test_nesting_over_the_limit_is_a_parse_error():
+    with pytest.raises(ParseError, match="nested more than"):
+        parse(nested_parens(MAX_NESTING + 1))
+    # far past the interpreter's recursion limit, still a clean error
+    with pytest.raises(ParseError, match="nested more than"):
+        parse(nested_parens(5000))
+    with pytest.raises(ParseError, match="nested more than"):
+        parse(PREAMBLE + "\ngoal n : { " + "not " * 5000 + "true } noop { true } by wp")
 
 
 # -- round trips

@@ -6,6 +6,7 @@ import pytest
 
 from hsverify.arith import ArithCtx
 from hsverify.expr import (
+    Add,
     And,
     Cos,
     Div,
@@ -203,16 +204,15 @@ def decay_flow(ds, factor=Neg(LogicalVar(TAU))):
 
 def test_certify_flow_decay():
     ds, ode = decay()
-    cert = certify_flow(ode, decay_flow(ds), ArithCtx(ds), samples=200,
-                        flow_id="dissipate")
-    assert cert == CertResult("dissipate", Fraction(1), 200)
+    cert = certify_flow(ode, decay_flow(ds), ArithCtx(ds), flow_id="dissipate")
+    assert cert == CertResult("dissipate", Fraction(1), 1)
 
 
 def test_certify_flow_catches_wrong_sign():
     ds, ode = decay()
     grows = decay_flow(ds, LogicalVar(TAU))
     with pytest.raises(DerivativeMismatch):
-        certify_flow(ode, grows, ArithCtx(ds), samples=50)
+        certify_flow(ode, grows, ArithCtx(ds))
 
 
 def test_certify_flow_catches_bad_start():
@@ -220,7 +220,7 @@ def test_certify_flow_catches_bad_start():
     # right derivative, wrong value at tau = 0 unless x = 1
     shifted = Subst(((Var("x"), Exp(Neg(LogicalVar(TAU)))),), ds)
     with pytest.raises(NotIdentityAtZero):
-        certify_flow(ode, shifted, ArithCtx(ds), samples=50)
+        certify_flow(ode, shifted, ArithCtx(ds))
 
 
 def stiff():
@@ -236,19 +236,43 @@ def stiff():
 def test_certify_flow_lipschitz_failure():
     ode, flow, ctx = stiff()
     with pytest.raises(LipschitzSampleFailure):
-        certify_flow(ode, flow, ctx, samples=200)
+        certify_flow(ode, flow, ctx)
+
+
+def shear():
+    # x' = y, y' = 0: the x row moves by |y1 - y2|, so L = 1 is exact
+    ds = Dataspace()
+    ds.declare("x", REAL, VARIABLE)
+    ds.declare("y", REAL, VARIABLE)
+    ode = ODE(Frame((Var("x"), Var("y"))),
+              Subst(((Var("x"), read("y")), (Var("y"), ZERO)), ds))
+    flow = Subst(((Var("x"), Add(read("x"), Mul(LogicalVar(TAU), read("y")))),
+                  (Var("y"), read("y"))), ds)
+    return ode, flow, ArithCtx(ds)
+
+
+def test_certify_flow_two_rows():
+    ode, flow, ctx = shear()
+    cert = certify_flow(ode, flow, ctx, flow_id="shear")
+    assert cert == CertResult("shear", Fraction(1), 2)
+
+
+def test_certify_flow_two_rows_too_tight():
+    ode, flow, ctx = shear()
+    with pytest.raises(LipschitzSampleFailure):
+        certify_flow(ode, flow, ctx, lipschitz=Fraction(1, 2))
 
 
 def test_local_flow_auto_picks_a_constant():
     ds, ode = decay()
-    cert = local_flow_auto(ode, decay_flow(ds), ArithCtx(ds), samples=100)
+    cert = local_flow_auto(ode, decay_flow(ds), ArithCtx(ds))
     assert cert.lipschitz == 1  # the 1/2 rung is too tight for x' = -x
 
 
 def test_local_flow_auto_exhausts_ladder():
     ode, flow, ctx = stiff()
     with pytest.raises(AllConstantsFailed):
-        local_flow_auto(ode, flow, ctx, samples=100)
+        local_flow_auto(ode, flow, ctx)
 
 
 # -- the combined search

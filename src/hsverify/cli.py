@@ -17,19 +17,17 @@ import os
 import sys
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Optional
 
-from .arith import ArithCtx, falsify, prove_vc, recheck
+from .arith import ArithCtx, falsify, recheck
 from .expr import EvalError, Implies, RatLit
 from .program import SimConfig, format_trace, simulate_traced
 from .store import StoreError
 from .syntax import Goal, ModelFile, ParseError, parse, pretty_expr, pretty_method
 from .tactics import (
-    FlowCertError, PROVED, ProofResult, REFUTED, TacticError, UNKNOWN,
-    VcOutcome, certify_flow, d_ghost, d_induct, d_induct_mega, d_prove,
-    d_weaken, local_flow_auto,
+    FlowCertError, ProofResult, TacticError, certify_flow, check_vc, d_ghost,
+    d_induct, d_induct_mega, d_prove, d_weaken, local_flow_auto, settle,
 )
 from .vcg import FlowTable, Triple, VC, VcgError, gen_vcs
 
@@ -38,12 +36,18 @@ class ModelError(Exception):
     """A structurally valid model asking for something impossible."""
 
 
+# errors that leave one goal unrunnable; every command reports them as `error:`
+_GOAL_ERRORS = (TacticError, VcgError, ModelError)
+
+
 def _load(path: str) -> ModelFile:
     try:
         with open(path, encoding="utf-8") as f:
             return parse(f.read())
     except OSError as e:
         raise ModelError(f"{path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise ModelError(f"{path}: {e}") from e
     except ParseError as e:
         raise ModelError(f"{path}:{e}") from e
 
@@ -87,41 +91,12 @@ def _certify_flows(model: ModelFile, seed: int):
 # Goal discharge
 
 
-def _wp_route(triple: Triple, flows: Optional[FlowTable], ctx: ArithCtx,
-              trials: int) -> ProofResult:
-    vcs = gen_vcs(triple, flows)
-    outcomes = tuple(
-        VcOutcome(vc, prove_vc(vc.formula, ctx, vc_name=vc.vc_id,
-                               falsify_trials=trials))
-        for vc in vcs)
-    if all(o.verdict.valid for o in outcomes):
-        return ProofResult(PROVED, "wp", (), outcomes)
-    for o in outcomes:
-        if o.verdict.status == "invalid":
-            return ProofResult(REFUTED, "wp", (f"{o.vc.vc_id} falsified",),
-                               outcomes, witness=o.verdict.witness)
-    return ProofResult(UNKNOWN, "wp", (), outcomes)
-
-
-def _merge_results(rule, *parts: ProofResult) -> ProofResult:
-    outcomes = tuple(o for p in parts for o in p.outcomes)
-    steps = tuple(s for p in parts for s in p.steps)
-    if all(p.proved for p in parts):
-        return ProofResult(PROVED, rule, steps, outcomes)
-    for p in parts:
-        if p.refuted:
-            return ProofResult(REFUTED, rule, steps, outcomes, witness=p.witness)
-    return ProofResult(UNKNOWN, rule, steps, outcomes)
-
-
 def _init_check(goal: Goal, ctx: ArithCtx) -> ProofResult:
     """pre entails the invariant the method establishes (here: the post)."""
     if goal.pre == goal.post:
-        return ProofResult(PROVED, "init", (), ())
+        return settle("init")
     vc = VC("init", Implies(goal.pre, goal.post), origin="init")
-    v = prove_vc(vc.formula, ctx, vc_name=vc.vc_id, falsify_trials=0)
-    return ProofResult(PROVED if v.valid else UNKNOWN, "init", (),
-                       (VcOutcome(vc, v),))
+    return settle("init", (check_vc(vc, ctx),), exact=False)
 
 
 def run_goal(model: ModelFile, goal: Goal, table: FlowTable, failed_flows: dict,
@@ -132,22 +107,22 @@ def run_goal(model: ModelFile, goal: Goal, table: FlowTable, failed_flows: dict,
     named = dict(model.assumes)
     facts = tuple(named[u] for u in goal.using)
     m = goal.method
-    if m.name == "wp":
-        return _wp_route(triple, table, ctx, trials)
+    flows = table
     if m.name == "flow":
         fid = m.args[0]
         if fid in failed_flows:
             raise ModelError(f"flow {fid!r} failed certification: {failed_flows[fid]}")
-        sub = FlowTable(model.dataspace)
+        flows = FlowTable(model.dataspace)
         for decl in model.flows:
             if decl.name == fid:
                 ode = model.programs[decl.target]
-                sub.register(ode.frame, ode.rhs, decl.flow, flow_id=fid)
-        return _wp_route(triple, sub, ctx, trials)
+                flows.register(ode.frame, ode.rhs, decl.flow, flow_id=fid)
+    if m.name in ("wp", "flow"):
+        return settle("wp", [check_vc(vc, ctx, trials) for vc in gen_vcs(triple, flows)])
     if m.name in ("dInduct", "dInductAuto"):
         ind = d_induct(prog, goal.post, ctx, facts=facts,
                        exact=(m.name == "dInduct"))
-        return _merge_results(ind.rule, _init_check(goal, ctx), ind)
+        return settle(ind.rule, parts=(_init_check(goal, ctx), ind))
     if m.name == "dInductMega":
         return d_induct_mega(prog, goal.pre, goal.post, ctx)
     if m.name == "dWeaken":
@@ -155,7 +130,7 @@ def run_goal(model: ModelFile, goal: Goal, table: FlowTable, failed_flows: dict,
     if m.name == "dGhost":
         g, inv, rate = m.args
         gh = d_ghost(prog, goal.post, g, RatLit(Fraction(rate)), inv, ctx)
-        return _merge_results(gh.rule, _init_check(goal, ctx), gh)
+        return settle(gh.rule, parts=(_init_check(goal, ctx), gh))
     if m.name == "dProve":
         return d_prove(triple, ctx, table)
     raise ModelError(f"goal {goal.name}: unhandled method {m.name!r}")
@@ -212,28 +187,26 @@ def _error_result(msg: str) -> ProofResult:
     return ProofResult("error", "", (msg,), ())
 
 
+def _check_trials(args) -> None:
+    if args.trials < 0:
+        raise ModelError(f"--trials must be non-negative, got {args.trials}")
+
+
 def cmd_verify(args) -> int:
+    _check_trials(args)
     model = _load(args.file)
     goals = _select_goals(model, args.goal)
     table, flow_reports, failed = _certify_flows(model, args.seed)
 
-    def run(goal: Goal):
+    entries = {}
+    counts = {"proved": 0, "refuted": 0, "unknown": 0, "error": 0}
+    for goal in goals:
         t0 = time.perf_counter()
         try:
             r = run_goal(model, goal, table, failed, args.seed, args.trials)
-        except (TacticError, VcgError, ModelError) as e:
+        except _GOAL_ERRORS as e:
             r = _error_result(str(e))
-        return goal, r, time.perf_counter() - t0
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            done = list(pool.map(run, goals))
-    else:
-        done = [run(g) for g in goals]
-
-    entries = {}
-    counts = {"proved": 0, "refuted": 0, "unknown": 0, "error": 0}
-    for goal, r, dt in done:
+        dt = time.perf_counter() - t0
         files = _emit_smt(goal.name, r, args.emit_smt) if args.emit_smt else []
         e = _goal_entry(goal, r, files)
         if args.timings:
@@ -290,6 +263,7 @@ def cmd_vcs(args) -> int:
     model = _load(args.file)
     goals = _select_goals(model, args.goal)
     table, _, failed = _certify_flows(model, args.seed)
+    code = 0
     for goal in goals:
         print(f"goal {goal.name} ({pretty_method(goal.method)}):")
         triple = Triple(goal.pre, model.programs[goal.prog_name], goal.post)
@@ -299,18 +273,20 @@ def cmd_vcs(args) -> int:
         except VcgError:
             try:
                 r = run_goal(model, goal, table, failed, args.seed, trials=0)
-            except (TacticError, ModelError) as e:
+            except _GOAL_ERRORS as e:
                 print(f"  error: {e}")
+                code = 1
                 continue
             pairs = [(o.vc, o.vc.provisos) for o in r.outcomes]
         for vc, provisos in pairs:
             print(f"  {vc.vc_id} [{vc.origin}] {pretty_expr(vc.formula)}")
             for p in provisos:
                 print(f"    proviso {pretty_expr(p)}")
-    return 0
+    return code
 
 
 def cmd_falsify(args) -> int:
+    _check_trials(args)
     model = _load(args.file)
     goals = _select_goals(model, args.goal)
     table, _, failed = _certify_flows(model, args.seed)
@@ -333,7 +309,7 @@ def cmd_falsify(args) -> int:
         if not formulas:
             try:
                 r = run_goal(model, goal, table, failed, args.seed, trials=args.trials)
-            except (TacticError, ModelError) as e:
+            except _GOAL_ERRORS as e:
                 raise ModelError(f"goal {goal.name}: {e}") from e
             if r.refuted and r.witness:
                 print(f"goal {goal.name}: counterexample by simulation")
@@ -451,7 +427,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--goal", help="run a single goal")
     v.add_argument("--json", help="write a JSON report to this path ('-' for stdout)")
     v.add_argument("--emit-smt", metavar="DIR", help="export residual VCs as SMT-LIB2")
-    v.add_argument("--jobs", type=int, default=1, help="verify goals concurrently")
     v.add_argument("--trials", type=int, default=300, help="falsification budget per VC")
     v.add_argument("--strict", action="store_true", help="exit 3 on unknown goals")
     v.add_argument("--timings", action="store_true", help="include elapsed times in the report")

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .expr import (
     And,
     BoolLit,
@@ -303,21 +301,21 @@ class _Sim:
             else:
                 shapes.append(0)
                 y0.append(float(v))
-        y0 = np.array(y0, dtype=float)
+        y0 = tuple(y0)
 
-        def unpack(y: np.ndarray) -> Store:
+        def unpack(y: tuple) -> Store:
             vals = []
             i = 0
             for dim in shapes:
                 if dim == 0:
-                    vals.append(float(y[i]))
+                    vals.append(y[i])
                     i += 1
                 else:
-                    vals.append(tuple(float(c) for c in y[i:i + dim]))
+                    vals.append(y[i:i + dim])
                     i += dim
             return p.frame.put(tuple(vals), s)
 
-        def fdot(y: np.ndarray) -> np.ndarray:
+        def fdot(y: tuple) -> tuple:
             st = unpack(y)
             out = []
             for dim, e in zip(shapes, rhs_exprs):
@@ -326,16 +324,20 @@ class _Sim:
                     out.append(float(v))
                 else:
                     out.extend(float(c) for c in v)
-            return np.array(out, dtype=float)
+            return tuple(out)
 
-        def rk4(y: np.ndarray, h: float) -> np.ndarray:
+        def axpy(y: tuple, c: float, k: tuple) -> tuple:
+            return tuple(a + c * b for a, b in zip(y, k))
+
+        def rk4(y: tuple, h: float) -> tuple:
             k1 = fdot(y)
-            k2 = fdot(y + (h / 2.0) * k1)
-            k3 = fdot(y + (h / 2.0) * k2)
-            k4 = fdot(y + h * k3)
-            return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k2 = fdot(axpy(y, h / 2.0, k1))
+            k3 = fdot(axpy(y, h / 2.0, k2))
+            k4 = fdot(axpy(y, h, k3))
+            return tuple(a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                         for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
 
-        def bisect_to_boundary(y_good: np.ndarray):
+        def bisect_to_boundary(y_good: tuple):
             # March toward the crossing by halving the remaining step.
             adv = 0.0
             rem = h

@@ -122,6 +122,37 @@ class CertResult:
     samples: int  # Lipschitz conditions discharged, one per field row
 
 
+def check_vc(vc: VC, ctx: ArithCtx, trials: int = 0) -> VcOutcome:
+    """Discharge one condition; with trials > 0 the falsifier may refute it."""
+    return VcOutcome(vc, prove_vc(vc.formula, ctx, vc_name=vc.vc_id,
+                                  falsify_trials=trials))
+
+
+def settle(rule: str, outcomes=(), parts=(), steps=(),
+           exact: bool = True) -> ProofResult:
+    """The one place a verdict is formed from conditions and sub-results.
+
+    Proved iff every outcome is valid and every part is proved.  Otherwise
+    refuted by the first falsified outcome (only when exact, since a lossy
+    rule's conditions may fail on a true goal) or by the first refuted part,
+    with its witness.  Otherwise unknown.  A part counts by its status, not
+    its outcomes: some unknown results carry no outcomes at all.
+    """
+    own = tuple(outcomes)
+    outcomes = own + tuple(o for p in parts for o in p.outcomes)
+    steps = tuple(steps) + tuple(s for p in parts for s in p.steps)
+    if all(o.verdict.valid for o in own) and all(p.proved for p in parts):
+        return ProofResult(PROVED, rule, steps, outcomes)
+    for o in own:
+        if exact and o.verdict.status == "invalid":
+            return ProofResult(REFUTED, rule, steps + (f"{o.vc.vc_id} falsified",),
+                               outcomes, witness=o.verdict.witness)
+    for p in parts:
+        if p.refuted:
+            return ProofResult(REFUTED, rule, steps, outcomes, witness=p.witness)
+    return ProofResult(UNKNOWN, rule, steps, outcomes)
+
+
 def _domain(p: ODE) -> Expr:
     if p.dom is None:
         return p.guard
@@ -216,14 +247,10 @@ def d_induct(ode: ODE, inv: Expr, ctx: ArithCtx, facts=(),
             v = Verdict("valid" if ok else "unknown", rule="normalize")
             outcomes.append(VcOutcome(vc, v))
         else:
-            for sv in side_vcs:
-                outcomes.append(VcOutcome(sv, prove_vc(
-                    sv.formula, ctx, vc_name=sv.vc_id, falsify_trials=0)))
-            outcomes.append(VcOutcome(vc, prove_vc(
-                vc.formula, ctx, vc_name=vc.vc_id, falsify_trials=0)))
+            outcomes.extend(check_vc(sv, ctx) for sv in side_vcs)
+            outcomes.append(check_vc(vc, ctx))
         steps.append(f"dI {expr_key(atom)}")
-    status = PROVED if all(o.verdict.valid for o in outcomes) else UNKNOWN
-    return ProofResult(status, "dI", tuple(steps), tuple(outcomes))
+    return settle("dI", outcomes, steps=steps, exact=False)
 
 
 def d_weaken(ode: ODE, post: Expr, ctx: ArithCtx, facts=()) -> ProofResult:
@@ -232,9 +259,8 @@ def d_weaken(ode: ODE, post: Expr, ctx: ArithCtx, facts=()) -> ProofResult:
         raise NotAnODE(f"d_weaken needs an ODE, got {type(ode).__name__}")
     hyp = _hyp([_domain(ode) if isinstance(ode, ODE) else ode.guard, *facts])
     vc = VC("weaken", Implies(hyp, post) if hyp != TRUE else post, origin="dW")
-    v = prove_vc(vc.formula, ctx, vc_name=vc.vc_id, falsify_trials=0)
-    status = PROVED if v.valid else UNKNOWN
-    return ProofResult(status, "dW", (f"dW {expr_key(post)}",), (VcOutcome(vc, v),))
+    return settle("dW", (check_vc(vc, ctx),), steps=(f"dW {expr_key(post)}",),
+                  exact=False)
 
 
 def d_cut(ode: ODE, cut: Expr) -> ODE:
@@ -302,13 +328,10 @@ def d_ghost(ode: ODE, target: Expr, ghost: str, k: Expr, ghost_inv: Expr,
                             ode.rhs.dataspace))
     v = fresh_logical("v", _all_logicals(target) | _all_logicals(ghost_inv))
     equiv = Iff(target, Exists(v, _swap_ghost(ghost_inv, ghost, LogicalVar(v))))
-    vc = VC("ghost-equiv", equiv, origin="dG")
-    ev = prove_vc(equiv, ctx, vc_name=vc.vc_id, falsify_trials=0)
+    ev = check_vc(VC("ghost-equiv", equiv, origin="dG"), ctx)
     ind = d_induct(ext, ghost_inv, ctx)
-    outcomes = (VcOutcome(vc, ev),) + ind.outcomes
-    status = PROVED if ev.valid and ind.proved else UNKNOWN
-    steps = (f"dG {ghost}' = {expr_key(Mul(k, read(ghost)))}",) + ind.steps
-    return ProofResult(status, "dG", steps, outcomes)
+    return settle("dG", (ev,), (ind,),
+                  (f"dG {ghost}' = {expr_key(Mul(k, read(ghost)))}",), exact=False)
 
 
 # ---------------------------------------------------------------------------
@@ -552,34 +575,6 @@ def _discrete(p: HybridProgram) -> bool:
     return isinstance(p, (Skip, Abort, Test, Assign))
 
 
-def _discharge(vcs, ctx: ArithCtx, falsify_trials: int = 300):
-    outcomes = []
-    for vc in vcs:
-        outcomes.append(VcOutcome(vc, prove_vc(
-            vc.formula, ctx, vc_name=vc.vc_id, falsify_trials=falsify_trials)))
-    return outcomes
-
-
-def _from_outcomes(rule: str, outcomes, steps=(), exact: bool = True) -> ProofResult:
-    outcomes = tuple(outcomes)
-    if all(o.verdict.valid for o in outcomes):
-        return ProofResult(PROVED, rule, tuple(steps), outcomes)
-    for o in outcomes:
-        if o.verdict.status == "invalid" and exact:
-            return ProofResult(REFUTED, rule,
-                               tuple(steps) + (f"{o.vc.vc_id} falsified",),
-                               outcomes, witness=o.verdict.witness)
-    return ProofResult(UNKNOWN, rule, tuple(steps), outcomes)
-
-
-def _merge(rule: str, parts, steps=()) -> ProofResult:
-    outcomes = tuple(o for p in parts for o in p.outcomes)
-    sub_steps = tuple(s for p in parts for s in p.steps)
-    if all(p.proved for p in parts):
-        return ProofResult(PROVED, rule, tuple(steps) + sub_steps, outcomes)
-    return ProofResult(UNKNOWN, rule, tuple(steps) + sub_steps, outcomes)
-
-
 def d_prove(triple: Triple, ctx: ArithCtx, flows: Optional[FlowTable] = None,
             depth: int = 8, exact: bool = True) -> ProofResult:
     """Prove a hybrid triple by structural decomposition.
@@ -597,7 +592,7 @@ def d_prove(triple: Triple, ctx: ArithCtx, flows: Optional[FlowTable] = None,
     except (MissingFlow, MissingLoopInvariant):
         vcs = None
     if vcs is not None:
-        r = _from_outcomes("wp", _discharge(vcs, ctx), exact=exact)
+        r = settle("wp", [check_vc(vc, ctx, 300) for vc in vcs], exact=exact)
         if r.status != UNKNOWN:
             return r
         wp_fallback = r
@@ -609,15 +604,13 @@ def d_prove(triple: Triple, ctx: ArithCtx, flows: Optional[FlowTable] = None,
         if p.invariant is None:
             raise MissingLoopInvariant("loop rule needs an invariant")
         inv = p.invariant
-        init = _discharge([VC("loop-init", Implies(pre, inv), "loop")], ctx,
-                          falsify_trials=0)
+        init = check_vc(VC("loop-init", Implies(pre, inv), "loop"), ctx)
         keep = d_prove(Triple(inv, p.body, inv), ctx, flows, depth - 1,
                        exact=False)
-        final = _discharge([VC("loop-post", Implies(inv, post), "loop")], ctx,
-                           falsify_trials=0)
-        parts = [_from_outcomes("loop", init, exact=False), keep,
-                 _from_outcomes("loop", final, exact=False)]
-        r = _merge("loop", parts, (f"loop invariant {expr_key(inv)}",))
+        final = check_vc(VC("loop-post", Implies(inv, post), "loop"), ctx)
+        parts = [settle("loop", (init,), exact=False), keep,
+                 settle("loop", (final,), exact=False)]
+        r = settle("loop", parts=parts, steps=(f"loop invariant {expr_key(inv)}",))
         if r.proved:
             return r
         best = r
@@ -635,7 +628,8 @@ def d_prove(triple: Triple, ctx: ArithCtx, flows: Optional[FlowTable] = None,
                 continue
             rb = d_prove(Triple(mid, b, post), ctx, flows, depth - 1, exact=False)
             if rb.proved:
-                return _merge("seq", [ra, rb], (f"chain through {expr_key(mid)}",))
+                return settle("seq", parts=(ra, rb),
+                              steps=(f"chain through {expr_key(mid)}",))
     elif isinstance(p, If):
         rt = d_prove(Triple(And(pre, p.cond), p.then, post), ctx, flows,
                      depth - 1, exact=exact)
@@ -645,7 +639,7 @@ def d_prove(triple: Triple, ctx: ArithCtx, flows: Optional[FlowTable] = None,
                      depth - 1, exact=exact)
         if rf.refuted:
             return rf
-        r = _merge("if", [rt, rf], ("split on the branch condition",))
+        r = settle("if", parts=(rt, rf), steps=("split on the branch condition",))
         if r.proved:
             return r
         best = r
@@ -656,7 +650,7 @@ def d_prove(triple: Triple, ctx: ArithCtx, flows: Optional[FlowTable] = None,
         rr = d_prove(Triple(pre, p.right, post), ctx, flows, depth - 1, exact=exact)
         if rr.refuted:
             return rr
-        r = _merge("choice", [rl, rr])
+        r = settle("choice", parts=(rl, rr))
         if r.proved:
             return r
         best = r

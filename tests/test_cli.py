@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +24,17 @@ program drift = { x' = 1 }
 flow lin for drift = [x ~> x + tau] lipschitz 1
 
 goal convex : { true } drift { exp(x) >= 1 + x } by wp
+"""
+
+# a wp goal over an ODE with no flow declared: gen_vcs raises MissingFlow
+NO_FLOW = """\
+dataspace d {
+  variables x : real;
+}
+
+program dec = { x' = -x }
+
+goal g : { x > 0 } dec { x > 0 } by wp
 """
 
 
@@ -98,11 +112,14 @@ def test_json_two_runs_identical(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_parallel_matches_serial(capsys, tmp_path):
+def test_timings_are_opt_in(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(capsys, "verify", MODELS / "decay.hsv", "--json", a)
-    run(capsys, "verify", MODELS / "decay.hsv", "--jobs", 2, "--json", b)
-    assert a.read_bytes() == b.read_bytes()
+    run(capsys, "verify", MODELS / "decay.hsv", "--timings", "--json", b)
+    plain = json.loads(a.read_text())["goals"].values()
+    timed = json.loads(b.read_text())["goals"].values()
+    assert all("elapsed_ms" not in g for g in plain)
+    assert all(g["elapsed_ms"] >= 0 for g in timed)
 
 
 def test_unknown_is_tolerated_by_default(capsys, hard_model):
@@ -124,6 +141,33 @@ def test_emit_smt_writes_residual(capsys, hard_model, tmp_path):
     assert "(set-logic" in text
     assert "(declare-fun exp (Real) Real)" in text
     assert text.rstrip().endswith("(check-sat)")
+
+
+@pytest.mark.parametrize("command", ["verify", "vcs", "falsify"])
+def test_goal_without_flow_is_an_error(capsys, tmp_path, command):
+    p = tmp_path / "noflow.hsv"
+    p.write_text(NO_FLOW)
+    code, out, err = run(capsys, command, p)
+    assert code == 1
+    assert "no certified flow" in out + err
+    assert "Traceback" not in out + err
+
+
+def test_non_utf8_file_is_an_error(capsys, tmp_path):
+    p = tmp_path / "utf16.hsv"
+    p.write_bytes(b"\xff\xfe" + "dataspace".encode("utf-16-le"))
+    code, out, err = run(capsys, "verify", p)
+    assert code == 1
+    assert err.startswith(f"error: {p}: ")
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "falsify"])
+def test_negative_trials_rejected(capsys, command):
+    code, out, err = run(capsys, command, MODELS / "broken.hsv", "--trials", -1)
+    assert code == 1
+    assert err.startswith("error: --trials")
+    assert out == ""
 
 
 def test_falsify_witness(capsys):
@@ -215,3 +259,15 @@ def test_simulate_evaluation_error_is_reported(capsys):
                        "--step", "0.05", "--horizon", "4")
     assert code == 1
     assert err.startswith("error: simulation stopped:")
+
+
+def test_runtime_needs_only_the_standard_library():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys, hsverify.cli\n"
+             "print('\\n'.join(sorted({m.partition('.')[0] for m in sys.modules})))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    # -S skips site hooks, so only hsverify's own imports can load a module
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    outside = set(out.split()) - set(sys.stdlib_module_names) - {"__main__", "hsverify"}
+    assert not outside, sorted(outside)

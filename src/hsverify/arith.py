@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from . import expr as ex
 from .deriv import deriv_in_var, NotDifferentiable
@@ -57,7 +57,6 @@ from .expr import (
     Sin,
     Sqrt,
     Sub,
-    TRUE,
     UnsupportedConstruct,
     VarRead,
     VecLit,
@@ -69,7 +68,7 @@ from .expr import (
     simplify,
     subst_logical,
 )
-from .store import BOOL, Coord, Dataspace, Kind, REAL, Var
+from .store import BOOL, Coord, Dataspace, REAL, Var
 
 
 # ---------------------------------------------------------------------------
@@ -1757,86 +1756,107 @@ def _comparisons(e: Expr) -> list:
     return out
 
 
-def _q_eval(e: Expr, s, env: dict, box: Box):
-    """Three-valued evaluation; quantifiers by deterministic grid sampling.
+def q_eval(e: Expr, s, env: dict, box: Box, tol: float = 1e-9,
+           strict: bool = False):
+    """Three-valued truth of a formula at a store: True, False or None.
 
-    Returns (truth, instantiations) where truth is True/False/None and the
-    instantiations pin binder values along any definite-False path.
+    Connectives follow Kleene's logic and quantifiers are sampled on a
+    deterministic grid over the binder's box range.  Exact values compare
+    exactly; a comparison with a float decides only outside
+    tol * (1 + |a| + |b|).  An atom that cannot be evaluated is None, or
+    raises when strict.  Strict mode also raises UnsupportedConstruct on a
+    quantifier: a grid can pass a guard that fails between its points.
+    Returns (truth, instantiations), where the instantiations pin binder
+    values along any definite-False path.
     """
-    if isinstance(e, Forall):
-        if e.var in env:
-            return _q_eval(e.body, s, env, box)
-        lo, hi = _binder_range(e.body, e.var, s, env, box)
-        if lo > hi:
-            return True, {}
-        indef = False
-        for val in _grid(lo, hi):
-            sub = dict(env)
-            sub[e.var] = val
-            r, inst = _q_eval(e.body, s, sub, box)
-            if r is False:
-                return False, {e.var: val, **inst}
-            if r is None:
-                indef = True
-        return (None, {}) if indef else (True, {})
-    if isinstance(e, Exists):
-        if e.var in env:
-            return _q_eval(e.body, s, env, box)
-        lo, hi = _binder_range(e.body, e.var, s, env, box)
-        if lo > hi:
-            return False, {}
-        for val in _grid(lo, hi):
-            sub = dict(env)
-            sub[e.var] = val
-            r, inst = _q_eval(e.body, s, sub, box)
-            if r is True:
-                return True, {e.var: val, **inst}
-        return None, {}
-    if isinstance(e, And):
-        a, ia = _q_eval(e.left, s, env, box)
-        if a is False:
-            return False, ia
-        b, ib = _q_eval(e.right, s, env, box)
-        if b is False:
-            return False, ib
-        if a is True and b is True:
-            return True, {**ia, **ib}
-        return None, {}
-    if isinstance(e, Or):
-        a, ia = _q_eval(e.left, s, env, box)
-        if a is True:
-            return True, ia
-        b, ib = _q_eval(e.right, s, env, box)
-        if b is True:
-            return True, ib
-        if a is False and b is False:
-            return False, {**ia, **ib}
-        return None, {}
-    if isinstance(e, Implies):
-        return _q_eval(Or(negate(e.left), e.right), s, env, box)
-    if isinstance(e, Iff):
-        a, ia = _q_eval(e.left, s, env, box)
-        b, ib = _q_eval(e.right, s, env, box)
-        if a is None or b is None:
+    soft = () if strict else (ex.EvalError, UnsupportedConstruct)
+
+    def walk(e: Expr, env: dict):
+        if isinstance(e, BoolLit):
+            return e.value, {}
+        if isinstance(e, _COMPARISONS):
+            try:
+                a = eval_expr(e.left, s, env)
+                b = eval_expr(e.right, s, env)
+            except soft:
+                return None, {}
+            return _cmp_vals(type(e), a, b, tol), {}
+        if isinstance(e, And):
+            a, ia = walk(e.left, env)
+            if a is False:
+                return False, ia
+            b, ib = walk(e.right, env)
+            if b is False:
+                return False, ib
+            if a is True and b is True:
+                return True, {**ia, **ib}
             return None, {}
-        return a == b, {**ia, **ib}
-    if isinstance(e, Not):
-        r, inst = _q_eval(e.arg, s, env, box)
-        return (None if r is None else not r), inst
-    if isinstance(e, (Eq, Neq, Le, Lt, Ge, Gt)):
+        if isinstance(e, Or):
+            a, ia = walk(e.left, env)
+            if a is True:
+                return True, ia
+            b, ib = walk(e.right, env)
+            if b is True:
+                return True, ib
+            if a is False and b is False:
+                return False, {**ia, **ib}
+            return None, {}
+        if isinstance(e, Not):
+            r, inst = walk(e.arg, env)
+            return (None if r is None else not r), inst
+        if isinstance(e, Implies):
+            return walk(Or(negate(e.left), e.right), env)
+        if isinstance(e, Iff):
+            a, ia = walk(e.left, env)
+            b, ib = walk(e.right, env)
+            if a is None or b is None:
+                return None, {}
+            return a == b, {**ia, **ib}
+        if isinstance(e, Ite):
+            c, ic = walk(e.cond, env)
+            if c is not None:
+                r, ir = walk(e.then if c else e.other, env)
+                return r, {**ic, **ir}
+            a, ia = walk(e.then, env)
+            b, ib = walk(e.other, env)
+            return (a, {**ia, **ib}) if a == b else (None, {})
+        if strict and isinstance(e, (Forall, Exists)):
+            raise UnsupportedConstruct("quantified guards have no evaluation")
+        if isinstance(e, Forall):
+            if e.var in env:
+                return walk(e.body, env)
+            lo, hi = _binder_range(e.body, e.var, s, env, box)
+            if lo > hi:
+                return True, {}
+            indef = False
+            for val in _grid(lo, hi):
+                r, inst = walk(e.body, {**env, e.var: val})
+                if r is False:
+                    return False, {e.var: val, **inst}
+                if r is None:
+                    indef = True
+            return (None, {}) if indef else (True, {})
+        if isinstance(e, Exists):
+            if e.var in env:
+                return walk(e.body, env)
+            lo, hi = _binder_range(e.body, e.var, s, env, box)
+            if lo > hi:
+                return False, {}
+            for val in _grid(lo, hi):
+                r, inst = walk(e.body, {**env, e.var: val})
+                if r is True:
+                    return True, {e.var: val, **inst}
+            return None, {}
         try:
-            a = eval_expr(e.left, s, env)
-            b = eval_expr(e.right, s, env)
-        except (ex.EvalError, UnsupportedConstruct):
+            v = eval_expr(e, s, env)
+        except soft:
             return None, {}
-        return _cmp_vals(e, a, b), {}
-    try:
-        v = eval_expr(e, s, env)
-    except (ex.EvalError, UnsupportedConstruct):
-        return None, {}
-    if isinstance(v, bool):
-        return v, {}
-    return None, {}
+        return (v, {}) if isinstance(v, bool) else (None, {})
+
+    return walk(e, env)
+
+
+_COMPARISONS = (Eq, Neq, Le, Lt, Ge, Gt)
 
 
 def _inexact(v) -> bool:
@@ -1847,37 +1867,42 @@ def _inexact(v) -> bool:
     return False
 
 
-def _cmp_vals(e: Expr, a, b):
-    """Three-valued comparison; float results only decide outside a margin."""
+def _cmp_vals(op: type, a, b, tol: float):
+    """Three-valued a op b; a float decides only outside tol * (1 + |a| + |b|).
+
+    Vectors compare by component under = and !=; their order is undecided.
+    """
     if not _inexact(a) and not _inexact(b):
-        if isinstance(e, Eq):
+        if op is Eq:
             return a == b
-        if isinstance(e, Neq):
+        if op is Neq:
             return a != b
-        if isinstance(e, Le):
+        if op is Le:
             return a <= b
-        if isinstance(e, Lt):
+        if op is Lt:
             return a < b
-        if isinstance(e, Ge):
+        if op is Ge:
             return a >= b
         return a > b
     if isinstance(a, tuple) or isinstance(b, tuple):
-        return None
+        if op not in (Eq, Neq) or not (isinstance(a, tuple) and isinstance(b, tuple)) \
+                or len(a) != len(b):
+            return None
+        same = [_cmp_vals(Eq, x, y, tol) for x, y in zip(a, b)]
+        if False in same:
+            return op is Neq
+        return None if None in same else op is Eq
     fa, fb = float(a), float(b)
-    tol = 1.0e-9 * (1.0 + abs(fa) + abs(fb))
-    if isinstance(e, Eq):
-        return False if abs(fa - fb) > tol else None
-    if isinstance(e, Neq):
-        return True if abs(fa - fb) > tol else None
-    if isinstance(e, (Le, Lt)):
-        if fa < fb - tol:
-            return True
-        if fa > fb + tol:
-            return False
-        return None
-    if fa > fb + tol:
+    m = tol * (1.0 + abs(fa) + abs(fb))
+    if op is Eq:
+        return False if abs(fa - fb) > m else None
+    if op is Neq:
+        return True if abs(fa - fb) > m else None
+    if op in (Le, Lt):
+        fa, fb = fb, fa
+    if fa > fb + m:
         return True
-    if fa < fb - tol:
+    if fa < fb - m:
         return False
     return None
 
@@ -1979,13 +2004,13 @@ def falsify(formula: Expr, ctx: ArithCtx, trials: int = 300,
                 env[n] = _sample_real(rng, lo, hi)
         ok = True
         for a in ctx.assumptions:
-            r, _ = _q_eval(a, s, env, ctx.box)
+            r, _ = q_eval(a, s, env, ctx.box)
             if r is not True:
                 ok = False
                 break
         if not ok:
             continue
-        r, inst = _q_eval(formula, s, env, ctx.box)
+        r, inst = q_eval(formula, s, env, ctx.box)
         if r is False:
             witness = {"store": vals, "env": {**env, **inst}}
             if not recheck(formula, ctx, witness):
@@ -1996,7 +2021,7 @@ def falsify(formula: Expr, ctx: ArithCtx, trials: int = 300,
 def recheck(formula: Expr, ctx: ArithCtx, witness: dict) -> bool:
     """Exact truth of the formula at a witness; False confirms the refutation."""
     s = ctx.dataspace.make_store(witness["store"])
-    r, _ = _q_eval(formula, s, dict(witness["env"]), ctx.box)
+    r, _ = q_eval(formula, s, dict(witness["env"]), ctx.box)
     return r is not False
 
 

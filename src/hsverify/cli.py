@@ -11,6 +11,7 @@ Exit codes: 0 all goals proved (unknowns tolerated unless --strict),
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from typing import Optional
 
 from .arith import ArithCtx, falsify, recheck
 from .expr import EvalError, Implies, RatLit
-from .program import SimConfig, format_trace, simulate_traced
+from .program import SimConfig, fmt_value, format_trace, simulate_traced
 from .store import StoreError
 from .syntax import Goal, ModelFile, ParseError, parse, pretty_expr, pretty_method
 from .tactics import (
@@ -40,12 +41,19 @@ class ModelError(Exception):
 _GOAL_ERRORS = (TacticError, VcgError, ModelError)
 
 
-def _load(path: str) -> ModelFile:
+@contextlib.contextmanager
+def _os_errors(path: str):
+    """Report a failed file operation on path as a ModelError."""
     try:
-        with open(path, encoding="utf-8") as f:
-            return parse(f.read())
+        yield
     except OSError as e:
         raise ModelError(f"{path}: {e.strerror or e}") from e
+
+
+def _load(path: str) -> ModelFile:
+    try:
+        with _os_errors(path), open(path, encoding="utf-8") as f:
+            return parse(f.read())
     except UnicodeDecodeError as e:
         raise ModelError(f"{path}: {e}") from e
     except ParseError as e:
@@ -171,14 +179,19 @@ def _goal_entry(goal: Goal, r: ProofResult, smt_files) -> dict:
     }
 
 
+def _write(path: str, text: str) -> None:
+    with _os_errors(path), open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+
+
 def _emit_smt(goal_name: str, r: ProofResult, out_dir: str) -> list:
     files = []
-    os.makedirs(out_dir, exist_ok=True)
+    with _os_errors(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
     for o in r.outcomes:
         if not o.verdict.valid and o.verdict.smt:
             fn = f"{goal_name}_{o.vc.vc_id}.smt2"
-            with open(os.path.join(out_dir, fn), "w", encoding="utf-8") as f:
-                f.write(o.verdict.smt)
+            _write(os.path.join(out_dir, fn), o.verdict.smt)
             files.append(fn)
     return files
 
@@ -237,8 +250,7 @@ def cmd_verify(args) -> int:
         if args.json == "-":
             sys.stdout.write(text)
         else:
-            with open(args.json, "w", encoding="utf-8") as f:
-                f.write(text)
+            _write(args.json, text)
 
     if counts["error"]:
         return 1
@@ -302,9 +314,9 @@ def cmd_falsify(args) -> int:
             if w is not None and not recheck(f, ctx, w):
                 print(f"goal {goal.name}: counterexample for {vc_id}")
                 for n, v in w["store"].items():
-                    print(f"  {n} = {_fmt_val(v)}")
+                    print(f"  {n} = {fmt_value(v)}")
                 for n, v in w["env"].items():
-                    print(f"  {n} = {_fmt_val(v)} (logical)")
+                    print(f"  {n} = {fmt_value(v)} (logical)")
                 return 2
         if not formulas:
             try:
@@ -314,20 +326,12 @@ def cmd_falsify(args) -> int:
             if r.refuted and r.witness:
                 print(f"goal {goal.name}: counterexample by simulation")
                 for n, v in r.witness["store"].items():
-                    print(f"  {n} = {_fmt_val(v)}")
+                    print(f"  {n} = {fmt_value(v)}")
                 if "time" in r.witness:
                     print(f"  at time {r.witness['time']:.4f}")
                 return 2
         print(f"goal {goal.name}: no counterexample in {args.trials} trials")
     return 0
-
-
-def _fmt_val(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, tuple):
-        return "[" + ", ".join(_fmt_val(c) for c in v) + "]"
-    return str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +404,7 @@ def cmd_simulate(args) -> int:
     except (EvalError, OverflowError) as e:
         raise ModelError(f"simulation stopped: {e}") from e
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as f:
-            f.write(trace)
+        _write(args.trace, trace)
         print(f"wrote {args.trace}")
     else:
         sys.stdout.write(trace)

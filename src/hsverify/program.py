@@ -15,23 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .expr import (
-    And,
-    BoolLit,
-    Eq,
-    Expr,
-    Ge,
-    Gt,
-    Ite,
-    Le,
-    Lt,
-    Neq,
-    Not,
-    Or,
-    Subst,
-    TRUE,
-    eval_expr,
-)
+from .arith import Box, q_eval
+from .expr import And, Expr, Subst, TRUE, eval_expr
 from .store import Frame, Store, lens_get
 
 TAU = "tau"
@@ -148,7 +133,6 @@ class Evol(HybridProgram):
 class SimConfig:
     step: float = 0.01
     horizon: float = 10.0
-    guard_tolerance: float = 1e-9
     samples_per_orbit: int = 64
     rng_seed: int = 0
     explore_both: bool = False
@@ -179,43 +163,23 @@ def nmods(p: HybridProgram, a: Frame) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Guard evaluation with a numeric slack
+# Guard evaluation
 
 
-def eval_guard(e: Expr, s: Store, tol: float, env: Optional[dict] = None) -> bool:
-    """Boolean evaluation where comparisons get tol of slack, so float noise
-    at a boundary does not end an orbit early."""
-    env = env or {}
-
-    def ev(e):
-        if isinstance(e, BoolLit):
-            return e.value
-        if isinstance(e, And):
-            return ev(e.left) and ev(e.right)
-        if isinstance(e, Or):
-            return ev(e.left) or ev(e.right)
-        if isinstance(e, Not):
-            return not ev(e.arg)
-        if isinstance(e, Ite):
-            return ev(e.then) if eval_expr(e.cond, s, env) else ev(e.other)
-        if isinstance(e, (Le, Lt, Ge, Gt, Eq, Neq)):
-            a = eval_expr(e.left, s, env)
-            b = eval_expr(e.right, s, env)
-            if isinstance(e, (Le, Lt)):
-                return float(a) <= float(b) + tol
-            if isinstance(e, (Ge, Gt)):
-                return float(a) >= float(b) - tol
-            if isinstance(a, (bool, tuple)):
-                return (a == b) == isinstance(e, Eq)
-            if isinstance(e, Eq):
-                return abs(float(a) - float(b)) <= tol
-            return a != b
-        return bool(eval_expr(e, s, env))
-
-    return ev(e)
+# a quantified guard ranges its binders over the default box
+_GUARD_BOX = Box()
 
 
-def _full_guard(p) -> Expr:
+def eval_guard(e: Expr, s: Store, env: Optional[dict] = None) -> bool:
+    """The guard holds unless it is false beyond 1e-9 of relative float
+    noise, so noise at a boundary does not end an orbit early.  Errors in
+    evaluating it propagate, and a quantified guard raises
+    UnsupportedConstruct."""
+    return q_eval(e, s, env or {}, _GUARD_BOX, strict=True)[0] is not False
+
+
+def full_guard(p) -> Expr:
+    """An ODE's guard conjoined with its domain, if it declares one."""
     if p.dom is None:
         return p.guard
     return And(p.guard, p.dom)
@@ -286,8 +250,8 @@ class _Sim:
 
     def _integrate(self, p: ODE, t: float, s: Store) -> list:
         cfg = self.cfg
-        guard = _full_guard(p)
-        if not eval_guard(guard, s, cfg.guard_tolerance):
+        guard = full_guard(p)
+        if not eval_guard(guard, s):
             return []
         members = p.frame.members
         rhs_exprs = [p.rhs.lookup(m) for m in members]
@@ -344,7 +308,7 @@ class _Sim:
             for _ in range(_BISECT_DEPTH):
                 rem /= 2.0
                 y_try = rk4(y_good, rem)
-                if eval_guard(guard, unpack(y_try), cfg.guard_tolerance):
+                if eval_guard(guard, unpack(y_try)):
                     y_good = y_try
                     adv += rem
             return adv, y_good
@@ -360,7 +324,7 @@ class _Sim:
         for _ in range(nsteps):
             y_next = rk4(y, h)
             st = unpack(y_next)
-            if not eval_guard(guard, st, cfg.guard_tolerance):
+            if not eval_guard(guard, st):
                 adv, y_b = bisect_to_boundary(y)
                 if adv == 0.0 and tau == 0.0:
                     raise StepSizeTooLarge(
@@ -390,7 +354,7 @@ class _Sim:
             env = {TAU: tau}
             vals = tuple(eval_expr(e, s, env) for e in flows)
             st = p.frame.put(vals, s)
-            if not eval_guard(guard, st, cfg.guard_tolerance, env):
+            if not eval_guard(guard, st, env):
                 break
             if p.dur.contains(tau, st):
                 samples.append((t + tau, st))
@@ -410,11 +374,12 @@ def simulate(p: HybridProgram, s: Store, cfg: Optional[SimConfig] = None) -> lis
     return [st for _, st in simulate_traced(p, s, cfg)]
 
 
-def _fmt_value(v) -> str:
+def fmt_value(v) -> str:
+    """A store value as the model language writes it."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, tuple):
-        return "[" + ", ".join(_fmt_value(c) for c in v) + "]"
+        return "[" + ", ".join(fmt_value(c) for c in v) + "]"
     if isinstance(v, Fraction):
         return str(v)
     if isinstance(v, float):
@@ -426,7 +391,7 @@ def format_trace(samples: list) -> str:
     """One line per sample: time, then name=value in declaration order."""
     lines = []
     for t, st in samples:
-        fields = " ".join(f"{name}={_fmt_value(v)}" for name, v in st.items())
+        fields = " ".join(f"{name}={fmt_value(v)}" for name, v in st.items())
         lines.append(f"{t:.6f}\t{fields}")
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -22,18 +22,18 @@ from typing import Optional
 from .store import Coord, Dataspace, Frame, Var
 from .expr import (
     Expr, RatLit, VarRead, LogicalVar, Add, Mul, Neg, Sub, Eq, Le, Lt, Ge, Gt,
-    Neq, And, Or, Not, Implies, Iff, Exists, Ite, BoolLit, VecLit,
+    And, Not, Implies, Iff, Exists, Ite, VecLit,
     TRUE, ZERO, num, read, conj, conjuncts, children, rebuild,
     free_logicals, fresh_logical, subst_logical, subst_apply_expr,
-    unrest, eval_expr, simplify, Subst, EvalError,
+    unrest, eval_expr, simplify, Subst,
 )
 from .deriv import DerivCtx, NotDifferentiable, lie_deriv, deriv_in_var
 from .program import (
     HybridProgram, Skip, Abort, Test, Assign, Seq, Choice, If, Loop,
-    ODE, Evol, TAU, SimConfig, simulate_traced,
+    ODE, Evol, TAU, SimConfig, full_guard, simulate_traced,
 )
 from .vcg import VC, Triple, FlowTable, gen_vcs, wlp, MissingFlow, MissingLoopInvariant
-from .arith import ArithCtx, Verdict, prove_vc, falsify, poly_normalize, expr_key
+from .arith import ArithCtx, Verdict, prove_vc, falsify, poly_normalize, expr_key, q_eval
 
 
 class TacticError(Exception):
@@ -153,12 +153,6 @@ def settle(rule: str, outcomes=(), parts=(), steps=(),
     return ProofResult(UNKNOWN, rule, steps, outcomes)
 
 
-def _domain(p: ODE) -> Expr:
-    if p.dom is None:
-        return p.guard
-    return And(p.guard, p.dom)
-
-
 def _hyp(parts) -> Expr:
     return conj([p for p in parts if p != TRUE])
 
@@ -225,7 +219,7 @@ def d_induct(ode: ODE, inv: Expr, ctx: ArithCtx, facts=(),
     if not isinstance(ode, ODE):
         raise NotAnODE(f"d_induct needs an ODE, got {type(ode).__name__}")
     dctx = DerivCtx(ode.frame, ode.rhs)
-    hyp = _hyp([_domain(ode), *facts])
+    hyp = _hyp([full_guard(ode), *facts])
     outcomes = []
     steps = []
     env = ctx.polyenv()
@@ -257,7 +251,7 @@ def d_weaken(ode: ODE, post: Expr, ctx: ArithCtx, facts=()) -> ProofResult:
     """Differential weakening: the evolution domain already implies post."""
     if not isinstance(ode, (ODE, Evol)):
         raise NotAnODE(f"d_weaken needs an ODE, got {type(ode).__name__}")
-    hyp = _hyp([_domain(ode) if isinstance(ode, ODE) else ode.guard, *facts])
+    hyp = _hyp([full_guard(ode) if isinstance(ode, ODE) else ode.guard, *facts])
     vc = VC("weaken", Implies(hyp, post) if hyp != TRUE else post, origin="dW")
     return settle("dW", (check_vc(vc, ctx),), steps=(f"dW {expr_key(post)}",),
                   exact=False)
@@ -315,7 +309,7 @@ def d_ghost(ode: ODE, target: Expr, ghost: str, k: Expr, ghost_inv: Expr,
     yf = Frame((y,))
     if not unrest(yf, target):
         raise GhostNotFresh(f"{ghost} occurs in the target invariant")
-    if not unrest(yf, _domain(ode)):
+    if not unrest(yf, full_guard(ode)):
         raise GhostInGuardOrField(f"{ghost} occurs in the evolution domain")
     for l, e in ode.rhs.entries:
         if not unrest(yf, e):
@@ -432,52 +426,6 @@ def local_flow_auto(ode: ODE, flow: Subst, ctx: ArithCtx, *,
 # The combined ODE search
 
 
-def _clearly_false(e: Expr, s, env, tol: float = 1e-7) -> bool:
-    """True only when the state violates e by more than numerical noise."""
-    try:
-        if isinstance(e, (Le, Lt, Ge, Gt, Eq, Neq)):
-            l = eval_expr(e.left, s, env)
-            r = eval_expr(e.right, s, env)
-            if isinstance(l, tuple) or isinstance(r, tuple):
-                return False
-            l, r = float(l), float(r)
-            m = tol * (1.0 + abs(l) + abs(r))
-            if isinstance(e, (Le, Lt)):
-                return l - r > m
-            if isinstance(e, (Ge, Gt)):
-                return r - l > m
-            if isinstance(e, Eq):
-                return abs(l - r) > m
-            return False  # a float tie cannot certify that a disequality fails
-        if isinstance(e, And):
-            return _clearly_false(e.left, s, env, tol) or _clearly_false(e.right, s, env, tol)
-        if isinstance(e, Or):
-            return _clearly_false(e.left, s, env, tol) and _clearly_false(e.right, s, env, tol)
-        if isinstance(e, Not):
-            inner = eval_expr(e.arg, s, env)
-            return inner is True and _surely(e.arg, s, env, tol)
-        if isinstance(e, BoolLit):
-            return not e.value
-        return False
-    except EvalError:
-        return False
-
-
-def _surely(e: Expr, s, env, tol: float) -> bool:
-    """Dual check: e holds with margin, so its negation clearly fails."""
-    try:
-        if isinstance(e, (Le, Lt, Ge, Gt)):
-            l = float(eval_expr(e.left, s, env))
-            r = float(eval_expr(e.right, s, env))
-            m = tol * (1.0 + abs(l) + abs(r))
-            if isinstance(e, (Le, Lt)):
-                return r - l > m
-            return l - r > m
-        return False
-    except EvalError:
-        return False
-
-
 def _refute_by_simulation(ode: ODE, pre: Expr, post: Expr, ctx: ArithCtx,
                           attempts: int = 5) -> Optional[dict]:
     """Sample a precondition state, integrate, and look for a clear exit."""
@@ -492,7 +440,8 @@ def _refute_by_simulation(ode: ODE, pre: Expr, post: Expr, ctx: ArithCtx,
             continue
         env = dict(w["env"])
         for t, st in simulate_traced(ode, s0, cfg):
-            if _clearly_false(post, st, env):
+            # 1e-7 rather than the guard's 1e-9: the orbit carries RK4 error
+            if q_eval(post, st, env, ctx.box, tol=1e-7)[0] is False:
                 return {"store": w["store"], "env": env, "time": t,
                         "state": {n: eval_expr(read(n), st)
                                   for n in ctx.dataspace.names()}}

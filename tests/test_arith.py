@@ -15,6 +15,7 @@ from hsverify.arith import (
     peel,
     poly_normalize,
     prove_vc,
+    q_eval,
     recheck,
 )
 from hsverify.expr import (
@@ -41,6 +42,7 @@ from hsverify.expr import (
     Norm,
     Not,
     ONE,
+    Or,
     Pow,
     Sin,
     Sqrt,
@@ -325,6 +327,51 @@ def test_quantified_falsification_instantiates():
     out = prove_vc(f, ctx_for(ds))
     assert out.status == "invalid"
     assert "t" in out.witness["env"]
+
+
+# -- the three-valued evaluator ----------------------------------------------
+
+
+def truth(formula, tol=1e-9, **vals):
+    ds = Dataspace()
+    for n, v in vals.items():
+        ds.declare(n, vec(len(v)) if isinstance(v, tuple) else REAL)
+    return q_eval(formula, ds.make_store(vals), {}, Box(), tol)[0]
+
+
+def test_exact_tie_on_strict_order_is_false():
+    assert truth(Lt(x, ONE), x=Fraction(1)) is False
+    assert truth(Gt(x, ONE), x=Fraction(1)) is False
+    assert truth(Le(x, ONE), x=Fraction(1)) is True
+
+
+@pytest.mark.parametrize("rel", [Le, Lt, Ge, Gt, Eq, Neq])
+def test_float_inside_the_margin_is_undecided(rel):
+    assert truth(rel(x, ONE), x=1.0 + 1e-12) is None
+    assert truth(rel(x, ONE), x=1.0 + 1e-8) is not None
+    assert truth(rel(x, ONE), x=1.0 + 1e-8, tol=1e-7) is None
+
+
+def test_float_vectors_compare_by_component():
+    p, q = read("p"), VecLit((ONE, num(2)))
+    assert truth(Eq(p, q), p=(1.0, 2.5)) is False
+    assert truth(Neq(p, q), p=(1.0, 2.5)) is True
+    assert truth(Eq(p, q), p=(1.0, 2.0 + 1e-12)) is None
+    assert truth(Eq(p, q), p=(Fraction(1), Fraction(2))) is True
+
+
+def test_connectives_are_kleene():
+    near = Le(x, ONE)  # undecided at x = 1 + 1e-12
+    assert truth(Not(near), x=1.0 + 1e-12) is None
+    assert truth(Or(near, Gt(x, num(2))), x=1.0 + 1e-12) is None
+    assert truth(Or(near, TRUE), x=1.0 + 1e-12) is True
+    assert truth(And(near, Gt(x, num(2))), x=1.0 + 1e-12) is False
+    assert truth(Implies(Gt(x, num(2)), near), x=1.0 + 1e-12) is True
+    assert truth(Iff(near, TRUE), x=1.0 + 1e-12) is None
+    # an undecided condition leaves the value to the branches when they agree
+    assert truth(Ite(near, Ge(y, ZERO), Ge(y, ONE)), x=1.0 + 1e-12, y=-5.0) is False
+    assert truth(Ite(near, Ge(y, ZERO), Ge(y, ONE)), x=1.0 + 1e-12, y=5.0) is True
+    assert truth(Ite(near, Ge(y, ZERO), Ge(y, ONE)), x=1.0 + 1e-12, y=0.5) is None
 
 
 # -- SMT export -------------------------------------------------------------

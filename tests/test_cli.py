@@ -170,6 +170,23 @@ def test_negative_trials_rejected(capsys, command):
     assert out == ""
 
 
+@pytest.mark.parametrize("flag", ["--json", "--emit-smt", "--trace"])
+def test_unwritable_output_is_an_error(capsys, tmp_path, flag):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    missing = tmp_path / "missing" / "out.txt"
+    if flag == "--trace":
+        argv = ["simulate", MODELS / "decay.hsv", "--program", "dec", "--init", "x=1",
+                "--horizon", "1", flag, missing]
+    else:
+        # --emit-smt names a directory, which an existing file cannot be
+        argv = ["verify", MODELS / "decay.hsv", flag, taken if flag == "--emit-smt" else missing]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in out + err
+
+
 def test_falsify_witness(capsys):
     code, out, _ = run(capsys, "falsify", MODELS / "broken.hsv")
     assert code == 2

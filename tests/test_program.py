@@ -12,6 +12,7 @@ from hsverify.expr import (
     Ge,
     Le,
     Neg,
+    Not,
     Subst,
     TRUE,
     num,
@@ -30,6 +31,7 @@ from hsverify.program import (
     Skip,
     StepSizeTooLarge,
     Test,
+    eval_guard,
     format_trace,
     interval,
     modset,
@@ -142,6 +144,17 @@ def test_guard_boundary_is_refined_by_bisection():
     out = simulate_traced(clock, s, SimConfig(step=0.2, horizon=2.0))
     last = out[-1][1].get("t")
     assert 0.34 < last <= 0.35 + 1e-6
+
+
+def test_guard_holds_unless_false_beyond_the_margin():
+    ds = xy_ds()
+    near = ds.make_store({"x": 1.0 + 1e-12, "t": 0})
+    assert eval_guard(Le(read("x"), num(1)), near)
+    assert eval_guard(Not(Le(read("x"), num(1))), near)
+    exact = ds.make_store({"x": Fraction(1), "t": 0})
+    assert not eval_guard(Not(Le(read("x"), num(1))), exact)
+    far = ds.make_store({"x": 1.0 + 1e-6, "t": 0})
+    assert not eval_guard(Le(read("x"), num(1)), far)
 
 
 def test_step_too_large_for_thin_guard():

@@ -12,6 +12,7 @@ from hsverify.expr import (
     Div,
     Eq,
     Exp,
+    Forall,
     Ge,
     Gt,
     Implies,
@@ -26,6 +27,7 @@ from hsverify.expr import (
     Sub,
     Subst,
     TRUE,
+    UnsupportedConstruct,
     ZERO,
     num,
     read,
@@ -313,6 +315,34 @@ def test_mega_refutes_by_simulation():
     assert r.witness is not None
     assert r.witness["time"] > 0
     assert float(r.witness["state"]["x"]) < 0
+
+
+@pytest.mark.parametrize("rate,refuted", [(Fraction(1, 10**8), False),
+                                          (Fraction(1, 10**6), True)])
+def test_mega_refutes_only_beyond_the_margin(rate, refuted):
+    # from x = 1 the orbit leaves x <= 1 by 4 * rate at the horizon of 4:
+    # 4e-8 is inside the refuter's margin of 1e-7 * (1 + |x| + 1), 4e-6 is not
+    ds = Dataspace()
+    ds.declare("x", REAL, VARIABLE)
+    ode = ODE(Frame((Var("x"),)), Subst(((Var("x"), num(rate)),), ds))
+    r = d_induct_mega(ode, Eq(read("x"), num(1)), Le(read("x"), num(1)), ArithCtx(ds))
+    assert r.refuted == refuted
+
+
+def test_mega_does_not_refute_through_a_quantified_guard():
+    # the domain is empty (take y = x), so the goal holds; a grid over y
+    # passes every x the orbit meets, so a grid-checked guard would let the
+    # orbit leave x <= 1 and refute a valid goal
+    ds = Dataspace()
+    ds.declare("x", REAL, VARIABLE)
+    x = read("x")
+    dom = Forall("y", Ge(Pow(Sub(LogicalVar("y"), x), 2), num(Fraction(1, 100))))
+    ode = ODE(Frame((Var("x"),)), Subst(((Var("x"), num(1)),), ds), guard=dom)
+    try:
+        r = d_induct_mega(ode, Eq(x, num(Fraction(1, 2))), Le(x, num(1)), ArithCtx(ds))
+    except UnsupportedConstruct:
+        return
+    assert not r.refuted
 
 
 def test_mega_unknown_keeps_residual():

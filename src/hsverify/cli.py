@@ -22,8 +22,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .arith import ArithCtx, falsify, recheck
-from .expr import EvalError, Implies, RatLit
-from .program import SimConfig, fmt_value, format_trace, simulate_traced
+from .expr import EvalError, Implies, RatLit, UnsupportedConstruct
+from .program import (
+    SimConfig, StepSizeTooLarge, fmt_value, format_trace, simulate_traced,
+)
 from .store import StoreError
 from .syntax import Goal, ModelFile, ParseError, parse, pretty_expr, pretty_method
 from .tactics import (
@@ -401,7 +403,7 @@ def cmd_simulate(args) -> int:
     cfg = SimConfig(step=args.step, horizon=args.horizon, rng_seed=args.seed)
     try:
         trace = format_trace(simulate_traced(prog, s0, cfg))
-    except (EvalError, OverflowError) as e:
+    except (EvalError, OverflowError, UnsupportedConstruct, StepSizeTooLarge) as e:
         raise ModelError(f"simulation stopped: {e}") from e
     if args.trace:
         _write(args.trace, trace)

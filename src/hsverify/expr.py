@@ -14,9 +14,10 @@ updates are written in entry order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .store import (
     BOOL,
@@ -316,68 +317,115 @@ def _as_vec(v, other=None):
     raise KindMismatch(f"expected vector value, got {v!r}")
 
 
-def eval_expr(e: Expr, s: Store, env: Optional[dict] = None) -> Union[Fraction, float, bool, tuple]:
-    """Evaluate e in store s with env supplying logical variables."""
-    env = env or {}
+def _vec_zip(op, sym: str, a, b) -> tuple:
+    a, b = _as_vec(a), _as_vec(b)
+    if len(a) != len(b):
+        raise KindMismatch(f"vector dimensions differ in {sym}")
+    return tuple(op(x, y) for x, y in zip(a, b))
 
-    def ev(e):
-        if isinstance(e, RatLit):
-            return e.value
-        if isinstance(e, BoolLit):
-            return e.value
-        if isinstance(e, VarRead):
-            return lens_get(e.lens, s)
-        if isinstance(e, LogicalVar):
+
+def _raiser(cls: type, msg: str) -> Callable:
+    def fail(s, env):
+        raise cls(msg)
+    return fail
+
+
+# Binary nodes that combine two values with no check of their own; both
+# sides are evaluated, connectives included.
+_COMBINE = {Eq: operator.eq, Neq: operator.ne, Le: operator.le, Lt: operator.lt,
+            Ge: operator.ge, Gt: operator.gt, Iff: operator.eq,
+            And: lambda a, b: a and b, Or: lambda a, b: a or b,
+            Implies: lambda a, b: (not a) or b}
+
+
+def _compile(e) -> Callable:
+    """The closure for one node; children come from compile_expr."""
+    if isinstance(e, (RatLit, BoolLit)):
+        value = e.value
+        return lambda s, env: value
+    if isinstance(e, VarRead):
+        lens = e.lens
+        if isinstance(lens, Var):
+            name = lens.name
+            return lambda s, env: s.get(name)
+        return lambda s, env: lens_get(lens, s)
+    if isinstance(e, LogicalVar):
+        name = e.name
+
+        def logical(s, env):
             try:
-                return env[e.name]
+                return env[name]
             except KeyError:
-                raise UnboundLogicalVar(e.name) from None
-        if isinstance(e, Neg):
-            v = ev(e.arg)
+                raise UnboundLogicalVar(name) from None
+        return logical
+    if isinstance(e, Neg):
+        f = compile_expr(e.arg)
+
+        def neg(s, env):
+            v = f(s, env)
             return tuple(-c for c in v) if isinstance(v, tuple) else -v
-        if isinstance(e, Add):
-            a, b = ev(e.left), ev(e.right)
+        return neg
+    if isinstance(e, Add):
+        fa, fb = compile_expr(e.left), compile_expr(e.right)
+
+        def add(s, env):
+            a, b = fa(s, env), fb(s, env)
             if isinstance(a, tuple) or isinstance(b, tuple):
-                a, b = _as_vec(a), _as_vec(b)
-                if len(a) != len(b):
-                    raise KindMismatch("vector dimensions differ in +")
-                return tuple(x + y for x, y in zip(a, b))
+                return _vec_zip(operator.add, "+", a, b)
             return a + b
-        if isinstance(e, Sub):
-            a, b = ev(e.left), ev(e.right)
+        return add
+    if isinstance(e, Sub):
+        fa, fb = compile_expr(e.left), compile_expr(e.right)
+
+        def sub(s, env):
+            a, b = fa(s, env), fb(s, env)
             if isinstance(a, tuple) or isinstance(b, tuple):
-                a, b = _as_vec(a), _as_vec(b)
-                if len(a) != len(b):
-                    raise KindMismatch("vector dimensions differ in -")
-                return tuple(x - y for x, y in zip(a, b))
+                return _vec_zip(operator.sub, "-", a, b)
             return a - b
-        if isinstance(e, Mul):
-            return ev(e.left) * ev(e.right)
-        if isinstance(e, Div):
-            a, b = ev(e.left), ev(e.right)
+        return sub
+    if isinstance(e, Mul):
+        fa, fb = compile_expr(e.left), compile_expr(e.right)
+        return lambda s, env: fa(s, env) * fb(s, env)
+    if isinstance(e, Div):
+        fa, fb = compile_expr(e.left), compile_expr(e.right)
+
+        def div(s, env):
+            a, b = fa(s, env), fb(s, env)
             if b == 0:
                 raise DivisionByZero(f"{a} / 0")
             if isinstance(a, Fraction) and isinstance(b, (int, Fraction)):
                 return Fraction(a) / Fraction(b)
             return a / b
-        if isinstance(e, Pow):
-            return ev(e.base) ** e.exp
-        if isinstance(e, Ln):
-            v = ev(e.arg)
+        return div
+    if isinstance(e, Pow):
+        f, n = compile_expr(e.base), e.exp
+        return lambda s, env: f(s, env) ** n
+    if isinstance(e, Ln):
+        f = compile_expr(e.arg)
+
+        def ln(s, env):
+            v = f(s, env)
             if v <= 0:
                 raise LnNonPositive(f"ln({v})")
             return math.log(v)
-        if isinstance(e, Exp):
-            v = ev(e.arg)
+        return ln
+    if isinstance(e, Exp):
+        f = compile_expr(e.arg)
+
+        def exp(s, env):
+            v = f(s, env)
             if v == 0:
                 return Fraction(1)
             return math.exp(v)
-        if isinstance(e, Sin):
-            return math.sin(ev(e.arg))
-        if isinstance(e, Cos):
-            return math.cos(ev(e.arg))
-        if isinstance(e, Sqrt):
-            v = ev(e.arg)
+        return exp
+    if isinstance(e, (Sin, Cos)):
+        f, fn = compile_expr(e.arg), math.sin if isinstance(e, Sin) else math.cos
+        return lambda s, env: fn(f(s, env))
+    if isinstance(e, Sqrt):
+        f = compile_expr(e.arg)
+
+        def sqrt(s, env):
+            v = f(s, env)
             if v < 0:
                 raise SqrtNegative(f"sqrt({v})")
             if isinstance(v, (int, Fraction)):
@@ -385,57 +433,86 @@ def eval_expr(e: Expr, s: Store, env: Optional[dict] = None) -> Union[Fraction, 
                 if r is not None:
                     return r
             return math.sqrt(v)
-        if isinstance(e, Norm):
-            v = _as_vec(ev(e.arg))
-            q = sum(c * c for c in v)
+        return sqrt
+    if isinstance(e, Norm):
+        f = compile_expr(e.arg)
+
+        def norm(s, env):
+            q = sum(c * c for c in _as_vec(f(s, env)))
             if isinstance(q, (int, Fraction)):
                 r = _exact_sqrt(Fraction(q))
                 if r is not None:
                     return r
             return math.sqrt(q)
-        if isinstance(e, Inner):
-            a, b = _as_vec(ev(e.left)), _as_vec(ev(e.right))
+        return norm
+    if isinstance(e, Inner):
+        fa, fb = compile_expr(e.left), compile_expr(e.right)
+
+        def inner(s, env):
+            a, b = _as_vec(fa(s, env)), _as_vec(fb(s, env))
             if len(a) != len(b):
                 raise KindMismatch("vector dimensions differ in inner product")
             return sum(x * y for x, y in zip(a, b))
-        if isinstance(e, ScalarMul):
-            k = ev(e.scalar)
-            v = _as_vec(ev(e.arg))
-            return tuple(k * c for c in v)
-        if isinstance(e, VecLit):
-            return tuple(ev(i) for i in e.items)
-        if isinstance(e, Eq):
-            return ev(e.left) == ev(e.right)
-        if isinstance(e, Neq):
-            return ev(e.left) != ev(e.right)
-        if isinstance(e, Le):
-            return ev(e.left) <= ev(e.right)
-        if isinstance(e, Lt):
-            return ev(e.left) < ev(e.right)
-        if isinstance(e, Ge):
-            return ev(e.left) >= ev(e.right)
-        if isinstance(e, Gt):
-            return ev(e.left) > ev(e.right)
-        if isinstance(e, And):
-            a, b = ev(e.left), ev(e.right)
-            return a and b
-        if isinstance(e, Or):
-            a, b = ev(e.left), ev(e.right)
-            return a or b
-        if isinstance(e, Not):
-            return not ev(e.arg)
-        if isinstance(e, Implies):
-            a, b = ev(e.left), ev(e.right)
-            return (not a) or b
-        if isinstance(e, Iff):
-            return ev(e.left) == ev(e.right)
-        if isinstance(e, Ite):
-            return ev(e.then) if ev(e.cond) else ev(e.other)
-        if isinstance(e, (Exists, Forall)):
-            raise UnsupportedConstruct("quantifiers have no direct evaluation")
-        raise UnsupportedConstruct(f"cannot evaluate {e!r}")
+        return inner
+    if isinstance(e, ScalarMul):
+        fk, f = compile_expr(e.scalar), compile_expr(e.arg)
 
-    return ev(e)
+        def scale(s, env):
+            k = fk(s, env)
+            return tuple(k * c for c in _as_vec(f(s, env)))
+        return scale
+    if isinstance(e, VecLit):
+        fs = tuple(compile_expr(i) for i in e.items)
+        return lambda s, env: tuple(f(s, env) for f in fs)
+    if type(e) in _COMBINE:
+        fa, fb, op = compile_expr(e.left), compile_expr(e.right), _COMBINE[type(e)]
+        return lambda s, env: op(fa(s, env), fb(s, env))
+    if isinstance(e, Not):
+        f = compile_expr(e.arg)
+        return lambda s, env: not f(s, env)
+    if isinstance(e, Ite):
+        fc, ft, fo = compile_expr(e.cond), compile_expr(e.then), compile_expr(e.other)
+        return lambda s, env: ft(s, env) if fc(s, env) else fo(s, env)
+    if isinstance(e, (Exists, Forall)):
+        return _raiser(UnsupportedConstruct, "quantifiers have no direct evaluation")
+    return _raiser(UnsupportedConstruct, f"cannot evaluate {e!r}")
+
+
+def compile_expr(e: Expr) -> Callable:
+    """e as a closure (store, env) -> value.
+
+    The closure is built once per node and cached in the frozen node's
+    __dict__, outside its fields, so ==, hash and repr do not see it.  It
+    reads whatever the store holds: exact rationals evaluate exactly and
+    floats in binary64.  Errors are raised when the closure is called."""
+    if not isinstance(e, Expr):
+        return _compile(e)
+    fn = e.__dict__.get("_compiled")
+    if fn is None:
+        # Children before parents, from an explicit stack: _compile then
+        # finds each child's closure cached, so a deep tree compiles without
+        # deep recursion.
+        stack = [(e, False)]
+        while stack:
+            node, kids_done = stack.pop()
+            if "_compiled" in node.__dict__:
+                continue
+            if kids_done:
+                node.__dict__["_compiled"] = _compile(node)
+                continue
+            stack.append((node, True))
+            try:
+                kids = children(node)
+            except UnsupportedConstruct:
+                kids = ()
+            stack.extend((k, False) for k in kids if isinstance(k, Expr))
+        fn = e.__dict__["_compiled"]
+    return fn
+
+
+def eval_expr(e: Expr, s: Store, env: Optional[dict] = None) -> Union[Fraction, float, bool, tuple]:
+    """Evaluate e in store s with env supplying logical variables."""
+    return compile_expr(e)(s, env or {})
 
 
 # ---------------------------------------------------------------------------

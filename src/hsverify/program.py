@@ -17,7 +17,7 @@ from typing import Optional
 
 from .arith import Box, q_eval
 from .expr import And, Expr, Subst, TRUE, eval_expr
-from .store import Frame, Store, lens_get
+from .store import Coord, Frame, Store, lens_get
 
 TAU = "tau"
 
@@ -39,15 +39,22 @@ class DurationSpec:
     member: Optional[Expr] = None
 
     def contains(self, tau, s: Store, env: Optional[dict] = None) -> bool:
-        if tau < self.lo:
+        if tau < _exact_bound(self.lo):
             return False
-        if self.hi is not None and tau > self.hi:
+        if self.hi is not None and tau > _exact_bound(self.hi):
             return False
         if self.member is not None:
             e = dict(env or {})
             e[TAU] = tau
-            return bool(eval_expr(self.member, s, e))
+            return eval_guard(self.member, s, e)
         return True
+
+
+def _exact_bound(b: Fraction):
+    """An integral bound as an int: a float compares with an int exactly,
+    and without the Fraction.from_float that comparing with a Fraction
+    costs."""
+    return b.numerator if b.denominator == 1 else b
 
 
 NONNEG = DurationSpec()
@@ -211,7 +218,7 @@ class _Sim:
         if isinstance(p, Abort):
             return []
         if isinstance(p, Test):
-            return [(t, s)] if bool(eval_expr(p.cond, s)) else []
+            return [(t, s)] if eval_guard(p.cond, s) else []
         if isinstance(p, Assign):
             return [(t, p.subst.apply(s))]
         if isinstance(p, Seq):
@@ -266,18 +273,28 @@ class _Sim:
                 shapes.append(0)
                 y0.append(float(v))
         y0 = tuple(y0)
+        # (name, coordinate or 0, width) per member, in frame order
+        layout = [(m.name, m.index if isinstance(m, Coord) else 0, dim)
+                  for m, dim in zip(members, shapes)]
+        data0 = dict(s.items())
 
         def unpack(y: tuple) -> Store:
-            vals = []
+            # RK4 writes floats of each member's own shape, so the stage
+            # store is one copy of s with the members rebound, unchecked.
+            data = data0.copy()
             i = 0
-            for dim in shapes:
+            for name, index, dim in layout:
                 if dim == 0:
-                    vals.append(y[i])
+                    v = y[i]
                     i += 1
                 else:
-                    vals.append(y[i:i + dim])
+                    v = y[i:i + dim]
                     i += dim
-            return p.frame.put(tuple(vals), s)
+                if index:
+                    old = data[name]
+                    v = old[:index - 1] + (v,) + old[index:]
+                data[name] = v
+            return Store(s.dataspace, data)
 
         def fdot(y: tuple) -> tuple:
             st = unpack(y)

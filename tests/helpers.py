@@ -1,5 +1,7 @@
-"""Seeded random generators shared by the unit and acceptance suites."""
+"""Seeded random generators shared by the unit and acceptance suites, and
+the reference expression evaluator."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,9 +10,11 @@ from hsverify.store import (
     Coord,
     Dataspace,
     Frame,
+    KindMismatch,
     REAL,
     SumLens,
     Var,
+    lens_get,
     lens_indep,
     vec,
 )
@@ -125,3 +129,164 @@ def rand_subst(rng: random.Random, ds: Dataspace, nmax: int = 3) -> ex.Subst:
     for l, rhs in targets:
         sigma = sigma.update(l, rhs)
     return sigma
+
+
+# -- the reference evaluator -------------------------------------------------
+
+def reference_eval(e, s, env=None):
+    """The tree-walking evaluator that compiled closures replaced, kept as
+    the reference they are checked against."""
+    env = env or {}
+
+    def ev(e):
+        if isinstance(e, ex.RatLit):
+            return e.value
+        if isinstance(e, ex.BoolLit):
+            return e.value
+        if isinstance(e, ex.VarRead):
+            return lens_get(e.lens, s)
+        if isinstance(e, ex.LogicalVar):
+            try:
+                return env[e.name]
+            except KeyError:
+                raise ex.UnboundLogicalVar(e.name) from None
+        if isinstance(e, ex.Neg):
+            v = ev(e.arg)
+            return tuple(-c for c in v) if isinstance(v, tuple) else -v
+        if isinstance(e, ex.Add):
+            a, b = ev(e.left), ev(e.right)
+            if isinstance(a, tuple) or isinstance(b, tuple):
+                a, b = ex._as_vec(a), ex._as_vec(b)
+                if len(a) != len(b):
+                    raise KindMismatch("vector dimensions differ in +")
+                return tuple(x + y for x, y in zip(a, b))
+            return a + b
+        if isinstance(e, ex.Sub):
+            a, b = ev(e.left), ev(e.right)
+            if isinstance(a, tuple) or isinstance(b, tuple):
+                a, b = ex._as_vec(a), ex._as_vec(b)
+                if len(a) != len(b):
+                    raise KindMismatch("vector dimensions differ in -")
+                return tuple(x - y for x, y in zip(a, b))
+            return a - b
+        if isinstance(e, ex.Mul):
+            return ev(e.left) * ev(e.right)
+        if isinstance(e, ex.Div):
+            a, b = ev(e.left), ev(e.right)
+            if b == 0:
+                raise ex.DivisionByZero(f"{a} / 0")
+            if isinstance(a, Fraction) and isinstance(b, (int, Fraction)):
+                return Fraction(a) / Fraction(b)
+            return a / b
+        if isinstance(e, ex.Pow):
+            return ev(e.base) ** e.exp
+        if isinstance(e, ex.Ln):
+            v = ev(e.arg)
+            if v <= 0:
+                raise ex.LnNonPositive(f"ln({v})")
+            return math.log(v)
+        if isinstance(e, ex.Exp):
+            v = ev(e.arg)
+            if v == 0:
+                return Fraction(1)
+            return math.exp(v)
+        if isinstance(e, ex.Sin):
+            return math.sin(ev(e.arg))
+        if isinstance(e, ex.Cos):
+            return math.cos(ev(e.arg))
+        if isinstance(e, ex.Sqrt):
+            v = ev(e.arg)
+            if v < 0:
+                raise ex.SqrtNegative(f"sqrt({v})")
+            if isinstance(v, (int, Fraction)):
+                r = ex._exact_sqrt(Fraction(v))
+                if r is not None:
+                    return r
+            return math.sqrt(v)
+        if isinstance(e, ex.Norm):
+            v = ex._as_vec(ev(e.arg))
+            q = sum(c * c for c in v)
+            if isinstance(q, (int, Fraction)):
+                r = ex._exact_sqrt(Fraction(q))
+                if r is not None:
+                    return r
+            return math.sqrt(q)
+        if isinstance(e, ex.Inner):
+            a, b = ex._as_vec(ev(e.left)), ex._as_vec(ev(e.right))
+            if len(a) != len(b):
+                raise KindMismatch("vector dimensions differ in inner product")
+            return sum(x * y for x, y in zip(a, b))
+        if isinstance(e, ex.ScalarMul):
+            k = ev(e.scalar)
+            v = ex._as_vec(ev(e.arg))
+            return tuple(k * c for c in v)
+        if isinstance(e, ex.VecLit):
+            return tuple(ev(i) for i in e.items)
+        if isinstance(e, ex.Eq):
+            return ev(e.left) == ev(e.right)
+        if isinstance(e, ex.Neq):
+            return ev(e.left) != ev(e.right)
+        if isinstance(e, ex.Le):
+            return ev(e.left) <= ev(e.right)
+        if isinstance(e, ex.Lt):
+            return ev(e.left) < ev(e.right)
+        if isinstance(e, ex.Ge):
+            return ev(e.left) >= ev(e.right)
+        if isinstance(e, ex.Gt):
+            return ev(e.left) > ev(e.right)
+        if isinstance(e, ex.And):
+            a, b = ev(e.left), ev(e.right)
+            return a and b
+        if isinstance(e, ex.Or):
+            a, b = ev(e.left), ev(e.right)
+            return a or b
+        if isinstance(e, ex.Not):
+            return not ev(e.arg)
+        if isinstance(e, ex.Implies):
+            a, b = ev(e.left), ev(e.right)
+            return (not a) or b
+        if isinstance(e, ex.Iff):
+            return ev(e.left) == ev(e.right)
+        if isinstance(e, ex.Ite):
+            return ev(e.then) if ev(e.cond) else ev(e.other)
+        if isinstance(e, (ex.Exists, ex.Forall)):
+            raise ex.UnsupportedConstruct("quantifiers have no direct evaluation")
+        raise ex.UnsupportedConstruct(f"cannot evaluate {e!r}")
+
+    return ev(e)
+
+
+_LEAVES = (ex.RatLit, ex.BoolLit, ex.VarRead, ex.LogicalVar)
+_UNARY = (ex.Neg, ex.Ln, ex.Exp, ex.Sin, ex.Cos, ex.Sqrt, ex.Norm, ex.Not)
+_BINARY = (ex.Add, ex.Sub, ex.Mul, ex.Div, ex.Inner, ex.ScalarMul, ex.Eq, ex.Neq, ex.Le,
+           ex.Lt, ex.Ge, ex.Gt, ex.And, ex.Or, ex.Implies, ex.Iff)
+
+
+def rand_any_expr(rng: random.Random, ds: Dataspace, depth: int = 3) -> ex.Expr:
+    """Any node over ds with kinds unchecked, so partial operations, kind
+    errors, out-of-range coordinates and the logical variables p (bound by
+    callers) and q (left unbound) all occur."""
+    if depth == 0 or rng.random() < 0.2:
+        leaf = rng.choice(_LEAVES)
+        if leaf is ex.RatLit:
+            return ex.RatLit(rand_rat(rng, -3, 3, 2))
+        if leaf is ex.BoolLit:
+            return ex.BoolLit(rng.random() < 0.5)
+        if leaf is ex.LogicalVar:
+            return ex.LogicalVar(rng.choice("ppq"))
+        if rng.random() < 0.05:
+            return ex.VarRead(Coord(rng.choice(ds.names()), rng.randint(1, 4)))
+        return ex.VarRead(rand_lens(rng, ds))
+    kid = lambda: rand_any_expr(rng, ds, depth - 1)  # noqa: E731
+    pick = rng.random()
+    if pick < 0.3:
+        return rng.choice(_UNARY)(kid())
+    if pick < 0.8:
+        return rng.choice(_BINARY)(kid(), kid())
+    if pick < 0.85:
+        return ex.Pow(kid(), rng.randint(0, 3))
+    if pick < 0.9:
+        return ex.VecLit(tuple(kid() for _ in range(rng.randint(1, 3))))
+    if pick < 0.97:
+        return ex.Ite(kid(), kid(), kid())
+    return rng.choice((ex.Exists, ex.Forall))("p", kid())

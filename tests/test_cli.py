@@ -278,6 +278,22 @@ def test_simulate_evaluation_error_is_reported(capsys):
     assert err.startswith("error: simulation stopped:")
 
 
+@pytest.mark.parametrize("ode,args", [
+    # a quantified guard has no evaluation
+    ("{ x' = 1 | forall y. (y - x)^2 >= 0 }", ()),
+    # the guard region is thinner than the step can resolve
+    ("{ x' = 1 | x <= 1/1000000 }", ("--init", "x=0.0000009", "--step", "0.5")),
+])
+def test_simulate_stop_is_reported(capsys, tmp_path, ode, args):
+    p = tmp_path / "stop.hsv"
+    p.write_text(f"dataspace d {{\n  variables x : real;\n}}\n\nprogram run = {ode}\n")
+    code, out, err = run(capsys, "simulate", p, "--program", "run", "--horizon", "1", *args)
+    assert code == 1
+    assert err.startswith("error: simulation stopped: ")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_runtime_needs_only_the_standard_library():
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     probe = ("import sys, hsverify.cli\n"

@@ -36,6 +36,7 @@ from hsverify.expr import (
     UnboundLogicalVar,
     VarRead,
     VecLit,
+    compile_expr,
     eval_expr,
     free_lenses,
     free_logicals,
@@ -47,13 +48,17 @@ from hsverify.expr import (
     subst_logical,
     unrest,
 )
-from hsverify.store import BOOL, Coord, Frame, KindMismatch, REAL, Var, lens_put, vec
+from hsverify.store import (
+    BOOL, Coord, CoordOutOfRange, Dataspace, Frame, KindMismatch, REAL, Var, lens_put, vec,
+)
 
 from helpers import (
+    rand_any_expr,
     rand_rat,
     rand_store,
     rand_subst,
     rand_total_expr,
+    reference_eval,
     small_dataspace,
 )
 
@@ -100,6 +105,92 @@ def test_eval_ite_is_lazy():
     s = _store(a=Fraction(0))
     e = Ite(Eq(read("a"), num(0)), num(7), Div(num(1), read("a")))
     assert eval_expr(e, s) == 7
+
+
+def _outcome(evaluate, e, s, env):
+    """What evaluating e gives: each value with its type, or the error."""
+    def canon(v):
+        return tuple(canon(c) for c in v) if isinstance(v, tuple) else (type(v), repr(v))
+    try:
+        return canon(evaluate(e, s, env))
+    except Exception as err:
+        return type(err), str(err)
+
+
+def _float_twin(s):
+    """The store s with every real, and every vector component, as a float."""
+    def f(v):
+        if isinstance(v, tuple):
+            return tuple(float(c) for c in v)
+        return v if isinstance(v, bool) else float(v)
+    return s.dataspace.make_store({n: f(v) for n, v in s.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_compiled_matches_reference_walker(seed):
+    rng = random.Random(seed)
+    ds = small_dataspace()
+    e = rand_any_expr(rng, ds, 4)
+    exact = rand_store(rng, ds)
+    p = rand_rat(rng)
+    for s, env in ((exact, {"p": p}), (_float_twin(exact), {"p": float(p)})):
+        assert _outcome(eval_expr, e, s, env) == _outcome(reference_eval, e, s, env)
+
+
+@pytest.mark.parametrize("e,err", [
+    (Div(read("a"), Sub(read("b"), read("b"))), DivisionByZero),
+    (Ln(Neg(read("a"))), LnNonPositive),
+    (Sqrt(Neg(read("a"))), SqrtNegative),
+    (Add(read("a"), LogicalVar("q")), UnboundLogicalVar),
+    (Add(read("v"), read("w")), KindMismatch),
+    (Norm(read("a")), KindMismatch),
+    (read("flag", 1), KindMismatch),
+    (read("v", 3), CoordOutOfRange),
+    (Exists("p", Eq(LogicalVar("p"), read("a"))), ex.UnsupportedConstruct),
+])
+def test_compiled_raises_what_the_reference_raises(e, err):
+    exact = _store(a=Fraction(1, 2), b=Fraction(3), v=(Fraction(1), Fraction(2)))
+    for s in (exact, _float_twin(exact)):
+        got = _outcome(eval_expr, e, s, {"p": 1})
+        assert got[0] is err
+        assert got == _outcome(reference_eval, e, s, {"p": 1})
+
+
+def test_compiled_cache_is_invisible():
+    e = Add(read("x"), read("v", 2))
+    twin = Add(read("x"), read("v", 2))
+    before = (repr(e), hash(e))
+    narrow = Dataspace("narrow")
+    narrow.declare("x", REAL)
+    narrow.declare("v", vec(2))
+    wide = Dataspace("wide")
+    wide.declare("v", vec(3))
+    wide.declare("y", BOOL)
+    wide.declare("x", REAL)
+    s1 = narrow.make_store({"x": Fraction(1, 2), "v": (Fraction(1), Fraction(2))})
+    s2 = wide.make_store({"v": (1.0, 2.5, 4.0), "y": True, "x": 3.0})
+    assert eval_expr(e, s1) == Fraction(5, 2)
+    assert eval_expr(e, s2) == 5.5
+    assert eval_expr(e, s1) == Fraction(5, 2)
+    assert compile_expr(e) is compile_expr(e)
+    assert (repr(e), hash(e)) == before
+    assert e == twin and twin == e and e in {twin}
+    # the coordinate check reads each store's own dataspace
+    third = read("v", 3)
+    assert eval_expr(third, s2) == 4.0
+    with pytest.raises(CoordOutOfRange):
+        eval_expr(third, s1)
+
+
+def test_deep_tree_compiles_without_deep_recursion():
+    # a left-nested product 600 deep: evaluation needs one frame per level,
+    # as the walker did, and compiling must need no more
+    e = read("a")
+    for _ in range(600):
+        e = Mul(e, read("a"))
+    s = _store(a=Fraction(-1))
+    assert eval_expr(e, s) == reference_eval(e, s) == -1  # 601 factors
 
 
 def test_subst_simultaneous_read():

@@ -175,6 +175,31 @@ def test_duration_interval_filters_samples():
     assert all(0.5 <= t <= 1.0 + 1e-9 for t, _ in out)
 
 
+def test_duration_bounds_compare_exactly():
+    s = xy_ds().make_store({"x": 0, "t": 0})
+    tenth = interval(0, Fraction(1, 10))
+    assert not tenth.contains(0.1, s)  # the double nearest 0.1 exceeds 1/10
+    assert tenth.contains(Fraction(1, 10), s)
+    unit = interval(0, 1)
+    for tau in (-1e-300, -0.0, 0.0, 0.5, 1.0, 1.0000000000000002, 2.0, math.inf,
+                Fraction(1), Fraction(3, 2), 1):
+        assert unit.contains(tau, s) == (Fraction(0) <= tau <= Fraction(1))
+
+
+def test_test_after_guard_uses_the_guard_margin():
+    # RK4 lands on x = 0.30000000000000004, which the guard admits within
+    # its margin; the test after it must admit that state too.
+    ds = xy_ds()
+    s = ds.make_store({"x": 0, "t": 0})
+    bound = Le(read("x"), num("3/10"))
+    flow = ODE(Frame([Var("x")]), Subst(((Var("x"), num(1)),), ds), guard=bound)
+    cfg = SimConfig(step=0.1, horizon=1.0)
+    alone = simulate_traced(flow, s, cfg)
+    tested = simulate_traced(Seq(flow, Test(bound)), s, cfg)
+    assert tested == alone
+    assert tested[-1][0] == pytest.approx(0.3)
+
+
 def test_discrete_vars_constant_through_ode():
     ds = Dataspace()
     ds.declare("x", REAL)
@@ -183,6 +208,19 @@ def test_discrete_vars_constant_through_ode():
     ode = ODE(Frame([Var("x")]), Subst(((Var("x"), Neg(read("x"))),), ds))
     for st in simulate(ode, s, SimConfig(step=0.1, horizon=1.0)):
         assert st.get("k") == Fraction(42)
+
+
+def test_ode_over_coordinates_keeps_the_rest_of_the_vector():
+    ds = small_dataspace()
+    s = ds.make_store({"a": 0, "b": 0, "v": (Fraction(5), Fraction(0)),
+                       "w": (Fraction(0), Fraction(7), Fraction(0)), "flag": False})
+    rhs = Subst(((Coord("v", 2), num(1)), (Coord("w", 1), read("v", 2)),
+                 (Coord("w", 3), Neg(num(1)))), ds)
+    ode = ODE(Frame([Coord("v", 2), Coord("w", 1), Coord("w", 3)]), rhs)
+    last = simulate(ode, s, SimConfig(step=0.25, horizon=1.0))[-1]
+    assert last.get("v") == (Fraction(5), 1.0)
+    assert last.get("w") == (pytest.approx(0.5), Fraction(7), -1.0)
+    assert type(last.get("w")[1]) is Fraction
 
 
 def test_evol_matches_closed_form():

@@ -38,6 +38,11 @@ SIMULATIONS = {
                  "9ddb3660795d21223a65bded2ef1e4ae71bf9fd66de7afb25dbe448b011f7649"),
     "decay-sol": (("decay.hsv", "sol", "x=3/2", "0.01", "2"),
                   "66c2b97a7969fc258c1ab07902bbe9c1805f83188b8d0a60ae89707715eca0ee"),
+    # fields that read only the evolving state
+    "pendulum-rotate": (("pendulum.hsv", "rotate", "r=1,x=3/5,y=4/5", "0.01", "2"),
+                        "b06308c0a5af80d6b77360ee210fa0692b9eb6dfec962208ebf89bc613325f09"),
+    "decay-dec": (("decay.hsv", "dec", "x=3/2", "0.01", "2"),
+                  "8d5f4dbd02294427cefe81313fd9ad4051811bc35b45f4214bd6acaa19c78dd5"),
 }
 
 

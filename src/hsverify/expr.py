@@ -253,6 +253,13 @@ class Ite(Expr):
 
 
 @dataclass(frozen=True)
+class Folded(Expr):
+    """A sub-term replaced by its exact value (see fold_constants)."""
+
+    value: object
+
+
+@dataclass(frozen=True)
 class Exists(Expr):
     var: str
     body: Expr
@@ -340,7 +347,7 @@ _COMBINE = {Eq: operator.eq, Neq: operator.ne, Le: operator.le, Lt: operator.lt,
 
 def _compile(e) -> Callable:
     """The closure for one node; children come from compile_expr."""
-    if isinstance(e, (RatLit, BoolLit)):
+    if isinstance(e, (RatLit, BoolLit, Folded)):
         value = e.value
         return lambda s, env: value
     if isinstance(e, VarRead):
@@ -515,12 +522,91 @@ def eval_expr(e: Expr, s: Store, env: Optional[dict] = None) -> Union[Fraction, 
     return compile_expr(e)(s, env or {})
 
 
+# Nodes fold_constants leaves as they are: those whose value is a truth
+# value whatever the store holds, and literals, which are their value.
+_UNFOLDED = (BoolLit, Exists, Forall, RatLit, Folded) + COMPARISONS + CONNECTIVES
+
+
+def fold_constants(e: Expr, s: Store, frame: Frame, formula: bool = False) -> Expr:
+    """e with each maximal sub-term that stays constant along an orbit from s
+    replaced by Folded(its value at s), exact as eval_expr computes it.
+
+    A sub-term is constant when it reads no lens that overlaps frame and no
+    logical variable, so flow time tau never folds.  Truth values never fold,
+    so every comparison keeps its float margin under q_eval.  A sub-term
+    whose evaluation raises stays as it is, and raises (or is soft) where it
+    did; its constant parts still fold.  Quantifiers are kept whole, and so,
+    when e is a formula for q_eval, is an if-then-else in a truth position,
+    which q_eval splits.  An if-then-else that does not fold whole folds in
+    its condition only: its branches stay as they are, so a constant branch
+    is still evaluated only when the orbit reaches it.  Both walks run from
+    explicit stacks, like compile_expr."""
+    moves = {}  # id(node) -> the node can change along the orbit
+    stack = [(e, False)]
+    while stack:
+        node, kids_done = stack.pop()
+        if id(node) in moves:
+            continue
+        kids = _fold_children(node)
+        if kids and not kids_done:
+            stack.append((node, True))
+            stack.extend((k, False) for k in kids)
+            continue
+        moves[id(node)] = (kids is None or isinstance(node, LogicalVar)
+                           or isinstance(node, VarRead) and frame.overlaps(node.lens)
+                           or any(moves[id(k)] for k in kids))
+    out = {}  # (id(node), in a truth position) -> its folded form
+    stack = [(e, formula, False)]
+    while stack:
+        node, split, kids_done = stack.pop()
+        if (id(node), split) in out:
+            continue
+        kids = _fold_children(node)
+        if isinstance(node, Ite):
+            kids = kids[:1]  # the condition; the branches stay as they are
+        kids_split = split and isinstance(node, CONNECTIVES + (Ite,))
+        if kids_done:
+            new = tuple(out[id(k), kids_split] for k in kids)
+            same = all(a is b for a, b in zip(new, kids))
+            if isinstance(node, Ite):
+                new += (node.then, node.other)
+            out[id(node), split] = node if same else rebuild(node, new)
+            continue
+        if not (moves[id(node)] or isinstance(node, _UNFOLDED)
+                or split and isinstance(node, Ite)):
+            try:
+                v = compile_expr(node)(s, {})
+            except Exception:
+                pass  # whatever it is, the unfolded node raises it again
+            else:
+                if not isinstance(v, bool):
+                    out[id(node), split] = Folded(v)
+                    continue
+        if not kids:
+            out[id(node), split] = node
+            continue
+        stack.append((node, split, True))
+        stack.extend((k, kids_split, False) for k in kids)
+    return out[id(e), formula]
+
+
+def _fold_children(e) -> Optional[tuple]:
+    """The sub-terms fold_constants may rewrite; None for a node it keeps
+    whole (a quantifier, or a node it does not know)."""
+    if isinstance(e, (Exists, Forall)):
+        return None
+    try:
+        return children(e)
+    except UnsupportedConstruct:
+        return None
+
+
 # ---------------------------------------------------------------------------
 # Structure queries
 
 
 def children(e: Expr) -> tuple:
-    if isinstance(e, (RatLit, BoolLit, VarRead, LogicalVar)):
+    if isinstance(e, (RatLit, BoolLit, VarRead, LogicalVar, Folded)):
         return ()
     if isinstance(e, (Neg, Ln, Exp, Sin, Cos, Sqrt, Norm, Not)):
         return (e.arg,)
@@ -539,8 +625,19 @@ def children(e: Expr) -> tuple:
     raise UnsupportedConstruct(f"unknown node {e!r}")
 
 
+def depth(e: Expr) -> int:
+    """The number of levels in e's tree, counted from an explicit stack."""
+    most = 0
+    stack = [(e, 1)]
+    while stack:
+        node, d = stack.pop()
+        most = max(most, d)
+        stack.extend((k, d + 1) for k in children(node))
+    return most
+
+
 def rebuild(e: Expr, kids: tuple) -> Expr:
-    if isinstance(e, (RatLit, BoolLit, VarRead, LogicalVar)):
+    if isinstance(e, (RatLit, BoolLit, VarRead, LogicalVar, Folded)):
         return e
     if isinstance(e, Pow):
         return Pow(kids[0], e.exp)

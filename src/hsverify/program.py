@@ -16,7 +16,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .arith import Box, q_eval
-from .expr import And, Expr, Subst, TRUE, eval_expr
+from .expr import (
+    And, Expr, Folded, RatLit, Subst, TRUE, compile_expr, eval_expr, fold_constants,
+)
 from .store import Coord, Frame, Store, lens_get
 
 TAU = "tau"
@@ -38,10 +40,16 @@ class DurationSpec:
     hi: Optional[Fraction] = None
     member: Optional[Expr] = None
 
+    def __post_init__(self):
+        # The bounds as contains compares them, worked out once and kept in
+        # __dict__, outside the fields, so ==, hash and repr do not see them.
+        self.__dict__["_lo"] = _exact_bound(self.lo)
+        self.__dict__["_hi"] = None if self.hi is None else _exact_bound(self.hi)
+
     def contains(self, tau, s: Store, env: Optional[dict] = None) -> bool:
-        if tau < _exact_bound(self.lo):
+        if tau < self._lo:
             return False
-        if self.hi is not None and tau > _exact_bound(self.hi):
+        if self._hi is not None and tau > self._hi:
             return False
         if self.member is not None:
             e = dict(env or {})
@@ -257,66 +265,21 @@ class _Sim:
 
     def _integrate(self, p: ODE, t: float, s: Store) -> list:
         cfg = self.cfg
-        guard = full_guard(p)
+        guard = fold_constants(full_guard(p), s, p.frame, formula=True)
         if not eval_guard(guard, s):
             return []
-        members = p.frame.members
-        rhs_exprs = [p.rhs.lookup(m) for m in members]
-        shapes = []
-        y0 = []
-        for m in members:
-            v = lens_get(m, s)
-            if isinstance(v, tuple):
-                shapes.append(len(v))
-                y0.extend(float(c) for c in v)
-            else:
-                shapes.append(0)
-                y0.append(float(v))
-        y0 = tuple(y0)
-        # (name, coordinate or 0, width) per member, in frame order
-        layout = [(m.name, m.index if isinstance(m, Coord) else 0, dim)
-                  for m, dim in zip(members, shapes)]
-        data0 = dict(s.items())
+        y0, unpack, fdot = _orbit_field(p, s)
 
-        def unpack(y: tuple) -> Store:
-            # RK4 writes floats of each member's own shape, so the stage
-            # store is one copy of s with the members rebound, unchecked.
-            data = data0.copy()
-            i = 0
-            for name, index, dim in layout:
-                if dim == 0:
-                    v = y[i]
-                    i += 1
-                else:
-                    v = y[i:i + dim]
-                    i += dim
-                if index:
-                    old = data[name]
-                    v = old[:index - 1] + (v,) + old[index:]
-                data[name] = v
-            return Store(s.dataspace, data)
-
-        def fdot(y: tuple) -> tuple:
-            st = unpack(y)
-            out = []
-            for dim, e in zip(shapes, rhs_exprs):
-                v = eval_expr(e, st)
-                if dim == 0:
-                    out.append(float(v))
-                else:
-                    out.extend(float(c) for c in v)
-            return tuple(out)
-
-        def axpy(y: tuple, c: float, k: tuple) -> tuple:
-            return tuple(a + c * b for a, b in zip(y, k))
-
+        # The inner loop: list comprehensions, as tuple() over a generator
+        # costs a frame per stage.
         def rk4(y: tuple, h: float) -> tuple:
+            half = h / 2.0
             k1 = fdot(y)
-            k2 = fdot(axpy(y, h / 2.0, k1))
-            k3 = fdot(axpy(y, h / 2.0, k2))
-            k4 = fdot(axpy(y, h, k3))
-            return tuple(a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                         for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+            k2 = fdot(tuple([a + half * b for a, b in zip(y, k1)]))
+            k3 = fdot(tuple([a + half * b for a, b in zip(y, k2)]))
+            k4 = fdot(tuple([a + h * b for a, b in zip(y, k3)]))
+            return tuple([a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                          for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
 
         def bisect_to_boundary(y_good: tuple):
             # March toward the crossing by halving the remaining step.
@@ -361,21 +324,106 @@ class _Sim:
 
     def _evolve(self, p: Evol, t: float, s: Store) -> list:
         cfg = self.cfg
-        guard = p.guard
-        members = p.frame.members
-        flows = [p.flow.lookup(m) for m in members]
+        # The flows read s alone, so only tau moves in them.
+        flows = [compile_expr(fold_constants(p.flow.lookup(m), s, Frame()))
+                 for m in p.frame.members]
+        guard = fold_constants(p.guard, s, p.frame, formula=True)
         nsteps = max(1, int(round(cfg.horizon / cfg.step)))
         samples = []
         for k in range(nsteps + 1):
             tau = k * cfg.step
             env = {TAU: tau}
-            vals = tuple(eval_expr(e, s, env) for e in flows)
+            vals = tuple(f(s, env) for f in flows)
             st = p.frame.put(vals, s)
             if not eval_guard(guard, st, env):
                 break
             if p.dur.contains(tau, st):
                 samples.append((t + tau, st))
         return _thin(samples, cfg.samples_per_orbit)
+
+
+def _orbit_field(p: ODE, s: Store):
+    """(y0, unpack, fdot) for RK4 along p's orbit from s.
+
+    y0 flattens the frame members' values at s into floats, unpack(y) is
+    the stage store for a flat state y, and fdot(y) the field at it.  Each
+    right-hand side is folded once (fold_constants): a row that folds
+    completely is a float tuple computed here, and the others run their
+    compiled residual on the stage store.  When every row folds, fdot
+    returns the one tuple and never builds a stage store.
+    """
+    members = p.frame.members
+    shapes = []
+    y0 = []
+    for m in members:
+        v = lens_get(m, s)
+        if isinstance(v, tuple):
+            shapes.append(len(v))
+            y0.extend(float(c) for c in v)
+        else:
+            shapes.append(0)
+            y0.append(float(v))
+    # (name, coordinate or 0, width) per member, in frame order
+    layout = [(m.name, m.index if isinstance(m, Coord) else 0, dim)
+              for m, dim in zip(members, shapes)]
+    data0 = dict(s.items())
+
+    def unpack(y: tuple) -> Store:
+        # RK4 writes floats of each member's own shape, so the stage
+        # store is one copy of s with the members rebound, unchecked.
+        data = data0.copy()
+        i = 0
+        for name, index, dim in layout:
+            if dim == 0:
+                v = y[i]
+                i += 1
+            else:
+                v = y[i:i + dim]
+                i += dim
+            if index:
+                old = data[name]
+                v = old[:index - 1] + (v,) + old[index:]
+            data[name] = v
+        return Store(s.dataspace, data)
+
+    # per row: its floats when it folds completely, its width, its closure
+    rows = []
+    for m, dim in zip(members, shapes):
+        e = fold_constants(p.rhs.lookup(m), s, p.frame)
+        floats = _floats(e.value, dim) if isinstance(e, (Folded, RatLit)) else None
+        rows.append((floats, dim, compile_expr(e)))
+    if all(floats is not None for floats, _, _ in rows):
+        k = tuple(c for floats, _, _ in rows for c in floats)
+        return tuple(y0), unpack, lambda y: k
+
+    def fdot(y: tuple) -> tuple:
+        st = unpack(y)
+        out = []
+        for floats, dim, f in rows:
+            if floats is not None:
+                out.extend(floats)
+                continue
+            v = f(st, _NO_ENV)
+            if dim == 0:
+                out.append(float(v))
+            else:
+                out.extend(float(c) for c in v)
+        return tuple(out)
+
+    return tuple(y0), unpack, fdot
+
+
+def _floats(v, dim: int) -> Optional[tuple]:
+    """A folded row's value as RK4's floats; None if converting raises,
+    so that it raises at each stage, as it did before the fold."""
+    try:
+        return (float(v),) if dim == 0 else tuple(float(c) for c in v)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+# Fields read no logical variable; an unbound one raises as it always did.
+_NO_ENV: dict = {}
 
 
 _BISECT_DEPTH = 10

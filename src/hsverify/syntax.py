@@ -27,7 +27,7 @@ from .expr import (
     Add, And, BoolLit, Cos, Div, Eq, Exists, Exp, Expr, FALSE, Forall, Ge,
     Gt, Iff, Implies, Inner, Ite, Le, Ln, LogicalVar, Lt, Mul, Neg, Neq,
     Norm, Not, Or, Pow, RatLit, ScalarMul, Sin, Sqrt, Sub, Subst, TRUE,
-    VarRead, VecLit, kind_of, read,
+    VarRead, VecLit, depth, kind_of, read,
 )
 from .program import (
     Abort, Assign, Choice, Evol, HybridProgram, If, Loop, NONNEG, ODE, Seq,
@@ -197,6 +197,13 @@ _TOP_KEYWORDS = ("dataspace", "program", "flow", "goal")
 # frames, so this keeps deep input well inside the interpreter's limit.
 MAX_NESTING = 64
 
+# How many levels an expression tree may have.  A left-associated chain
+# such as x + x + ... + x is one level per operator, and kind checking,
+# simplification, substitution and evaluation recurse over it, up to two
+# interpreter frames per level.  This keeps them inside the interpreter's
+# limit; every shipped model stays under 10 levels.
+MAX_DEPTH = 256
+
 
 # ---------------------------------------------------------------------------
 # The reader
@@ -267,6 +274,10 @@ class _Parser:
         return self.ds
 
     def check_kind(self, e: Expr, tok: Token) -> Kind:
+        # every parsed expression is kind-checked, so this one check
+        # bounds them all, before the recursive kind_of runs
+        if depth(e) > MAX_DEPTH:
+            raise self.fail(f"expression more than {MAX_DEPTH} levels deep", tok)
         try:
             return kind_of(e, self.space())
         except (KindMismatch, StoreError) as err:

@@ -294,6 +294,17 @@ def test_simulate_stop_is_reported(capsys, tmp_path, ode, args):
     assert out == ""
 
 
+def test_deep_expression_is_an_error_not_a_traceback(capsys, tmp_path):
+    p = tmp_path / "deep.hsv"
+    p.write_text("dataspace d {\n  variables x : real;\n}\n\n"
+                 "program run = x := " + " + ".join(["x"] * 600) + "\n")
+    code, out, err = run(capsys, "simulate", p, "--program", "run", "--init", "x=1")
+    assert code == 1
+    assert err.startswith("error: ") and "levels deep" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_runtime_needs_only_the_standard_library():
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     probe = ("import sys, hsverify.cli\n"

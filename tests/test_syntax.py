@@ -30,6 +30,7 @@ from hsverify.expr import (
     Subst,
     TRUE,
     VecLit,
+    depth,
     eval_expr,
     num,
     read,
@@ -39,6 +40,7 @@ from hsverify.store import BOOL, CONSTANT, GHOST, REAL, VARIABLE, Var, vec
 from hsverify.syntax import (
     FlowDecl,
     Goal,
+    MAX_DEPTH,
     MAX_NESTING,
     Method,
     ModelFile,
@@ -343,6 +345,26 @@ def test_nesting_over_the_limit_is_a_parse_error():
         parse(nested_parens(5000))
     with pytest.raises(ParseError, match="nested more than"):
         parse(PREAMBLE + "\ngoal n : { " + "not " * 5000 + "true } noop { true } by wp")
+
+
+def chain(op, n):
+    return ("dataspace d {\n  variables x : real;\n}\n"
+            "program p = x := " + f" {op} ".join(["x"] * n) + "\n")
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_chain_at_the_depth_limit_parses(op):
+    e = parse(chain(op, MAX_DEPTH)).programs["p"].subst.entries[0][1]
+    assert depth(e) == MAX_DEPTH
+
+
+@pytest.mark.parametrize("op", ["+", "*"])
+@pytest.mark.parametrize("n", [MAX_DEPTH + 1, 600, 5000])
+def test_chain_over_the_depth_limit_is_a_parse_error(op, n):
+    # a left-associated chain is one level per operator; 600 terms used to
+    # end in a RecursionError from the kind check
+    with pytest.raises(ParseError, match=f"more than {MAX_DEPTH} levels deep"):
+        parse(chain(op, n))
 
 
 # -- round trips

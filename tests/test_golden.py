@@ -27,6 +27,15 @@ REPORTS = {
     ("tank.hsv", 1): "d3da4c4e6999bc2572503a034f5ef589e836e643cbbc83a8a1202125c961565e",
 }
 
+# vcs at seed 0: the generated conditions, printed simplified
+VCS = {
+    "boat.hsv": "d9619dabade6b97dc6f2a7ad7e8c674df3465b0ec2df50c33b1a0ed78bf50c6d",
+    "broken.hsv": "97ba7fcbae95d934e6cf5ea09e83f8100a07487f82d95ab52aedb08a9c8a0ec8",
+    "decay.hsv": "530101f81d858ec47acd59f7782f4659584bfaf5f712fb6fb15888075a0f24ed",
+    "pendulum.hsv": "15631d90663625cd298772adcbd73b7d9fb67c257ed91b9dd01f412876088ec3",
+    "tank.hsv": "14e458631978639ed0ebeb54a1829cd2e6d48bebddfb645426d8a03781d4743e",
+}
+
 # name -> ((model, program, --init, --step, --horizon), digest); the tank
 # run meets both level bounds, so it crosses guards by bisection
 SIMULATIONS = {
@@ -55,6 +64,12 @@ def stdout_digest(capsys, *argv) -> str:
 def test_verify_report_is_pinned(capsys, model, seed):
     got = stdout_digest(capsys, "verify", MODELS / model, "--json", "-", "--seed", seed)
     assert got == REPORTS[model, seed]
+
+
+@pytest.mark.parametrize("model", sorted(VCS))
+def test_vcs_listing_is_pinned(capsys, model):
+    got = stdout_digest(capsys, "vcs", MODELS / model, "--seed", 0)
+    assert got == VCS[model]
 
 
 @pytest.mark.parametrize("name", sorted(SIMULATIONS))

@@ -960,9 +960,17 @@ def _fold_binop(e, a, b):
 
 
 def _flatten(cls, e):
-    if isinstance(e, cls):
-        return _flatten(cls, e.left) + _flatten(cls, e.right)
-    return [e]
+    """The operands of a chain of cls nodes, left to right, from an explicit
+    stack."""
+    out, stack = [], [e]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, cls):
+            stack.append(t.right)
+            stack.append(t.left)
+        else:
+            out.append(t)
+    return out
 
 
 def _rebalance(cls, terms, unit):
@@ -976,185 +984,221 @@ def _rebalance(cls, terms, unit):
 
 def simplify(e: Expr) -> Expr:
     """Local, evaluation-preserving cleanup: constant folding, units, and
-    literal branches.  Rewrites that drop a subterm require it total."""
+    literal branches.  Rewrites that drop a subterm require it total.
 
-    def go(e) -> Expr:
-        kids = tuple(go(k) for k in children(e))
-        e = rebuild(e, kids)
+    Each node's result is computed once and cached in the frozen node's
+    __dict__, outside its fields, as compile_expr caches its closure.  The
+    walk goes children first, from an explicit stack.  A second pass can
+    fold further, so the cache maps an input node to its result and nothing
+    else: a result is never marked as simplified.  A childless node is its
+    own result and caches nothing."""
+    if isinstance(e, Expr):
+        out = e.__dict__.get("_simplified")
+        if out is not None:
+            return out
+    stack = [(e, None)]
+    while stack:
+        node, kids = stack.pop()
+        if kids is None:
+            kids = children(node)
+            if kids and "_simplified" not in node.__dict__:
+                stack.append((node, kids))
+                stack.extend((k, None) for k in kids)
+            continue
+        new = tuple(k.__dict__.get("_simplified", k) for k in kids)
+        node.__dict__["_simplified"] = _simplify_node(rebuild(node, new))
+    return e.__dict__.get("_simplified", e)
 
-        if isinstance(e, Neg):
-            a = e.arg
-            if isinstance(a, RatLit):
-                return RatLit(-a.value)
-            if isinstance(a, Neg):
-                return a.arg
-            if isinstance(a, VecLit) and all(isinstance(i, RatLit) for i in a.items):
-                return VecLit(tuple(RatLit(-i.value) for i in a.items))
-            return e
 
-        if isinstance(e, Add):
-            terms = _flatten(Add, e)
-            c = Fraction(0)
-            rest = []
-            for t in terms:
-                if isinstance(t, RatLit):
-                    c += t.value
-                else:
-                    rest.append(t)
-            if c != 0 or not rest:
-                rest = rest + [RatLit(c)] if rest else [RatLit(c)]
-            return _rebalance(Add, rest, ZERO)
+def _simplify_node(e: Expr) -> Expr:
+    """The rewrite at e's root; e's children are simplified already.  A
+    rewrite that builds a new node simplifies it whole, as a fresh input.
 
-        if isinstance(e, Sub):
-            f = _fold_binop(e, e.left, e.right)
-            if f is not None:
-                return f
-            if isinstance(e.right, RatLit) and e.right.value == 0:
-                return e.left
-            if isinstance(e.left, RatLit) and e.left.value == 0:
-                return go(Neg(e.right))
-            return e
-
-        if isinstance(e, Mul):
-            factors = _flatten(Mul, e)
-            c = Fraction(1)
-            rest = []
-            for t in factors:
-                if isinstance(t, RatLit):
-                    c *= t.value
-                else:
-                    rest.append(t)
-            if c == 0 and all(total(t) for t in rest):
-                return ZERO
-            if not rest:
-                return RatLit(c)
-            if c != 1:
-                rest = [RatLit(c)] + rest
-            return _rebalance(Mul, rest, ONE)
-
-        if isinstance(e, Div):
-            f = _fold_binop(e, e.left, e.right)
-            if f is not None:
-                return f
-            if isinstance(e.right, RatLit) and e.right.value == 1:
-                return e.left
-            return e
-
-        if isinstance(e, Pow):
-            if e.exp == 0 and total(e.base):
-                return ONE
-            if e.exp == 1:
-                return e.base
-            if isinstance(e.base, RatLit):
-                return RatLit(e.base.value ** e.exp)
-            return e
-
-        if isinstance(e, Exp):
-            if isinstance(e.arg, RatLit) and e.arg.value == 0:
-                return ONE
-            return e
-        if isinstance(e, Ln):
-            if isinstance(e.arg, RatLit) and e.arg.value == 1:
-                return ZERO
-            return e
-        if isinstance(e, Sin):
-            if isinstance(e.arg, RatLit) and e.arg.value == 0:
-                return ZERO
-            return e
-        if isinstance(e, Cos):
-            if isinstance(e.arg, RatLit) and e.arg.value == 0:
-                return ONE
-            return e
-        if isinstance(e, Sqrt):
-            if isinstance(e.arg, RatLit) and e.arg.value >= 0:
-                r = _exact_sqrt(e.arg.value)
-                if r is not None:
-                    return RatLit(r)
-            return e
-
-        if isinstance(e, Norm):
-            if isinstance(e.arg, VecLit) and all(isinstance(i, RatLit) for i in e.arg.items):
-                q = sum((i.value * i.value for i in e.arg.items), Fraction(0))
-                r = _exact_sqrt(q)
-                if r is not None:
-                    return RatLit(r)
-            return e
-
-        if isinstance(e, Inner):
-            a, b = e.left, e.right
-            if isinstance(a, VecLit) and isinstance(b, VecLit) and len(a.items) == len(b.items):
-                terms = [go(Mul(x, y)) for x, y in zip(a.items, b.items)]
-                return go(_rebalance(Add, terms, ZERO))
-            return e
-
-        if isinstance(e, ScalarMul):
-            if isinstance(e.scalar, RatLit) and e.scalar.value == 1:
-                return e.arg
-            if isinstance(e.arg, VecLit):
-                return go(VecLit(tuple(Mul(e.scalar, i) for i in e.arg.items)))
-            return e
-
-        if isinstance(e, (Eq, Neq, Le, Lt, Ge, Gt)):
-            a, b = e.left, e.right
-            if isinstance(a, RatLit) and isinstance(b, RatLit):
-                av, bv = a.value, b.value
-                return BoolLit({Eq: av == bv, Neq: av != bv, Le: av <= bv,
-                                Lt: av < bv, Ge: av >= bv, Gt: av > bv}[type(e)])
-            if isinstance(a, BoolLit) and isinstance(b, BoolLit) and isinstance(e, (Eq, Neq)):
-                return BoolLit((a.value == b.value) == isinstance(e, Eq))
-            if a == b and total(a) and isinstance(e, (Eq, Le, Ge)):
-                return TRUE
-            if a == b and total(a) and isinstance(e, (Neq, Lt, Gt)):
-                return FALSE
-            if isinstance(e, Eq) and isinstance(a, VecLit) and isinstance(b, VecLit) \
-                    and len(a.items) == len(b.items):
-                return go(conj(Eq(x, y) for x, y in zip(a.items, b.items)))
-            return e
-
-        if isinstance(e, And):
-            a, b = e.left, e.right
-            if isinstance(a, BoolLit):
-                return b if a.value else (FALSE if total(b) else e)
-            if isinstance(b, BoolLit):
-                return a if b.value else (FALSE if total(a) else e)
-            return e
-        if isinstance(e, Or):
-            a, b = e.left, e.right
-            if isinstance(a, BoolLit):
-                return (TRUE if total(b) else e) if a.value else b
-            if isinstance(b, BoolLit):
-                return (TRUE if total(a) else e) if b.value else a
-            return e
-        if isinstance(e, Not):
-            if isinstance(e.arg, BoolLit):
-                return BoolLit(not e.arg.value)
-            if isinstance(e.arg, Not):
-                return e.arg.arg
-            return e
-        if isinstance(e, Implies):
-            a, b = e.left, e.right
-            if isinstance(a, BoolLit):
-                return b if a.value else (TRUE if total(b) else e)
-            if isinstance(b, BoolLit) and b.value and total(a):
-                return TRUE
-            return e
-        if isinstance(e, Iff):
-            a, b = e.left, e.right
-            if isinstance(a, BoolLit) and isinstance(b, BoolLit):
-                return BoolLit(a.value == b.value)
-            if isinstance(a, BoolLit):
-                return b if a.value else go(Not(b))
-            if isinstance(b, BoolLit):
-                return a if b.value else go(Not(a))
-            return e
-
-        if isinstance(e, Ite):
-            if isinstance(e.cond, BoolLit):
-                return e.then if e.cond.value else e.other
-            if e.then == e.other and total(e.cond):
-                return e.then
-            return e
-
+    A simplified sum is a left-nested chain of terms that are neither sums
+    nor literals, but for one nonzero literal last; a simplified product is
+    a chain of factors the same way, with its one literal (never 1) first.
+    A term that is neither joins such a chain in O(1), so a long chain is
+    not flattened and rebuilt at each level; the full rule gives the same
+    tree."""
+    if isinstance(e, Neg):
+        a = e.arg
+        if isinstance(a, RatLit):
+            return RatLit(-a.value)
+        if isinstance(a, Neg):
+            return a.arg
+        if isinstance(a, VecLit) and all(isinstance(i, RatLit) for i in a.items):
+            return VecLit(tuple(RatLit(-i.value) for i in a.items))
         return e
 
-    return go(e)
+    if isinstance(e, Add):
+        a, b = e.left, e.right
+        if not isinstance(b, (Add, RatLit)):
+            if isinstance(a, Add) and isinstance(a.right, RatLit):
+                return Add(Add(a.left, b), a.right)
+            if not isinstance(a, RatLit):
+                return e
+        terms = _flatten(Add, e)
+        c = Fraction(0)
+        rest = []
+        for t in terms:
+            if isinstance(t, RatLit):
+                c += t.value
+            else:
+                rest.append(t)
+        if c != 0 or not rest:
+            rest = rest + [RatLit(c)] if rest else [RatLit(c)]
+        return _rebalance(Add, rest, ZERO)
+
+    if isinstance(e, Sub):
+        f = _fold_binop(e, e.left, e.right)
+        if f is not None:
+            return f
+        if isinstance(e.right, RatLit) and e.right.value == 0:
+            return e.left
+        if isinstance(e.left, RatLit) and e.left.value == 0:
+            return simplify(Neg(e.right))
+        return e
+
+    if isinstance(e, Mul):
+        if not isinstance(e.right, (Mul, RatLit)) and not isinstance(e.left, RatLit):
+            return e
+        factors = _flatten(Mul, e)
+        c = Fraction(1)
+        rest = []
+        for t in factors:
+            if isinstance(t, RatLit):
+                c *= t.value
+            else:
+                rest.append(t)
+        if c == 0 and all(total(t) for t in rest):
+            return ZERO
+        if not rest:
+            return RatLit(c)
+        if c != 1:
+            rest = [RatLit(c)] + rest
+        return _rebalance(Mul, rest, ONE)
+
+    if isinstance(e, Div):
+        f = _fold_binop(e, e.left, e.right)
+        if f is not None:
+            return f
+        if isinstance(e.right, RatLit) and e.right.value == 1:
+            return e.left
+        return e
+
+    if isinstance(e, Pow):
+        if e.exp == 0 and total(e.base):
+            return ONE
+        if e.exp == 1:
+            return e.base
+        if isinstance(e.base, RatLit):
+            return RatLit(e.base.value ** e.exp)
+        return e
+
+    if isinstance(e, Exp):
+        if isinstance(e.arg, RatLit) and e.arg.value == 0:
+            return ONE
+        return e
+    if isinstance(e, Ln):
+        if isinstance(e.arg, RatLit) and e.arg.value == 1:
+            return ZERO
+        return e
+    if isinstance(e, Sin):
+        if isinstance(e.arg, RatLit) and e.arg.value == 0:
+            return ZERO
+        return e
+    if isinstance(e, Cos):
+        if isinstance(e.arg, RatLit) and e.arg.value == 0:
+            return ONE
+        return e
+    if isinstance(e, Sqrt):
+        if isinstance(e.arg, RatLit) and e.arg.value >= 0:
+            r = _exact_sqrt(e.arg.value)
+            if r is not None:
+                return RatLit(r)
+        return e
+
+    if isinstance(e, Norm):
+        if isinstance(e.arg, VecLit) and all(isinstance(i, RatLit) for i in e.arg.items):
+            q = sum((i.value * i.value for i in e.arg.items), Fraction(0))
+            r = _exact_sqrt(q)
+            if r is not None:
+                return RatLit(r)
+        return e
+
+    if isinstance(e, Inner):
+        a, b = e.left, e.right
+        if isinstance(a, VecLit) and isinstance(b, VecLit) and len(a.items) == len(b.items):
+            terms = [simplify(Mul(x, y)) for x, y in zip(a.items, b.items)]
+            return simplify(_rebalance(Add, terms, ZERO))
+        return e
+
+    if isinstance(e, ScalarMul):
+        if isinstance(e.scalar, RatLit) and e.scalar.value == 1:
+            return e.arg
+        if isinstance(e.arg, VecLit):
+            return simplify(VecLit(tuple(Mul(e.scalar, i) for i in e.arg.items)))
+        return e
+
+    if isinstance(e, (Eq, Neq, Le, Lt, Ge, Gt)):
+        a, b = e.left, e.right
+        if isinstance(a, RatLit) and isinstance(b, RatLit):
+            av, bv = a.value, b.value
+            return BoolLit({Eq: av == bv, Neq: av != bv, Le: av <= bv,
+                            Lt: av < bv, Ge: av >= bv, Gt: av > bv}[type(e)])
+        if isinstance(a, BoolLit) and isinstance(b, BoolLit) and isinstance(e, (Eq, Neq)):
+            return BoolLit((a.value == b.value) == isinstance(e, Eq))
+        if a == b and total(a) and isinstance(e, (Eq, Le, Ge)):
+            return TRUE
+        if a == b and total(a) and isinstance(e, (Neq, Lt, Gt)):
+            return FALSE
+        if isinstance(e, Eq) and isinstance(a, VecLit) and isinstance(b, VecLit) \
+                and len(a.items) == len(b.items):
+            return simplify(conj(Eq(x, y) for x, y in zip(a.items, b.items)))
+        return e
+
+    if isinstance(e, And):
+        a, b = e.left, e.right
+        if isinstance(a, BoolLit):
+            return b if a.value else (FALSE if total(b) else e)
+        if isinstance(b, BoolLit):
+            return a if b.value else (FALSE if total(a) else e)
+        return e
+    if isinstance(e, Or):
+        a, b = e.left, e.right
+        if isinstance(a, BoolLit):
+            return (TRUE if total(b) else e) if a.value else b
+        if isinstance(b, BoolLit):
+            return (TRUE if total(a) else e) if b.value else a
+        return e
+    if isinstance(e, Not):
+        if isinstance(e.arg, BoolLit):
+            return BoolLit(not e.arg.value)
+        if isinstance(e.arg, Not):
+            return e.arg.arg
+        return e
+    if isinstance(e, Implies):
+        a, b = e.left, e.right
+        if isinstance(a, BoolLit):
+            return b if a.value else (TRUE if total(b) else e)
+        if isinstance(b, BoolLit) and b.value and total(a):
+            return TRUE
+        return e
+    if isinstance(e, Iff):
+        a, b = e.left, e.right
+        if isinstance(a, BoolLit) and isinstance(b, BoolLit):
+            return BoolLit(a.value == b.value)
+        if isinstance(a, BoolLit):
+            return b if a.value else simplify(Not(b))
+        if isinstance(b, BoolLit):
+            return a if b.value else simplify(Not(a))
+        return e
+
+    if isinstance(e, Ite):
+        if isinstance(e.cond, BoolLit):
+            return e.then if e.cond.value else e.other
+        if e.then == e.other and total(e.cond):
+            return e.then
+        return e
+
+    return e

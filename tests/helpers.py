@@ -1,5 +1,5 @@
 """Seeded random generators shared by the unit and acceptance suites, and
-the reference expression evaluator."""
+the reference expression evaluator and simplifier."""
 
 import math
 import random
@@ -19,6 +19,11 @@ from hsverify.store import (
     vec,
 )
 from hsverify import expr as ex
+from hsverify.expr import (
+    FALSE, ONE, TRUE, ZERO, Add, And, BoolLit, Cos, Div, Eq, Exp, Expr, Ge, Gt, Iff, Implies,
+    Inner, Ite, Le, Ln, Lt, Mul, Neg, Neq, Norm, Not, Or, Pow, RatLit, ScalarMul, Sin, Sqrt,
+    Sub, VecLit, _exact_sqrt, _fold_binop, _rebalance, children, conj, rebuild, total,
+)
 
 
 def small_dataspace() -> Dataspace:
@@ -254,6 +259,202 @@ def reference_eval(e, s, env=None):
         raise ex.UnsupportedConstruct(f"cannot evaluate {e!r}")
 
     return ev(e)
+
+
+# -- the reference simplifier ------------------------------------------------
+
+def _reference_flatten(cls, e):
+    if isinstance(e, cls):
+        return _reference_flatten(cls, e.left) + _reference_flatten(cls, e.right)
+    return [e]
+
+
+def reference_simplify(e: Expr) -> Expr:
+    """The recursive simplifier that the cached walk replaced, kept as the
+    reference it is checked against: local, evaluation-preserving cleanup
+    (constant folding, units, and literal branches).  Rewrites that drop a
+    subterm require it total."""
+
+    def go(e) -> Expr:
+        kids = tuple(go(k) for k in children(e))
+        e = rebuild(e, kids)
+
+        if isinstance(e, Neg):
+            a = e.arg
+            if isinstance(a, RatLit):
+                return RatLit(-a.value)
+            if isinstance(a, Neg):
+                return a.arg
+            if isinstance(a, VecLit) and all(isinstance(i, RatLit) for i in a.items):
+                return VecLit(tuple(RatLit(-i.value) for i in a.items))
+            return e
+
+        if isinstance(e, Add):
+            terms = _reference_flatten(Add, e)
+            c = Fraction(0)
+            rest = []
+            for t in terms:
+                if isinstance(t, RatLit):
+                    c += t.value
+                else:
+                    rest.append(t)
+            if c != 0 or not rest:
+                rest = rest + [RatLit(c)] if rest else [RatLit(c)]
+            return _rebalance(Add, rest, ZERO)
+
+        if isinstance(e, Sub):
+            f = _fold_binop(e, e.left, e.right)
+            if f is not None:
+                return f
+            if isinstance(e.right, RatLit) and e.right.value == 0:
+                return e.left
+            if isinstance(e.left, RatLit) and e.left.value == 0:
+                return go(Neg(e.right))
+            return e
+
+        if isinstance(e, Mul):
+            factors = _reference_flatten(Mul, e)
+            c = Fraction(1)
+            rest = []
+            for t in factors:
+                if isinstance(t, RatLit):
+                    c *= t.value
+                else:
+                    rest.append(t)
+            if c == 0 and all(total(t) for t in rest):
+                return ZERO
+            if not rest:
+                return RatLit(c)
+            if c != 1:
+                rest = [RatLit(c)] + rest
+            return _rebalance(Mul, rest, ONE)
+
+        if isinstance(e, Div):
+            f = _fold_binop(e, e.left, e.right)
+            if f is not None:
+                return f
+            if isinstance(e.right, RatLit) and e.right.value == 1:
+                return e.left
+            return e
+
+        if isinstance(e, Pow):
+            if e.exp == 0 and total(e.base):
+                return ONE
+            if e.exp == 1:
+                return e.base
+            if isinstance(e.base, RatLit):
+                return RatLit(e.base.value ** e.exp)
+            return e
+
+        if isinstance(e, Exp):
+            if isinstance(e.arg, RatLit) and e.arg.value == 0:
+                return ONE
+            return e
+        if isinstance(e, Ln):
+            if isinstance(e.arg, RatLit) and e.arg.value == 1:
+                return ZERO
+            return e
+        if isinstance(e, Sin):
+            if isinstance(e.arg, RatLit) and e.arg.value == 0:
+                return ZERO
+            return e
+        if isinstance(e, Cos):
+            if isinstance(e.arg, RatLit) and e.arg.value == 0:
+                return ONE
+            return e
+        if isinstance(e, Sqrt):
+            if isinstance(e.arg, RatLit) and e.arg.value >= 0:
+                r = _exact_sqrt(e.arg.value)
+                if r is not None:
+                    return RatLit(r)
+            return e
+
+        if isinstance(e, Norm):
+            if isinstance(e.arg, VecLit) and all(isinstance(i, RatLit) for i in e.arg.items):
+                q = sum((i.value * i.value for i in e.arg.items), Fraction(0))
+                r = _exact_sqrt(q)
+                if r is not None:
+                    return RatLit(r)
+            return e
+
+        if isinstance(e, Inner):
+            a, b = e.left, e.right
+            if isinstance(a, VecLit) and isinstance(b, VecLit) and len(a.items) == len(b.items):
+                terms = [go(Mul(x, y)) for x, y in zip(a.items, b.items)]
+                return go(_rebalance(Add, terms, ZERO))
+            return e
+
+        if isinstance(e, ScalarMul):
+            if isinstance(e.scalar, RatLit) and e.scalar.value == 1:
+                return e.arg
+            if isinstance(e.arg, VecLit):
+                return go(VecLit(tuple(Mul(e.scalar, i) for i in e.arg.items)))
+            return e
+
+        if isinstance(e, (Eq, Neq, Le, Lt, Ge, Gt)):
+            a, b = e.left, e.right
+            if isinstance(a, RatLit) and isinstance(b, RatLit):
+                av, bv = a.value, b.value
+                return BoolLit({Eq: av == bv, Neq: av != bv, Le: av <= bv,
+                                Lt: av < bv, Ge: av >= bv, Gt: av > bv}[type(e)])
+            if isinstance(a, BoolLit) and isinstance(b, BoolLit) and isinstance(e, (Eq, Neq)):
+                return BoolLit((a.value == b.value) == isinstance(e, Eq))
+            if a == b and total(a) and isinstance(e, (Eq, Le, Ge)):
+                return TRUE
+            if a == b and total(a) and isinstance(e, (Neq, Lt, Gt)):
+                return FALSE
+            if isinstance(e, Eq) and isinstance(a, VecLit) and isinstance(b, VecLit) \
+                    and len(a.items) == len(b.items):
+                return go(conj(Eq(x, y) for x, y in zip(a.items, b.items)))
+            return e
+
+        if isinstance(e, And):
+            a, b = e.left, e.right
+            if isinstance(a, BoolLit):
+                return b if a.value else (FALSE if total(b) else e)
+            if isinstance(b, BoolLit):
+                return a if b.value else (FALSE if total(a) else e)
+            return e
+        if isinstance(e, Or):
+            a, b = e.left, e.right
+            if isinstance(a, BoolLit):
+                return (TRUE if total(b) else e) if a.value else b
+            if isinstance(b, BoolLit):
+                return (TRUE if total(a) else e) if b.value else a
+            return e
+        if isinstance(e, Not):
+            if isinstance(e.arg, BoolLit):
+                return BoolLit(not e.arg.value)
+            if isinstance(e.arg, Not):
+                return e.arg.arg
+            return e
+        if isinstance(e, Implies):
+            a, b = e.left, e.right
+            if isinstance(a, BoolLit):
+                return b if a.value else (TRUE if total(b) else e)
+            if isinstance(b, BoolLit) and b.value and total(a):
+                return TRUE
+            return e
+        if isinstance(e, Iff):
+            a, b = e.left, e.right
+            if isinstance(a, BoolLit) and isinstance(b, BoolLit):
+                return BoolLit(a.value == b.value)
+            if isinstance(a, BoolLit):
+                return b if a.value else go(Not(b))
+            if isinstance(b, BoolLit):
+                return a if b.value else go(Not(a))
+            return e
+
+        if isinstance(e, Ite):
+            if isinstance(e.cond, BoolLit):
+                return e.then if e.cond.value else e.other
+            if e.then == e.other and total(e.cond):
+                return e.then
+            return e
+
+        return e
+
+    return go(e)
 
 
 _LEAVES = (ex.RatLit, ex.BoolLit, ex.VarRead, ex.LogicalVar)

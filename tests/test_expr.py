@@ -59,6 +59,7 @@ from helpers import (
     rand_subst,
     rand_total_expr,
     reference_eval,
+    reference_simplify,
     small_dataspace,
 )
 
@@ -322,6 +323,63 @@ def test_simplify_sound_hypothesis(p, q, n):
     s = _store(a=Fraction(p), b=Fraction(q))
     e = Add(Mul(read("a"), read("b")), Pow(Sub(read("a"), read("b")), n))
     assert eval_expr(simplify(e), s) == eval_expr(e, s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_simplify_matches_reference_walker(seed):
+    rng = random.Random(seed)
+    ds = small_dataspace()
+    e = rand_any_expr(rng, ds, 4) if seed % 2 else rand_total_expr(rng, ds, 4)
+    once, ref = simplify(e), reference_simplify(e)
+    assert once == ref and repr(once) == repr(ref)
+    # a second pass can fold further, and starts from the first pass's result
+    twice, ref_twice = simplify(once), reference_simplify(ref)
+    assert twice == ref_twice and repr(twice) == repr(ref_twice)
+    assert simplify(e) is once
+
+
+def test_simplify_cache_is_invisible():
+    def build():
+        return Add(Mul(num(2), Sub(read("a"), num(0))), Mul(num(3), read("b")))
+    e, twin = build(), build()
+    before = (repr(e), hash(e))
+    out = simplify(e)
+    assert simplify(e) is out
+    assert (repr(e), hash(e)) == before
+    assert e == twin and twin == e and e in {twin}
+    assert simplify(twin) == out and repr(simplify(twin)) == repr(out)
+    # childless nodes are their own result and hold no cache
+    x = read("a")
+    assert simplify(x) is x and "_simplified" not in x.__dict__
+
+
+def test_simplify_is_not_idempotent():
+    # 0 * a only meets its zero once the first pass has put them together
+    p = LogicalVar("p")
+    e = Mul(read("a"), Mul(Ln(Sqrt(p)), Add(ex.Sin(num(0)), num(0))))
+    once = simplify(e)
+    assert once == Mul(Mul(num(0), read("a")), Ln(Sqrt(p)))  # 0 * a * ln(sqrt(p))
+    twice = simplify(once)
+    assert twice == Mul(num(0), Ln(Sqrt(p)))  # 0 * ln(sqrt(p))
+    assert simplify(e) is once and simplify(once) is twice
+    assert (once, twice) == (reference_simplify(e), reference_simplify(once))
+
+
+@pytest.mark.parametrize("cls,last", [(Add, num(1)), (Mul, num(2))])
+def test_deep_chain_simplifies_without_deep_recursion(cls, last):
+    # 4,999 reads and then a literal, left-associated: the literal makes the
+    # last rewrite flatten the whole 5,000-term chain
+    e = read("a")
+    for i in range(4998):
+        e = cls(e, read("b") if i % 2 else read("a"))
+    e = cls(e, last)
+    terms = ex._flatten(cls, simplify(e))
+    assert len(terms) == 5000
+    if cls is Add:
+        assert terms[-1] == num(1) and terms[:3] == [read("a"), read("a"), read("b")]
+    else:
+        assert terms[0] == num(2) and terms[1:4] == [read("a"), read("a"), read("b")]
 
 
 def test_kind_inference():

@@ -1,0 +1,150 @@
+"""Check that two source trees of hsverify give the same output, call by call.
+
+Usage, from anywhere:
+
+    python3 tools/same_output.py PARENT_SRC CHANGE_SRC
+
+Each argument is the root of a checkout (the directory holding src/,
+models/, demos/ and perfbench/).  Each tree runs in one subprocess of its
+own, which imports hsverify from that tree's src/ and makes these calls:
+
+  - every call of the four perfbench workloads at seeds 0-3, as
+    perfbench/workloads.py of CHANGE_SRC generates them;
+  - the benchmark's known-defect call;
+  - ``verify MODEL --json -`` over each models/*.hsv at seeds 0 and 1;
+  - every script under demos/.
+
+For each call it compares the exit code and the sha256 of stdout and of
+stderr; the tree's own path is replaced by ``<tree>`` first.  It prints the
+call count, the number of differences and every traceback, and exits 1 when
+any call differs.  Only the standard library is used.
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import runpy
+import shutil
+import subprocess
+import sys
+import tempfile
+import traceback
+
+SEEDS = (0, 1, 2, 3)
+MODEL_SEEDS = (0, 1)
+
+
+def _load(path: str, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[name] = mod  # dataclasses look their module up here
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _run(fn, tree: str) -> dict:
+    """Call fn() with stdout and stderr captured; its outcome, hashed."""
+    out, err = io.StringIO(), io.StringIO()
+    rc, tb = None, None
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = fn()
+    except SystemExit as e:
+        rc = e.code if isinstance(e.code, int) else 1
+    except Exception:
+        tb = traceback.format_exc().replace(tree, "<tree>")
+
+    def digest(text: str) -> str:
+        return hashlib.sha256(text.replace(tree, "<tree>").encode()).hexdigest()
+
+    return {"rc": rc, "out": digest(out.getvalue()), "err": digest(err.getvalue()),
+            "traceback": tb}
+
+
+def worker(tree: str, workloads_py: str, work: str) -> int:
+    """Make every call against tree and print one JSON line per call."""
+    tree = os.path.realpath(tree)
+    src = os.path.join(tree, "src")
+    sys.path.insert(0, src)
+    from hsverify import cli
+    if not os.path.realpath(cli.__file__).startswith(src + os.sep):
+        raise ImportError(f"hsverify came from {cli.__file__}, not {src}")
+    W = _load(workloads_py, "same_output_workloads")
+
+    def emit(label, fn):
+        print(json.dumps({"label": label, **_run(fn, tree)}), flush=True)
+
+    def main_of(argv):
+        return lambda: cli.main(list(argv))
+
+    for name in W.WORKLOADS:
+        for seed in SEEDS:
+            where = os.path.join(work, f"{name}-{seed}")
+            os.makedirs(where)
+            for i, call in enumerate(W.GENERATORS[name](tree, seed, where)):
+                emit(f"{name} seed {seed} #{i} {call.label}", main_of(call.argv))
+    defect = list(W.KNOWN_DEFECT_ARGV)
+    defect[1] = os.path.join(tree, defect[1])
+    emit("known defect", main_of(defect))
+    models = os.path.join(tree, "models")
+    for m in sorted(n for n in os.listdir(models) if n.endswith(".hsv")):
+        for seed in MODEL_SEEDS:
+            emit(f"verify {m} seed {seed}",
+                 main_of(["verify", os.path.join(models, m), "--json", "-",
+                          "--seed", str(seed)]))
+    demos = os.path.join(tree, "demos")
+    for d in sorted(n for n in os.listdir(demos) if n.endswith(".py")):
+        def demo(path=os.path.join(demos, d)):
+            runpy.run_path(path, run_name="__main__")
+            return 0
+        emit(f"demo {d}", demo)
+    return 0
+
+
+def _calls_of(tree: str, workloads_py: str, work: str) -> list:
+    shutil.rmtree(work, ignore_errors=True)
+    os.makedirs(work)
+    done = subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", tree,
+                           workloads_py, work],
+                          capture_output=True, text=True, cwd=work)
+    if done.returncode != 0:
+        sys.stderr.write(done.stderr)
+        raise SystemExit(f"same_output: the run over {tree} failed")
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def main(argv) -> int:
+    if len(argv) == 4 and argv[0] == "--worker":
+        return worker(*argv[1:])
+    if len(argv) != 2:
+        print("usage: same_output.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
+        return 2
+    parent, change = (os.path.realpath(a) for a in argv)
+    workloads_py = os.path.join(change, "perfbench", "workloads.py")
+    with tempfile.TemporaryDirectory() as tmp:
+        work = os.path.join(tmp, "work")  # the same path for both trees
+        runs = [_calls_of(tree, workloads_py, work) for tree in (parent, change)]
+    a, b = runs
+    diffs = 0
+    if [c["label"] for c in a] != [c["label"] for c in b]:
+        print("the two trees made different calls")
+        diffs += 1
+    for x, y in zip(a, b):
+        if (x["rc"], x["out"], x["err"]) != (y["rc"], y["out"], y["err"]):
+            diffs += 1
+            print(f"differs: {x['label']}: exit {x['rc']} -> {y['rc']}, "
+                  f"stdout {'same' if x['out'] == y['out'] else 'changed'}, "
+                  f"stderr {'same' if x['err'] == y['err'] else 'changed'}")
+    tracebacks = [(tree, c) for tree, run in zip(("parent", "change"), runs)
+                  for c in run if c["traceback"]]
+    for tree, c in tracebacks:
+        print(f"traceback ({tree}) in {c['label']}:\n{c['traceback']}")
+    print(f"calls: {len(b)}  differences: {diffs}  tracebacks: {len(tracebacks)}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

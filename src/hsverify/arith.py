@@ -65,8 +65,10 @@ from .expr import (
     fresh_logical,
     free_logicals,
     num,
+    rewrite,
     simplify,
     subst_logical,
+    subterms,
 )
 from .store import BOOL, Coord, Dataspace, REAL, Var
 
@@ -632,50 +634,17 @@ def _skolemize(hyps: list, used: set) -> list:
     return out
 
 
-def _find_ite(e: Expr):
-    """Leftmost innermost-enough Ite condition suitable for a case split."""
-    if isinstance(e, Ite):
-        inner = _find_ite(e.cond)
-        return inner if inner is not None else e.cond
-    for k in ex.children(e):
-        got = _find_ite(k)
-        if got is not None:
-            return got
-    return None
-
-
-def _subst_bool(e: Expr, target: Expr, value: bool) -> Expr:
-    if e == target:
-        return BoolLit(value)
-    kids = ex.children(e)
-    if not kids:
-        return e
-    return ex.rebuild(e, tuple(_subst_bool(k, target, value) for k in kids))
+def _replace_expr(e: Expr, target: Expr, repl: Expr) -> Expr:
+    return rewrite(e, lambda t: repl if t == target else None)
 
 
 def _set_ite_cond(e: Expr, cond: Expr, value: bool) -> Expr:
     """Resolve every Ite whose condition is syntactically `cond`."""
-    if isinstance(e, Ite) and e.cond == cond:
-        return _set_ite_cond(e.then if value else e.other, cond, value)
-    kids = ex.children(e)
-    if not kids:
-        return e
-    return ex.rebuild(e, tuple(_set_ite_cond(k, cond, value) for k in kids))
-
-
-def _replace_expr(e: Expr, target: Expr, repl: Expr) -> Expr:
-    if e == target:
-        return repl
-    kids = ex.children(e)
-    if not kids:
-        return e
-    return ex.rebuild(e, tuple(_replace_expr(k, target, repl) for k in kids))
-
-
-def _contains(e: Expr, target: Expr) -> bool:
-    if e == target:
-        return True
-    return any(_contains(k, target) for k in ex.children(e))
+    def fn(t):
+        if isinstance(t, Ite) and t.cond == cond:
+            return rewrite(t.then if value else t.other, fn)
+        return None
+    return rewrite(e, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -1188,12 +1157,10 @@ class _Prover:
                                        concl, depth + 1))
 
         # conditional elimination
-        cond = _find_ite(concl)
-        if cond is None:
-            for h in flat:
-                cond = _find_ite(h)
-                if cond is not None:
-                    break
+        # the leftmost Ite whose condition holds no Ite
+        cond = next((t.cond for h in [concl] + flat for t in subterms(h)
+                     if isinstance(t, Ite)
+                     and not any(isinstance(u, Ite) for u in subterms(t.cond))), None)
         if cond is not None:
             self._rule("ite-split")
             t_hyps = [_set_ite_cond(h, cond, True) for h in flat]
@@ -1251,11 +1218,12 @@ class _Prover:
         new_flat, new_concl = flat, concl
         changed = False
         for target, val in facts.items():
-            nf = [_subst_bool(h, target, val) if h is not target
+            lit = BoolLit(val)
+            nf = [_replace_expr(h, target, lit) if h is not target
                   and not (isinstance(h, Not) and h.arg is target)
                   and not (isinstance(h, Eq) and h.left is target) else h
                   for h in new_flat]
-            nc = _subst_bool(new_concl, target, val)
+            nc = _replace_expr(new_concl, target, lit)
             if nf != new_flat or nc != new_concl:
                 changed = True
                 new_flat, new_concl = nf, nc
@@ -1280,7 +1248,8 @@ class _Prover:
                     out = And(out, c)
                 return negate(out) if isinstance(atom, Neq) else out
             # scalar comparison over vector subterms: expose the coordinates
-            if isinstance(atom, (Eq, Neq, Le, Lt)) and _has_vec_ops(atom):
+            if isinstance(atom, (Eq, Neq, Le, Lt)) and any(
+                    isinstance(t, (Inner, Norm, VecLit, ScalarMul)) for t in subterms(atom)):
                 try:
                     l = poly_to_expr(reduce_trig(poly_of(atom.left, self.env)))
                     r = poly_to_expr(reduce_trig(poly_of(atom.right, self.env)))
@@ -1349,7 +1318,7 @@ class _Prover:
             for lhs, rhs in ((h.left, h.right), (h.right, h.left)):
                 if isinstance(lhs, (LogicalVar,)) or \
                         (isinstance(lhs, VarRead) and isinstance(lhs.lens, (Var, Coord))):
-                    if _contains(rhs, lhs):
+                    if lhs in subterms(rhs):
                         continue
                     rest = flat[:i] + flat[i + 1:]
                     new = [simplify(_replace_expr(g, lhs, rhs)) for g in rest]
@@ -1370,7 +1339,7 @@ class _Prover:
                 if not rem.free_of_atom_key(key):
                     continue
                 sol = poly_to_expr(rem.scale(Fraction(-1) / p.terms[m]))
-                if _contains(sol, at):
+                if at in subterms(sol):
                     continue
                 rest = flat[:i] + flat[i + 1:]
                 new = [simplify(_replace_expr(g, at, sol)) for g in rest]
@@ -1418,7 +1387,7 @@ class _Prover:
     def _witness(self, flat: list, concl: Exists, depth: int) -> bool:
         v, body = concl.var, concl.body
         cands = [ZERO, ONE, num(-1), num(Fraction(1, 2)), num(Fraction(-1, 2))]
-        for atom in _eq_atoms(body):
+        for atom in (t for t in subterms(body) if isinstance(t, Eq)):
             try:
                 p = self._poly(Sub(atom.left, atom.right))
             except Unpolyable:
@@ -1607,22 +1576,21 @@ class _Prover:
         return False
 
 
-def _bound_terms(body: Expr, v: str) -> list:
-    out = []
+_ORDERS = (Le, Lt, Ge, Gt)
 
-    def walk(e):
-        if isinstance(e, (Le, Lt, Ge, Gt)):
+
+def _bound_terms(body: Expr, v: str) -> list:
+    """Terms t with v <= t, v < t, t <= v or t < v, and free of v, in the
+    comparisons of body that sit inside no other comparison."""
+    out = []
+    for e in subterms(body, stop=_ORDERS):
+        if isinstance(e, _ORDERS):
             e = norm_rel(e)
             for side, other in ((e.left, e.right), (e.right, e.left)):
                 if isinstance(side, LogicalVar) and side.name == v \
                         and v not in free_logicals(other):
                     if other not in out:
                         out.append(other)
-            return
-        for k in ex.children(e):
-            walk(k)
-
-    walk(body)
     return out
 
 
@@ -1636,23 +1604,8 @@ def _upper_bounds(flat: list, v: str) -> list:
     return out
 
 
-def _eq_atoms(e: Expr) -> list:
-    out = []
-
-    def walk(q):
-        if isinstance(q, Eq):
-            out.append(q)
-        for k in ex.children(q):
-            walk(k)
-
-    walk(e)
-    return out
-
-
 def _has_div(e: Expr) -> bool:
-    if isinstance(e, Div):
-        return True
-    return any(_has_div(k) for k in ex.children(e))
+    return any(isinstance(t, Div) for t in subterms(e))
 
 
 def _ratfunc(e: Expr, env: PolyEnv):
@@ -1722,6 +1675,8 @@ _GRID = 9
 
 def _binder_range(body: Expr, v: str, s, env, box: Box):
     lo, hi = box.for_name(v)
+    # decide which side a bound sits on from the comparison shapes
+    atoms = [a for a in map(norm_rel, subterms(body)) if isinstance(a, (Le, Lt))]
     for t in _bound_terms(body, v):
         try:
             val = eval_expr(t, s, env)
@@ -1729,11 +1684,7 @@ def _binder_range(body: Expr, v: str, s, env, box: Box):
             continue
         if not isinstance(val, (Fraction, int)):
             continue
-        # decide which side the bound sits on from the comparison shape
-        for atom in _comparisons(body):
-            atom = norm_rel(atom)
-            if not isinstance(atom, (Le, Lt)):
-                continue
+        for atom in atoms:
             if isinstance(atom.left, LogicalVar) and atom.left.name == v \
                     and atom.right == t:
                 hi = min(hi, Fraction(val))
@@ -1741,19 +1692,6 @@ def _binder_range(body: Expr, v: str, s, env, box: Box):
                     and atom.left == t:
                 lo = max(lo, Fraction(val))
     return lo, hi
-
-
-def _comparisons(e: Expr) -> list:
-    out = []
-
-    def walk(q):
-        if isinstance(q, (Le, Lt, Ge, Gt)):
-            out.append(q)
-        for k in ex.children(q):
-            walk(k)
-
-    walk(e)
-    return out
 
 
 def q_eval(e: Expr, s, env: dict, box: Box, tol: float = 1e-9,
@@ -2114,23 +2052,20 @@ class _SmtOut:
 def _smt_prepare(e: Expr, env: PolyEnv) -> Expr:
     """Expand vector structure so only scalar terms remain."""
 
-    def walk(q: Expr) -> Expr:
-        if isinstance(q, (Eq, Neq)) and env.is_vec(q.left):
-            try:
-                ls, rs = vec_polys(q.left, env), vec_polys(q.right, env)
-            except Unpolyable as err:
-                raise UnsupportedConstruct(str(err))
-            comps = [Eq(poly_to_expr(a), poly_to_expr(b)) for a, b in zip(ls, rs)]
-            out = comps[0]
-            for c in comps[1:]:
-                out = And(out, c)
-            return negate(out) if isinstance(q, Neq) else out
-        kids = ex.children(q)
-        if not kids:
-            return q
-        return ex.rebuild(q, tuple(walk(k) for k in kids))
+    def fn(q: Expr) -> Optional[Expr]:
+        if not (isinstance(q, (Eq, Neq)) and env.is_vec(q.left)):
+            return None
+        try:
+            ls, rs = vec_polys(q.left, env), vec_polys(q.right, env)
+        except Unpolyable as err:
+            raise UnsupportedConstruct(str(err))
+        comps = [Eq(poly_to_expr(a), poly_to_expr(b)) for a, b in zip(ls, rs)]
+        out = comps[0]
+        for c in comps[1:]:
+            out = And(out, c)
+        return negate(out) if isinstance(q, Neq) else out
 
-    return poly_normalize(walk(e), env.dataspace, env.logical_kinds)
+    return poly_normalize(rewrite(e, fn), env.dataspace, env.logical_kinds)
 
 
 def emit_smtlib(formula: Expr, ctx: ArithCtx, name: str = "vc") -> str:
@@ -2142,7 +2077,7 @@ def emit_smtlib(formula: Expr, ctx: ArithCtx, name: str = "vc") -> str:
     neg = out.term(Not(body))
     assume_terms = [out.term(a) for a in assumes]
 
-    has_q = bool(_has_quantifier(body)) or any(_has_quantifier(a) for a in assumes)
+    has_q = any(isinstance(t, (Forall, Exists)) for a in [body] + assumes for t in subterms(a))
     has_fun = bool(out.funs)
     if has_fun:
         logic = "UFNRA" if has_q else "QF_UFNRA"
@@ -2178,12 +2113,6 @@ def emit_smtlib(formula: Expr, ctx: ArithCtx, name: str = "vc") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _has_quantifier(e: Expr) -> bool:
-    if isinstance(e, (Forall, Exists)):
-        return True
-    return any(_has_quantifier(k) for k in ex.children(e))
-
-
 # NOTE on Coord translation: _smt_prepare rewrites whole-vector reads into
 # coordinates, and the term printer maps Coord(v, i) to v#i, so vector state
 # reaches the solver as plain reals.
@@ -2197,6 +2126,9 @@ def prove_vc(formula: Expr, ctx: ArithCtx, *, vc_name: str = "vc",
              want_smt: bool = True, falsify_trials: int = 300) -> Verdict:
     """Decide a verification condition under the context's assumptions."""
     full = simplify(formula)
+    if ex.depth(full) > ex.MAX_DEPTH:
+        # the prover's semantic walks (poly_of, ==) recurse once per level
+        return Verdict("unknown", rule="depth", residual=(formula,))
     for a in reversed(ctx.assumptions):
         full = Implies(a, full)
     try:
@@ -2226,9 +2158,3 @@ def prove_vc(formula: Expr, ctx: ArithCtx, *, vc_name: str = "vc",
             smt = None
     return Verdict("unknown", rule="residual",
                    residual=tuple(sq.formula() for sq in residual), smt=smt)
-
-
-def _has_vec_ops(e: Expr) -> bool:
-    if isinstance(e, (Inner, Norm, VecLit, ScalarMul)):
-        return True
-    return any(_has_vec_ops(k) for k in ex.children(e))

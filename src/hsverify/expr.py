@@ -625,6 +625,15 @@ def children(e: Expr) -> tuple:
     raise UnsupportedConstruct(f"unknown node {e!r}")
 
 
+# How many levels an expression tree may have, in a parsed model and in a
+# condition the prover takes on.  A left-associated chain such as
+# x + x + ... + x is one level per operator, and kind checking, evaluation,
+# polynomial normalization and dataclass == recurse over it, up to two
+# interpreter frames per level.  This keeps them inside the interpreter's
+# limit; every shipped model stays under 10 levels.
+MAX_DEPTH = 256
+
+
 def depth(e: Expr) -> int:
     """The number of levels in e's tree, counted from an explicit stack."""
     most = 0
@@ -654,37 +663,65 @@ def rebuild(e: Expr, kids: tuple) -> Expr:
     return type(e)(*kids)
 
 
+def subterms(e: Expr, stop: tuple = ()):
+    """Every sub-term of e, e first, in pre-order, left to right, from an
+    explicit stack.  The walk does not go below a node of a type in stop."""
+    stack = [e]
+    while stack:
+        t = stack.pop()
+        yield t
+        if not isinstance(t, stop):
+            stack += children(t)[::-1]
+
+
+def rewrite(e: Expr, fn: Callable) -> Expr:
+    """e with each outermost sub-term t for which fn(t) is not None replaced
+    by fn(t), found top-down from an explicit stack.  A node is rebuilt only
+    when one of its children changed; otherwise it is returned as it is, so
+    caches on untouched sub-trees (compile_expr, simplify) survive."""
+    done = []  # the results of finished sub-terms, left to right
+    stack = [(e, None)]
+    while stack:
+        t, kids = stack.pop()
+        if kids is None:
+            new = fn(t)
+            if new is not None:
+                done.append(new)
+                continue
+            kids = children(t)
+            if not kids:
+                done.append(t)
+                continue
+            stack.append((t, kids))
+            stack += [(k, None) for k in kids[::-1]]
+            continue
+        new = tuple(done[-len(kids):])
+        del done[-len(kids):]
+        same = all(a is b for a, b in zip(new, kids))
+        done.append(t if same else rebuild(t, new))
+    return done[0]
+
+
 def free_lenses(e: Expr) -> tuple:
     """Primitive lenses read anywhere in e, in first-occurrence order."""
-    out = []
-
-    def walk(e):
-        if isinstance(e, VarRead):
-            if e.lens not in out:
-                out.append(e.lens)
-            return
-        for k in children(e):
-            walk(k)
-
-    walk(e)
-    return tuple(out)
+    return tuple(dict.fromkeys(t.lens for t in subterms(e) if isinstance(t, VarRead)))
 
 
 def free_logicals(e: Expr) -> set:
-    out = set()
-
-    def walk(e, bound):
-        if isinstance(e, LogicalVar):
-            if e.name not in bound:
-                out.add(e.name)
-            return
-        if isinstance(e, (Exists, Forall)):
-            walk(e.body, bound | {e.var})
-            return
-        for k in children(e):
-            walk(k, bound)
-
-    walk(e, frozenset())
+    """Logical variables of e not bound by a quantifier around them."""
+    out, bound, stack = set(), [], [e]
+    while stack:
+        t = stack.pop()
+        if t is None:  # the walk leaves the innermost binder's body
+            bound.pop()
+        elif isinstance(t, LogicalVar):
+            if t.name not in bound:
+                out.add(t.name)
+        elif isinstance(t, (Exists, Forall)):
+            bound.append(t.var)
+            stack += (None, t.body)
+        else:
+            stack += children(t)
     return out
 
 
@@ -708,29 +745,26 @@ def unrest(a: Frame, e: Expr) -> bool:
 
 def total(e: Expr) -> bool:
     """No partial operation anywhere in e (safe to duplicate or drop)."""
-    if isinstance(e, (Div, Ln, Sqrt)):
-        return False
-    return all(total(k) for k in children(e))
+    return not any(isinstance(t, (Div, Ln, Sqrt)) for t in subterms(e))
 
 
 def subst_logical(e: Expr, name: str, replacement: Expr) -> Expr:
     """Replace the free logical variable name by replacement."""
     repl_free = free_logicals(replacement)
 
-    def walk(e):
-        if isinstance(e, LogicalVar):
-            return replacement if e.name == name else e
-        if isinstance(e, (Exists, Forall)):
-            if e.var == name:
-                return e
-            if e.var in repl_free:
-                newv = fresh_logical(e.var, repl_free | free_logicals(e.body) | {name})
-                body = subst_logical(e.body, e.var, LogicalVar(newv))
-                return type(e)(newv, walk(body))
-            return type(e)(e.var, walk(e.body))
-        return rebuild(e, tuple(walk(k) for k in children(e)))
+    def fn(t):
+        if isinstance(t, LogicalVar) and t.name == name:
+            return replacement
+        if isinstance(t, (Exists, Forall)):
+            if t.var == name:
+                return t
+            if t.var in repl_free:
+                newv = fresh_logical(t.var, repl_free | free_logicals(t.body) | {name})
+                body = subst_logical(t.body, t.var, LogicalVar(newv))
+                return type(t)(newv, rewrite(body, fn))
+        return None
 
-    return walk(e)
+    return rewrite(e, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -821,17 +855,15 @@ def subst_apply_expr(q: Expr, sigma: Subst) -> Expr:
     for _, e in sigma.entries:
         rhs_free |= free_logicals(e)
 
-    def walk(q):
-        if isinstance(q, VarRead):
-            return sigma.lookup(q.lens)
-        if isinstance(q, (Exists, Forall)):
-            if q.var in rhs_free:
-                newv = fresh_logical(q.var, rhs_free | free_logicals(q.body))
-                return type(q)(newv, walk(subst_logical(q.body, q.var, LogicalVar(newv))))
-            return type(q)(q.var, walk(q.body))
-        return rebuild(q, tuple(walk(k) for k in children(q)))
+    def fn(t):
+        if isinstance(t, VarRead):
+            return sigma.lookup(t.lens)
+        if isinstance(t, (Exists, Forall)) and t.var in rhs_free:
+            newv = fresh_logical(t.var, rhs_free | free_logicals(t.body))
+            return type(t)(newv, rewrite(subst_logical(t.body, t.var, LogicalVar(newv)), fn))
+        return None
 
-    return walk(q)
+    return rewrite(q, fn)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .expr import (
     Add, And, BoolLit, Cos, Div, Eq, Exists, Exp, Expr, FALSE, Forall, Ge,
     Gt, Iff, Implies, Inner, Ite, Le, Ln, LogicalVar, Lt, Mul, Neg, Neq,
     Norm, Not, Or, Pow, RatLit, ScalarMul, Sin, Sqrt, Sub, Subst, TRUE,
-    VarRead, VecLit, depth, kind_of, read,
+    VarRead, VecLit, MAX_DEPTH, depth, kind_of, read,
 )
 from .program import (
     Abort, Assign, Choice, Evol, HybridProgram, If, Loop, NONNEG, ODE, Seq,
@@ -196,13 +196,6 @@ _TOP_KEYWORDS = ("dataspace", "program", "flow", "goal")
 # of expression nesting costs the recursive reader about a dozen stack
 # frames, so this keeps deep input well inside the interpreter's limit.
 MAX_NESTING = 64
-
-# How many levels an expression tree may have.  A left-associated chain
-# such as x + x + ... + x is one level per operator, and kind checking,
-# simplification, substitution and evaluation recurse over it, up to two
-# interpreter frames per level.  This keeps them inside the interpreter's
-# limit; every shipped model stays under 10 levels.
-MAX_DEPTH = 256
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ from typing import Optional
 from .store import Coord, Dataspace, Frame, Var
 from .expr import (
     Expr, RatLit, VarRead, LogicalVar, Add, Mul, Neg, Sub, Eq, Le, Lt, Ge, Gt,
-    And, Not, Implies, Iff, Exists, Ite, VecLit,
-    TRUE, ZERO, num, read, conj, conjuncts, children, rebuild,
-    free_logicals, fresh_logical, subst_logical, subst_apply_expr,
+    And, Not, Implies, Iff, Exists, Forall, Ite, VecLit,
+    TRUE, ZERO, num, read, conj, conjuncts, rewrite, subterms,
+    fresh_logical, subst_logical, subst_apply_expr,
     unrest, eval_expr, simplify, Subst,
 )
 from .deriv import DerivCtx, NotDifferentiable, lie_deriv, deriv_in_var
@@ -274,26 +274,6 @@ def d_discrete_atoms(ode: ODE, pre: Expr) -> list:
 # Differential ghosts
 
 
-def _all_logicals(e: Expr) -> set:
-    names = set(free_logicals(e))
-    stack = [e]
-    while stack:
-        cur = stack.pop()
-        if hasattr(cur, "var"):
-            names.add(cur.var)
-        stack.extend(children(cur))
-    return names
-
-
-def _swap_ghost(e: Expr, name: str, rep: Expr) -> Expr:
-    if isinstance(e, VarRead) and isinstance(e.lens, Var) and e.lens.name == name:
-        return rep
-    kids = children(e)
-    if not kids:
-        return e
-    return rebuild(e, tuple(_swap_ghost(k, name, rep) for k in kids))
-
-
 def d_ghost(ode: ODE, target: Expr, ghost: str, k: Expr, ghost_inv: Expr,
             ctx: ArithCtx) -> ProofResult:
     """Differential ghost: adjoin a fresh variable y with y' = k*y, prove
@@ -320,8 +300,12 @@ def d_ghost(ode: ODE, target: Expr, ghost: str, k: Expr, ghost_inv: Expr,
     ext = replace(ode, frame=ode.frame.union(yf),
                   rhs=Subst(ode.rhs.entries + ((y, Mul(k, read(ghost))),),
                             ode.rhs.dataspace))
-    v = fresh_logical("v", _all_logicals(target) | _all_logicals(ghost_inv))
-    equiv = Iff(target, Exists(v, _swap_ghost(ghost_inv, ghost, LogicalVar(v))))
+    # every logical name in either formula, bound or free
+    v = fresh_logical("v", {t.name if isinstance(t, LogicalVar) else t.var
+                            for e in (target, ghost_inv) for t in subterms(e)
+                            if isinstance(t, (LogicalVar, Exists, Forall))})
+    gy, gv = read(ghost), LogicalVar(v)
+    equiv = Iff(target, Exists(v, rewrite(ghost_inv, lambda t: gv if t == gy else None)))
     ev = check_vc(VC("ghost-equiv", equiv, origin="dG"), ctx)
     ind = d_induct(ext, ghost_inv, ctx)
     return settle("dG", (ev,), (ind,),

@@ -1,5 +1,5 @@
 """Seeded random generators shared by the unit and acceptance suites, and
-the reference expression evaluator and simplifier."""
+the reference expression evaluator, simplifier and traversals."""
 
 import math
 import random
@@ -455,6 +455,24 @@ def reference_simplify(e: Expr) -> Expr:
         return e
 
     return go(e)
+
+
+def reference_subterms(e: Expr, stop: tuple = ()) -> list:
+    """expr.subterms by plain recursion: e, then each child's sub-terms."""
+    out = [e]
+    if not isinstance(e, stop):
+        for k in children(e):
+            out += reference_subterms(k, stop)
+    return out
+
+
+def reference_rewrite(e: Expr, fn) -> Expr:
+    """expr.rewrite by plain recursion, rebuilding every node above a leaf."""
+    new = fn(e)
+    if new is not None:
+        return new
+    kids = children(e)
+    return rebuild(e, tuple(reference_rewrite(k, fn) for k in kids)) if kids else e
 
 
 _LEAVES = (ex.RatLit, ex.BoolLit, ex.VarRead, ex.LogicalVar)

@@ -9,6 +9,7 @@ from hsverify.arith import (
     ArithCtx,
     Box,
     Verdict,
+    _bound_terms,
     emit_smtlib,
     expr_key,
     falsify,
@@ -319,6 +320,17 @@ def test_unknown_carries_smt():
     assert "(set-logic" in out.smt and "(check-sat)" in out.smt
 
 
+def test_condition_deeper_than_the_parser_bound_is_unknown():
+    # 300 alternating terms stay a 300-level chain under simplify
+    chain = x
+    for i in range(299):
+        chain = Add(chain, y if i % 2 == 0 else x)
+    f = Ge(chain, ZERO)
+    out = prove_vc(f, ctx_for(simple_ds()))
+    assert (out.status, out.rule, out.smt) == ("unknown", "depth", None)
+    assert len(out.residual) == 1 and out.residual[0] is f
+
+
 def test_quantified_falsification_instantiates():
     ds = simple_ds()
     f = Forall("t", Implies(And(Le(ZERO, LogicalVar("t")),
@@ -327,6 +339,15 @@ def test_quantified_falsification_instantiates():
     out = prove_vc(f, ctx_for(ds))
     assert out.status == "invalid"
     assert "t" in out.witness["env"]
+
+
+def test_bound_terms_skip_comparisons_inside_a_comparison():
+    # v < x sits in the if operand of the outer v <= ...: it bounds nothing
+    v = LogicalVar("v")
+    nested = Le(v, Ite(Lt(v, x), y, ONE))
+    assert _bound_terms(nested, "v") == []
+    assert _bound_terms(And(nested, Ge(v, z)), "v") == [z]
+    assert _bound_terms(And(Lt(v, x), Ge(v, z)), "v") == [x, z]
 
 
 # -- the three-valued evaluator ----------------------------------------------

@@ -305,6 +305,21 @@ def test_deep_expression_is_an_error_not_a_traceback(capsys, tmp_path):
     assert out == ""
 
 
+def test_deep_wp_condition_is_unknown_not_a_traceback(capsys, tmp_path):
+    # each assignment is 150 levels deep, inside the parser's bound, but the
+    # second substitutes the first into every x: the simplified condition
+    # is a chain 22,502 levels deep
+    s = " + ".join(["x"] * 150)
+    p = tmp_path / "deep_wp.hsv"
+    p.write_text("dataspace d {\n  variables x : real;\n}\n\n"
+                 f"program p = x := {s} ; x := {s}\n\n"
+                 "goal g : { x >= 0 } p { x >= 0 } by wp\n")
+    for flags, exit_code in (((), 0), (("--strict",), 3)):
+        code, out, err = run(capsys, "verify", p, *flags)
+        assert (code, out) == (exit_code, "goal g: unknown (wp)\n")
+        assert "Traceback" not in err
+
+
 def test_runtime_needs_only_the_standard_library():
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     probe = ("import sys, hsverify.cli\n"

@@ -43,9 +43,12 @@ from hsverify.expr import (
     kind_of,
     num,
     read,
+    rewrite,
     simplify,
     subst_apply_expr,
     subst_logical,
+    subterms,
+    total,
     unrest,
 )
 from hsverify.store import (
@@ -59,7 +62,9 @@ from helpers import (
     rand_subst,
     rand_total_expr,
     reference_eval,
+    reference_rewrite,
     reference_simplify,
+    reference_subterms,
     small_dataspace,
 )
 
@@ -380,6 +385,65 @@ def test_deep_chain_simplifies_without_deep_recursion(cls, last):
         assert terms[-1] == num(1) and terms[:3] == [read("a"), read("a"), read("b")]
     else:
         assert terms[0] == num(2) and terms[1:4] == [read("a"), read("a"), read("b")]
+
+
+def _check_identity(e, out, target):
+    """Each sub-tree of e that holds no copy of target comes back as the
+    identical object."""
+    if target not in reference_subterms(e):
+        assert out is e
+    elif e != target:
+        for k, new in zip(ex.children(e), ex.children(out)):
+            _check_identity(k, new, target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_subterms_and_rewrite_match_reference_walkers(seed):
+    rng = random.Random(seed)
+    ds = small_dataspace()
+    e = rand_any_expr(rng, ds, 4) if seed % 2 else rand_total_expr(rng, ds, 4)
+    ref = reference_subterms(e)
+    got = list(subterms(e))
+    assert len(got) == len(ref) and all(a is b for a, b in zip(got, ref))
+    stop = ex.COMPARISONS
+    got = list(subterms(e, stop))
+    assert [id(t) for t in got] == [id(t) for t in reference_subterms(e, stop)]
+
+    target, repl = rng.choice(ref), rand_any_expr(rng, ds, 2)
+
+    def fn(t):
+        return repl if t == target else None
+    out, want = rewrite(e, fn), reference_rewrite(e, fn)
+    assert out == want and repr(out) == repr(want)
+    _check_identity(e, out, target)
+    assert rewrite(e, lambda t: None) is e
+
+
+def test_free_logicals_bind_only_inside_the_quantifier():
+    p, q = LogicalVar("p"), LogicalVar("q")
+    assert free_logicals(And(p, Forall("p", Le(p, q)))) == {"p", "q"}
+    assert free_logicals(And(Exists("q", Forall("p", Le(p, q))), q)) == {"q"}
+
+
+def test_deep_chain_walks_without_deep_recursion():
+    # a left-associated chain 5,000 levels deep; == and repr would recurse,
+    # so the results are checked through the iterative walks themselves
+    e = read("a")
+    for i in range(4999):
+        e = Add(e, LogicalVar("p") if i % 2 else read("b"))
+    assert ex.depth(e) == 5000
+    assert sum(1 for _ in subterms(e)) == 9999
+    assert total(e) and not total(Div(e, num(2)))
+    assert free_lenses(e) == (Var("a"), Var("b"))
+    assert free_logicals(e) == {"p"} and free_logicals(Forall("p", e)) == set()
+    out = rewrite(e, lambda t: read("a") if t == read("b") else None)
+    assert free_lenses(out) == (Var("a"),) and ex.depth(out) == 5000
+    sigma = Subst(((Var("b"), LogicalVar("q")),), small_dataspace())
+    out = subst_apply_expr(e, sigma)
+    assert free_lenses(out) == (Var("a"),) and free_logicals(out) == {"p", "q"}
+    out = subst_logical(out, "q", num(1))
+    assert free_logicals(out) == {"p"} and ex.depth(out) == 5000
 
 
 def test_kind_inference():

@@ -12,12 +12,18 @@ own, which imports hsverify from that tree's src/ and makes these calls:
     perfbench/workloads.py of CHANGE_SRC generates them;
   - the benchmark's known-defect call;
   - ``verify MODEL --json -`` over each models/*.hsv at seeds 0 and 1;
+  - ``vcs MODEL --seed 0`` over each models/*.hsv and each prove-generated
+    model of seed 0, which prints every condition after substitution;
+  - ``verify MODEL --seed 0 --emit-smt DIR`` over each prove-generated model
+    of seed 0, whose stdout digest also covers the sorted names and sha256
+    of the files written to DIR;
   - every script under demos/.
 
 For each call it compares the exit code and the sha256 of stdout and of
 stderr; the tree's own path is replaced by ``<tree>`` first.  It prints the
-call count, the number of differences and every traceback, and exits 1 when
-any call differs.  Only the standard library is used.
+call count, the number of .smt2 files compared, the number of differences
+and every traceback.  It exits 1 when any call differs, or when no .smt2
+file was compared.  Only the standard library is used.
 """
 
 import contextlib
@@ -74,27 +80,47 @@ def worker(tree: str, workloads_py: str, work: str) -> int:
         raise ImportError(f"hsverify came from {cli.__file__}, not {src}")
     W = _load(workloads_py, "same_output_workloads")
 
-    def emit(label, fn):
-        print(json.dumps({"label": label, **_run(fn, tree)}), flush=True)
+    def emit(label, fn, smt=lambda: ()):
+        result = _run(fn, tree)
+        print(json.dumps({"label": label, **result, "smt": len(smt())}), flush=True)
 
     def main_of(argv):
         return lambda: cli.main(list(argv))
 
+    generated = []  # the prove-generated models of seed 0
     for name in W.WORKLOADS:
         for seed in SEEDS:
             where = os.path.join(work, f"{name}-{seed}")
             os.makedirs(where)
             for i, call in enumerate(W.GENERATORS[name](tree, seed, where)):
                 emit(f"{name} seed {seed} #{i} {call.label}", main_of(call.argv))
+                if name == "prove-generated" and seed == 0:
+                    generated.append(call.argv[1])
     defect = list(W.KNOWN_DEFECT_ARGV)
     defect[1] = os.path.join(tree, defect[1])
     emit("known defect", main_of(defect))
     models = os.path.join(tree, "models")
-    for m in sorted(n for n in os.listdir(models) if n.endswith(".hsv")):
+    shipped = [os.path.join(models, m) for m in sorted(os.listdir(models))
+               if m.endswith(".hsv")]
+    for path in shipped:
         for seed in MODEL_SEEDS:
-            emit(f"verify {m} seed {seed}",
-                 main_of(["verify", os.path.join(models, m), "--json", "-",
-                          "--seed", str(seed)]))
+            emit(f"verify {os.path.basename(path)} seed {seed}",
+                 main_of(["verify", path, "--json", "-", "--seed", str(seed)]))
+    for path in shipped + generated:
+        emit(f"vcs {os.path.basename(path)}", main_of(["vcs", path, "--seed", "0"]))
+    for path in generated:
+        where = os.path.join(work, "smt", os.path.basename(path))
+
+        def smt(where=where):
+            return sorted(os.listdir(where)) if os.path.isdir(where) else []
+
+        def verify_smt(path=path, where=where, smt=smt):
+            rc = cli.main(["verify", path, "--seed", "0", "--emit-smt", where])
+            for n in smt():
+                with open(os.path.join(where, n), "rb") as f:
+                    print(n, hashlib.sha256(f.read()).hexdigest())
+            return rc
+        emit(f"verify --emit-smt {os.path.basename(path)}", verify_smt, smt)
     demos = os.path.join(tree, "demos")
     for d in sorted(n for n in os.listdir(demos) if n.endswith(".py")):
         def demo(path=os.path.join(demos, d)):
@@ -142,8 +168,12 @@ def main(argv) -> int:
                   for c in run if c["traceback"]]
     for tree, c in tracebacks:
         print(f"traceback ({tree}) in {c['label']}:\n{c['traceback']}")
-    print(f"calls: {len(b)}  differences: {diffs}  tracebacks: {len(tracebacks)}")
-    return 1 if diffs else 0
+    smt = sum(c["smt"] for c in b)
+    print(f"calls: {len(b)}  smt2 files: {smt}  differences: {diffs}  "
+          f"tracebacks: {len(tracebacks)}")
+    if not smt:
+        print("no .smt2 file was compared")
+    return 1 if diffs or not smt else 0
 
 
 if __name__ == "__main__":

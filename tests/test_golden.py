@@ -36,6 +36,20 @@ VCS = {
     "tank.hsv": "14e458631978639ed0ebeb54a1829cd2e6d48bebddfb645426d8a03781d4743e",
 }
 
+# falsify at seeds 0 and 1: the witnesses the seeded sampler draws
+FALSIFICATIONS = {
+    ("boat.hsv", 0): "8b544d3a45e6850c6aa98da27c0d3e5de886c3eb117eb0b43b302c225e1f1d79",
+    ("boat.hsv", 1): "8b544d3a45e6850c6aa98da27c0d3e5de886c3eb117eb0b43b302c225e1f1d79",
+    ("broken.hsv", 0): "879a852488fe7255d384808380611841ab05df6886e67618f774355ba5ad1366",
+    ("broken.hsv", 1): "879a852488fe7255d384808380611841ab05df6886e67618f774355ba5ad1366",
+    ("decay.hsv", 0): "4fc5812b7f73bba25bdd0300c1633a8f5c377482ee58645d5da01b50de2230f8",
+    ("decay.hsv", 1): "4fc5812b7f73bba25bdd0300c1633a8f5c377482ee58645d5da01b50de2230f8",
+    ("pendulum.hsv", 0): "e4e191cf682f10c2e1cfb6eece6ab69e007314880c6d5118ff2424063e1dee6d",
+    ("pendulum.hsv", 1): "e4e191cf682f10c2e1cfb6eece6ab69e007314880c6d5118ff2424063e1dee6d",
+    ("tank.hsv", 0): "71e135dfd72db0fe0c06b094aac2073eb74915592387bfc7f6432bf28ece0229",
+    ("tank.hsv", 1): "71e135dfd72db0fe0c06b094aac2073eb74915592387bfc7f6432bf28ece0229",
+}
+
 # name -> ((model, program, --init, --step, --horizon), digest); the tank
 # run meets both level bounds, so it crosses guards by bisection
 SIMULATIONS = {
@@ -70,6 +84,12 @@ def test_verify_report_is_pinned(capsys, model, seed):
 def test_vcs_listing_is_pinned(capsys, model):
     got = stdout_digest(capsys, "vcs", MODELS / model, "--seed", 0)
     assert got == VCS[model]
+
+
+@pytest.mark.parametrize("model,seed", sorted(FALSIFICATIONS))
+def test_falsify_output_is_pinned(capsys, model, seed):
+    got = stdout_digest(capsys, "falsify", MODELS / model, "--seed", seed)
+    assert got == FALSIFICATIONS[model, seed]
 
 
 @pytest.mark.parametrize("name", sorted(SIMULATIONS))

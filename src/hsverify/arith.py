@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import expr as ex
 from .deriv import deriv_in_var, NotDifferentiable
@@ -70,7 +70,7 @@ from .expr import (
     subst_logical,
     subterms,
 )
-from .store import BOOL, Coord, Dataspace, REAL, Var
+from .store import BOOL, Coord, Dataspace, Kind, REAL, Var
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +234,6 @@ class PolyEnv:
     """Kind information the polynomial layer needs for vector expansion."""
 
     dataspace: Optional[Dataspace] = None
-    logical_kinds: dict = field(default_factory=dict)
 
     def vec_dim(self, e: Expr) -> Optional[int]:
         if isinstance(e, VecLit):
@@ -242,9 +241,6 @@ class PolyEnv:
         if isinstance(e, VarRead) and isinstance(e.lens, Var) and self.dataspace:
             k = self.dataspace.kind_of(e.lens.name)
             return k.dim if k.base == "vec" else None
-        if isinstance(e, LogicalVar):
-            k = self.logical_kinds.get(e.name)
-            return k.dim if k is not None and k.base == "vec" else None
         if isinstance(e, (Neg,)):
             return self.vec_dim(e.arg)
         if isinstance(e, (Add, Sub)):
@@ -268,8 +264,6 @@ def vec_polys(e: Expr, env: PolyEnv) -> list:
         return [poly_of(i, env) for i in e.items]
     if isinstance(e, VarRead) and isinstance(e.lens, Var):
         return [Poly.atom(VarRead(Coord(e.lens.name, i))) for i in range(1, dim + 1)]
-    if isinstance(e, LogicalVar):
-        return [Poly.atom(LogicalVar(f"{e.name}#{i}")) for i in range(1, dim + 1)]
     if isinstance(e, Neg):
         return [p.neg() for p in vec_polys(e.arg, env)]
     if isinstance(e, Add):
@@ -297,8 +291,6 @@ def poly_of(e: Expr, env: PolyEnv) -> Poly:
             raise Unpolyable(f"vector read {e!r} in scalar position")
         return Poly.atom(e)
     if isinstance(e, LogicalVar):
-        if env.is_vec(e):
-            raise Unpolyable(f"vector logical {e!r} in scalar position")
         return Poly.atom(e)
     if isinstance(e, Neg):
         return poly_of(e.arg, env).neg()
@@ -369,14 +361,13 @@ def poly_to_expr(p: Poly) -> Expr:
     return out
 
 
-def poly_normalize(e: Expr, dataspace: Optional[Dataspace] = None,
-                   logical_kinds: Optional[dict] = None) -> Expr:
+def poly_normalize(e: Expr, dataspace: Optional[Dataspace] = None) -> Expr:
     """Canonical sum-of-monomials form for real-valued (sub)expressions.
 
     Comparisons get both sides normalized; boolean structure is preserved;
     anything outside the polynomial fragment is left as it stands.
     """
-    env = PolyEnv(dataspace, dict(logical_kinds or {}))
+    env = PolyEnv(dataspace)
 
     def norm(e: Expr) -> Expr:
         if isinstance(e, (Eq, Neq, Le, Lt, Ge, Gt)):
@@ -504,7 +495,6 @@ class ArithCtx:
     """Everything the prover needs beyond the formula itself."""
 
     dataspace: Dataspace
-    logical_kinds: dict = field(default_factory=dict)
     assumptions: tuple = ()
     box: Optional[Box] = None
     seed: int = 0
@@ -514,7 +504,7 @@ class ArithCtx:
             self.box = Box.from_assumptions(self.assumptions)
 
     def polyenv(self) -> PolyEnv:
-        return PolyEnv(self.dataspace, dict(self.logical_kinds))
+        return PolyEnv(self.dataspace)
 
 
 @dataclass(frozen=True)
@@ -1541,10 +1531,8 @@ class _Prover:
         for h in flat:
             names |= free_logicals(h)
         for n in sorted(names):
-            kd = self.ctx.logical_kinds.get(n, REAL)
-            if kd == REAL:
-                lo, hi = self.ctx.box.for_name(n)
-                bnds.setdefault(n, (float(lo), float(hi)))
+            lo, hi = self.ctx.box.for_name(n)
+            bnds.setdefault(n, (float(lo), float(hi)))
         # refine with single-atom linear hypotheses
         for h in flat:
             h = norm_rel(h)
@@ -1870,49 +1858,44 @@ def _scaled_sign(p: Poly, q: Poly, strict: bool) -> Optional[str]:
 
 
 def _grid(lo: Fraction, hi: Fraction) -> list:
-    if lo == hi:
-        return [lo]
-    vals = [lo + Fraction(i, _GRID - 1) * (hi - lo) for i in range(_GRID)]
     # keep the endpoints exact, thin duplicates
-    out = []
-    for v in vals:
-        if v not in out:
-            out.append(v)
-    return out
+    return list(dict.fromkeys(lo + Fraction(i, _GRID - 1) * (hi - lo) for i in range(_GRID)))
 
 
 _NICE = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2),
          Fraction(2), Fraction(-2), Fraction(10), Fraction(-10))
 
 
-def _sample_real(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
-    if rng.random() < 0.3:
-        nice = [v for v in _NICE if lo <= v <= hi]
-        if nice:
-            return nice[rng.randrange(len(nice))]
+def _sampler(kind: Kind, lo: Fraction, hi: Fraction) -> Callable[[random.Random], object]:
+    """Draws of one value of kind in [lo, hi].
+
+    A real is one of the in-range _NICE values three times in ten, when there
+    is one, and otherwise a multiple of 1/1024 (the midpoint's, when no such
+    multiple lies in range).  Both are worked out here, once per sampler.
+    """
+    if kind == BOOL:
+        return lambda rng: rng.random() < 0.5
+    nice = [v for v in _NICE if lo <= v <= hi]
     a, b = math.ceil(lo * 1024), math.floor(hi * 1024)
     if a > b:
         a = b = math.floor((lo + hi) / 2 * 1024)
-    return Fraction(rng.randint(a, b), 1024)
+
+    def real(rng: random.Random) -> Fraction:
+        if rng.random() < 0.3 and nice:
+            return nice[rng.randrange(len(nice))]
+        return Fraction(rng.randint(a, b), 1024)
+
+    return real if kind == REAL else lambda rng: tuple(real(rng) for _ in range(kind.dim))
 
 
-def _sample_store(rng: random.Random, ctx: ArithCtx) -> dict:
-    vals = {}
-    for n in ctx.dataspace.names():
-        k = ctx.dataspace.kind_of(n)
-        lo, hi = ctx.box.for_name(n)
-        if k == REAL:
-            vals[n] = _sample_real(rng, lo, hi)
-        elif k == BOOL:
-            vals[n] = rng.random() < 0.5
-        else:
-            vals[n] = tuple(_sample_real(rng, lo, hi) for _ in range(k.dim))
-    return vals
+def _store_samplers(ctx: ArithCtx) -> list:
+    ds = ctx.dataspace
+    return [(n, _sampler(ds.kind_of(n), *ctx.box.for_name(n))) for n in ds.names()]
 
 
 def sample_store(ctx: ArithCtx, rng: random.Random) -> dict:
     """Raw store values drawn inside the ambient box; assumptions unchecked."""
-    return _sample_store(rng, ctx)
+    return {n: draw(rng) for n, draw in _store_samplers(ctx)}
 
 
 def falsify(formula: Expr, ctx: ArithCtx, trials: int = 300,
@@ -1922,24 +1905,18 @@ def falsify(formula: Expr, ctx: ArithCtx, trials: int = 300,
     Returns {"store": {...}, "env": {...}} or None.  Deterministic in
     (formula, ctx, seed); any returned witness re-checks False exactly.
     """
+    if trials < 1:
+        return None
     rng = random.Random(ctx.seed if seed is None else seed)
-    logicals = sorted(free_logicals(formula))
+    stores = _store_samplers(ctx)
+    logicals = [(n, _sampler(REAL, *ctx.box.for_name(n))) for n in sorted(free_logicals(formula))]
     for _ in range(trials):
-        vals = _sample_store(rng, ctx)
+        vals = {n: draw(rng) for n, draw in stores}
         try:
             s = ctx.dataspace.make_store(vals)
         except Exception:
             continue
-        env: dict = {}
-        for n in logicals:
-            k = ctx.logical_kinds.get(n, REAL)
-            lo, hi = ctx.box.for_name(n)
-            if k == BOOL:
-                env[n] = rng.random() < 0.5
-            elif k.base == "vec":
-                env[n] = tuple(_sample_real(rng, lo, hi) for _ in range(k.dim))
-            else:
-                env[n] = _sample_real(rng, lo, hi)
+        env = {n: draw(rng) for n, draw in logicals}
         ok = True
         for a in ctx.assumptions:
             r, _ = q_eval(a, s, env, ctx.box)
@@ -2065,7 +2042,7 @@ def _smt_prepare(e: Expr, env: PolyEnv) -> Expr:
             out = And(out, c)
         return negate(out) if isinstance(q, Neq) else out
 
-    return poly_normalize(rewrite(e, fn), env.dataspace, env.logical_kinds)
+    return poly_normalize(rewrite(e, fn), env.dataspace)
 
 
 def emit_smtlib(formula: Expr, ctx: ArithCtx, name: str = "vc") -> str:
@@ -2096,14 +2073,7 @@ def emit_smtlib(formula: Expr, ctx: ArithCtx, name: str = "vc") -> str:
             for i in range(1, k.dim + 1):
                 lines.append(f"(declare-const {_smt_sym(f'{n}#{i}')} Real)")
     for n in sorted(free_logicals(body) | set().union(*[free_logicals(a) for a in assumes] or [set()])):
-        k = ctx.logical_kinds.get(n, REAL)
-        if k == BOOL:
-            lines.append(f"(declare-const {_smt_sym(n)} Bool)")
-        elif k.base == "vec":
-            for i in range(1, k.dim + 1):
-                lines.append(f"(declare-const {_smt_sym(f'{n}#{i}')} Real)")
-        else:
-            lines.append(f"(declare-const {_smt_sym(n)} Real)")
+        lines.append(f"(declare-const {_smt_sym(n)} Real)")
     for f in out.funs:
         lines.append(f"(declare-fun {f} (Real) Real)")
     for t in assume_terms:

@@ -870,9 +870,8 @@ def subst_apply_expr(q: Expr, sigma: Subst) -> Expr:
 # Kinds
 
 
-def kind_of(e: Expr, dataspace: Dataspace, logical_kinds: Optional[dict] = None) -> Kind:
-    """Infer the kind of e, checking child kinds along the way."""
-    lk = logical_kinds if logical_kinds is not None else {}
+def kind_of(e: Expr, dataspace: Dataspace) -> Kind:
+    """Infer the kind of e, checking child kinds along the way; logicals are real."""
 
     def ko(e) -> Kind:
         if isinstance(e, RatLit):
@@ -892,7 +891,7 @@ def kind_of(e: Expr, dataspace: Dataspace, logical_kinds: Optional[dict] = None)
                 return REAL
             raise KindMismatch(f"cannot kind {l!r}")
         if isinstance(e, LogicalVar):
-            return lk.get(e.name, REAL)
+            return REAL
         if isinstance(e, (Neg, Add, Sub)):
             kids = [ko(k) for k in children(e)]
             k0 = kids[0]
@@ -959,14 +958,7 @@ def kind_of(e: Expr, dataspace: Dataspace, logical_kinds: Optional[dict] = None)
                 raise KindMismatch(f"if-branches disagree: {kt!r} vs {ke!r}")
             return kt
         if isinstance(e, (Exists, Forall)):
-            saved = lk.get(e.var)
-            lk[e.var] = REAL
-            k = ko(e.body)
-            if saved is None:
-                lk.pop(e.var, None)
-            else:
-                lk[e.var] = saved
-            if k != BOOL:
+            if ko(e.body) != BOOL:
                 raise KindMismatch("quantifier body must be bool")
             return BOOL
         raise UnsupportedConstruct(f"cannot kind {e!r}")
@@ -1049,9 +1041,10 @@ def _simplify_node(e: Expr) -> Expr:
     A simplified sum is a left-nested chain of terms that are neither sums
     nor literals, but for one nonzero literal last; a simplified product is
     a chain of factors the same way, with its one literal (never 1) first.
-    A term that is neither joins such a chain in O(1), so a long chain is
-    not flattened and rebuilt at each level; the full rule gives the same
-    tree."""
+    So a sum keeps its left chain, bar the literal, and appends the right
+    operand's terms, in time linear in the right chain only; a term that is
+    not a product joins a product chain in O(1).  Neither chain is flattened
+    and rebuilt at each level; the full rule gives the same tree."""
     if isinstance(e, Neg):
         a = e.arg
         if isinstance(a, RatLit):
@@ -1063,23 +1056,21 @@ def _simplify_node(e: Expr) -> Expr:
         return e
 
     if isinstance(e, Add):
-        a, b = e.left, e.right
-        if not isinstance(b, (Add, RatLit)):
-            if isinstance(a, Add) and isinstance(a.right, RatLit):
-                return Add(Add(a.left, b), a.right)
-            if not isinstance(a, RatLit):
-                return e
-        terms = _flatten(Add, e)
-        c = Fraction(0)
-        rest = []
-        for t in terms:
+        a, b, c = e.left, e.right, Fraction(0)
+        if isinstance(a, Add) and isinstance(a.right, RatLit):
+            a, c = a.left, a.right.value
+        elif isinstance(a, RatLit):
+            a, c = None, a.value
+        if a is e.left and not isinstance(b, (Add, RatLit)):
+            return e
+        for t in _flatten(Add, b):
             if isinstance(t, RatLit):
                 c += t.value
             else:
-                rest.append(t)
-        if c != 0 or not rest:
-            rest = rest + [RatLit(c)] if rest else [RatLit(c)]
-        return _rebalance(Add, rest, ZERO)
+                a = t if a is None else Add(a, t)
+        if c != 0 or a is None:
+            a = RatLit(c) if a is None else Add(a, RatLit(c))
+        return a
 
     if isinstance(e, Sub):
         f = _fold_binop(e, e.left, e.right)

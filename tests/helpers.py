@@ -1,5 +1,6 @@
 """Seeded random generators shared by the unit and acceptance suites, and
-the reference expression evaluator, simplifier and traversals."""
+the reference expression evaluator, simplifier, traversals and falsifier
+samplers."""
 
 import math
 import random
@@ -19,6 +20,7 @@ from hsverify.store import (
     vec,
 )
 from hsverify import expr as ex
+from hsverify.arith import _NICE
 from hsverify.expr import (
     FALSE, ONE, TRUE, ZERO, Add, And, BoolLit, Cos, Div, Eq, Exp, Expr, Ge, Gt, Iff, Implies,
     Inner, Ite, Le, Ln, Lt, Mul, Neg, Neq, Norm, Not, Or, Pow, RatLit, ScalarMul, Sin, Sqrt,
@@ -509,3 +511,41 @@ def rand_any_expr(rng: random.Random, ds: Dataspace, depth: int = 3) -> ex.Expr:
     if pick < 0.97:
         return ex.Ite(kid(), kid(), kid())
     return rng.choice((ex.Exists, ex.Forall))("p", kid())
+
+
+def reference_sample_real(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
+    """The falsifier's draw of one real that the per-name samplers replaced,
+    kept as the reference they are checked against: it works out the
+    in-range nice values and the 1/1024 range again at every draw."""
+    if rng.random() < 0.3:
+        nice = [v for v in _NICE if lo <= v <= hi]
+        if nice:
+            return nice[rng.randrange(len(nice))]
+    a, b = math.ceil(lo * 1024), math.floor(hi * 1024)
+    if a > b:
+        a = b = math.floor((lo + hi) / 2 * 1024)
+    return Fraction(rng.randint(a, b), 1024)
+
+
+def reference_sample_store(rng: random.Random, ctx) -> dict:
+    """One draw of every store name, in the dataspace's order."""
+    vals = {}
+    for n in ctx.dataspace.names():
+        k = ctx.dataspace.kind_of(n)
+        lo, hi = ctx.box.for_name(n)
+        if k == REAL:
+            vals[n] = reference_sample_real(rng, lo, hi)
+        elif k == BOOL:
+            vals[n] = rng.random() < 0.5
+        else:
+            vals[n] = tuple(reference_sample_real(rng, lo, hi) for _ in range(k.dim))
+    return vals
+
+
+def reference_sample_logicals(rng: random.Random, ctx, logicals) -> dict:
+    """One draw of every logical in the sorted list logicals; each is real."""
+    env: dict = {}
+    for n in logicals:
+        lo, hi = ctx.box.for_name(n)
+        env[n] = reference_sample_real(rng, lo, hi)
+    return env

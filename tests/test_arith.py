@@ -4,12 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsverify.arith import (
     ArithCtx,
+    BOX_HI,
+    BOX_LO,
     Box,
     Verdict,
     _bound_terms,
+    _sampler,
     emit_smtlib,
     expr_key,
     falsify,
@@ -18,6 +22,7 @@ from hsverify.arith import (
     prove_vc,
     q_eval,
     recheck,
+    sample_store,
 )
 from hsverify.expr import (
     Add,
@@ -58,7 +63,13 @@ from hsverify.expr import (
 )
 from hsverify.store import BOOL, CONSTANT, Dataspace, REAL, vec
 
-from helpers import rand_store, rand_total_expr, small_dataspace
+from helpers import (
+    rand_store,
+    rand_total_expr,
+    reference_sample_logicals,
+    reference_sample_store,
+    small_dataspace,
+)
 
 
 def ctx_for(ds, **kw):
@@ -308,6 +319,44 @@ def test_falsify_deterministic():
     w1 = falsify(Ge(x, ZERO), c)
     w2 = falsify(Ge(x, ZERO), c)
     assert w1 == w2 and w1 is not None
+
+
+_BOUND = st.fractions(-12, 12, max_denominator=4096)
+# either order, so some are inverted; a range 1/4096 wide often holds no
+# multiple of 1/1024; and the default box
+_RANGE = st.one_of(st.tuples(_BOUND, _BOUND),
+                   _BOUND.map(lambda lo: (lo, lo + Fraction(1, 4096))),
+                   st.just((BOX_LO, BOX_HI)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from([REAL, BOOL, vec(1), vec(2), vec(3)]), max_size=5),
+       logicals=st.integers(0, 3),
+       ranges=st.lists(_RANGE, min_size=8, max_size=8),
+       trials=st.integers(1, 4))
+def test_samplers_draw_as_the_reference(seed, kinds, logicals, ranges, trials):
+    ds = Dataspace()
+    for i, k in enumerate(kinds):
+        ds.declare(f"s{i}", k)
+    names = [f"L{i}" for i in range(logicals)]
+    box = Box(dict(zip([*ds.names(), *names], ranges)))
+    ctx = ArithCtx(ds, box=box)
+    rng, ref = random.Random(seed), random.Random(seed)
+    draws = [(n, _sampler(REAL, *box.for_name(n))) for n in names]
+    for _ in range(trials):
+        assert sample_store(ctx, rng) == reference_sample_store(ref, ctx)
+        assert {n: d(rng) for n, d in draws} == reference_sample_logicals(ref, ctx, names)
+        assert rng.getstate() == ref.getstate()
+    # falsify draws the store, then the logicals in sorted order: a formula
+    # false everywhere is refuted by its first draw
+    total = ZERO
+    for n in names:
+        total = Add(total, LogicalVar(n))
+    w = falsify(Lt(total, total), ctx, trials=trials, seed=seed)
+    ref = random.Random(seed)
+    assert w == {"store": reference_sample_store(ref, ctx),
+                 "env": reference_sample_logicals(ref, ctx, names)}
 
 
 def test_unknown_carries_smt():

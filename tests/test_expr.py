@@ -460,8 +460,10 @@ def test_kind_inference():
         kind_of(Ite(read("a"), num(1), num(2)), ds)
     with pytest.raises(KindMismatch):
         kind_of(read("v", 3), ds)
-    lk = {"F": BOOL}
-    assert kind_of(Eq(read("flag"), LogicalVar("F")), ds, lk) == BOOL
+    # a logical variable is real, so it cannot stand for a bool
+    assert kind_of(LogicalVar("F"), ds) == REAL
+    with pytest.raises(KindMismatch):
+        kind_of(Eq(read("flag"), LogicalVar("F")), ds)
 
 
 def test_pow_exponent_must_be_natural():

@@ -11,7 +11,9 @@ own, which imports hsverify from that tree's src/ and makes these calls:
   - every call of the four perfbench workloads at seeds 0-3, as
     perfbench/workloads.py of CHANGE_SRC generates them;
   - the benchmark's known-defect call;
-  - ``verify MODEL --json -`` over each models/*.hsv at seeds 0 and 1;
+  - ``verify MODEL --json -`` and ``falsify MODEL`` over each models/*.hsv
+    at seeds 0 and 1; the models' store and logical names are real, vector
+    and bool, every kind the falsifier samples;
   - ``vcs MODEL --seed 0`` over each models/*.hsv and each prove-generated
     model of seed 0, which prints every condition after substitution;
   - ``verify MODEL --seed 0 --emit-smt DIR`` over each prove-generated model
@@ -106,6 +108,8 @@ def worker(tree: str, workloads_py: str, work: str) -> int:
         for seed in MODEL_SEEDS:
             emit(f"verify {os.path.basename(path)} seed {seed}",
                  main_of(["verify", path, "--json", "-", "--seed", str(seed)]))
+            emit(f"falsify {os.path.basename(path)} seed {seed}",
+                 main_of(["falsify", path, "--seed", str(seed)]))
     for path in shipped + generated:
         emit(f"vcs {os.path.basename(path)}", main_of(["vcs", path, "--seed", "0"]))
     for path in generated:

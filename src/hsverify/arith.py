@@ -61,7 +61,7 @@ from .expr import (
     VarRead,
     VecLit,
     ZERO,
-    eval_expr,
+    compile_expr,
     fresh_logical,
     free_logicals,
     num,
@@ -1659,27 +1659,190 @@ def _sign_add(a: Optional[str], b: str) -> Optional[str]:
 
 
 _GRID = 9
+# The grid's steps, as fractions of the binder's range.
+_STEPS = tuple(Fraction(i, _GRID - 1) for i in range(_GRID))
 
 
-def _binder_range(body: Expr, v: str, s, env, box: Box):
-    lo, hi = box.for_name(v)
-    # decide which side a bound sits on from the comparison shapes
+def _binder_bounds(body: Expr, v: str) -> list:
+    """(closure, upper, lower) for each _bound_terms term t of body: upper
+    when some v <= t or v < t sits in body, lower when some t <= v or t < v;
+    the comparison shapes decide which side a bound sits on."""
     atoms = [a for a in map(norm_rel, subterms(body)) if isinstance(a, (Le, Lt))]
-    for t in _bound_terms(body, v):
+    return [(compile_expr(t),
+             any(isinstance(a.left, LogicalVar) and a.left.name == v and a.right == t
+                 for a in atoms),
+             any(isinstance(a.right, LogicalVar) and a.right.name == v and a.left == t
+                 for a in atoms))
+            for t in _bound_terms(body, v)]
+
+
+def _binder_range(bounds: list, v: str, s, env, box: Box):
+    lo, hi = box.for_name(v)
+    for f, upper, lower in bounds:
         try:
-            val = eval_expr(t, s, env)
+            val = f(s, env)
         except ex.EvalError:
             continue
         if not isinstance(val, (Fraction, int)):
             continue
-        for atom in atoms:
-            if isinstance(atom.left, LogicalVar) and atom.left.name == v \
-                    and atom.right == t:
-                hi = min(hi, Fraction(val))
-            if isinstance(atom.right, LogicalVar) and atom.right.name == v \
-                    and atom.left == t:
-                lo = max(lo, Fraction(val))
+        if upper:
+            hi = min(hi, Fraction(val))
+        if lower:
+            lo = max(lo, Fraction(val))
     return lo, hi
+
+
+def _truth_kids(e: Expr) -> tuple:
+    """The formulas whose truth e's truth is built from."""
+    if isinstance(e, (And, Or, Iff)):
+        return (e.left, e.right)
+    if isinstance(e, Not):
+        return (e.arg,)
+    if isinstance(e, Implies):
+        # negate, not Not: the negation of a Forall is an Exists, which
+        # finds its witness on the grid
+        negated = e.__dict__.get("_negated")
+        if negated is None:
+            negated = e.__dict__["_negated"] = negate(e.left)
+        return (negated, e.right)
+    if isinstance(e, Ite):
+        return (e.cond, e.then, e.other)
+    if isinstance(e, (Forall, Exists)):
+        return (e.body,)
+    return ()
+
+
+def _truth_node(e: Expr) -> Callable:
+    """The truth closure of one node; its formulas' closures are cached."""
+    kids = [_truth(k) for k in _truth_kids(e)]
+    if isinstance(e, BoolLit):
+        value = e.value
+        return lambda s, env, q: (value, {})
+    if isinstance(e, _COMPARISONS):
+        fa, fb, op = compile_expr(e.left), compile_expr(e.right), type(e)
+
+        def compare(s, env, q):
+            try:
+                a = fa(s, env)
+                b = fb(s, env)
+            except q[2]:
+                return None, {}
+            return _cmp_vals(op, a, b, q[1]), {}
+        return compare
+    if isinstance(e, And):
+        fa, fb = kids
+
+        def both(s, env, q):
+            a, ia = fa(s, env, q)
+            if a is False:
+                return False, ia
+            b, ib = fb(s, env, q)
+            if b is False:
+                return False, ib
+            if a is True and b is True:
+                return True, {**ia, **ib}
+            return None, {}
+        return both
+    if isinstance(e, (Or, Implies)):
+        fa, fb = kids
+
+        def either(s, env, q):
+            a, ia = fa(s, env, q)
+            if a is True:
+                return True, ia
+            b, ib = fb(s, env, q)
+            if b is True:
+                return True, ib
+            if a is False and b is False:
+                return False, {**ia, **ib}
+            return None, {}
+        return either
+    if isinstance(e, Not):
+        f, = kids
+
+        def flip(s, env, q):
+            r, inst = f(s, env, q)
+            return (None if r is None else not r), inst
+        return flip
+    if isinstance(e, Iff):
+        fa, fb = kids
+
+        def same(s, env, q):
+            a, ia = fa(s, env, q)
+            b, ib = fb(s, env, q)
+            if a is None or b is None:
+                return None, {}
+            return a == b, {**ia, **ib}
+        return same
+    if isinstance(e, Ite):
+        fc, ft, fo = kids
+
+        def branch(s, env, q):
+            c, ic = fc(s, env, q)
+            if c is not None:
+                r, ir = (ft if c else fo)(s, env, q)
+                return r, {**ic, **ir}
+            a, ia = ft(s, env, q)
+            b, ib = fo(s, env, q)
+            return (a, {**ia, **ib}) if a == b else (None, {})
+        return branch
+    if isinstance(e, (Forall, Exists)):
+        return _quantifier(e, kids[0])
+    f = compile_expr(e)
+
+    def value(s, env, q):
+        try:
+            v = f(s, env)
+        except q[2]:
+            return None, {}
+        return (v, {}) if isinstance(v, bool) else (None, {})
+    return value
+
+
+def _quantifier(e: Expr, body: Callable) -> Callable:
+    """Forall or Exists sampled on the grid over the binder's range; the
+    range's bound terms are found once, and evaluated at each store."""
+    var, bounds = e.var, _binder_bounds(e.body, e.var)
+    seek = isinstance(e, Exists)  # the body's value that ends the search
+
+    def sample(s, env, q):
+        if not q[2]:
+            raise UnsupportedConstruct("quantified guards have no evaluation")
+        if var in env:
+            return body(s, env, q)
+        lo, hi = _binder_range(bounds, var, s, env, q[0])
+        if lo > hi:
+            return not seek, {}
+        indef = False
+        for val in _grid(lo, hi):
+            r, inst = body(s, {**env, var: val}, q)
+            if r is seek:
+                return seek, {var: val, **inst}
+            if r is None:
+                indef = True
+        return (None, {}) if seek or indef else (True, {})
+    return sample
+
+
+def _truth(e: Expr) -> Callable:
+    """e as a closure (store, env, q) -> (truth, instantiations) for q_eval,
+    with q = (box, tol, soft exceptions).  Built once per node, children
+    first from an explicit stack, and cached in the frozen node's __dict__
+    like compile_expr's closure, so ==, hash and repr do not see it."""
+    fn = e.__dict__.get("_truth")
+    if fn is None:
+        stack = [(e, False)]
+        while stack:
+            node, kids_done = stack.pop()
+            if "_truth" in node.__dict__:
+                continue
+            if kids_done:
+                node.__dict__["_truth"] = _truth_node(node)
+                continue
+            stack.append((node, True))
+            stack.extend((k, False) for k in _truth_kids(node))
+        fn = e.__dict__["_truth"]
+    return fn
 
 
 def q_eval(e: Expr, s, env: dict, box: Box, tol: float = 1e-9,
@@ -1696,90 +1859,7 @@ def q_eval(e: Expr, s, env: dict, box: Box, tol: float = 1e-9,
     values along any definite-False path.
     """
     soft = () if strict else (ex.EvalError, UnsupportedConstruct)
-
-    def walk(e: Expr, env: dict):
-        if isinstance(e, BoolLit):
-            return e.value, {}
-        if isinstance(e, _COMPARISONS):
-            try:
-                a = eval_expr(e.left, s, env)
-                b = eval_expr(e.right, s, env)
-            except soft:
-                return None, {}
-            return _cmp_vals(type(e), a, b, tol), {}
-        if isinstance(e, And):
-            a, ia = walk(e.left, env)
-            if a is False:
-                return False, ia
-            b, ib = walk(e.right, env)
-            if b is False:
-                return False, ib
-            if a is True and b is True:
-                return True, {**ia, **ib}
-            return None, {}
-        if isinstance(e, Or):
-            a, ia = walk(e.left, env)
-            if a is True:
-                return True, ia
-            b, ib = walk(e.right, env)
-            if b is True:
-                return True, ib
-            if a is False and b is False:
-                return False, {**ia, **ib}
-            return None, {}
-        if isinstance(e, Not):
-            r, inst = walk(e.arg, env)
-            return (None if r is None else not r), inst
-        if isinstance(e, Implies):
-            return walk(Or(negate(e.left), e.right), env)
-        if isinstance(e, Iff):
-            a, ia = walk(e.left, env)
-            b, ib = walk(e.right, env)
-            if a is None or b is None:
-                return None, {}
-            return a == b, {**ia, **ib}
-        if isinstance(e, Ite):
-            c, ic = walk(e.cond, env)
-            if c is not None:
-                r, ir = walk(e.then if c else e.other, env)
-                return r, {**ic, **ir}
-            a, ia = walk(e.then, env)
-            b, ib = walk(e.other, env)
-            return (a, {**ia, **ib}) if a == b else (None, {})
-        if strict and isinstance(e, (Forall, Exists)):
-            raise UnsupportedConstruct("quantified guards have no evaluation")
-        if isinstance(e, Forall):
-            if e.var in env:
-                return walk(e.body, env)
-            lo, hi = _binder_range(e.body, e.var, s, env, box)
-            if lo > hi:
-                return True, {}
-            indef = False
-            for val in _grid(lo, hi):
-                r, inst = walk(e.body, {**env, e.var: val})
-                if r is False:
-                    return False, {e.var: val, **inst}
-                if r is None:
-                    indef = True
-            return (None, {}) if indef else (True, {})
-        if isinstance(e, Exists):
-            if e.var in env:
-                return walk(e.body, env)
-            lo, hi = _binder_range(e.body, e.var, s, env, box)
-            if lo > hi:
-                return False, {}
-            for val in _grid(lo, hi):
-                r, inst = walk(e.body, {**env, e.var: val})
-                if r is True:
-                    return True, {e.var: val, **inst}
-            return None, {}
-        try:
-            v = eval_expr(e, s, env)
-        except soft:
-            return None, {}
-        return (v, {}) if isinstance(v, bool) else (None, {})
-
-    return walk(e, env)
+    return _truth(e)(s, env, (box, tol, soft))
 
 
 _COMPARISONS = (Eq, Neq, Le, Lt, Ge, Gt)
@@ -1859,7 +1939,8 @@ def _scaled_sign(p: Poly, q: Poly, strict: bool) -> Optional[str]:
 
 def _grid(lo: Fraction, hi: Fraction) -> list:
     # keep the endpoints exact, thin duplicates
-    return list(dict.fromkeys(lo + Fraction(i, _GRID - 1) * (hi - lo) for i in range(_GRID)))
+    width = hi - lo
+    return list(dict.fromkeys(lo + k * width for k in _STEPS))
 
 
 _NICE = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2),

@@ -871,9 +871,14 @@ def subst_apply_expr(q: Expr, sigma: Subst) -> Expr:
 
 
 def kind_of(e: Expr, dataspace: Dataspace) -> Kind:
-    """Infer the kind of e, checking child kinds along the way; logicals are real."""
+    """Infer the kind of e, checking child kinds along the way; logicals are real.
 
-    def ko(e) -> Kind:
+    ko is a generator that yields each child whose kind it needs and is sent
+    that kind back; an explicit stack of them replaces recursion, so a deep
+    tree is kinded without deep interpreter frames, and the checks run in
+    the order a recursive walk would run them."""
+
+    def ko(e):
         if isinstance(e, RatLit):
             return REAL
         if isinstance(e, BoolLit):
@@ -893,77 +898,90 @@ def kind_of(e: Expr, dataspace: Dataspace) -> Kind:
         if isinstance(e, LogicalVar):
             return REAL
         if isinstance(e, (Neg, Add, Sub)):
-            kids = [ko(k) for k in children(e)]
+            kids = []
+            for k in children(e):
+                kids.append((yield k))
             k0 = kids[0]
             if any(k != k0 for k in kids) or k0 == BOOL:
                 raise KindMismatch(f"arithmetic on mixed kinds in {e!r}")
             return k0
         if isinstance(e, (Mul, Div)):
             for k in children(e):
-                if ko(k) != REAL:
+                if (yield k) != REAL:
                     raise KindMismatch(f"non-real operand in {e!r}")
             return REAL
         if isinstance(e, Pow):
-            if ko(e.base) != REAL:
+            if (yield e.base) != REAL:
                 raise KindMismatch("power base must be real")
             return REAL
         if isinstance(e, (Ln, Exp, Sin, Cos, Sqrt)):
-            if ko(e.arg) != REAL:
+            if (yield e.arg) != REAL:
                 raise KindMismatch(f"non-real argument in {e!r}")
             return REAL
         if isinstance(e, Norm):
-            k = ko(e.arg)
+            k = (yield e.arg)
             if k.base != "vec":
                 raise KindMismatch("norm of a non-vector")
             return REAL
         if isinstance(e, Inner):
-            ka, kb = ko(e.left), ko(e.right)
+            ka, kb = (yield e.left), (yield e.right)
             if ka.base != "vec" or ka != kb:
                 raise KindMismatch("inner product needs two vectors of equal dimension")
             return REAL
         if isinstance(e, ScalarMul):
-            if ko(e.scalar) != REAL:
+            if (yield e.scalar) != REAL:
                 raise KindMismatch("scalar of a scaling must be real")
-            k = ko(e.arg)
+            k = (yield e.arg)
             if k.base != "vec":
                 raise KindMismatch("scaling a non-vector")
             return k
         if isinstance(e, VecLit):
             for i in e.items:
-                if ko(i) != REAL:
+                if (yield i) != REAL:
                     raise KindMismatch("vector literal components must be real")
             return vec(len(e.items))
         if isinstance(e, (Eq, Neq)):
-            ka, kb = ko(e.left), ko(e.right)
+            ka, kb = (yield e.left), (yield e.right)
             if ka != kb:
                 raise KindMismatch(f"comparing {ka!r} with {kb!r}")
             return BOOL
         if isinstance(e, (Le, Lt, Ge, Gt)):
-            if ko(e.left) != REAL or ko(e.right) != REAL:
+            if (yield e.left) != REAL or (yield e.right) != REAL:
                 raise KindMismatch(f"ordering on non-reals in {e!r}")
             return BOOL
         if isinstance(e, (And, Or, Implies, Iff)):
-            if ko(e.left) != BOOL or ko(e.right) != BOOL:
+            if (yield e.left) != BOOL or (yield e.right) != BOOL:
                 raise KindMismatch(f"connective over non-bools in {e!r}")
             return BOOL
         if isinstance(e, Not):
-            if ko(e.arg) != BOOL:
+            if (yield e.arg) != BOOL:
                 raise KindMismatch("negating a non-bool")
             return BOOL
         if isinstance(e, Ite):
-            if ko(e.cond) != BOOL:
+            if (yield e.cond) != BOOL:
                 raise KindMismatch("if-condition must be bool")
-            kt, ke = ko(e.then), ko(e.other)
+            kt, ke = (yield e.then), (yield e.other)
             if kt != ke:
                 raise KindMismatch(f"if-branches disagree: {kt!r} vs {ke!r}")
             return kt
         if isinstance(e, (Exists, Forall)):
-            if ko(e.body) != BOOL:
+            if (yield e.body) != BOOL:
                 raise KindMismatch("quantifier body must be bool")
             return BOOL
         raise UnsupportedConstruct(f"cannot kind {e!r}")
 
-    return ko(e)
+    stack, kind = [ko(e)], None
+    while True:
+        try:
+            child = stack[-1].send(kind)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            kind = done.value
+        else:
+            stack.append(ko(child))
+            kind = None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Seeded random generators shared by the unit and acceptance suites, and
-the reference expression evaluator, simplifier, traversals and falsifier
-samplers."""
+the reference expression evaluator, simplifier, traversals, falsifier
+samplers, three-valued evaluator and kind checker."""
 
 import math
 import random
@@ -11,6 +11,7 @@ from hsverify.store import (
     Coord,
     Dataspace,
     Frame,
+    Kind,
     KindMismatch,
     REAL,
     SumLens,
@@ -20,11 +21,14 @@ from hsverify.store import (
     vec,
 )
 from hsverify import expr as ex
-from hsverify.arith import _NICE
+from hsverify.arith import (
+    _COMPARISONS, _GRID, _NICE, Box, _bound_terms, _cmp_vals, negate, norm_rel,
+)
 from hsverify.expr import (
-    FALSE, ONE, TRUE, ZERO, Add, And, BoolLit, Cos, Div, Eq, Exp, Expr, Ge, Gt, Iff, Implies,
-    Inner, Ite, Le, Ln, Lt, Mul, Neg, Neq, Norm, Not, Or, Pow, RatLit, ScalarMul, Sin, Sqrt,
-    Sub, VecLit, _exact_sqrt, _fold_binop, _rebalance, children, conj, rebuild, total,
+    FALSE, ONE, TRUE, ZERO, Add, And, BoolLit, Cos, Div, Eq, Exists, Exp, Expr, Forall, Ge, Gt,
+    Iff, Implies, Inner, Ite, Le, Ln, LogicalVar, Lt, Mul, Neg, Neq, Norm, Not, Or, Pow, RatLit,
+    ScalarMul, Sin, Sqrt, Sub, UnsupportedConstruct, VarRead, VecLit, _exact_sqrt, _fold_binop,
+    _rebalance, children, conj, eval_expr, rebuild, subterms, total,
 )
 
 
@@ -549,3 +553,232 @@ def reference_sample_logicals(rng: random.Random, ctx, logicals) -> dict:
         lo, hi = ctx.box.for_name(n)
         env[n] = reference_sample_real(rng, lo, hi)
     return env
+
+
+# -- the reference three-valued evaluator and kind checker -----------------
+
+def _reference_binder_range(body: Expr, v: str, s, env, box: Box):
+    lo, hi = box.for_name(v)
+    # decide which side a bound sits on from the comparison shapes
+    atoms = [a for a in map(norm_rel, subterms(body)) if isinstance(a, (Le, Lt))]
+    for t in _bound_terms(body, v):
+        try:
+            val = eval_expr(t, s, env)
+        except ex.EvalError:
+            continue
+        if not isinstance(val, (Fraction, int)):
+            continue
+        for atom in atoms:
+            if isinstance(atom.left, LogicalVar) and atom.left.name == v \
+                    and atom.right == t:
+                hi = min(hi, Fraction(val))
+            if isinstance(atom.right, LogicalVar) and atom.right.name == v \
+                    and atom.left == t:
+                lo = max(lo, Fraction(val))
+    return lo, hi
+
+
+def reference_q_eval(e: Expr, s, env: dict, box: Box, tol: float = 1e-9,
+                     strict: bool = False):
+    """arith.q_eval as a tree walk that dispatches every node, negates every
+    Implies and derives every binder range again at each call, kept as the
+    reference the compiled truth closures are checked against.
+
+    Three-valued truth of a formula at a store: True, False or None.
+
+    Connectives follow Kleene's logic and quantifiers are sampled on a
+    deterministic grid over the binder's box range.  Exact values compare
+    exactly; a comparison with a float decides only outside
+    tol * (1 + |a| + |b|).  An atom that cannot be evaluated is None, or
+    raises when strict.  Strict mode also raises UnsupportedConstruct on a
+    quantifier: a grid can pass a guard that fails between its points.
+    Returns (truth, instantiations), where the instantiations pin binder
+    values along any definite-False path.
+    """
+    soft = () if strict else (ex.EvalError, UnsupportedConstruct)
+
+    def walk(e: Expr, env: dict):
+        if isinstance(e, BoolLit):
+            return e.value, {}
+        if isinstance(e, _COMPARISONS):
+            try:
+                a = eval_expr(e.left, s, env)
+                b = eval_expr(e.right, s, env)
+            except soft:
+                return None, {}
+            return _cmp_vals(type(e), a, b, tol), {}
+        if isinstance(e, And):
+            a, ia = walk(e.left, env)
+            if a is False:
+                return False, ia
+            b, ib = walk(e.right, env)
+            if b is False:
+                return False, ib
+            if a is True and b is True:
+                return True, {**ia, **ib}
+            return None, {}
+        if isinstance(e, Or):
+            a, ia = walk(e.left, env)
+            if a is True:
+                return True, ia
+            b, ib = walk(e.right, env)
+            if b is True:
+                return True, ib
+            if a is False and b is False:
+                return False, {**ia, **ib}
+            return None, {}
+        if isinstance(e, Not):
+            r, inst = walk(e.arg, env)
+            return (None if r is None else not r), inst
+        if isinstance(e, Implies):
+            return walk(Or(negate(e.left), e.right), env)
+        if isinstance(e, Iff):
+            a, ia = walk(e.left, env)
+            b, ib = walk(e.right, env)
+            if a is None or b is None:
+                return None, {}
+            return a == b, {**ia, **ib}
+        if isinstance(e, Ite):
+            c, ic = walk(e.cond, env)
+            if c is not None:
+                r, ir = walk(e.then if c else e.other, env)
+                return r, {**ic, **ir}
+            a, ia = walk(e.then, env)
+            b, ib = walk(e.other, env)
+            return (a, {**ia, **ib}) if a == b else (None, {})
+        if strict and isinstance(e, (Forall, Exists)):
+            raise UnsupportedConstruct("quantified guards have no evaluation")
+        if isinstance(e, Forall):
+            if e.var in env:
+                return walk(e.body, env)
+            lo, hi = _reference_binder_range(e.body, e.var, s, env, box)
+            if lo > hi:
+                return True, {}
+            indef = False
+            for val in _reference_grid(lo, hi):
+                r, inst = walk(e.body, {**env, e.var: val})
+                if r is False:
+                    return False, {e.var: val, **inst}
+                if r is None:
+                    indef = True
+            return (None, {}) if indef else (True, {})
+        if isinstance(e, Exists):
+            if e.var in env:
+                return walk(e.body, env)
+            lo, hi = _reference_binder_range(e.body, e.var, s, env, box)
+            if lo > hi:
+                return False, {}
+            for val in _reference_grid(lo, hi):
+                r, inst = walk(e.body, {**env, e.var: val})
+                if r is True:
+                    return True, {e.var: val, **inst}
+            return None, {}
+        try:
+            v = eval_expr(e, s, env)
+        except soft:
+            return None, {}
+        return (v, {}) if isinstance(v, bool) else (None, {})
+
+    return walk(e, env)
+
+
+def _reference_grid(lo: Fraction, hi: Fraction) -> list:
+    # keep the endpoints exact, thin duplicates
+    return list(dict.fromkeys(lo + Fraction(i, _GRID - 1) * (hi - lo) for i in range(_GRID)))
+
+
+def reference_kind_of(e: Expr, dataspace: Dataspace) -> Kind:
+    """expr.kind_of by plain recursion, kept as the reference for the
+    generator walk.  Infer the kind of e, checking child kinds along the way; logicals are real."""
+
+    def ko(e) -> Kind:
+        if isinstance(e, RatLit):
+            return REAL
+        if isinstance(e, BoolLit):
+            return BOOL
+        if isinstance(e, VarRead):
+            l = e.lens
+            if isinstance(l, Var):
+                return dataspace.kind_of(l.name)
+            if isinstance(l, Coord):
+                k = dataspace.kind_of(l.name)
+                if k.base != "vec":
+                    raise KindMismatch(f"{l.name} is {k!r}, not a vector")
+                if not 1 <= l.index <= k.dim:
+                    raise KindMismatch(f"{l.name}[{l.index}] out of range for {k!r}")
+                return REAL
+            raise KindMismatch(f"cannot kind {l!r}")
+        if isinstance(e, LogicalVar):
+            return REAL
+        if isinstance(e, (Neg, Add, Sub)):
+            kids = [ko(k) for k in children(e)]
+            k0 = kids[0]
+            if any(k != k0 for k in kids) or k0 == BOOL:
+                raise KindMismatch(f"arithmetic on mixed kinds in {e!r}")
+            return k0
+        if isinstance(e, (Mul, Div)):
+            for k in children(e):
+                if ko(k) != REAL:
+                    raise KindMismatch(f"non-real operand in {e!r}")
+            return REAL
+        if isinstance(e, Pow):
+            if ko(e.base) != REAL:
+                raise KindMismatch("power base must be real")
+            return REAL
+        if isinstance(e, (Ln, Exp, Sin, Cos, Sqrt)):
+            if ko(e.arg) != REAL:
+                raise KindMismatch(f"non-real argument in {e!r}")
+            return REAL
+        if isinstance(e, Norm):
+            k = ko(e.arg)
+            if k.base != "vec":
+                raise KindMismatch("norm of a non-vector")
+            return REAL
+        if isinstance(e, Inner):
+            ka, kb = ko(e.left), ko(e.right)
+            if ka.base != "vec" or ka != kb:
+                raise KindMismatch("inner product needs two vectors of equal dimension")
+            return REAL
+        if isinstance(e, ScalarMul):
+            if ko(e.scalar) != REAL:
+                raise KindMismatch("scalar of a scaling must be real")
+            k = ko(e.arg)
+            if k.base != "vec":
+                raise KindMismatch("scaling a non-vector")
+            return k
+        if isinstance(e, VecLit):
+            for i in e.items:
+                if ko(i) != REAL:
+                    raise KindMismatch("vector literal components must be real")
+            return vec(len(e.items))
+        if isinstance(e, (Eq, Neq)):
+            ka, kb = ko(e.left), ko(e.right)
+            if ka != kb:
+                raise KindMismatch(f"comparing {ka!r} with {kb!r}")
+            return BOOL
+        if isinstance(e, (Le, Lt, Ge, Gt)):
+            if ko(e.left) != REAL or ko(e.right) != REAL:
+                raise KindMismatch(f"ordering on non-reals in {e!r}")
+            return BOOL
+        if isinstance(e, (And, Or, Implies, Iff)):
+            if ko(e.left) != BOOL or ko(e.right) != BOOL:
+                raise KindMismatch(f"connective over non-bools in {e!r}")
+            return BOOL
+        if isinstance(e, Not):
+            if ko(e.arg) != BOOL:
+                raise KindMismatch("negating a non-bool")
+            return BOOL
+        if isinstance(e, Ite):
+            if ko(e.cond) != BOOL:
+                raise KindMismatch("if-condition must be bool")
+            kt, ke = ko(e.then), ko(e.other)
+            if kt != ke:
+                raise KindMismatch(f"if-branches disagree: {kt!r} vs {ke!r}")
+            return kt
+        if isinstance(e, (Exists, Forall)):
+            if ko(e.body) != BOOL:
+                raise KindMismatch("quantifier body must be bool")
+            return BOOL
+        raise UnsupportedConstruct(f"cannot kind {e!r}")
+
+    return ko(e)

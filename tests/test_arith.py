@@ -26,6 +26,7 @@ from hsverify.arith import (
 )
 from hsverify.expr import (
     Add,
+    BoolLit,
     Iff,
     And,
     Cos,
@@ -66,6 +67,7 @@ from hsverify.store import BOOL, CONSTANT, Dataspace, REAL, vec
 from helpers import (
     rand_store,
     rand_total_expr,
+    reference_q_eval,
     reference_sample_logicals,
     reference_sample_store,
     small_dataspace,
@@ -442,6 +444,110 @@ def test_connectives_are_kleene():
     assert truth(Ite(near, Ge(y, ZERO), Ge(y, ONE)), x=1.0 + 1e-12, y=-5.0) is False
     assert truth(Ite(near, Ge(y, ZERO), Ge(y, ONE)), x=1.0 + 1e-12, y=5.0) is True
     assert truth(Ite(near, Ge(y, ZERO), Ge(y, ONE)), x=1.0 + 1e-12, y=0.5) is None
+
+
+def test_implies_negates_a_quantified_antecedent():
+    # negate(forall t. ...) is exists t. 0 <= t <= 1 and t < 0: its grid is
+    # [0, 0], which finds no witness, so the antecedent's negation is
+    # undecided; Not(forall) would make it False and the implication False
+    t = LogicalVar("t")
+    inside = Forall("t", Implies(And(Le(ZERO, t), Le(t, ONE)), Ge(t, ZERO)))
+    assert truth(Implies(inside, Gt(x, num(5))), x=Fraction(0)) is None
+    assert truth(Or(Not(inside), Gt(x, num(5))), x=Fraction(0)) is False
+
+
+def _rand_term(rng, bound, depth):
+    """A real term over x and y, the bound logicals and the unbound q, with
+    partial operations."""
+    if depth == 0 or rng.random() < 0.3:
+        pick = rng.random()
+        if pick < 0.3:
+            return num(Fraction(rng.randint(-6, 6), 2))
+        if pick < 0.31:
+            return LogicalVar("q")
+        if pick < 0.6 and bound:
+            return LogicalVar(rng.choice(bound))
+        return rng.choice((x, y))
+    kid = lambda: _rand_term(rng, bound, depth - 1)  # noqa: E731
+    op = rng.choice((Add, Sub, Mul) * 3 + (Div, Neg, Sqrt, Exp))
+    if op in (Neg, Sqrt, Exp):
+        return op(kid())
+    return op(kid(), kid())
+
+
+def _rand_formula(rng, bound, depth):
+    """A formula of connectives, comparisons (vector ones among them), a bool
+    read, and quantifiers whose bodies carry bound atoms on either side."""
+    term = lambda d=1: _rand_term(rng, bound, d)  # noqa: E731
+    if depth == 0 or rng.random() < 0.25:
+        pick = rng.random()
+        if pick < 0.08:
+            return BoolLit(rng.random() < 0.5)
+        if pick < 0.14:
+            return read("flag")
+        if pick < 0.2:
+            return rng.choice((Eq, Neq, Le))(read("v"), VecLit((term(0), term(0))))
+        return rng.choice((Eq, Neq, Le, Lt, Ge, Gt))(term(), term())
+    kid = lambda: _rand_formula(rng, bound, depth - 1)  # noqa: E731
+    pick = rng.random()
+    if pick < 0.45:
+        return rng.choice((And, Or, Implies, Iff))(kid(), kid())
+    if pick < 0.55:
+        return Not(kid())
+    if pick < 0.65:
+        return Ite(kid(), kid(), kid())
+    var = rng.choice("tu")
+    v, inner = LogicalVar(var), [*bound, var]
+    lo = rng.choice((Le, Lt))(term(), v) if rng.random() < 0.5 else rng.choice((Ge, Gt))(v, term())
+    hi = rng.choice((Le, Lt))(v, term()) if rng.random() < 0.5 else rng.choice((Ge, Gt))(term(), v)
+    body = _rand_formula(rng, inner, depth - 1)
+    if rng.random() < 0.5:
+        return Forall(var, Implies(And(lo, hi), body))
+    return Exists(var, And(And(lo, hi), body) if rng.random() < 0.8 else Or(lo, body))
+
+
+def _q_outcome(evaluate, f, s, env, box, tol, strict):
+    """What evaluating f gives: the truth and instantiations, each with its
+    type, or the error."""
+    try:
+        r, inst = evaluate(f, s, dict(env), box, tol, strict)
+    except Exception as err:
+        return type(err), str(err)
+    return type(r), r, {n: (type(v), v) for n, v in inst.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_q_eval_matches_the_reference_walker(seed):
+    rng = random.Random(seed)
+    f = _rand_formula(rng, [], 3)
+    twin = _rand_formula(random.Random(seed), [], 3)
+    before = (repr(f), hash(f))
+    ds = Dataspace()
+    ds.declare("x", REAL)
+    ds.declare("y", REAL)
+    ds.declare("v", vec(2))
+    ds.declare("flag", BOOL)
+    narrow = Box({"t": (Fraction(-2), Fraction(2)), "u": (Fraction(-1), Fraction(3))})
+    box = rng.choice((Box(), narrow))
+    stores = []
+    for _ in range(2):
+        vals = {"x": Fraction(rng.randint(-8, 8), 4), "y": Fraction(rng.randint(-8, 8), 4),
+                "v": (Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4), 2)),
+                "flag": rng.random() < 0.5}
+        # the float twin sits on, just inside or just outside the margins
+        nudge = lambda c: float(c) * (1 + rng.choice((0, 1e-10, -1e-8, 1e-8)))  # noqa: E731
+        floats = {**vals, "x": nudge(vals["x"]), "y": nudge(vals["y"]),
+                  "v": tuple(nudge(c) for c in vals["v"])}
+        stores += [ds.make_store(vals), ds.make_store(floats)]
+    env = {"u": Fraction(rng.randint(-4, 4), 2)} if rng.random() < 0.3 else {}
+    for s in stores:
+        for strict in (False, True):
+            for tol in (1e-9, 1e-7):
+                assert _q_outcome(q_eval, f, s, env, box, tol, strict) \
+                    == _q_outcome(reference_q_eval, f, s, env, box, tol, strict)
+    assert (repr(f), hash(f)) == before
+    assert f == twin and twin == f and f in {twin}
 
 
 # -- SMT export -------------------------------------------------------------

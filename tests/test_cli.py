@@ -320,6 +320,22 @@ def test_deep_wp_condition_is_unknown_not_a_traceback(capsys, tmp_path):
         assert "Traceback" not in err
 
 
+def test_long_sum_inside_deep_brackets_parses(capsys, tmp_path):
+    # 63 brackets around (x + ... + x) * x with an 80-term sum: the parser's
+    # own frames are on the stack when it checks the product's kinds
+    s = " + ".join(["x"] * 80)
+    e = "(" * 63 + f"({s}) * x" + ")" * 63
+    p = tmp_path / "brackets.hsv"
+    p.write_text("dataspace d {\n  variables x : real;\n}\n\n"
+                 f"program p = x := {e}\n\n"
+                 "goal g : { x >= 0 } p { x >= 0 } by wp\n")
+    code, out, err = run(capsys, "verify", p)
+    assert (code, out) == (0, "goal g: proved (wp)\n")
+    assert "Traceback" not in err
+    code, out, err = run(capsys, "simulate", p, "--program", "p", "--init", "x=1")
+    assert code == 0 and "Traceback" not in err
+
+
 def test_runtime_needs_only_the_standard_library():
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     probe = ("import sys, hsverify.cli\n"

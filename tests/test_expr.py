@@ -62,6 +62,7 @@ from helpers import (
     rand_subst,
     rand_total_expr,
     reference_eval,
+    reference_kind_of,
     reference_rewrite,
     reference_simplify,
     reference_subterms,
@@ -444,6 +445,25 @@ def test_deep_chain_walks_without_deep_recursion():
     assert free_lenses(out) == (Var("a"),) and free_logicals(out) == {"p", "q"}
     out = subst_logical(out, "q", num(1))
     assert free_logicals(out) == {"p"} and ex.depth(out) == 5000
+    assert kind_of(out, small_dataspace()) == REAL
+
+
+def _kind_outcome(kinder, e, ds):
+    try:
+        return kinder(e, ds)
+    except Exception as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_kind_of_matches_the_reference_walker(seed):
+    # rand_any_expr leaves kinds unchecked, so most trees are ill-kinded and
+    # the first failing check, and its message, must be the reference's
+    rng = random.Random(seed)
+    ds = small_dataspace()
+    e = rand_any_expr(rng, ds, 4)
+    assert _kind_outcome(kind_of, e, ds) == _kind_outcome(reference_kind_of, e, ds)
 
 
 def test_kind_inference():

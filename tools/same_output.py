@@ -14,6 +14,9 @@ own, which imports hsverify from that tree's src/ and makes these calls:
   - ``verify MODEL --json -`` and ``falsify MODEL`` over each models/*.hsv
     at seeds 0 and 1; the models' store and logical names are real, vector
     and bool, every kind the falsifier samples;
+  - ``falsify models/tank.hsv --trials 2000 --seed 0``, whose conditions
+    quantify each flow's guard over time, so the falsifier samples many
+    binder grids;
   - ``vcs MODEL --seed 0`` over each models/*.hsv and each prove-generated
     model of seed 0, which prints every condition after substitution;
   - ``verify MODEL --seed 0 --emit-smt DIR`` over each prove-generated model
@@ -110,6 +113,9 @@ def worker(tree: str, workloads_py: str, work: str) -> int:
                  main_of(["verify", path, "--json", "-", "--seed", str(seed)]))
             emit(f"falsify {os.path.basename(path)} seed {seed}",
                  main_of(["falsify", path, "--seed", str(seed)]))
+    emit("falsify tank.hsv --trials 2000",
+         main_of(["falsify", os.path.join(models, "tank.hsv"), "--trials", "2000",
+                  "--seed", "0"]))
     for path in shipped + generated:
         emit(f"vcs {os.path.basename(path)}", main_of(["vcs", path, "--seed", "0"]))
     for path in generated:

@@ -203,30 +203,26 @@ def _mono_sort_key(m: Mono):
     return (-mono_degree(m), tuple((k, -p) for k, _, p in m))
 
 
+def _square_out(p: Poly, m: Mono, k: str, at: Expr, pw: int, sq: Poly) -> Poly:
+    """p with the factor at^pw (atom key k) of its monomial m rewritten
+    through at^2 = sq."""
+    base = Poly({tuple(f for f in m if f[0] != k): p.terms[m]})
+    if pw % 2:
+        base = base.mul(Poly.atom(at))
+    out = dict(p.terms)
+    del out[m]
+    return Poly(out).add(base.mul(sq.pow(pw // 2)))
+
+
 def reduce_trig(p: Poly) -> Poly:
     """Rewrite cos(u)^2 as 1 - sin(u)^2 until no cosine square remains."""
     while True:
-        hit = None
-        for m in p.terms:
-            for k, at, pw in m:
-                if isinstance(at, Cos) and pw >= 2:
-                    hit = (m, k, at, pw)
-                    break
-            if hit:
-                break
-        if not hit:
+        hit = next(((m, k, at, pw) for m in p.terms for k, at, pw in m
+                    if isinstance(at, Cos) and pw >= 2), None)
+        if hit is None:
             return p
-        m, k, at, pw = hit
-        c = p.terms[m]
-        rest = tuple((kk, aa, qq) for kk, aa, qq in m if kk != k)
-        base = Poly({rest: c})
-        if pw % 2:
-            base = base.mul(Poly.atom(at))
-        sin2 = Poly.atom(Sin(at.arg)).pow(2)
-        repl = base.mul(Poly.const(1).sub(sin2).pow(pw // 2))
-        out = dict(p.terms)
-        del out[m]
-        p = Poly(out).add(repl)
+        sin2 = Poly.atom(Sin(hit[2].arg)).pow(2)
+        p = _square_out(p, *hit, Poly.const(1).sub(sin2))
 
 
 @dataclass
@@ -274,6 +270,19 @@ def vec_polys(e: Expr, env: PolyEnv) -> list:
         k = poly_of(e.scalar, env)
         return [k.mul(p) for p in vec_polys(e.arg, env)]
     raise Unpolyable(f"cannot expand vector expression {e!r}")
+
+
+def _vec_eq(atom: Expr, env: PolyEnv) -> Optional[Expr]:
+    """A vector = as the conjunction of its coordinate equations, and a
+    vector != as its negation; None for any other atom.  Raises Unpolyable
+    when a side does not expand or the dimensions differ."""
+    if not (isinstance(atom, (Eq, Neq)) and env.is_vec(atom.left)):
+        return None
+    ls, rs = vec_polys(atom.left, env), vec_polys(atom.right, env)
+    if len(ls) != len(rs):
+        raise Unpolyable(f"vector dimensions differ: {len(ls)} and {len(rs)}")
+    out = ex.conj(Eq(poly_to_expr(a), poly_to_expr(b)) for a, b in zip(ls, rs))
+    return negate(out) if isinstance(atom, Neq) else out
 
 
 def _canon_arg(e: Expr, env: PolyEnv) -> Expr:
@@ -361,6 +370,11 @@ def poly_to_expr(p: Poly) -> Expr:
     return out
 
 
+# The nodes poly_normalize goes through rather than normalizes.
+_STRUCTURE = (Eq, Neq, Le, Lt, Ge, Gt, And, Or, Implies, Iff, Not, Exists, Forall, Ite,
+              BoolLit)
+
+
 def poly_normalize(e: Expr, dataspace: Optional[Dataspace] = None) -> Expr:
     """Canonical sum-of-monomials form for real-valued (sub)expressions.
 
@@ -369,25 +383,15 @@ def poly_normalize(e: Expr, dataspace: Optional[Dataspace] = None) -> Expr:
     """
     env = PolyEnv(dataspace)
 
-    def norm(e: Expr) -> Expr:
-        if isinstance(e, (Eq, Neq, Le, Lt, Ge, Gt)):
-            return type(e)(norm(e.left), norm(e.right))
-        if isinstance(e, (And, Or, Implies, Iff)):
-            return type(e)(norm(e.left), norm(e.right))
-        if isinstance(e, Not):
-            return Not(norm(e.arg))
-        if isinstance(e, (Exists, Forall)):
-            return type(e)(e.var, norm(e.body))
-        if isinstance(e, Ite):
-            return Ite(norm(e.cond), norm(e.then), norm(e.other))
-        if isinstance(e, BoolLit):
-            return e
+    def fn(t: Expr) -> Optional[Expr]:
+        if isinstance(t, _STRUCTURE):
+            return None
         try:
-            return poly_to_expr(reduce_trig(poly_of(e, env)))
+            return poly_to_expr(reduce_trig(poly_of(t, env)))
         except Unpolyable:
-            return e
+            return t
 
-    return norm(simplify(e))
+    return rewrite(simplify(e), fn)
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +433,7 @@ class Box:
         def name_of(e):
             return e.lens.name if isinstance(e, VarRead) and isinstance(e.lens, Var) else None
 
+        atom = norm_rel(atom)
         if isinstance(atom, (Le, Lt)):
             n, c = name_of(atom.left), atom.right
             if n and isinstance(c, RatLit):
@@ -436,8 +441,6 @@ class Box:
             n, c = name_of(atom.right), atom.left
             if n and isinstance(c, RatLit):
                 return self.with_bound(n, lo=c.value)
-        if isinstance(atom, (Ge, Gt)):
-            return self._refine(Le(atom.right, atom.left))
         return self
 
 
@@ -565,20 +568,23 @@ def _peel(hyps: list, concl: Expr, out: list, count: list, used: set) -> None:
         _peel(hyps, Implies(concl.right, concl.left), out, count, used)
         return
     if isinstance(concl, Forall):
-        v = concl.var
-        if v in used:
-            fresh = fresh_logical(v, used)
-            body = subst_logical(concl.body, v, LogicalVar(fresh))
-            v = fresh
-        else:
-            body = concl.body
-        used.add(v)
-        _peel(hyps, body, out, count, used)
+        _peel(hyps, _open(concl, used), out, count, used)
         return
     if isinstance(concl, Not) and isinstance(concl.arg, (And, Or, Implies, Forall, Exists)):
         _peel(hyps, negate(concl.arg), out, count, used)
         return
     out.append(Sequent(list(hyps), concl))
+
+
+def _open(q: Expr, used: set) -> Expr:
+    """The body of the binder q, its variable renamed apart from used; the
+    name it ends up with joins used."""
+    v, body = q.var, q.body
+    if v in used:
+        v = fresh_logical(v, used)
+        body = subst_logical(body, q.var, LogicalVar(v))
+    used.add(v)
+    return body
 
 
 def peel(formula: Expr) -> list:
@@ -612,14 +618,7 @@ def _skolemize(hyps: list, used: set) -> list:
     out = []
     for h in hyps:
         while isinstance(h, Exists):
-            v = h.var
-            if v in used:
-                fresh = fresh_logical(v, used)
-                h = subst_logical(h.body, v, LogicalVar(fresh))
-                used.add(fresh)
-            else:
-                used.add(v)
-                h = h.body
+            h = _open(h, used)
         out.append(h)
     return out
 
@@ -885,28 +884,13 @@ class _Prover:
     def _reduce_sqrt(self, p: Poly, hyps: list) -> Poly:
         """sqrt(u)^2 -> u, only when u >= 0 is entailed."""
         for _ in range(8):
-            hit = None
-            for m in p.terms:
-                for k, at, pw in m:
-                    if isinstance(at, Sqrt) and pw >= 2:
-                        if self._entails(hyps, Ge(at.arg, ZERO), quick=True,
-                                         reduce_radicals=False):
-                            hit = (m, k, at, pw)
-                            break
-                if hit:
-                    break
-            if not hit:
+            hit = next(((m, k, at, pw) for m in p.terms for k, at, pw in m
+                        if isinstance(at, Sqrt) and pw >= 2
+                        and self._entails(hyps, Ge(at.arg, ZERO), quick=True,
+                                          reduce_radicals=False)), None)
+            if hit is None:
                 return p
-            m, k, at, pw = hit
-            c = p.terms[m]
-            rest = tuple((kk, aa, qq) for kk, aa, qq in m if kk != k)
-            base = Poly({rest: c})
-            if pw % 2:
-                base = base.mul(Poly.atom(at))
-            repl = base.mul(self._poly(at.arg).pow(pw // 2))
-            out = dict(p.terms)
-            del out[m]
-            p = Poly(out).add(repl)
+            p = _square_out(p, *hit, self._poly(hit[2].arg))
         return p
 
     def _rows(self, hyps: list, reduce_radicals: bool = True) -> list:
@@ -915,10 +899,8 @@ class _Prover:
         for h in hyps:
             h = norm_rel(h)
             try:
-                if isinstance(h, Le):
-                    rows.append(Row(self._poly(Sub(h.right, h.left), rh), False))
-                elif isinstance(h, Lt):
-                    rows.append(Row(self._poly(Sub(h.right, h.left), rh), True))
+                if isinstance(h, (Le, Lt)):
+                    rows.append(Row(self._poly(Sub(h.right, h.left), rh), isinstance(h, Lt)))
                 elif isinstance(h, Eq) and not self.env.is_vec(h.left):
                     p = self._poly(Sub(h.left, h.right), rh)
                     rows.append(Row(p, False))
@@ -953,16 +935,20 @@ class _Prover:
             target = self._poly(arg)
         except Unpolyable:
             return False
+        return any(strict and q == target for q, strict in self._bounds(hyps))
+
+    def _bounds(self, hyps: list):
+        """Each Le or Lt hypothesis read as 0 <= q or 0 < q: the pairs
+        (q, strict), in hypothesis order."""
         for h in hyps:
             h = norm_rel(h)
-            if not isinstance(h, Lt):
+            if not isinstance(h, (Le, Lt)):
                 continue
             try:
-                if self._poly(Sub(h.right, h.left)).sub(target).is_zero():
-                    return True
+                q = self._poly(Sub(h.right, h.left))
             except Unpolyable:
                 continue
-        return False
+            yield q, isinstance(h, Lt)
 
     def _entails(self, hyps: list, atom: Expr, quick: bool = False,
                  reduce_radicals: bool = True) -> bool:
@@ -1004,46 +990,21 @@ class _Prover:
         # p may be a positive multiple of a hypothesis difference plus a
         # constant, e.g. ci - co under co < ci; the per-monomial analysis
         # below cannot see that
-        for h in hyps:
-            h = norm_rel(h)
-            if not isinstance(h, (Le, Lt)):
-                continue
-            try:
-                q = self._poly(Sub(h.right, h.left))
-            except Unpolyable:
-                continue
-            got = _scaled_sign(p, q, isinstance(h, Lt))
+        bounds = list(self._bounds(hyps))
+        for q, strict in bounds:
+            got = _scaled_sign(p, q, strict)
             if got is not None:
                 return got
         signs = {}
-        for h in hyps:
-            h = norm_rel(h)
-            if not isinstance(h, (Le, Lt)):
+        for q, strict in bounds:
+            lin = _linear_bound(q)
+            if lin is None:
                 continue
-            try:
-                q = self._poly(Sub(h.right, h.left))
-            except Unpolyable:
-                continue
-            nc = [(m, c) for m, c in q.terms.items() if m != MONO_ONE]
-            if len(nc) != 1:
-                continue
-            m, c = nc[0]
-            if len(m) != 1 or m[0][2] != 1:
-                continue
-            key, at = m[0][0], m[0][1]
-            d = q.terms.get(MONO_ONE, Fraction(0))
-            bound = -d / c
-            strict = isinstance(h, Lt)
-            if c > 0 and bound >= 0:
-                cur = signs.get(key)
-                new = ">" if (strict or bound > 0) else ">="
-                if cur != ">":
-                    signs[key] = new
-            elif c < 0 and bound <= 0:
-                cur = signs.get(key)
-                new = "<" if (strict or bound < 0) else "<="
-                if cur != "<":
-                    signs[key] = new
+            key, c, bound = lin
+            if c > 0 and bound >= 0 and signs.get(key) != ">":
+                signs[key] = ">" if (strict or bound > 0) else ">="
+            elif c < 0 and bound <= 0 and signs.get(key) != "<":
+                signs[key] = "<" if (strict or bound < 0) else "<="
 
         def atom_sign(key, at):
             if isinstance(at, Exp):
@@ -1114,12 +1075,7 @@ class _Prover:
             return (self.prove(flat + [concl.left], concl.right, depth + 1)
                     and self.prove(flat + [concl.right], concl.left, depth + 1))
         if isinstance(concl, Forall):
-            v = concl.var
-            body = concl.body
-            if v in used:
-                f = fresh_logical(v, used)
-                body = subst_logical(body, v, LogicalVar(f))
-            return self.prove(flat, body, depth + 1)
+            return self.prove(flat, _open(concl, used), depth + 1)
         if isinstance(concl, Not) and not isinstance(concl.arg, VarRead):
             return self.prove(flat, negate(concl.arg), depth + 1)
         concl = norm_rel(concl)
@@ -1223,20 +1179,12 @@ class _Prover:
 
     def _split_vectors(self, flat: list, concl: Expr):
         def split(atom):
-            if isinstance(atom, (Eq, Neq)) and self.env.is_vec(atom.left):
-                try:
-                    ls = vec_polys(atom.left, self.env)
-                    rs = vec_polys(atom.right, self.env)
-                except Unpolyable:
-                    return None
-                if len(ls) != len(rs):
-                    return None
-                comps = [Eq(poly_to_expr(a), poly_to_expr(b))
-                         for a, b in zip(ls, rs)]
-                out = comps[0]
-                for c in comps[1:]:
-                    out = And(out, c)
-                return negate(out) if isinstance(atom, Neq) else out
+            try:
+                comps = _vec_eq(atom, self.env)
+            except Unpolyable:
+                return None
+            if comps is not None:
+                return comps
             # scalar comparison over vector subterms: expose the coordinates
             if isinstance(atom, (Eq, Neq, Le, Lt)) and any(
                     isinstance(t, (Inner, Norm, VecLit, ScalarMul)) for t in subterms(atom)):
@@ -1472,11 +1420,7 @@ class _Prover:
             self._rule("sign")
             return True
         try:
-            if isinstance(concl, Le):
-                neg = [Row(self._poly(diff, flat), True)]
-            else:
-                neg = [Row(self._poly(diff, flat), False)]
-            if self._fm(flat, neg):
+            if self._fm(flat, [Row(self._poly(diff, flat), isinstance(concl, Le))]):
                 self._rule("fourier-motzkin")
                 return True
         except Unpolyable:
@@ -1534,26 +1478,15 @@ class _Prover:
             lo, hi = self.ctx.box.for_name(n)
             bnds.setdefault(n, (float(lo), float(hi)))
         # refine with single-atom linear hypotheses
-        for h in flat:
-            h = norm_rel(h)
-            if not isinstance(h, (Le, Lt)):
+        for q, _ in self._bounds(flat):
+            lin = _linear_bound(q)
+            if lin is None:
                 continue
-            try:
-                q = self._poly(Sub(h.right, h.left))
-            except Unpolyable:
-                continue
-            nc = [(m, c) for m, c in q.terms.items() if m != MONO_ONE]
-            if len(nc) != 1 or len(nc[0][0]) != 1 or nc[0][0][0][2] != 1:
-                continue
-            key = nc[0][0][0][0]
-            if key.startswith("?"):
-                key = key[1:]
-            if key not in bnds:
-                continue
-            c = nc[0][1]
-            b = float(-q.terms.get(MONO_ONE, Fraction(0)) / c)
-            lo, hi = bnds[key]
-            bnds[key] = (max(lo, b), hi) if c > 0 else (lo, min(hi, b))
+            key, c, b = lin
+            key = key.removeprefix("?")
+            if key in bnds:
+                lo, hi = bnds[key]
+                bnds[key] = (max(lo, float(b)), hi) if c > 0 else (lo, min(hi, float(b)))
         if _iv_check(concl, bnds):
             return True
         for v in sorted(free_logicals(concl)):
@@ -1626,6 +1559,16 @@ def _ratfunc(e: Expr, env: PolyEnv):
         return n.pow(e.exp), d.pow(e.exp)
     # division buried inside a transcendental argument: opaque
     return poly_of(e, env), Poly.const(1)
+
+
+def _linear_bound(q: Poly) -> Optional[tuple]:
+    """(key, c, b) when q is c*(a - b) for one atom a, to the first power,
+    with atom key key; None otherwise."""
+    nc = [(m, c) for m, c in q.terms.items() if m != MONO_ONE]
+    if len(nc) != 1 or len(nc[0][0]) != 1 or nc[0][0][0][2] != 1:
+        return None
+    (((key, _, _),), c), = nc
+    return key, c, -q.terms.get(MONO_ONE, Fraction(0)) / c
 
 
 def _sign_mul(a: str, b: str) -> Optional[str]:
@@ -2111,17 +2054,10 @@ def _smt_prepare(e: Expr, env: PolyEnv) -> Expr:
     """Expand vector structure so only scalar terms remain."""
 
     def fn(q: Expr) -> Optional[Expr]:
-        if not (isinstance(q, (Eq, Neq)) and env.is_vec(q.left)):
-            return None
         try:
-            ls, rs = vec_polys(q.left, env), vec_polys(q.right, env)
+            return _vec_eq(q, env)
         except Unpolyable as err:
             raise UnsupportedConstruct(str(err))
-        comps = [Eq(poly_to_expr(a), poly_to_expr(b)) for a, b in zip(ls, rs)]
-        out = comps[0]
-        for c in comps[1:]:
-            out = And(out, c)
-        return negate(out) if isinstance(q, Neq) else out
 
     return poly_normalize(rewrite(e, fn), env.dataspace)
 

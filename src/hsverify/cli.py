@@ -463,9 +463,18 @@ _COMMANDS = {"verify": cmd_verify, "vcs": cmd_vcs, "falsify": cmd_falsify,
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
     except ModelError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed the pipe; the interpreter's final flush of what
+        # is still buffered goes to the null device instead
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .store import Coord, Dataspace, Frame, Var
 from .expr import (
-    Expr, RatLit, VarRead, LogicalVar, Add, Mul, Neg, Sub, Eq, Le, Lt, Ge, Gt,
+    Expr, RatLit, VarRead, LogicalVar, Add, Mul, Neg, Sub, Eq, Le, Lt, Ge,
     And, Not, Implies, Iff, Exists, Forall, Ite, VecLit,
     TRUE, ZERO, num, read, conj, conjuncts, rewrite, subterms,
     fresh_logical, subst_logical, subst_apply_expr,
@@ -33,7 +33,9 @@ from .program import (
     ODE, Evol, TAU, SimConfig, full_guard, simulate_traced,
 )
 from .vcg import VC, Triple, FlowTable, gen_vcs, wlp, MissingFlow, MissingLoopInvariant
-from .arith import ArithCtx, Verdict, prove_vc, falsify, poly_normalize, expr_key, q_eval
+from .arith import (
+    ArithCtx, Verdict, prove_vc, falsify, poly_normalize, expr_key, q_eval, norm_rel,
+)
 
 
 class TacticError(Exception):
@@ -169,15 +171,11 @@ def _dedup(exprs) -> list:
 # Differential induction
 
 
-_ATOM_FLIP = {Ge: Le, Gt: Lt}
-
-
 def _oriented(atom: Expr) -> Expr:
     """Comparisons with the large side on the right; rejects everything else."""
-    if isinstance(atom, (Ge, Gt)):
-        return _ATOM_FLIP[type(atom)](atom.right, atom.left)
-    if isinstance(atom, (Eq, Le, Lt)):
-        return atom
+    a = norm_rel(atom)
+    if isinstance(a, (Eq, Le, Lt)):
+        return a
     raise UnsupportedRelation(f"cannot induct on {expr_key(atom)}")
 
 

@@ -24,6 +24,7 @@ from .expr import (
     RatLit,
     Subst,
     TRUE,
+    VarRead,
     fresh_logical,
     free_logicals,
     num,
@@ -47,7 +48,7 @@ from .program import (
     Test,
     modset,
 )
-from .store import Coord, Dataspace, Frame, Var
+from .store import Dataspace, Frame
 
 
 class VcgError(Exception):
@@ -85,14 +86,6 @@ class VC:
 # Flow table
 
 
-def _lens_key(l) -> str:
-    if isinstance(l, Var):
-        return l.name
-    if isinstance(l, Coord):
-        return f"{l.name}[{l.index}]"
-    return repr(l)
-
-
 class FlowTable:
     """Certified solutions, keyed by frame and normalized right-hand side."""
 
@@ -102,7 +95,7 @@ class FlowTable:
 
     def _key(self, frame: Frame, rhs: Subst):
         parts = tuple(sorted(
-            (_lens_key(l), expr_key(poly_normalize(e, self.dataspace)))
+            (expr_key(VarRead(l)), expr_key(poly_normalize(e, self.dataspace)))
             for l, e in rhs.entries))
         names = tuple(sorted(frame.names()))
         return (names, parts)
@@ -113,19 +106,17 @@ class FlowTable:
         self._entries = [e for e in self._entries if e[0] != key]
         self._entries.append((key, flow_id, flow))
 
-    def lookup(self, ode: ODE) -> Optional[Subst]:
+    def _find(self, ode: ODE) -> tuple:
+        """(flow_id, flow) of the entry registered for ode, or (None, None)."""
         key = self._key(ode.frame, ode.rhs)
-        for k, _, flow in self._entries:
-            if k == key:
-                return flow
-        return None
+        return next(((fid, flow) for k, fid, flow in self._entries if k == key),
+                    (None, None))
+
+    def lookup(self, ode: ODE) -> Optional[Subst]:
+        return self._find(ode)[1]
 
     def lookup_id(self, ode: ODE) -> Optional[str]:
-        key = self._key(ode.frame, ode.rhs)
-        for k, fid, _ in self._entries:
-            if k == key:
-                return fid
-        return None
+        return self._find(ode)[0]
 
     def __len__(self):
         return len(self._entries)

@@ -1,6 +1,6 @@
 """Seeded random generators shared by the unit and acceptance suites, and
 the reference expression evaluator, simplifier, traversals, falsifier
-samplers, three-valued evaluator and kind checker."""
+samplers, three-valued evaluator, kind checker and polynomial normalizer."""
 
 import math
 import random
@@ -22,13 +22,14 @@ from hsverify.store import (
 )
 from hsverify import expr as ex
 from hsverify.arith import (
-    _COMPARISONS, _GRID, _NICE, Box, _bound_terms, _cmp_vals, negate, norm_rel,
+    _COMPARISONS, _GRID, _NICE, Box, PolyEnv, Unpolyable, _bound_terms, _cmp_vals, negate,
+    norm_rel, poly_of, poly_to_expr, reduce_trig,
 )
 from hsverify.expr import (
     FALSE, ONE, TRUE, ZERO, Add, And, BoolLit, Cos, Div, Eq, Exists, Exp, Expr, Forall, Ge, Gt,
     Iff, Implies, Inner, Ite, Le, Ln, LogicalVar, Lt, Mul, Neg, Neq, Norm, Not, Or, Pow, RatLit,
     ScalarMul, Sin, Sqrt, Sub, UnsupportedConstruct, VarRead, VecLit, _exact_sqrt, _fold_binop,
-    _rebalance, children, conj, eval_expr, rebuild, subterms, total,
+    _rebalance, children, conj, eval_expr, rebuild, simplify, subterms, total,
 )
 
 
@@ -782,3 +783,29 @@ def reference_kind_of(e: Expr, dataspace: Dataspace) -> Kind:
         raise UnsupportedConstruct(f"cannot kind {e!r}")
 
     return ko(e)
+
+
+def reference_poly_normalize(e: Expr, dataspace=None) -> Expr:
+    """arith.poly_normalize by plain recursion, rebuilding every node it
+    goes through."""
+    env = PolyEnv(dataspace)
+
+    def norm(e: Expr) -> Expr:
+        if isinstance(e, (Eq, Neq, Le, Lt, Ge, Gt)):
+            return type(e)(norm(e.left), norm(e.right))
+        if isinstance(e, (And, Or, Implies, Iff)):
+            return type(e)(norm(e.left), norm(e.right))
+        if isinstance(e, Not):
+            return Not(norm(e.arg))
+        if isinstance(e, (Exists, Forall)):
+            return type(e)(e.var, norm(e.body))
+        if isinstance(e, Ite):
+            return Ite(norm(e.cond), norm(e.then), norm(e.other))
+        if isinstance(e, BoolLit):
+            return e
+        try:
+            return poly_to_expr(reduce_trig(poly_of(e, env)))
+        except Unpolyable:
+            return e
+
+    return norm(simplify(e))

@@ -11,14 +11,17 @@ from hsverify.arith import (
     BOX_HI,
     BOX_LO,
     Box,
+    PolyEnv,
     Verdict,
     _bound_terms,
+    _linear_bound,
     _sampler,
     emit_smtlib,
     expr_key,
     falsify,
     peel,
     poly_normalize,
+    poly_of,
     prove_vc,
     q_eval,
     recheck,
@@ -65,8 +68,10 @@ from hsverify.expr import (
 from hsverify.store import BOOL, CONSTANT, Dataspace, REAL, vec
 
 from helpers import (
+    rand_any_expr,
     rand_store,
     rand_total_expr,
+    reference_poly_normalize,
     reference_q_eval,
     reference_sample_logicals,
     reference_sample_store,
@@ -142,6 +147,50 @@ def test_normalize_idempotent_and_deterministic():
         n1 = poly_normalize(e, ds)
         assert poly_normalize(n1, ds) == n1
         assert poly_normalize(e, ds) == n1
+
+
+def _rand_normalize_input(rng, ds, depth):
+    """Terms of rand_total_expr and rand_any_expr inside comparisons,
+    connectives, quantifiers, Ite and vector equations, or standing alone."""
+    def term():
+        return (rand_total_expr if rng.random() < 0.6 else rand_any_expr)(rng, ds, 2)
+    if depth == 0 or rng.random() < 0.3:
+        pick = rng.random()
+        if pick < 0.15:
+            return rng.choice((Eq, Neq))(read("v"), VecLit((term(), term())))
+        if pick < 0.25:
+            return term()
+        return rng.choice((Eq, Neq, Le, Lt, Ge, Gt))(term(), term())
+    kid = lambda: _rand_normalize_input(rng, ds, depth - 1)  # noqa: E731
+    pick = rng.random()
+    if pick < 0.35:
+        return rng.choice((And, Or, Implies, Iff))(kid(), kid())
+    if pick < 0.45:
+        return Not(kid())
+    if pick < 0.65:
+        return Ite(kid(), kid(), kid())
+    if pick < 0.8:
+        return rng.choice((Le, Eq))(Ite(kid(), term(), term()), term())
+    return rng.choice((Exists, Forall))("p", kid())
+
+
+def _normalize_outcome(normalize, e, ds):
+    try:
+        out = normalize(e, ds)
+    except Exception as err:
+        return type(err), str(err)
+    return out, repr(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_normalize_matches_the_reference_walker(seed):
+    rng = random.Random(seed)
+    ds = small_dataspace()
+    e = _rand_normalize_input(rng, ds, 3)
+    for space in (ds, None):
+        assert _normalize_outcome(poly_normalize, e, space) \
+            == _normalize_outcome(reference_poly_normalize, e, space)
 
 
 def test_expr_key_total_order():
@@ -605,3 +654,51 @@ def test_peel_splits_conjunction():
     seqs = peel(Implies(Gt(x, ZERO), And(Ge(x, ZERO), Neq(x, ZERO))))
     assert len(seqs) == 2
     assert all(s.hyps == [Gt(x, ZERO)] for s in seqs)
+
+
+# -- one implementation per job -------------------------------------------
+
+
+def test_linear_bound_reads_one_atom_to_the_first_power():
+    env = PolyEnv(simple_ds())
+    t = LogicalVar("t")
+    assert _linear_bound(poly_of(Sub(Mul(num(3), x), num(6)), env)) == ("x", 3, 2)
+    assert _linear_bound(poly_of(Sub(num(2), t), env)) == ("?t", -1, 2)
+    assert _linear_bound(poly_of(Add(x, y), env)) is None
+    assert _linear_bound(poly_of(Add(Pow(x, 2), ONE), env)) is None
+    assert _linear_bound(poly_of(Mul(x, y), env)) is None
+    assert _linear_bound(poly_of(num(4), env)) is None
+
+
+def test_a_squared_bound_gives_its_atom_no_sign():
+    # x^2 >= 1 bounds |x|, not x
+    assert not prove_vc(Implies(Ge(Pow(x, 2), ONE), Gt(x, ZERO)), ctx_for(simple_ds())).valid
+
+
+def test_quantified_antecedent_is_opened_apart_from_the_hypotheses():
+    # modus ponens proves the antecedent, a Forall over t, while ?t is free
+    # in the hypotheses; the binder must not capture that ?t
+    t = LogicalVar("t")
+
+    def goal(body):
+        return Implies(Gt(t, ZERO), Implies(Implies(Forall("t", body), Gt(x, ZERO)),
+                                            Gt(x, ZERO)))
+
+    assert prove_vc(goal(Ge(Mul(t, t), ZERO)), ctx_for(simple_ds())).valid
+    assert not prove_vc(goal(Gt(t, ZERO)), ctx_for(simple_ds())).valid
+
+
+def test_hypotheses_binding_one_name_are_opened_apart():
+    t = LogicalVar("t")
+    f = Implies(And(Exists("t", Gt(t, ZERO)), Exists("t", Lt(t, ZERO))), BoolLit(False))
+    assert not prove_vc(f, ctx_for(simple_ds())).valid
+    nested = Forall("t", Implies(Gt(t, ZERO), Forall("t", Gt(t, ZERO))))
+    assert not prove_vc(nested, ctx_for(simple_ds())).valid
+
+
+def test_smtlib_rejects_vectors_of_different_dimensions():
+    ds = Dataspace()
+    ds.declare("p", vec(2))
+    for rel in (Eq, Neq):
+        with pytest.raises(UnsupportedConstruct):
+            emit_smtlib(rel(read("p"), VecLit((ONE, ONE, ONE))), ctx_for(ds))

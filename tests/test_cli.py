@@ -346,3 +346,16 @@ def test_runtime_needs_only_the_standard_library():
                          capture_output=True, text=True, check=True).stdout
     outside = set(out.split()) - set(sys.stdlib_module_names) - {"__main__", "hsverify"}
     assert not outside, sorted(outside)
+
+
+def test_closed_pipe_ends_quietly():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "hsverify.cli", "vcs", str(MODELS / "tank.hsv"), "--seed", "0"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    # the reader goes away while the child is still starting, before it writes
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait() == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -26,9 +26,10 @@ own, which imports hsverify from that tree's src/ and makes these calls:
 
 For each call it compares the exit code and the sha256 of stdout and of
 stderr; the tree's own path is replaced by ``<tree>`` first.  It prints the
-call count, the number of .smt2 files compared, the number of differences
-and every traceback.  It exits 1 when any call differs, or when no .smt2
-file was compared.  Only the standard library is used.
+call count, the number of .smt2 files compared, the number of differences,
+every traceback, and the line count of the *.py files under each tree's
+src/.  It exits 1 when any call differs, or when no .smt2 file was
+compared.  Only the standard library is used.
 """
 
 import contextlib
@@ -140,6 +141,17 @@ def worker(tree: str, workloads_py: str, work: str) -> int:
     return 0
 
 
+def _src_lines(tree: str) -> int:
+    """Lines in the *.py files under tree/src."""
+    total = 0
+    for root, _, files in os.walk(os.path.join(tree, "src")):
+        for n in files:
+            if n.endswith(".py"):
+                with open(os.path.join(root, n), "rb") as f:
+                    total += f.read().count(b"\n")
+    return total
+
+
 def _calls_of(tree: str, workloads_py: str, work: str) -> list:
     shutil.rmtree(work, ignore_errors=True)
     os.makedirs(work)
@@ -180,7 +192,8 @@ def main(argv) -> int:
         print(f"traceback ({tree}) in {c['label']}:\n{c['traceback']}")
     smt = sum(c["smt"] for c in b)
     print(f"calls: {len(b)}  smt2 files: {smt}  differences: {diffs}  "
-          f"tracebacks: {len(tracebacks)}")
+          f"tracebacks: {len(tracebacks)}  "
+          f"src lines: {_src_lines(parent)} -> {_src_lines(change)}")
     if not smt:
         print("no .smt2 file was compared")
     return 1 if diffs or not smt else 0

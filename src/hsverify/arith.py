@@ -1744,26 +1744,25 @@ def _truth_node(e: Expr) -> Callable:
 
 def _quantifier(e: Expr, body: Callable) -> Callable:
     """Forall or Exists sampled on the grid over the binder's range; the
-    range's bound terms are found once, and evaluated at each store."""
+    range's bound terms are found once, and evaluated at each store.
+
+    It decides only through an instance it exhibits: a Forall is False at
+    a grid point where its body is False, an Exists True at one where its
+    body is True, and anything else is None, since the grid cannot show
+    that no other point answers otherwise.  The binder shadows any value
+    env holds for its name."""
     var, bounds = e.var, _binder_bounds(e.body, e.var)
     seek = isinstance(e, Exists)  # the body's value that ends the search
 
     def sample(s, env, q):
         if not q[2]:
             raise UnsupportedConstruct("quantified guards have no evaluation")
-        if var in env:
-            return body(s, env, q)
         lo, hi = _binder_range(bounds, var, s, env, q[0])
-        if lo > hi:
-            return not seek, {}
-        indef = False
         for val in _grid(lo, hi):
             r, inst = body(s, {**env, var: val}, q)
             if r is seek:
                 return seek, {var: val, **inst}
-            if r is None:
-                indef = True
-        return (None, {}) if seek or indef else (True, {})
+        return None, {}
     return sample
 
 
@@ -1792,8 +1791,10 @@ def q_eval(e: Expr, s, env: dict, box: Box, tol: float = 1e-9,
            strict: bool = False):
     """Three-valued truth of a formula at a store: True, False or None.
 
-    Connectives follow Kleene's logic and quantifiers are sampled on a
-    deterministic grid over the binder's box range.  Exact values compare
+    Connectives follow Kleene's logic.  A quantifier is sampled on a
+    deterministic grid over the binder's box range and decides only through
+    the instance it exhibits: a Forall can be False, an Exists True, and
+    neither is ever decided the other way.  Exact values compare
     exactly; a comparison with a float decides only outside
     tol * (1 + |a| + |b|).  An atom that cannot be evaluated is None, or
     raises when strict.  Strict mode also raises UnsupportedConstruct on a

@@ -587,8 +587,10 @@ def reference_q_eval(e: Expr, s, env: dict, box: Box, tol: float = 1e-9,
 
     Three-valued truth of a formula at a store: True, False or None.
 
-    Connectives follow Kleene's logic and quantifiers are sampled on a
-    deterministic grid over the binder's box range.  Exact values compare
+    Connectives follow Kleene's logic.  A quantifier is sampled on a
+    deterministic grid over the binder's box range and decides only through
+    the instance it exhibits: a Forall can be False, an Exists True, and
+    neither is ever decided the other way.  Exact values compare
     exactly; a comparison with a float decides only outside
     tol * (1 + |a| + |b|).  An atom that cannot be evaluated is None, or
     raises when strict.  Strict mode also raises UnsupportedConstruct on a
@@ -650,25 +652,14 @@ def reference_q_eval(e: Expr, s, env: dict, box: Box, tol: float = 1e-9,
         if strict and isinstance(e, (Forall, Exists)):
             raise UnsupportedConstruct("quantified guards have no evaluation")
         if isinstance(e, Forall):
-            if e.var in env:
-                return walk(e.body, env)
             lo, hi = _reference_binder_range(e.body, e.var, s, env, box)
-            if lo > hi:
-                return True, {}
-            indef = False
             for val in _reference_grid(lo, hi):
                 r, inst = walk(e.body, {**env, e.var: val})
                 if r is False:
                     return False, {e.var: val, **inst}
-                if r is None:
-                    indef = True
-            return (None, {}) if indef else (True, {})
+            return None, {}
         if isinstance(e, Exists):
-            if e.var in env:
-                return walk(e.body, env)
             lo, hi = _reference_binder_range(e.body, e.var, s, env, box)
-            if lo > hi:
-                return False, {}
             for val in _reference_grid(lo, hi):
                 r, inst = walk(e.body, {**env, e.var: val})
                 if r is True:

@@ -502,7 +502,33 @@ def test_implies_negates_a_quantified_antecedent():
     t = LogicalVar("t")
     inside = Forall("t", Implies(And(Le(ZERO, t), Le(t, ONE)), Ge(t, ZERO)))
     assert truth(Implies(inside, Gt(x, num(5))), x=Fraction(0)) is None
-    assert truth(Or(Not(inside), Gt(x, num(5))), x=Fraction(0)) is False
+    # negate(forall v. v <= 5) is exists v. 5 < v, which the grid exhibits;
+    # Not(forall) is undecided, since no grid point fails the forall
+    below = Forall("v", Le(LogicalVar("v"), num(5)))
+    assert truth(Implies(below, Gt(x, num(5))), x=Fraction(0)) is True
+    assert truth(Or(Not(below), Gt(x, num(5))), x=Fraction(0)) is None
+
+
+_v, _t = LogicalVar("v"), LogicalVar("t")
+
+
+@pytest.mark.parametrize("formula", [
+    # the default box cuts the range to [1000, 100]
+    Exists("v", Gt(_v, num(1000))),
+    # the bounds under the or leave [5, 3], and the instance is 7
+    Exists("v", Or(And(Ge(_v, num(5)), Le(_v, num(3))), Eq(_v, num(7)))),
+    # every grid point of [-100, 100] holds: the forall is not thereby True
+    Not(Forall("v", Le(_v, num(1000)))),
+    # the binder t is not the free logical t
+    Or(Gt(_t, num(100)), Exists("t", Eq(_t, ZERO))),
+], ids=["empty-range", "bounds-under-or", "negated-forall", "captured-binder"])
+def test_valid_quantified_formulas_are_not_refuted(formula):
+    assert falsify(formula, ctx_for(simple_ds()), seed=0) is None
+
+
+def test_a_forall_is_refuted_by_its_failing_instance():
+    w = falsify(Forall("v", Lt(_v, num(3))), ctx_for(simple_ds()), seed=0)
+    assert w is not None and w["env"] == {"v": Fraction(3)}
 
 
 def _rand_term(rng, bound, depth):

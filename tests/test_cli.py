@@ -320,6 +320,17 @@ def test_deep_wp_condition_is_unknown_not_a_traceback(capsys, tmp_path):
         assert "Traceback" not in err
 
 
+def test_valid_exists_beyond_the_box_is_not_refuted(capsys, tmp_path):
+    # the witness v lies outside the falsifier's default box, so the grid
+    # finds no instance and the goal stays unknown
+    p = tmp_path / "far.hsv"
+    p.write_text("dataspace d {\n  variables x : real;\n}\n\n"
+                 "program inc = x := x + 1\n\n"
+                 "goal g : { x >= 0 } inc { exists v. v > 1000 + x } by wp\n")
+    code, out, err = run(capsys, "verify", p)
+    assert (code, out, err) == (0, "goal g: unknown (wp)\n", "")
+
+
 def test_long_sum_inside_deep_brackets_parses(capsys, tmp_path):
     # 63 brackets around (x + ... + x) * x with an 80-term sum: the parser's
     # own frames are on the stack when it checks the product's kinds

@@ -52,6 +52,7 @@ from .expr import (
     ONE,
     Or,
     Pow,
+    RELATIONS,
     RatLit,
     ScalarMul,
     Sin,
@@ -61,6 +62,7 @@ from .expr import (
     VarRead,
     VecLit,
     ZERO,
+    cached,
     compile_expr,
     fresh_logical,
     free_logicals,
@@ -70,7 +72,7 @@ from .expr import (
     subst_logical,
     subterms,
 )
-from .store import BOOL, Coord, Dataspace, Kind, REAL, Var
+from .store import BOOL, Coord, Dataspace, Kind, REAL, Store, Var
 
 
 # ---------------------------------------------------------------------------
@@ -453,18 +455,8 @@ def negate(e: Expr) -> Expr:
         return BoolLit(not e.value)
     if isinstance(e, Not):
         return e.arg
-    if isinstance(e, Eq):
-        return Neq(e.left, e.right)
-    if isinstance(e, Neq):
-        return Eq(e.left, e.right)
-    if isinstance(e, Le):
-        return Lt(e.right, e.left)
-    if isinstance(e, Lt):
-        return Le(e.right, e.left)
-    if isinstance(e, Ge):
-        return Lt(e.left, e.right)
-    if isinstance(e, Gt):
-        return Le(e.left, e.right)
+    if type(e) in RELATIONS:
+        return norm_rel(RELATIONS[type(e)].complement(e.left, e.right))
     if isinstance(e, And):
         return Or(negate(e.left), negate(e.right))
     if isinstance(e, Or):
@@ -482,10 +474,8 @@ def negate(e: Expr) -> Expr:
 
 def norm_rel(e: Expr) -> Expr:
     """Ge/Gt flipped so only Eq, Neq, Le, Lt remain."""
-    if isinstance(e, Ge):
-        return Le(e.right, e.left)
-    if isinstance(e, Gt):
-        return Lt(e.right, e.left)
+    if isinstance(e, (Ge, Gt)):
+        return RELATIONS[type(e)].converse(e.right, e.left)
     return e
 
 
@@ -1661,8 +1651,8 @@ def _truth_node(e: Expr) -> Callable:
     if isinstance(e, BoolLit):
         value = e.value
         return lambda s, env, q: (value, {})
-    if isinstance(e, _COMPARISONS):
-        fa, fb, op = compile_expr(e.left), compile_expr(e.right), type(e)
+    if type(e) in RELATIONS:
+        fa, fb, test = compile_expr(e.left), compile_expr(e.right), _COMPARE[type(e)]
 
         def compare(s, env, q):
             try:
@@ -1670,7 +1660,7 @@ def _truth_node(e: Expr) -> Callable:
                 b = fb(s, env)
             except q[2]:
                 return None, {}
-            return _cmp_vals(op, a, b, q[1]), {}
+            return test(a, b, q[1]), {}
         return compare
     if isinstance(e, And):
         fa, fb = kids
@@ -1768,23 +1758,9 @@ def _quantifier(e: Expr, body: Callable) -> Callable:
 
 def _truth(e: Expr) -> Callable:
     """e as a closure (store, env, q) -> (truth, instantiations) for q_eval,
-    with q = (box, tol, soft exceptions).  Built once per node, children
-    first from an explicit stack, and cached in the frozen node's __dict__
-    like compile_expr's closure, so ==, hash and repr do not see it."""
-    fn = e.__dict__.get("_truth")
-    if fn is None:
-        stack = [(e, False)]
-        while stack:
-            node, kids_done = stack.pop()
-            if "_truth" in node.__dict__:
-                continue
-            if kids_done:
-                node.__dict__["_truth"] = _truth_node(node)
-                continue
-            stack.append((node, True))
-            stack.extend((k, False) for k in _truth_kids(node))
-        fn = e.__dict__["_truth"]
-    return fn
+    with q = (box, tol, soft exceptions), cached on the node like
+    compile_expr's closure."""
+    return cached(e, "_truth", _truth_kids, _truth_node)
 
 
 def q_eval(e: Expr, s, env: dict, box: Box, tol: float = 1e-9,
@@ -1806,9 +1782,6 @@ def q_eval(e: Expr, s, env: dict, box: Box, tol: float = 1e-9,
     return _truth(e)(s, env, (box, tol, soft))
 
 
-_COMPARISONS = (Eq, Neq, Le, Lt, Ge, Gt)
-
-
 def _inexact(v) -> bool:
     if isinstance(v, float):
         return True
@@ -1817,44 +1790,52 @@ def _inexact(v) -> bool:
     return False
 
 
-def _cmp_vals(op: type, a, b, tol: float):
-    """Three-valued a op b; a float decides only outside tol * (1 + |a| + |b|).
+def _comparison(op: type) -> Callable:
+    """The three-valued test (a, b, tol) -> True, False or None of the
+    comparison class op, with op's exact test bound here, once per class
+    (_COMPARE).
 
-    Vectors compare by component under = and !=; their order is undecided.
-    """
-    if not _inexact(a) and not _inexact(b):
-        if op is Eq:
-            return a == b
-        if op is Neq:
-            return a != b
-        if op is Le:
-            return a <= b
-        if op is Lt:
-            return a < b
-        if op is Ge:
-            return a >= b
-        return a > b
-    if isinstance(a, tuple) or isinstance(b, tuple):
-        if op not in (Eq, Neq) or not (isinstance(a, tuple) and isinstance(b, tuple)) \
-                or len(a) != len(b):
+    Exact values compare exactly; a float decides only outside
+    tol * (1 + |a| + |b|).  Vectors compare by component under = and !=;
+    their order is undecided."""
+    test = RELATIONS[op].test
+    if op in (Eq, Neq):
+        apart = op is Neq  # the answer for values further apart than the margin
+
+        def compare(a, b, tol):
+            if not _inexact(a) and not _inexact(b):
+                return test(a, b)
+            if isinstance(a, tuple) and isinstance(b, tuple):
+                if len(a) != len(b):
+                    return None
+                same = [_COMPARE[Eq](x, y, tol) for x, y in zip(a, b)]
+                if False in same:
+                    return apart
+                return None if None in same else not apart
+            if isinstance(a, tuple) or isinstance(b, tuple):
+                return None
+            fa, fb = float(a), float(b)
+            return apart if abs(fa - fb) > tol * (1.0 + abs(fa) + abs(fb)) else None
+        return compare
+    above = op in (Ge, Gt)  # the answer when a exceeds b by the margin
+
+    def compare(a, b, tol):
+        if not _inexact(a) and not _inexact(b):
+            return test(a, b)
+        if isinstance(a, tuple) or isinstance(b, tuple):
             return None
-        same = [_cmp_vals(Eq, x, y, tol) for x, y in zip(a, b)]
-        if False in same:
-            return op is Neq
-        return None if None in same else op is Eq
-    fa, fb = float(a), float(b)
-    m = tol * (1.0 + abs(fa) + abs(fb))
-    if op is Eq:
-        return False if abs(fa - fb) > m else None
-    if op is Neq:
-        return True if abs(fa - fb) > m else None
-    if op in (Le, Lt):
-        fa, fb = fb, fa
-    if fa > fb + m:
-        return True
-    if fa < fb - m:
-        return False
-    return None
+        fa, fb = float(a), float(b)
+        m = tol * (1.0 + abs(fa) + abs(fb))
+        hi, lo = (fa, fb) if above else (fb, fa)
+        if hi > lo + m:
+            return True
+        if hi < lo - m:
+            return False
+        return None
+    return compare
+
+
+_COMPARE = {op: _comparison(op) for op in RELATIONS}
 
 
 def _scaled_sign(p: Poly, q: Poly, strict: bool) -> Optional[str]:
@@ -1936,11 +1917,9 @@ def falsify(formula: Expr, ctx: ArithCtx, trials: int = 300,
     stores = _store_samplers(ctx)
     logicals = [(n, _sampler(REAL, *ctx.box.for_name(n))) for n in sorted(free_logicals(formula))]
     for _ in range(trials):
+        # each sampler draws in its name's kind, so the store needs no check
         vals = {n: draw(rng) for n, draw in stores}
-        try:
-            s = ctx.dataspace.make_store(vals)
-        except Exception:
-            continue
+        s = Store(ctx.dataspace, vals)
         env = {n: draw(rng) for n, draw in logicals}
         ok = True
         for a in ctx.assumptions:

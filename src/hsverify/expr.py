@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .store import (
     BOOL,
@@ -276,7 +276,19 @@ FALSE = BoolLit(False)
 ZERO = RatLit(0)
 ONE = RatLit(1)
 
-COMPARISONS = (Eq, Le, Lt, Ge, Gt, Neq)
+
+class Relation(NamedTuple):
+    test: Callable      # the exact test on two values
+    converse: type      # a <= b is b >= a
+    complement: type    # not (a <= b) is a > b
+
+
+# What each comparison means, for the evaluator, the simplifier, negation
+# and atom normalization alike.
+RELATIONS = {Eq: Relation(operator.eq, Eq, Neq), Le: Relation(operator.le, Ge, Gt),
+             Lt: Relation(operator.lt, Gt, Ge), Ge: Relation(operator.ge, Le, Lt),
+             Gt: Relation(operator.gt, Lt, Le), Neq: Relation(operator.ne, Neq, Eq)}
+COMPARISONS = tuple(RELATIONS)
 CONNECTIVES = (And, Or, Not, Implies, Iff)
 
 
@@ -339,8 +351,7 @@ def _raiser(cls: type, msg: str) -> Callable:
 
 # Binary nodes that combine two values with no check of their own; both
 # sides are evaluated, connectives included.
-_COMBINE = {Eq: operator.eq, Neq: operator.ne, Le: operator.le, Lt: operator.lt,
-            Ge: operator.ge, Gt: operator.gt, Iff: operator.eq,
+_COMBINE = {**{c: r.test for c, r in RELATIONS.items()}, Iff: operator.eq,
             And: lambda a, b: a and b, Or: lambda a, b: a or b,
             Implies: lambda a, b: (not a) or b}
 
@@ -485,36 +496,43 @@ def _compile(e) -> Callable:
     return _raiser(UnsupportedConstruct, f"cannot evaluate {e!r}")
 
 
-def compile_expr(e: Expr) -> Callable:
-    """e as a closure (store, env) -> value.
-
-    The closure is built once per node and cached in the frozen node's
-    __dict__, outside its fields, so ==, hash and repr do not see it.  It
-    reads whatever the store holds: exact rationals evaluate exactly and
-    floats in binary64.  Errors are raised when the closure is called."""
-    if not isinstance(e, Expr):
-        return _compile(e)
-    fn = e.__dict__.get("_compiled")
-    if fn is None:
-        # Children before parents, from an explicit stack: _compile then
-        # finds each child's closure cached, so a deep tree compiles without
-        # deep recursion.
+def cached(e: Expr, key: str, kids: Callable, build: Callable):
+    """build(e), built once per node and cached in the frozen node's
+    __dict__ under key, outside its fields, so ==, hash and repr do not see
+    it.  The nodes kids(node) names are built before node, from an explicit
+    stack: build then finds each of them cached, so a deep tree builds
+    without deep recursion."""
+    out = e.__dict__.get(key)
+    if out is None:
         stack = [(e, False)]
         while stack:
             node, kids_done = stack.pop()
-            if "_compiled" in node.__dict__:
+            if key in node.__dict__:
                 continue
             if kids_done:
-                node.__dict__["_compiled"] = _compile(node)
+                node.__dict__[key] = build(node)
                 continue
             stack.append((node, True))
-            try:
-                kids = children(node)
-            except UnsupportedConstruct:
-                kids = ()
-            stack.extend((k, False) for k in kids if isinstance(k, Expr))
-        fn = e.__dict__["_compiled"]
-    return fn
+            stack.extend((k, False) for k in kids(node))
+        out = e.__dict__[key]
+    return out
+
+
+def _compiled_kids(e: Expr) -> tuple:
+    try:
+        return tuple(k for k in children(e) if isinstance(k, Expr))
+    except UnsupportedConstruct:
+        return ()
+
+
+def compile_expr(e: Expr) -> Callable:
+    """e as a closure (store, env) -> value, cached on the node.
+
+    It reads whatever the store holds: exact rationals evaluate exactly and
+    floats in binary64.  Errors are raised when the closure is called."""
+    if not isinstance(e, Expr):
+        return _compile(e)
+    return cached(e, "_compiled", _compiled_kids, _compile)
 
 
 def eval_expr(e: Expr, s: Store, env: Optional[dict] = None) -> Union[Fraction, float, bool, tuple]:
@@ -771,7 +789,7 @@ def subst_logical(e: Expr, name: str, replacement: Expr) -> Expr:
 # Substitutions
 
 
-def vec_component(e: Expr, i: int, dim_of=None) -> Expr:
+def vec_component(e: Expr, i: int) -> Expr:
     """Project component i (1-based) out of a vector-valued expression."""
     if isinstance(e, VecLit):
         if not 1 <= i <= len(e.items):
@@ -780,13 +798,13 @@ def vec_component(e: Expr, i: int, dim_of=None) -> Expr:
     if isinstance(e, VarRead) and isinstance(e.lens, Var):
         return VarRead(Coord(e.lens.name, i))
     if isinstance(e, ScalarMul):
-        return Mul(e.scalar, vec_component(e.arg, i, dim_of))
+        return Mul(e.scalar, vec_component(e.arg, i))
     if isinstance(e, (Add, Sub)):
-        return type(e)(vec_component(e.left, i, dim_of), vec_component(e.right, i, dim_of))
+        return type(e)(vec_component(e.left, i), vec_component(e.right, i))
     if isinstance(e, Neg):
-        return Neg(vec_component(e.arg, i, dim_of))
+        return Neg(vec_component(e.arg, i))
     if isinstance(e, Ite):
-        return Ite(e.cond, vec_component(e.then, i, dim_of), vec_component(e.other, i, dim_of))
+        return Ite(e.cond, vec_component(e.then, i), vec_component(e.other, i))
     raise UnsupportedConstruct(f"cannot project component {i} of {e!r}")
 
 
@@ -1181,12 +1199,10 @@ def _simplify_node(e: Expr) -> Expr:
             return simplify(VecLit(tuple(Mul(e.scalar, i) for i in e.arg.items)))
         return e
 
-    if isinstance(e, (Eq, Neq, Le, Lt, Ge, Gt)):
+    if isinstance(e, COMPARISONS):
         a, b = e.left, e.right
         if isinstance(a, RatLit) and isinstance(b, RatLit):
-            av, bv = a.value, b.value
-            return BoolLit({Eq: av == bv, Neq: av != bv, Le: av <= bv,
-                            Lt: av < bv, Ge: av >= bv, Gt: av > bv}[type(e)])
+            return BoolLit(RELATIONS[type(e)].test(a.value, b.value))
         if isinstance(a, BoolLit) and isinstance(b, BoolLit) and isinstance(e, (Eq, Neq)):
             return BoolLit((a.value == b.value) == isinstance(e, Eq))
         if a == b and total(a) and isinstance(e, (Eq, Le, Ge)):

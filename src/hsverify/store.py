@@ -139,20 +139,11 @@ class Dataspace:
         except KeyError:
             raise UndeclaredVariable(name) from None
 
-    def is_constant(self, name: str) -> bool:
-        return self.role_of(name) == CONSTANT
-
     def names(self) -> tuple[str, ...]:
         return tuple(self._decls)
 
     def writable_names(self) -> tuple[str, ...]:
         return tuple(n for n, (_, r) in self._decls.items() if r != CONSTANT)
-
-    def order_index(self, name: str) -> int:
-        try:
-            return list(self._decls).index(name)
-        except ValueError:
-            raise UndeclaredVariable(name) from None
 
     def make_store(self, values: Optional[dict] = None, default_missing: bool = False) -> "Store":
         """Build a total store.  With default_missing, unlisted names get zeros."""

@@ -22,8 +22,8 @@ from hsverify.store import (
 )
 from hsverify import expr as ex
 from hsverify.arith import (
-    _COMPARISONS, _GRID, _NICE, Box, PolyEnv, Unpolyable, _bound_terms, _cmp_vals, negate,
-    norm_rel, poly_of, poly_to_expr, reduce_trig,
+    _GRID, _NICE, Box, PolyEnv, Unpolyable, _bound_terms, _inexact, negate, norm_rel, poly_of,
+    poly_to_expr, reduce_trig,
 )
 from hsverify.expr import (
     FALSE, ONE, TRUE, ZERO, Add, And, BoolLit, Cos, Div, Eq, Exists, Exp, Expr, Forall, Ge, Gt,
@@ -577,6 +577,49 @@ def _reference_binder_range(body: Expr, v: str, s, env, box: Box):
                     and atom.left == t:
                 lo = max(lo, Fraction(val))
     return lo, hi
+
+
+_COMPARISONS = (Eq, Neq, Le, Lt, Ge, Gt)
+
+
+def _cmp_vals(op: type, a, b, tol: float):
+    """Three-valued a op b; a float decides only outside tol * (1 + |a| + |b|).
+
+    Vectors compare by component under = and !=; their order is undecided.
+    """
+    if not _inexact(a) and not _inexact(b):
+        if op is Eq:
+            return a == b
+        if op is Neq:
+            return a != b
+        if op is Le:
+            return a <= b
+        if op is Lt:
+            return a < b
+        if op is Ge:
+            return a >= b
+        return a > b
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        if op not in (Eq, Neq) or not (isinstance(a, tuple) and isinstance(b, tuple)) \
+                or len(a) != len(b):
+            return None
+        same = [_cmp_vals(Eq, x, y, tol) for x, y in zip(a, b)]
+        if False in same:
+            return op is Neq
+        return None if None in same else op is Eq
+    fa, fb = float(a), float(b)
+    m = tol * (1.0 + abs(fa) + abs(fb))
+    if op is Eq:
+        return False if abs(fa - fb) > m else None
+    if op is Neq:
+        return True if abs(fa - fb) > m else None
+    if op in (Le, Lt):
+        fa, fb = fb, fa
+    if fa > fb + m:
+        return True
+    if fa < fb - m:
+        return False
+    return None
 
 
 def reference_q_eval(e: Expr, s, env: dict, box: Box, tol: float = 1e-9,

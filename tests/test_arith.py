@@ -14,11 +14,14 @@ from hsverify.arith import (
     PolyEnv,
     Verdict,
     _bound_terms,
+    _comparison,
     _linear_bound,
     _sampler,
     emit_smtlib,
     expr_key,
     falsify,
+    negate,
+    norm_rel,
     peel,
     poly_normalize,
     poly_of,
@@ -65,9 +68,10 @@ from hsverify.expr import (
     num,
     read,
 )
-from hsverify.store import BOOL, CONSTANT, Dataspace, REAL, vec
+from hsverify.store import BOOL, CONSTANT, Dataspace, REAL, check_value, vec
 
 from helpers import (
+    _cmp_vals,
     rand_any_expr,
     rand_store,
     rand_total_expr,
@@ -410,6 +414,18 @@ def test_samplers_draw_as_the_reference(seed, kinds, logicals, ranges, trials):
                  "env": reference_sample_logicals(ref, ctx, names)}
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from([REAL, BOOL, vec(1), vec(2), vec(3)]),
+       bounds=_RANGE)
+def test_sampler_draws_pass_the_kind_check(seed, kind, bounds):
+    # falsify builds its trial stores from these draws without make_store
+    draw, rng = _sampler(kind, *bounds), random.Random(seed)
+    for _ in range(5):
+        v = draw(rng)
+        assert check_value(kind, v) is v
+
+
 def test_unknown_carries_smt():
     ds = simple_ds()
     f = Le(Mul(num(2), x), Add(Pow(x, 2), ONE))  # true, outside the fragment
@@ -481,6 +497,42 @@ def test_float_vectors_compare_by_component():
     assert truth(Eq(p, q), p=(Fraction(1), Fraction(2))) is True
 
 
+@st.composite
+def _operands(draw, tol):
+    """Two reals, exact or float, a distance from each other on, just
+    inside, just outside or far outside the float margin."""
+    b = draw(st.fractions(-100, 100, max_denominator=8))
+    k = draw(st.sampled_from([0.0, 0.5, 0.99, 1.0, 1.01, 2.0, 1e6])) * draw(st.sampled_from([1, -1]))
+    a = float(b) + k * tol * (1.0 + 2 * abs(float(b)))
+    return (a if draw(st.booleans()) else Fraction(a),
+            float(b) if draw(st.booleans()) else b)
+
+
+def _outcome(fn, *args):
+    try:
+        r = fn(*args)
+    except TypeError:
+        return TypeError
+    return r, type(r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), op=st.sampled_from([Eq, Neq, Le, Lt, Ge, Gt]),
+       tol=st.sampled_from([1e-9, 1e-7]),
+       shape=st.sampled_from(["scalar", "vector", "ragged", "vector-scalar"]))
+def test_comparison_matches_the_reference(data, op, tol, shape):
+    if shape == "scalar":
+        a, b = data.draw(_operands(tol))
+    else:
+        pairs = data.draw(st.lists(_operands(tol), min_size=1, max_size=3))
+        a, b = tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
+        if shape == "ragged":
+            b = b[:-1]
+        elif shape == "vector-scalar":
+            b = b[0]
+    assert _outcome(_comparison(op), a, b, tol) == _outcome(_cmp_vals, op, a, b, tol)
+
+
 def test_connectives_are_kleene():
     near = Le(x, ONE)  # undecided at x = 1 + 1e-12
     assert truth(Not(near), x=1.0 + 1e-12) is None
@@ -493,6 +545,19 @@ def test_connectives_are_kleene():
     assert truth(Ite(near, Ge(y, ZERO), Ge(y, ONE)), x=1.0 + 1e-12, y=-5.0) is False
     assert truth(Ite(near, Ge(y, ZERO), Ge(y, ONE)), x=1.0 + 1e-12, y=5.0) is True
     assert truth(Ite(near, Ge(y, ZERO), Ge(y, ONE)), x=1.0 + 1e-12, y=0.5) is None
+
+
+@pytest.mark.parametrize("rel,negated,normal", [
+    (Eq, Neq(x, y), Eq(x, y)), (Neq, Eq(x, y), Neq(x, y)), (Le, Lt(y, x), Le(x, y)),
+    (Lt, Le(y, x), Lt(x, y)), (Ge, Lt(x, y), Le(y, x)), (Gt, Le(x, y), Lt(y, x)),
+])
+def test_negate_complements_and_norm_rel_flips_each_comparison(rel, negated, normal):
+    atom = rel(x, y)
+    assert (negate(atom), norm_rel(atom)) == (negated, normal)
+    for a, b in ((0, 1), (1, 1), (1, 0)):
+        at = {"x": Fraction(a), "y": Fraction(b)}
+        assert truth(negated, **at) is not truth(atom, **at)
+        assert truth(normal, **at) is truth(atom, **at)
 
 
 def test_implies_negates_a_quantified_antecedent():

@@ -1,13 +1,18 @@
 """End-to-end runs of the command-line driver."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hsverify.cli import main
 
@@ -370,3 +375,91 @@ def test_closed_pipe_ends_quietly():
     err = child.stderr.read().decode()
     assert child.wait() == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+# -- fuzzing: mutated models and arguments end in a verdict or an error -------
+
+_TOKEN = re.compile(r"\s+|\w+|[^\w\s]")
+_MODEL_TOKENS = {p.name: _TOKEN.findall(p.read_text()) for p in sorted(MODELS.glob("*.hsv"))}
+# about 2 s for the models and 0.6 s for the arguments
+_FUZZ = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def run_quietly(argv):
+    """(exit code, stderr) of main(argv) in-process.  argparse's usage
+    errors exit through SystemExit; any other exception escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, err.getvalue()
+
+
+@st.composite
+def mutated_model(draw):
+    """A shipped model with one to three tokens dropped, duplicated or swapped."""
+    toks = list(_MODEL_TOKENS[draw(st.sampled_from(sorted(_MODEL_TOKENS)))])
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.integers(0, len(toks) - 1)), draw(st.integers(0, len(toks) - 1))
+        how = draw(st.sampled_from(["drop", "duplicate", "swap"]))
+        if how == "drop":
+            del toks[i]
+        elif how == "duplicate":
+            toks.insert(i, toks[i])
+        else:
+            toks[i], toks[j] = toks[j], toks[i]
+    return "".join(toks)
+
+
+@_FUZZ
+@given(text=mutated_model(), command=st.sampled_from(["verify", "vcs", "falsify"]))
+def test_mutated_models_end_in_a_verdict_or_an_error(text, command):
+    with tempfile.TemporaryDirectory() as d:
+        p = os.path.join(d, "m.hsv")
+        with open(p, "w", encoding="utf-8") as f:
+            f.write(text)
+        code, err = run_quietly([command, p] + ([] if command == "vcs" else ["--trials", "20"]))
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+_NUMBERS = st.sampled_from(["0", "1", "-1", "0.5", "nan", "inf", "-inf", "1e309", "1/2", "x", ""])
+_INITS = st.sampled_from(["x=1,y=0", "r=2", "x", "x=", "=1", "x=1,y", "x=nan", "y=inf", "x=1/0",
+                          "x=(1,2)", "z=1", "x=1e400", "x=1,x=2", ",", ""])
+# {dir} is a scratch directory holding an empty file {dir}/empty
+_FILES = st.sampled_from([str(MODELS / "pendulum.hsv"), "{dir}/missing.hsv", "{dir}",
+                          "{dir}/empty"])
+_OUTPUTS = st.sampled_from(["{dir}/out", "{dir}/missing/out", "{dir}", "{dir}/empty"])
+
+
+@st.composite
+def mutated_arguments(draw):
+    """An argument list for main with bad numbers, nan and inf, malformed
+    initial states, missing or unreadable files and unwritable outputs."""
+    command = draw(st.sampled_from(["verify", "vcs", "falsify", "simulate"]))
+    argv = [command, draw(_FILES)]
+    flags = [("--seed", _NUMBERS), ("--goal", st.sampled_from(["radius", "nope"]))]
+    if command in ("verify", "falsify"):
+        flags.append(("--trials", _NUMBERS))
+    if command == "verify":
+        flags += [("--json", _OUTPUTS | st.just("-")), ("--emit-smt", _OUTPUTS)]
+    if command == "simulate":
+        flags = [("--seed", _NUMBERS), ("--program", st.sampled_from(["rotate", "nope"])),
+                 ("--init", _INITS), ("--init", _INITS), ("--step", _NUMBERS),
+                 ("--horizon", _NUMBERS), ("--trace", _OUTPUTS)]
+    for flag, values in flags:
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@settings(_FUZZ, max_examples=150)
+@given(argv=mutated_arguments())
+def test_mutated_arguments_end_in_a_verdict_or_an_error(argv):
+    with tempfile.TemporaryDirectory() as d:
+        open(os.path.join(d, "empty"), "w").close()
+        code, err = run_quietly([a.replace("{dir}", d) for a in argv])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err

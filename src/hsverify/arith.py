@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
@@ -294,7 +294,66 @@ def _canon_arg(e: Expr, env: PolyEnv) -> Expr:
         return e
 
 
+def _poly_kids(e: Expr) -> tuple:
+    """The operands _poly_node reads through poly_of."""
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return (e.left, e.right)
+    if isinstance(e, (Neg, Exp, Ln, Sin, Cos, Sqrt)):
+        return (e.arg,)
+    if isinstance(e, Pow):
+        return (e.base,)
+    return ()
+
+
+def _unslot(slot: tuple) -> Poly:
+    """The polynomial of a (dataspace, result) cache slot.  An Unpolyable
+    is kept as its message and raised afresh, so no traceback piles up on
+    a cached instance."""
+    out = slot[1]
+    if isinstance(out, str):
+        raise Unpolyable(out)
+    return out
+
+
 def poly_of(e: Expr, env: PolyEnv) -> Poly:
+    """e as a polynomial over opaque atoms, or Unpolyable.
+
+    The result is cached in the frozen node's __dict__, in one slot that
+    holds the dataspace it was built for: vector reads make the answer
+    depend on it, and a node asked under another dataspace builds again
+    and takes the slot over.  Operands are built first, from an explicit
+    stack.  The cached polynomials are shared, so no Poly is changed in
+    place."""
+    ds = env.dataspace
+    slot = e.__dict__.get("_poly")
+    if slot is None or slot[0] is not ds:
+        stack = [(e, False)]
+        while stack:
+            node, kids_done = stack.pop()
+            slot = node.__dict__.get("_poly")
+            if slot is not None and slot[0] is ds:
+                continue
+            if not kids_done:
+                stack.append((node, True))
+                stack.extend((k, False) for k in _poly_kids(node))
+                continue
+            try:
+                out = _poly_node(node, env)
+            except Unpolyable as err:
+                out = str(err)
+            except Exception:
+                # any other error is left uncached: the node that reads this
+                # operand builds it again and raises in its own order
+                if node is e:
+                    raise
+                continue
+            node.__dict__["_poly"] = (ds, out)
+        slot = e.__dict__["_poly"]
+    return _unslot(slot)
+
+
+def _poly_node(e: Expr, env: PolyEnv) -> Poly:
+    """poly_of of one node; poly_of has built its operands."""
     if isinstance(e, RatLit):
         return Poly.const(e.value)
     if isinstance(e, VarRead):
@@ -506,11 +565,26 @@ class Verdict:
     rule: str = ""
     witness: Optional[dict] = None   # {"store": {...}, "env": {...}}
     residual: tuple = ()
-    smt: Optional[str] = None
+    # emit_smtlib's arguments (formula, ctx, name) for an unknown verdict
+    query: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @property
     def valid(self) -> bool:
         return self.status == "valid"
+
+    @property
+    def smt(self) -> Optional[str]:
+        """The SMT-LIB text of the query, built on first read; None when
+        there is no query or it has no SMT-LIB form."""
+        if "_smt" not in self.__dict__:
+            text = None
+            if self.query is not None:
+                try:
+                    text = emit_smtlib(*self.query)
+                except UnsupportedConstruct:
+                    pass
+            self.__dict__["_smt"] = text
+        return self.__dict__["_smt"]
 
 
 @dataclass
@@ -851,6 +925,7 @@ def _iv_subdivide(concl: Expr, bnds: dict, var: str, lo: float, hi: float,
 
 
 _DEPTH_CAP = 60
+_ORDERS = (Le, Lt, Ge, Gt)
 
 
 class _Prover:
@@ -883,16 +958,36 @@ class _Prover:
             p = _square_out(p, *hit, self._poly(hit[2].arg))
         return p
 
+    def _diff(self, h: Expr, left_first: bool, hyps: Optional[list] = None) -> Poly:
+        """self._poly(Sub(h.left, h.right), hyps) of the comparison h, or of
+        h.right - h.left when not left_first.  A hypothesis is the same node
+        at every prove level, so the polynomial before _reduce_sqrt, which
+        reads hyps, is cached on h: one slot per orientation, each holding
+        its dataspace as poly_of's slot does."""
+        key = "_diff_lr" if left_first else "_diff_rl"
+        ds = self.env.dataspace
+        slot = h.__dict__.get(key)
+        if slot is None or slot[0] is not ds:
+            try:
+                out = reduce_trig(poly_of(Sub(h.left, h.right) if left_first
+                                          else Sub(h.right, h.left), self.env))
+            except Unpolyable as err:
+                out = str(err)
+            slot = h.__dict__[key] = (ds, out)
+        p = _unslot(slot)
+        return p if hyps is None else self._reduce_sqrt(p, hyps)
+
     def _rows(self, hyps: list, reduce_radicals: bool = True) -> list:
         rows = []
         rh = hyps if reduce_radicals else None
         for h in hyps:
-            h = norm_rel(h)
             try:
-                if isinstance(h, (Le, Lt)):
-                    rows.append(Row(self._poly(Sub(h.right, h.left), rh), isinstance(h, Lt)))
+                if isinstance(h, _ORDERS):
+                    # norm_rel(h) is 0 <= right - left or 0 < right - left
+                    p = self._diff(h, isinstance(h, (Ge, Gt)), rh)
+                    rows.append(Row(p, isinstance(h, (Lt, Gt))))
                 elif isinstance(h, Eq) and not self.env.is_vec(h.left):
-                    p = self._poly(Sub(h.left, h.right), rh)
+                    p = self._diff(h, True, rh)
                     rows.append(Row(p, False))
                     rows.append(Row(p.neg(), False))
             except Unpolyable:
@@ -928,17 +1023,16 @@ class _Prover:
         return any(strict and q == target for q, strict in self._bounds(hyps))
 
     def _bounds(self, hyps: list):
-        """Each Le or Lt hypothesis read as 0 <= q or 0 < q: the pairs
-        (q, strict), in hypothesis order."""
+        """Each order hypothesis read as norm_rel reads it, 0 <= q or
+        0 < q: the pairs (q, strict), in hypothesis order."""
         for h in hyps:
-            h = norm_rel(h)
-            if not isinstance(h, (Le, Lt)):
+            if not isinstance(h, _ORDERS):
                 continue
             try:
-                q = self._poly(Sub(h.right, h.left))
+                q = self._diff(h, isinstance(h, (Ge, Gt)))
             except Unpolyable:
                 continue
-            yield q, isinstance(h, Lt)
+            yield q, isinstance(h, (Lt, Gt))
 
     def _entails(self, hyps: list, atom: Expr, quick: bool = False,
                  reduce_radicals: bool = True) -> bool:
@@ -2090,7 +2184,7 @@ def emit_smtlib(formula: Expr, ctx: ArithCtx, name: str = "vc") -> str:
 
 
 def prove_vc(formula: Expr, ctx: ArithCtx, *, vc_name: str = "vc",
-             want_smt: bool = True, falsify_trials: int = 300) -> Verdict:
+             falsify_trials: int = 300) -> Verdict:
     """Decide a verification condition under the context's assumptions."""
     full = simplify(formula)
     if ex.depth(full) > ex.MAX_DEPTH:
@@ -2117,11 +2211,6 @@ def prove_vc(formula: Expr, ctx: ArithCtx, *, vc_name: str = "vc",
     w = falsify(formula, ctx, trials=falsify_trials)
     if w is not None:
         return Verdict("invalid", rule="falsify", witness=w)
-    smt = None
-    if want_smt:
-        try:
-            smt = emit_smtlib(full, ctx, vc_name)
-        except UnsupportedConstruct:
-            smt = None
     return Verdict("unknown", rule="residual",
-                   residual=tuple(sq.formula() for sq in residual), smt=smt)
+                   residual=tuple(sq.formula() for sq in residual),
+                   query=(full, ctx, vc_name))

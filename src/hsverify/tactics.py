@@ -351,7 +351,7 @@ def certify_flow(ode: ODE, flow: Subst, ctx: ArithCtx, *,
             hyp = _hyp([Le(ZERO, LogicalVar(TAU)), *ctx.assumptions])
             for p in d.provisos:
                 v = prove_vc(Implies(hyp, p), ctx, vc_name="flow-proviso",
-                             want_smt=False, falsify_trials=0)
+                             falsify_trials=0)
                 if not v.valid:
                     raise DerivativeMismatch(
                         f"side condition for {m.name} not discharged: {expr_key(p)}")
@@ -382,8 +382,7 @@ def certify_flow(ode: ODE, flow: Subst, ctx: ArithCtx, *,
             terms.append(Ite(Ge(d.expr, ZERO), d.expr, Neg(d.expr)))
             provisos.extend(d.provisos)
         bound = Le(reduce(Add, terms), num(lipschitz))
-        v = prove_vc(conj([*provisos, bound]), free, vc_name="lipschitz",
-                     want_smt=False)
+        v = prove_vc(conj([*provisos, bound]), free, vc_name="lipschitz")
         if not v.valid:
             raise LipschitzSampleFailure(
                 f"constant {lipschitz} not shown for the {xi!r} row: {v.status}")
@@ -468,7 +467,7 @@ def d_induct_mega(ode: ODE, pre: Expr, post: Expr, ctx: ArithCtx, *,
             except UnsupportedRelation:
                 continue
             init = prove_vc(Implies(pre, a), ctx, vc_name="induct-init",
-                            want_smt=False, falsify_trials=0)
+                            falsify_trials=0)
             if not init.valid:
                 continue
             ind = d_induct(cur, a, ctx)

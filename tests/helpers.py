@@ -1,6 +1,7 @@
 """Seeded random generators shared by the unit and acceptance suites, and
 the reference expression evaluator, simplifier, traversals, falsifier
-samplers, three-valued evaluator, kind checker and polynomial normalizer."""
+samplers, three-valued evaluator, kind checker, polynomial builder and
+polynomial normalizer."""
 
 import math
 import random
@@ -22,8 +23,8 @@ from hsverify.store import (
 )
 from hsverify import expr as ex
 from hsverify.arith import (
-    _GRID, _NICE, Box, PolyEnv, Unpolyable, _bound_terms, _inexact, negate, norm_rel, poly_of,
-    poly_to_expr, reduce_trig,
+    _GRID, _NICE, Box, Poly, PolyEnv, Unpolyable, _bound_terms, _inexact, expr_key, negate,
+    norm_rel, poly_of, poly_to_expr, reduce_trig,
 )
 from hsverify.expr import (
     FALSE, ONE, TRUE, ZERO, Add, And, BoolLit, Cos, Div, Eq, Exists, Exp, Expr, Forall, Ge, Gt,
@@ -817,6 +818,92 @@ def reference_kind_of(e: Expr, dataspace: Dataspace) -> Kind:
         raise UnsupportedConstruct(f"cannot kind {e!r}")
 
     return ko(e)
+
+
+# -- the reference polynomial builder ---------------------------------------
+
+def _reference_vec_polys(e: Expr, env: PolyEnv) -> list:
+    """Componentwise polynomials of a vector-valued expression."""
+    dim = env.vec_dim(e)
+    if dim is None:
+        raise Unpolyable(f"unknown vector shape: {e!r}")
+    if isinstance(e, VecLit):
+        return [reference_poly_of(i, env) for i in e.items]
+    if isinstance(e, VarRead) and isinstance(e.lens, Var):
+        return [Poly.atom(VarRead(Coord(e.lens.name, i))) for i in range(1, dim + 1)]
+    if isinstance(e, Neg):
+        return [p.neg() for p in _reference_vec_polys(e.arg, env)]
+    if isinstance(e, Add):
+        return [a.add(b) for a, b in zip(_reference_vec_polys(e.left, env),
+                                         _reference_vec_polys(e.right, env))]
+    if isinstance(e, Sub):
+        return [a.sub(b) for a, b in zip(_reference_vec_polys(e.left, env),
+                                         _reference_vec_polys(e.right, env))]
+    if isinstance(e, ScalarMul):
+        k = reference_poly_of(e.scalar, env)
+        return [k.mul(p) for p in _reference_vec_polys(e.arg, env)]
+    raise Unpolyable(f"cannot expand vector expression {e!r}")
+
+
+def _reference_canon_arg(e: Expr, env: PolyEnv) -> Expr:
+    try:
+        return poly_to_expr(reference_poly_of(e, env))
+    except Unpolyable:
+        return e
+
+
+def reference_poly_of(e: Expr, env: PolyEnv) -> Poly:
+    """arith.poly_of by plain recursion, with no cache."""
+    if isinstance(e, RatLit):
+        return Poly.const(e.value)
+    if isinstance(e, VarRead):
+        if env.is_vec(e):
+            raise Unpolyable(f"vector read {e!r} in scalar position")
+        return Poly.atom(e)
+    if isinstance(e, LogicalVar):
+        return Poly.atom(e)
+    if isinstance(e, Neg):
+        return reference_poly_of(e.arg, env).neg()
+    if isinstance(e, Add):
+        return reference_poly_of(e.left, env).add(reference_poly_of(e.right, env))
+    if isinstance(e, Sub):
+        return reference_poly_of(e.left, env).sub(reference_poly_of(e.right, env))
+    if isinstance(e, Mul):
+        return reference_poly_of(e.left, env).mul(reference_poly_of(e.right, env))
+    if isinstance(e, Pow):
+        return reference_poly_of(e.base, env).pow(e.exp)
+    if isinstance(e, Div):
+        d = reference_poly_of(e.right, env).as_const() if not env.is_vec(e.right) else None
+        if d is not None:
+            if d == 0:
+                raise Unpolyable("literal division by zero")
+            return reference_poly_of(e.left, env).scale(Fraction(1) / d)
+        return Poly.atom(Div(_reference_canon_arg(e.left, env),
+                             _reference_canon_arg(e.right, env)))
+    if isinstance(e, (Exp, Ln, Sin, Cos, Sqrt)):
+        return Poly.atom(type(e)(_reference_canon_arg(e.arg, env)))
+    if isinstance(e, Inner):
+        try:
+            a, b = _reference_vec_polys(e.left, env), _reference_vec_polys(e.right, env)
+            if len(a) == len(b):
+                out = Poly()
+                for x, y in zip(a, b):
+                    out = out.add(x.mul(y))
+                return out
+        except Unpolyable:
+            pass
+        l, r = sorted((e.left, e.right), key=expr_key)
+        return Poly.atom(Inner(l, r))
+    if isinstance(e, Norm):
+        try:
+            comp = _reference_vec_polys(e.arg, env)
+            q = Poly()
+            for x in comp:
+                q = q.add(x.mul(x))
+            return Poly.atom(Sqrt(poly_to_expr(q)))
+        except Unpolyable:
+            return Poly.atom(Norm(e.arg))
+    raise Unpolyable(f"not polynomial: {e!r}")
 
 
 def reference_poly_normalize(e: Expr, dataspace=None) -> Expr:

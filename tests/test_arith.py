@@ -1,20 +1,26 @@
 """Polynomial normalization and the VC prover."""
 
 import random
+import traceback
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hsverify import arith
 from hsverify.arith import (
     ArithCtx,
     BOX_HI,
     BOX_LO,
     Box,
     PolyEnv,
+    Row,
+    Unpolyable,
     Verdict,
+    _Prover,
     _bound_terms,
     _comparison,
+    _fm_infeasible,
     _linear_bound,
     _sampler,
     emit_smtlib,
@@ -28,6 +34,7 @@ from hsverify.arith import (
     prove_vc,
     q_eval,
     recheck,
+    reduce_trig,
     sample_store,
 )
 from hsverify.expr import (
@@ -68,7 +75,7 @@ from hsverify.expr import (
     num,
     read,
 )
-from hsverify.store import BOOL, CONSTANT, Dataspace, REAL, check_value, vec
+from hsverify.store import BOOL, CONSTANT, Dataspace, REAL, Var, check_value, vec
 
 from helpers import (
     _cmp_vals,
@@ -76,6 +83,7 @@ from helpers import (
     rand_store,
     rand_total_expr,
     reference_poly_normalize,
+    reference_poly_of,
     reference_q_eval,
     reference_sample_logicals,
     reference_sample_store,
@@ -195,6 +203,80 @@ def test_normalize_matches_the_reference_walker(seed):
     for space in (ds, None):
         assert _normalize_outcome(poly_normalize, e, space) \
             == _normalize_outcome(reference_poly_normalize, e, space)
+
+
+def _poly_outcome(build, e, env):
+    try:
+        return build(e, env)
+    except Exception as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_poly_of_matches_the_reference_builder(seed):
+    rng = random.Random(seed)
+    ds = small_dataspace()
+    a, b = ((rand_total_expr if rng.random() < 0.5 else rand_any_expr)(rng, ds, 3)
+            for _ in range(2))
+    only_a = Dataspace()  # the other names' reads raise UndeclaredVariable
+    only_a.declare("a", REAL)
+    for space in (ds, None, ds, only_a):
+        env = PolyEnv(space)
+        for e in (a, b):
+            want = _poly_outcome(reference_poly_of, e, env)
+            got = _poly_outcome(poly_of, e, env)
+            assert got == want
+            if isinstance(got, arith.Poly):
+                # a cached polynomial is shared: using it must not change it
+                _fm_infeasible([Row(got, False), Row(got.neg(), True)])
+                assert poly_of(e, env) == want
+        # the comparison's difference, cached on the node per orientation
+        h = Le(a, b)
+        prover = _Prover(ArithCtx(space))
+        for left_first, diff in ((True, Sub(a, b)), (False, Sub(b, a))):
+            want = _poly_outcome(lambda e, env: reduce_trig(reference_poly_of(e, env)),
+                                 diff, env)
+            for _ in range(2):
+                assert _poly_outcome(lambda h, _: prover._diff(h, left_first), h, env) == want
+
+
+def test_poly_of_cache_is_keyed_by_dataspace():
+    as_vec, as_real = Dataspace(), Dataspace()
+    as_vec.declare("p", vec(2))
+    as_real.declare("p", REAL)
+    for order in ((as_vec, as_real, as_vec), (as_real, as_vec, as_real)):
+        p = read("p")
+        for space in order:
+            if space is as_vec:
+                with pytest.raises(Unpolyable, match="vector read"):
+                    poly_of(p, PolyEnv(space))
+            else:
+                assert poly_of(p, PolyEnv(space)) == arith.Poly.atom(p)
+
+
+def test_poly_of_raises_in_the_reference_order():
+    # the Unpolyable of the left operand comes first, although the right
+    # operand, built first, fails in another way
+    e = Mul(And(TRUE, TRUE), read("undeclared"))
+    env = PolyEnv(simple_ds())
+    for _ in range(2):
+        assert _poly_outcome(poly_of, e, env) == _poly_outcome(reference_poly_of, e, env)
+        assert _poly_outcome(poly_of, e, env)[0] is Unpolyable
+
+
+def test_cached_unpolyable_is_raised_afresh():
+    e = Add(x, And(TRUE, TRUE))
+    env = PolyEnv(simple_ds())
+    seen = []
+    for _ in range(2):
+        with pytest.raises(Unpolyable) as info:
+            poly_of(e, env)
+        seen.append((str(info.value), len(traceback.extract_tb(info.value.__traceback__))))
+    assert seen[0][0] == seen[1][0] == "not polynomial: And(left=BoolLit(value=True), " \
+        "right=BoolLit(value=True))"
+    assert seen[1][1] <= seen[0][1]
+    assert "_poly" in e.__dict__ and isinstance(e.__dict__["_poly"][0], Dataspace)
 
 
 def test_expr_key_total_order():
@@ -434,6 +516,39 @@ def test_unknown_carries_smt():
     assert out.residual
     assert out.smt is not None
     assert "(set-logic" in out.smt and "(check-sat)" in out.smt
+
+
+def test_smt_text_is_built_once_on_first_read(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return "text"
+
+    monkeypatch.setattr(arith, "emit_smtlib", counting)
+    f = Le(Mul(num(2), x), Add(Pow(x, 2), ONE))  # as in test_unknown_carries_smt
+    out = prove_vc(f, ctx_for(simple_ds()), vc_name="c")
+    assert out.status == "unknown" and calls == []
+    assert out.smt == out.smt == "text"
+    assert len(calls) == 1 and calls[0][2] == "c"
+
+
+def test_smt_text_is_none_when_the_query_has_no_smtlib_form(monkeypatch):
+    def unsupported(*args):
+        raise UnsupportedConstruct("no form")
+
+    monkeypatch.setattr(arith, "emit_smtlib", unsupported)
+    out = prove_vc(Le(Mul(num(2), x), Add(Pow(x, 2), ONE)), ctx_for(simple_ds()))
+    assert out.status == "unknown" and out.smt is None
+    assert prove_vc(Ge(Pow(x, 2), ZERO), ctx_for(simple_ds())).smt is None
+
+
+def test_verdict_equality_and_repr_ignore_the_query():
+    out = prove_vc(Le(Mul(num(2), x), Add(Pow(x, 2), ONE)), ctx_for(simple_ds()))
+    bare = Verdict(out.status, out.rule, out.witness, out.residual)
+    assert out.query is not None and bare.query is None
+    assert out == bare and repr(out) == repr(bare)
+    assert "query" not in repr(out) and "smt" not in repr(out)
 
 
 def test_condition_deeper_than_the_parser_bound_is_unknown():

@@ -148,6 +148,23 @@ def test_emit_smt_writes_residual(capsys, hard_model, tmp_path):
     assert text.rstrip().endswith("(check-sat)")
 
 
+def test_smt_text_is_built_only_for_emit_smt(capsys, hard_model, tmp_path, monkeypatch):
+    from hsverify import arith
+
+    calls = []
+    emit = arith.emit_smtlib
+
+    def counting(*args):
+        calls.append(args[2])
+        return emit(*args)
+
+    monkeypatch.setattr(arith, "emit_smtlib", counting)
+    code, out, _ = run(capsys, "verify", hard_model, "--trials", 50)
+    assert "goal convex: unknown" in out and calls == []
+    run(capsys, "verify", hard_model, "--trials", 50, "--emit-smt", tmp_path / "smt")
+    assert calls == ["main"]
+
+
 @pytest.mark.parametrize("command", ["verify", "vcs", "falsify"])
 def test_goal_without_flow_is_an_error(capsys, tmp_path, command):
     p = tmp_path / "noflow.hsv"

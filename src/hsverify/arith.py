@@ -464,7 +464,8 @@ BOX_HI = Fraction(100)
 
 
 class Box:
-    """Per-name real bounds used for sampling and interval evaluation."""
+    """Per-name real bounds for sampling only: the falsifier's draws and
+    q_eval's binder grids.  The prover reads none of them."""
 
     def __init__(self, bounds: Optional[dict] = None):
         self.bounds = dict(bounds or {})
@@ -815,27 +816,23 @@ def _iv_neg(a):
 
 
 def _iv_mul(a, b):
-    cs = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    # 0 * inf is 0: an infinite endpoint stands for a side with no bound,
+    # every point of which is finite (Moore, Kearfott & Cloud 2009)
+    cs = [p * q if p and q else 0.0 for p in a for q in b]
     return _out(min(cs), max(cs))
 
 
+_WHOLE = (-math.inf, math.inf)
+
+
 def iv_eval(e: Expr, bnds: dict) -> tuple:
+    """An interval holding e's value for every value of each atom in
+    bnds[expr_key(atom)]; an atom not in bnds is unbounded."""
     if isinstance(e, RatLit):
         v = float(e.value)
         return (v, v)
-    if isinstance(e, VarRead) and isinstance(e.lens, Var):
-        if e.lens.name in bnds:
-            return bnds[e.lens.name]
-        raise _Indef()
-    if isinstance(e, VarRead) and isinstance(e.lens, Coord):
-        key = f"{e.lens.name}[{e.lens.index}]"
-        if key in bnds:
-            return bnds[key]
-        raise _Indef()
-    if isinstance(e, LogicalVar):
-        if e.name in bnds:
-            return bnds[e.name]
-        raise _Indef()
+    if isinstance(e, (VarRead, LogicalVar)):
+        return bnds.get(expr_key(e), _WHOLE)
     if isinstance(e, Neg):
         return _iv_neg(iv_eval(e.arg, bnds))
     if isinstance(e, Add):
@@ -886,29 +883,21 @@ def iv_eval(e: Expr, bnds: dict) -> tuple:
 
 
 def _iv_check(concl: Expr, bnds: dict) -> bool:
-    """Definitely-true check of a comparison under interval bounds."""
+    """Definitely-true check of a Le or Lt under interval bounds."""
     try:
-        if isinstance(concl, Le):
-            d = iv_eval(Sub(concl.left, concl.right), bnds)
-            return d[1] <= 0.0
-        if isinstance(concl, Lt):
-            d = iv_eval(Sub(concl.left, concl.right), bnds)
-            return d[1] < 0.0
-        if isinstance(concl, Neq):
-            d = iv_eval(Sub(concl.left, concl.right), bnds)
-            return d[1] < 0.0 or d[0] > 0.0
+        hi = iv_eval(Sub(concl.left, concl.right), bnds)[1]
     except (_Indef, ValueError, OverflowError, ZeroDivisionError):
         return False
-    return False
+    return hi <= 0.0 if isinstance(concl, Le) else hi < 0.0
 
 
 _SUBDIV_DEPTH = 12
 
 
-def _iv_subdivide(concl: Expr, bnds: dict, var: str, lo: float, hi: float,
+def _iv_subdivide(concl: Expr, bnds: dict, key: str, lo: float, hi: float,
                   depth: int) -> bool:
     b = dict(bnds)
-    b[var] = (lo, hi)
+    b[key] = (lo, hi)
     if _iv_check(concl, b):
         return True
     if depth >= _SUBDIV_DEPTH:
@@ -916,8 +905,8 @@ def _iv_subdivide(concl: Expr, bnds: dict, var: str, lo: float, hi: float,
     mid = 0.5 * (lo + hi)
     if not (lo < mid < hi):
         return False
-    return (_iv_subdivide(concl, bnds, var, lo, mid, depth + 1)
-            and _iv_subdivide(concl, bnds, var, mid, hi, depth + 1))
+    return (_iv_subdivide(concl, bnds, key, lo, mid, depth + 1)
+            and _iv_subdivide(concl, bnds, key, mid, hi, depth + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -929,9 +918,11 @@ _ORDERS = (Le, Lt, Ge, Gt)
 
 
 class _Prover:
-    def __init__(self, ctx: ArithCtx):
-        self.ctx = ctx
-        self.env = ctx.polyenv()
+    """Proves sequents from their hypotheses alone; env gives the kinds of
+    the dataspace's names."""
+
+    def __init__(self, env: PolyEnv):
+        self.env = env
         self.rules: set = set()
         self.splits = 0
 
@@ -1106,12 +1097,7 @@ class _Prover:
             for key, at, pw in m:
                 a = atom_sign(key, at)
                 if pw % 2 == 0:
-                    if a in (">", "<"):
-                        f = ">"
-                    elif a in (">=", "<=") or a is None:
-                        f = ">="
-                    else:
-                        f = ">="
+                    f = ">" if a in (">", "<") else ">="
                 else:
                     if a is None:
                         return None
@@ -1307,7 +1293,7 @@ class _Prover:
                 continue
             v, body = h.var, h.body
             cands = [ZERO]
-            for t in _bound_terms(body, v):
+            for t, _ in _bound_terms(subterms(body, stop=_ORDERS), v):
                 if t not in cands:
                     cands.append(t)
             for t in cands:
@@ -1535,7 +1521,9 @@ class _Prover:
                 if self.prove(flat, at0, depth + 1):
                     return True
             if s in (">=", ">", "0"):
-                for t in _upper_bounds(flat, v):
+                for t, upper in _bound_terms(flat, v):
+                    if not upper:
+                        continue
                     atT = type(concl)(subst_logical(concl.left, v, t),
                                       subst_logical(concl.right, v, t))
                     if self.prove(flat, atT, depth + 1):
@@ -1543,69 +1531,48 @@ class _Prover:
         return False
 
     def _interval(self, flat: list, concl: Expr) -> bool:
-        if not isinstance(concl, (Le, Lt, Neq)):
-            return False
+        """concl checked by interval evaluation, subdivided over each of
+        its logicals.  Each atom is bounded only by the hypotheses that
+        bound it linearly, rounded outward; a side with no such
+        hypothesis is open, and an atom with none is unbounded.  concl
+        is a Le or Lt."""
         bnds: dict = {}
-        ds = self.ctx.dataspace
-        for n in ds.names():
-            k = ds.kind_of(n)
-            lo, hi = self.ctx.box.for_name(n)
-            if k == REAL:
-                bnds[n] = (float(lo), float(hi))
-            elif k.base == "vec":
-                for i in range(1, k.dim + 1):
-                    bnds[f"{n}[{i}]"] = (float(lo), float(hi))
-        names = free_logicals(concl)
-        for h in flat:
-            names |= free_logicals(h)
-        for n in sorted(names):
-            lo, hi = self.ctx.box.for_name(n)
-            bnds.setdefault(n, (float(lo), float(hi)))
-        # refine with single-atom linear hypotheses
         for q, _ in self._bounds(flat):
             lin = _linear_bound(q)
             if lin is None:
                 continue
             key, c, b = lin
-            key = key.removeprefix("?")
-            if key in bnds:
-                lo, hi = bnds[key]
-                bnds[key] = (max(lo, float(b)), hi) if c > 0 else (lo, min(hi, float(b)))
+            try:
+                b = float(b)
+            except OverflowError:
+                continue  # beyond float range: dropping it only widens
+            lo, hi = bnds.get(key, _WHOLE)
+            if c > 0:
+                bnds[key] = (max(lo, math.nextafter(b, -math.inf)), hi)
+            else:
+                bnds[key] = (lo, min(hi, math.nextafter(b, math.inf)))
         if _iv_check(concl, bnds):
             return True
-        for v in sorted(free_logicals(concl)):
-            if v in bnds and bnds[v][0] < bnds[v][1]:
-                lo, hi = bnds[v]
-                if hi - lo <= 1.0e6 and _iv_subdivide(concl, bnds, v, lo, hi, 0):
-                    return True
+        for key in sorted(expr_key(LogicalVar(v)) for v in free_logicals(concl)):
+            lo, hi = bnds.get(key, _WHOLE)
+            if lo < hi and hi - lo <= 1.0e6 and _iv_subdivide(concl, bnds, key, lo, hi, 0):
+                return True
         return False
 
 
-_ORDERS = (Le, Lt, Ge, Gt)
-
-
-def _bound_terms(body: Expr, v: str) -> list:
-    """Terms t with v <= t, v < t, t <= v or t < v, and free of v, in the
-    comparisons of body that sit inside no other comparison."""
+def _bound_terms(atoms: Iterable[Expr], v: str) -> list:
+    """The pairs (t, upper), each once and in order, for the comparisons
+    among atoms that bound the logical v by a term t free of v: upper for
+    v <= t or v < t, lower for t <= v or t < v."""
     out = []
-    for e in subterms(body, stop=_ORDERS):
-        if isinstance(e, _ORDERS):
-            e = norm_rel(e)
-            for side, other in ((e.left, e.right), (e.right, e.left)):
-                if isinstance(side, LogicalVar) and side.name == v \
-                        and v not in free_logicals(other):
-                    if other not in out:
-                        out.append(other)
-    return out
-
-
-def _upper_bounds(flat: list, v: str) -> list:
-    out = []
-    for h in flat:
-        h = norm_rel(h)
-        if isinstance(h, (Le, Lt)) and isinstance(h.left, LogicalVar) \
-                and h.left.name == v and v not in free_logicals(h.right):
-            out.append(h.right)
+    for a in atoms:
+        if not isinstance(a, _ORDERS):
+            continue
+        a = norm_rel(a)
+        for side, t, upper in ((a.left, a.right, True), (a.right, a.left, False)):
+            if isinstance(side, LogicalVar) and side.name == v \
+                    and v not in free_logicals(t) and (t, upper) not in out:
+                out.append((t, upper))
     return out
 
 
@@ -1691,21 +1658,15 @@ _STEPS = tuple(Fraction(i, _GRID - 1) for i in range(_GRID))
 
 
 def _binder_bounds(body: Expr, v: str) -> list:
-    """(closure, upper, lower) for each _bound_terms term t of body: upper
-    when some v <= t or v < t sits in body, lower when some t <= v or t < v;
-    the comparison shapes decide which side a bound sits on."""
-    atoms = [a for a in map(norm_rel, subterms(body)) if isinstance(a, (Le, Lt))]
-    return [(compile_expr(t),
-             any(isinstance(a.left, LogicalVar) and a.left.name == v and a.right == t
-                 for a in atoms),
-             any(isinstance(a.right, LogicalVar) and a.right.name == v and a.left == t
-                 for a in atoms))
-            for t in _bound_terms(body, v)]
+    """(closure, upper) for each _bound_terms pair (t, upper) of the
+    comparisons of body that sit inside no other comparison."""
+    return [(compile_expr(t), upper)
+            for t, upper in _bound_terms(subterms(body, stop=_ORDERS), v)]
 
 
 def _binder_range(bounds: list, v: str, s, env, box: Box):
     lo, hi = box.for_name(v)
-    for f, upper, lower in bounds:
+    for f, upper in bounds:
         try:
             val = f(s, env)
         except ex.EvalError:
@@ -1714,7 +1675,7 @@ def _binder_range(bounds: list, v: str, s, env, box: Box):
             continue
         if upper:
             hi = min(hi, Fraction(val))
-        if lower:
+        else:
             lo = max(lo, Fraction(val))
     return lo, hi
 
@@ -2196,7 +2157,7 @@ def prove_vc(formula: Expr, ctx: ArithCtx, *, vc_name: str = "vc",
         seqs = peel(full)
     except _Budget:
         return Verdict("unknown", rule="split-budget", residual=(formula,))
-    prover = _Prover(ctx)
+    prover = _Prover(ctx.polyenv())
     residual = []
     for sq in seqs:
         try:

@@ -845,13 +845,6 @@ def parse(text: str) -> ModelFile:
 # ---------------------------------------------------------------------------
 # The writer
 
-_PREC = {
-    Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5,
-    Eq: 6, Le: 6, Lt: 6, Ge: 6, Gt: 6, Neq: 6,
-    Add: 7, Sub: 7, Mul: 8, Div: 8, ScalarMul: 8, Inner: 8,
-    Neg: 9, Pow: 10,
-}
-
 _CMP_TEXT = {Eq: "=", Le: "<=", Lt: "<", Ge: ">=", Gt: ">", Neq: "!="}
 _FUNC_TEXT = {Sin: "sin", Cos: "cos", Exp: "exp", Ln: "ln", Sqrt: "sqrt",
               Norm: "norm"}

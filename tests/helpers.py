@@ -563,7 +563,7 @@ def _reference_binder_range(body: Expr, v: str, s, env, box: Box):
     lo, hi = box.for_name(v)
     # decide which side a bound sits on from the comparison shapes
     atoms = [a for a in map(norm_rel, subterms(body)) if isinstance(a, (Le, Lt))]
-    for t in _bound_terms(body, v):
+    for t, _ in _bound_terms(subterms(body, stop=(Le, Lt, Ge, Gt)), v):
         try:
             val = eval_expr(t, s, env)
         except ex.EvalError:

@@ -1,5 +1,8 @@
 """Polynomial normalization and the VC prover."""
 
+import functools
+import itertools
+import math
 import random
 import traceback
 from fractions import Fraction
@@ -71,15 +74,18 @@ from hsverify.expr import (
     UnsupportedConstruct,
     VecLit,
     ZERO,
+    conj,
     eval_expr,
     num,
     read,
+    subterms,
 )
-from hsverify.store import BOOL, CONSTANT, Dataspace, REAL, Var, check_value, vec
+from hsverify.store import BOOL, CONSTANT, Dataspace, REAL, Store, Var, check_value, vec
 
 from helpers import (
     _cmp_vals,
     rand_any_expr,
+    rand_rat,
     rand_store,
     rand_total_expr,
     reference_poly_normalize,
@@ -233,7 +239,7 @@ def test_poly_of_matches_the_reference_builder(seed):
                 assert poly_of(e, env) == want
         # the comparison's difference, cached on the node per orientation
         h = Le(a, b)
-        prover = _Prover(ArithCtx(space))
+        prover = _Prover(env)
         for left_first, diff in ((True, Sub(a, b)), (False, Sub(b, a))):
             want = _poly_outcome(lambda e, env: reduce_trig(reference_poly_of(e, env)),
                                  diff, env)
@@ -402,6 +408,103 @@ def test_interval_with_subdivision():
     out = prove_vc(f, ctx_for(ds))
     assert out.valid
     assert "interval" in out.rule
+
+
+def test_the_sampling_box_is_no_premise():
+    # the box [-100, 100] bounds only the falsifier's draws: x = 200
+    # refutes both
+    for f in (Le(x, num(101)), Implies(Ge(x, ZERO), Le(Mul(x, x), num(10001)))):
+        assert not prove_vc(f, ctx_for(simple_ds())).valid
+
+
+def test_a_one_sided_hypothesis_proves_through_interval():
+    # x >= 2 leaves x unbounded above, and cos(x) < x holds on all of it
+    out = prove_vc(Implies(Ge(x, num(2)), Lt(Cos(x), x)), ctx_for(simple_ds()))
+    assert out.valid
+    assert "interval" in out.rule
+
+
+def test_a_logical_and_a_store_name_are_bounded_apart():
+    # the hypothesis bounds the logical x, not the store's x
+    f = Implies(Le(LogicalVar("x"), num(-200)), Le(x, num(-100)))
+    assert not prove_vc(f, ctx_for(simple_ds())).valid
+
+
+def test_an_atom_with_no_hypothesis_is_unbounded():
+    out = prove_vc(Lt(Sin(y), num(2)), ctx_for(simple_ds()))
+    assert out.valid
+    assert "interval" in out.rule
+
+
+def test_monotone_substitutes_upper_bounds_only():
+    # exp(t) grows, so 1 <= t, a lower bound, says nothing of exp(t) <= 3
+    t = LogicalVar("t")
+    f = Implies(Le(ONE, t), Le(Exp(t), num(3)))
+    assert not prove_vc(f, ctx_for(simple_ds())).valid
+
+
+@pytest.mark.parametrize("a", [(0.0, 0.0), (0.0, 1.0), (-1.0, 0.0)])
+@pytest.mark.parametrize("b", [(-math.inf, math.inf), (-math.inf, 2.0), (3.0, math.inf)])
+def test_interval_products_with_an_open_side_hold_no_nan(a, b):
+    # 0 * inf is 0, whatever order the endpoint products come in
+    for e in (Mul(x, y), Mul(y, x)):
+        lo, hi = arith.iv_eval(e, {"x": a, "y": b})
+        assert lo <= hi  # false when either is NaN
+        for p in a:
+            for q in (max(b[0], -1e6), min(b[1], 1e6)):
+                assert lo <= p * q <= hi
+
+
+_FAR = Fraction(10 ** 4)  # points are drawn far beyond the box's [-100, 100]
+
+
+def _rand_poly_term(rng, leaves, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(leaves + [num(rand_rat(rng, -3, 3))])
+    op = rng.choice((Add, Sub, Mul, Mul, Neg))
+    if op is Neg:
+        return Neg(_rand_poly_term(rng, leaves, depth - 1))
+    return op(_rand_poly_term(rng, leaves, depth - 1),
+              _rand_poly_term(rng, leaves, depth - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_interval_proofs_hold_where_their_hypotheses_do(seed):
+    # the bound sits just above the term's largest value on a grid over
+    # each name's hypothesis range, a side with no hypothesis cut at the
+    # box's edge: such a goal often holds in the box and fails beyond it,
+    # where the checked points are drawn
+    rng = random.Random(seed)
+    ds = simple_ds()
+    names = (x, y, LogicalVar("t"))
+    hyps, ranges, grids = [], {}, []
+    for v in names:
+        a, b = sorted(rand_rat(rng) for _ in range(2))
+        lo, hi = rng.choice(((a, b), (a, b), (a, None), (None, b), (None, None)))
+        if lo is not None:
+            hyps.append(Le(num(lo), v))
+        if hi is not None:
+            hyps.append(Le(v, num(hi)))
+        ranges[v] = (-_FAR if lo is None else lo, _FAR if hi is None else hi)
+        glo, ghi = (BOX_LO if lo is None else lo), (BOX_HI if hi is None else hi)
+        grids.append([glo + (ghi - glo) * Fraction(i, 8) for i in range(9)])
+    # a product of linear factors in t often needs subdivision over t
+    term = rng.choice((_rand_poly_term(rng, list(names), 3),
+                       functools.reduce(Mul, [Sub(names[2], num(rand_rat(rng)))
+                                              for _ in range(rng.randint(2, 3))])))
+    top = max(eval_expr(term, Store(ds, {"x": vx, "y": vy, "z": ZERO.value}), {"t": vt})
+              for vx, vy, vt in itertools.product(*grids))
+    bound = top + Fraction(rng.randint(0, 4), 16) * (1 + abs(top))
+    concl = rng.choice((Le, Lt))(term, num(bound))
+    out = prove_vc(Implies(conj(hyps), concl), ctx_for(ds), falsify_trials=0)
+    if not (out.valid and "interval" in out.rule):
+        return
+    for _ in range(64):
+        at = {v: lo + (hi - lo) * Fraction(rng.randint(0, 8), 8)
+              for v, (lo, hi) in ranges.items()}
+        s = Store(ds, {"x": at[x], "y": at[y], "z": ZERO.value})
+        assert eval_expr(concl, s, {"t": at[names[2]]}) is True, at
 
 
 def test_exp_positive_fact():
@@ -576,9 +679,18 @@ def test_bound_terms_skip_comparisons_inside_a_comparison():
     # v < x sits in the if operand of the outer v <= ...: it bounds nothing
     v = LogicalVar("v")
     nested = Le(v, Ite(Lt(v, x), y, ONE))
-    assert _bound_terms(nested, "v") == []
-    assert _bound_terms(And(nested, Ge(v, z)), "v") == [z]
-    assert _bound_terms(And(Lt(v, x), Ge(v, z)), "v") == [x, z]
+
+    def top(e):
+        return subterms(e, stop=(Le, Lt, Ge, Gt))
+    assert _bound_terms(top(nested), "v") == []
+    assert _bound_terms(top(And(nested, Ge(v, z))), "v") == [(z, False)]
+    assert _bound_terms(top(And(Lt(v, x), Ge(v, z))), "v") == [(x, True), (z, False)]
+
+
+def test_bound_terms_read_each_pair_once():
+    v = LogicalVar("v")
+    atoms = [Lt(v, x), Le(v, x), Ge(x, v), Le(x, v), Le(v, v), Le(v, Add(v, x))]
+    assert _bound_terms(atoms, "v") == [(x, True), (x, False)]
 
 
 # -- the three-valued evaluator ----------------------------------------------

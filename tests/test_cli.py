@@ -353,6 +353,27 @@ def test_valid_exists_beyond_the_box_is_not_refuted(capsys, tmp_path):
     assert (code, out, err) == (0, "goal g: unknown (wp)\n", "")
 
 
+@pytest.mark.parametrize("goal", ["{ true } skip { x <= 101 }",
+                                  "{ x >= 0 } skip { x * x <= 10001 }"])
+def test_the_sampling_box_proves_nothing(capsys, tmp_path, goal):
+    # x = 200, outside the falsifier's box, refutes both goals
+    p = tmp_path / "box.hsv"
+    p.write_text("dataspace d {\n  variables x : real;\n}\n\n"
+                 f"program skip = skip\n\ngoal g : {goal} by wp\n")
+    code, out, err = run(capsys, "verify", p)
+    assert code == 0 and out == "goal g: unknown (wp)\n" and err == ""
+
+
+def test_a_bound_beyond_float_range_is_no_traceback(capsys, tmp_path):
+    p = tmp_path / "huge.hsv"
+    p.write_text("dataspace d {\n  variables x : real;\n}\n\n"
+                 "program skip = skip\n\n"
+                 "goal g : { x <= 10^400 } skip { sin(x) <= 2 } by wp\n")
+    code, out, err = run(capsys, "verify", p)
+    assert out in ("goal g: proved (wp)\n", "goal g: unknown (wp)\n")
+    assert code == 0 and "Traceback" not in err
+
+
 def test_long_sum_inside_deep_brackets_parses(capsys, tmp_path):
     # 63 brackets around (x + ... + x) * x with an 80-term sum: the parser's
     # own frames are on the stack when it checks the product's kinds

@@ -565,6 +565,8 @@ class Verdict:
     status: str                      # "valid" | "invalid" | "unknown"
     rule: str = ""
     witness: Optional[dict] = None   # {"store": {...}, "env": {...}}
+    # the formula of the first sequent that failed to prove: a condition
+    # is decided there, and the sequents after it are not tried
     residual: tuple = ()
     # emit_smtlib's arguments (formula, ctx, name) for an unknown verdict
     query: Optional[tuple] = field(default=None, compare=False, repr=False)
@@ -2166,6 +2168,7 @@ def prove_vc(formula: Expr, ctx: ArithCtx, *, vc_name: str = "vc",
             ok = False
         if not ok:
             residual.append(sq)
+            break
     if not residual:
         rule = ",".join(sorted(prover.rules)) or "trivial"
         return Verdict("valid", rule=rule)

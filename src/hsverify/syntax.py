@@ -533,7 +533,11 @@ class _Parser:
             return Ite(c, a, b)
         if self.at("exists") or self.at("forall"):
             q = self.next().text
-            v = self.ident("bound variable").text
+            b = self.ident("bound variable")
+            v = b.text
+            if v in self.space().names():
+                # a store name reads the store: the binder would bind nothing
+                raise self.fail(f"bound variable {v!r} is a declared name", b)
             self.expect(".")
             with self.nested():
                 body = self.impl_level()

@@ -1,7 +1,7 @@
 """Seeded random generators shared by the unit and acceptance suites, and
 the reference expression evaluator, simplifier, traversals, falsifier
-samplers, three-valued evaluator, kind checker, polynomial builder and
-polynomial normalizer."""
+samplers, three-valued evaluator, kind checker, polynomial builder,
+polynomial normalizer and condition prover."""
 
 import math
 import random
@@ -23,8 +23,9 @@ from hsverify.store import (
 )
 from hsverify import expr as ex
 from hsverify.arith import (
-    _GRID, _NICE, Box, Poly, PolyEnv, Unpolyable, _bound_terms, _inexact, expr_key, negate,
-    norm_rel, poly_of, poly_to_expr, reduce_trig,
+    _GRID, _NICE, ArithCtx, Box, Poly, PolyEnv, Unpolyable, Verdict, _Budget, _Prover,
+    _bound_terms, _inexact, expr_key, falsify, negate, norm_rel, peel, poly_of, poly_to_expr,
+    reduce_trig,
 )
 from hsverify.expr import (
     FALSE, ONE, TRUE, ZERO, Add, And, BoolLit, Cos, Div, Eq, Exists, Exp, Expr, Forall, Ge, Gt,
@@ -930,3 +931,37 @@ def reference_poly_normalize(e: Expr, dataspace=None) -> Expr:
             return e
 
     return norm(simplify(e))
+
+
+def reference_prove_vc(formula: Expr, ctx: ArithCtx, *, vc_name: str = "vc",
+                       falsify_trials: int = 300) -> Verdict:
+    """arith.prove_vc as it was when it tried every sequent of a condition,
+    so its residual holds every sequent that failed to prove."""
+    full = simplify(formula)
+    if ex.depth(full) > ex.MAX_DEPTH:
+        # the prover's semantic walks (poly_of, ==) recurse once per level
+        return Verdict("unknown", rule="depth", residual=(formula,))
+    for a in reversed(ctx.assumptions):
+        full = Implies(a, full)
+    try:
+        seqs = peel(full)
+    except _Budget:
+        return Verdict("unknown", rule="split-budget", residual=(formula,))
+    prover = _Prover(ctx.polyenv())
+    residual = []
+    for sq in seqs:
+        try:
+            ok = prover.prove(sq.hyps, sq.concl, 0)
+        except (_Budget, RecursionError):
+            ok = False
+        if not ok:
+            residual.append(sq)
+    if not residual:
+        rule = ",".join(sorted(prover.rules)) or "trivial"
+        return Verdict("valid", rule=rule)
+    w = falsify(formula, ctx, trials=falsify_trials)
+    if w is not None:
+        return Verdict("invalid", rule="falsify", witness=w)
+    return Verdict("unknown", rule="residual",
+                   residual=tuple(sq.formula() for sq in residual),
+                   query=(full, ctx, vc_name))

@@ -90,6 +90,7 @@ from helpers import (
     rand_total_expr,
     reference_poly_normalize,
     reference_poly_of,
+    reference_prove_vc,
     reference_q_eval,
     reference_sample_logicals,
     reference_sample_store,
@@ -663,6 +664,61 @@ def test_condition_deeper_than_the_parser_bound_is_unknown():
     out = prove_vc(f, ctx_for(simple_ds()))
     assert (out.status, out.rule, out.smt) == ("unknown", "depth", None)
     assert len(out.residual) == 1 and out.residual[0] is f
+
+
+def _rand_condition(rng, ds):
+    """A conjunction of one to four comparisons of rand_total_expr and
+    rand_any_expr terms, under zero to two such comparisons."""
+    def comparison():
+        term = lambda: (rand_total_expr if rng.random() < 0.6 else rand_any_expr)(rng, ds, 2)  # noqa: E731
+        return rng.choice((Eq, Le, Lt, Ge, Gt))(term(), term())
+    post = conj([comparison() for _ in range(rng.randint(1, 4))])
+    hyps = [comparison() for _ in range(rng.randint(0, 2))]
+    return Implies(conj(hyps), post) if hyps else post
+
+
+def _verdict_outcome(prove, f, ds):
+    try:
+        return prove(f, ArithCtx(ds), vc_name="c", falsify_trials=40)
+    except Exception as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_prove_vc_decides_as_the_reference_that_tried_every_sequent(seed):
+    ds = small_dataspace()
+    f = _rand_condition(random.Random(seed), ds)
+    got = _verdict_outcome(prove_vc, f, ds)
+    want = _verdict_outcome(reference_prove_vc, f, ds)
+    if not isinstance(want, Verdict):
+        assert got == want
+        return
+    assert (got.status, got.rule, got.witness, got.smt) \
+        == (want.status, want.rule, want.witness, want.smt)
+    # the residual is the first sequent that failed to prove
+    assert got.residual == want.residual[:1]
+
+
+def test_a_condition_stops_at_its_first_failing_sequent(monkeypatch):
+    calls = []
+    prove = _Prover.prove
+
+    def counting(self, hyps, concl, depth=0):
+        if depth == 0:
+            calls.append(concl)
+        return prove(self, hyps, concl, depth)
+
+    monkeypatch.setattr(_Prover, "prove", counting)
+    ds = simple_ds()
+    out = prove_vc(conj([Ge(x, ONE), Ge(y, ONE), Ge(z, ONE)]), ctx_for(ds))
+    assert out.status == "invalid" and calls == [Ge(x, ONE)]
+    # every sequent of a valid condition is tried, and each rule it used kept
+    f = Implies(Ge(x, ONE), conj([Ge(x, ZERO), Ge(Mul(x, x), ONE), Gt(Add(x, y), y)]))
+    calls.clear()
+    out = prove_vc(f, ctx_for(ds))
+    assert out.valid and len(calls) == 3
+    assert out.rule == reference_prove_vc(f, ctx_for(ds)).rule
 
 
 def test_quantified_falsification_instantiates():

@@ -374,6 +374,17 @@ def test_a_bound_beyond_float_range_is_no_traceback(capsys, tmp_path):
     assert code == 0 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["verify", "vcs", "falsify"])
+def test_a_binder_with_a_store_name_is_an_error(capsys, tmp_path, command):
+    p = tmp_path / "binder.hsv"
+    p.write_text("dataspace d {\n  variables x : real;\n}\n\n"
+                 "program skip = skip\n\n"
+                 "goal g : { x >= 5 } skip { exists x. x <= 0 } by wp\n")
+    code, out, err = run(capsys, command, p)
+    assert code == 1 and out == ""
+    assert err == f"error: {p}:7:35: bound variable 'x' is a declared name\n"
+
+
 def test_long_sum_inside_deep_brackets_parses(capsys, tmp_path):
     # 63 brackets around (x + ... + x) * x with an 80-term sum: the parser's
     # own frames are on the stack when it checks the product's kinds

@@ -10,7 +10,9 @@ from hsverify.expr import (
     And,
     Coord,
     Eq,
+    Exists,
     Exp,
+    Forall,
     Ge,
     Gt,
     Iff,
@@ -116,6 +118,27 @@ def test_connective_precedence():
 
 def test_undeclared_names_are_logical():
     assert parse_expr("x <= x0") == Le(read("x"), LogicalVar("x0"))
+
+
+def test_a_quantifier_binds_an_undeclared_name():
+    assert parse_expr("exists v. v <= x") == Exists("v", Le(LogicalVar("v"), read("x")))
+    assert parse_expr("forall t. t * t >= 0") \
+        == Forall("t", Ge(Mul(LogicalVar("t"), LogicalVar("t")), num(0)))
+
+
+@pytest.mark.parametrize("src, name", [
+    ("exists x. x <= 0", "x"),   # a variable
+    ("forall c. c > 0", "c"),    # a constant
+    ("flag or exists y. y = 0", "y"),  # a ghost
+    ("exists v. forall u. v <= 1", "u"),  # a vector, under another binder
+])
+def test_a_binder_with_a_declared_name_is_a_located_error(src, name):
+    # it would bind nothing: the body's name reads the store
+    with pytest.raises(ParseError, match=f"bound variable '{name}' is a declared name") as e:
+        parse_expr(src)
+    goal_line = PREAMBLE.count("\n") + 2
+    col = len("goal g : { ") + src.index(f" {name}.") + 2
+    assert (e.value.line, e.value.col) == (goal_line, col)
 
 
 def test_vector_syntax():

@@ -1048,10 +1048,13 @@ def simplify(e: Expr) -> Expr:
 
     Each node's result is computed once and cached in the frozen node's
     __dict__, outside its fields, as compile_expr caches its closure.  The
-    walk goes children first, from an explicit stack.  A second pass can
-    fold further, so the cache maps an input node to its result and nothing
-    else: a result is never marked as simplified.  A childless node is its
-    own result and caches nothing."""
+    walk goes children first, from an explicit stack.  A node whose
+    simplified children are its own is kept, not rebuilt, and a normal sum
+    or product chain comes back whole; so a term that is its own
+    simplification comes back as the same object, and a later pass over it
+    is one lookup.  A second pass can fold further, so the cache maps an
+    input node to its result and nothing else: a result is never marked as
+    simplified.  A childless node is its own result and caches nothing."""
     if isinstance(e, Expr):
         out = e.__dict__.get("_simplified")
         if out is not None:
@@ -1060,13 +1063,15 @@ def simplify(e: Expr) -> Expr:
     while stack:
         node, kids = stack.pop()
         if kids is None:
-            kids = children(node)
-            if kids and "_simplified" not in node.__dict__:
-                stack.append((node, kids))
-                stack.extend((k, None) for k in kids)
+            if "_simplified" not in node.__dict__:
+                kids = children(node)
+                if kids:
+                    stack.append((node, kids))
+                    stack.extend((k, None) for k in kids)
             continue
         new = tuple(k.__dict__.get("_simplified", k) for k in kids)
-        node.__dict__["_simplified"] = _simplify_node(rebuild(node, new))
+        same = all(a is b for a, b in zip(new, kids))
+        node.__dict__["_simplified"] = _simplify_node(node if same else rebuild(node, new))
     return e.__dict__.get("_simplified", e)
 
 
@@ -1080,7 +1085,8 @@ def _simplify_node(e: Expr) -> Expr:
     So a sum keeps its left chain, bar the literal, and appends the right
     operand's terms, in time linear in the right chain only; a term that is
     not a product joins a product chain in O(1).  Neither chain is flattened
-    and rebuilt at each level; the full rule gives the same tree."""
+    and rebuilt at each level, and a chain already in that form is returned
+    as it is; the full rule gives an equal tree."""
     if isinstance(e, Neg):
         a = e.arg
         if isinstance(a, RatLit):
@@ -1097,7 +1103,9 @@ def _simplify_node(e: Expr) -> Expr:
             a, c = a.left, a.right.value
         elif isinstance(a, RatLit):
             a, c = None, a.value
-        if a is e.left and not isinstance(b, (Add, RatLit)):
+        # a normal chain plus one term, or plus its one nonzero literal
+        if a is e.left and not isinstance(b, Add) and not (
+                isinstance(b, RatLit) and b.value == 0):
             return e
         for t in _flatten(Add, b):
             if isinstance(t, RatLit):
@@ -1119,8 +1127,13 @@ def _simplify_node(e: Expr) -> Expr:
         return e
 
     if isinstance(e, Mul):
-        if not isinstance(e.right, (Mul, RatLit)) and not isinstance(e.left, RatLit):
-            return e
+        a, b = e.left, e.right
+        if not isinstance(b, (Mul, RatLit)):
+            if not isinstance(a, RatLit):
+                return e
+            # its one literal first: normal unless 1, or a 0 that can drop b
+            if a.value != 1 and (a.value != 0 or not total(b)):
+                return e
         factors = _flatten(Mul, e)
         c = Fraction(1)
         rest = []

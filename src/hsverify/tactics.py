@@ -25,7 +25,7 @@ from .expr import (
     And, Not, Implies, Iff, Exists, Forall, Ite, VecLit,
     TRUE, ZERO, num, read, conj, conjuncts, rewrite, subterms,
     fresh_logical, subst_logical, subst_apply_expr,
-    unrest, eval_expr, simplify, Subst,
+    unrest, eval_expr, simplify, Subst, EvalError,
 )
 from .deriv import DerivCtx, NotDifferentiable, lie_deriv, deriv_in_var
 from .program import (
@@ -420,7 +420,11 @@ def _refute_by_simulation(ode: ODE, pre: Expr, post: Expr, ctx: ArithCtx,
         except Exception:
             continue
         env = dict(w["env"])
-        for t, st in simulate_traced(ode, s0, cfg):
+        try:
+            orbit = simulate_traced(ode, s0, cfg)
+        except (OverflowError, EvalError):
+            continue  # a numeric error ends the orbit unread: no exit found here
+        for t, st in orbit:
             # 1e-7 rather than the guard's 1e-9: the orbit carries RK4 error
             if q_eval(post, st, env, ctx.box, tol=1e-7)[0] is False:
                 return {"store": w["store"], "env": env, "time": t,

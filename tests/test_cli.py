@@ -512,3 +512,29 @@ def test_mutated_arguments_end_in_a_verdict_or_an_error(argv):
         code, err = run_quietly([a.replace("{dir}", d) for a in argv])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
+
+
+# Stiff fields whose float RK4 orbits overflow from a start state near the
+# sampling box's edge; the last goal is invalid (x passes 100 before its
+# orbit overflows).
+STIFF_GOALS = [
+    ("-x^3", "x > 0", True),
+    ("-x^5", "x > 0", True),
+    ("x^3", "x > 0", True),
+    ("x^2", "x < 100", False),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("tactic", ["dInductMega", "dProve"])
+@pytest.mark.parametrize("field,post,valid", STIFF_GOALS)
+def test_an_overflowing_orbit_is_no_traceback(capsys, tmp_path, field, post, valid,
+                                              tactic, seed):
+    p = tmp_path / "stiff.hsv"
+    p.write_text("dataspace d {\n  variables x : real;\n}\n\n"
+                 f"program flow = {{ x' = {field} }}\n\n"
+                 f"goal g : {{ x > 0 }} flow {{ {post} }} by {tactic}\n")
+    code, out, err = run(capsys, "verify", p, "--seed", seed)
+    assert code == 0 and "Traceback" not in err
+    assert out.startswith("goal g: ")
+    assert ("refuted" if valid else "proved") not in out

@@ -372,6 +372,52 @@ def test_simplify_is_not_idempotent():
     assert (once, twice) == (reference_simplify(e), reference_simplify(once))
 
 
+def _fresh_copy(e):
+    """An equal tree of new nodes, none of which holds a cache."""
+    kids = ex.children(e)
+    return ex.rebuild(e, tuple(_fresh_copy(k) for k in kids)) if kids else e
+
+
+def _simplify_counting_rebuilds(e):
+    """simplify(e), and the number of ex.rebuild calls it made."""
+    calls, real = [], ex.rebuild
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ex, "rebuild", lambda *a: calls.append(a) or real(*a))
+        out = simplify(e)
+    return out, len(calls)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_a_simplified_fixed_point_comes_back_as_itself(seed):
+    rng = random.Random(seed)
+    ds = small_dataspace()
+    e = rand_any_expr(rng, ds, 4) if seed % 2 else rand_total_expr(rng, ds, 4)
+    r = simplify(e)
+    copy = _fresh_copy(r)
+    again, rebuilt = _simplify_counting_rebuilds(r)
+    if again == r:
+        # every node of a fixed point is kept, so no pass rebuilds one
+        assert again is r and rebuilt == 0
+        again, rebuilt = _simplify_counting_rebuilds(r)
+        assert again is r and rebuilt == 0
+        again, rebuilt = _simplify_counting_rebuilds(copy)
+        assert again is copy and rebuilt == 0
+    assert again == reference_simplify(r)
+
+
+@pytest.mark.parametrize("e", [
+    Add(read("a"), read("b")),
+    Add(read("a"), num(3)),  # a sum that ends in its one literal
+    Mul(num(2), read("a")),  # a product that starts with its one literal
+    Mul(num(0), Div(num(1), read("a"))),  # a zero that cannot drop a partial factor
+    Add(Add(Mul(num(2), read("a")), read("b")), num(-1)),
+])
+def test_a_normal_term_simplifies_to_itself(e):
+    out, rebuilt = _simplify_counting_rebuilds(e)
+    assert out is e and rebuilt == 0
+
+
 @pytest.mark.parametrize("cls,last", [(Add, num(1)), (Mul, num(2))])
 def test_deep_chain_simplifies_without_deep_recursion(cls, last):
     # 4,999 reads and then a literal, left-associated: the literal makes the

@@ -84,11 +84,10 @@ def _certify_flows(model: ModelFile, seed: int):
         ctx = _ctx(model, _goal_seed(seed, f"flow:{decl.name}"))
         try:
             if decl.lipschitz is not None:
-                cert = certify_flow(ode, decl.flow, ctx,
-                                    lipschitz=decl.lipschitz, flow_id=decl.name)
+                cert = certify_flow(ode, decl.flow, ctx, lipschitz=decl.lipschitz)
             else:
-                cert = local_flow_auto(ode, decl.flow, ctx, flow_id=decl.name)
-            table.register(ode.frame, ode.rhs, decl.flow, flow_id=decl.name)
+                cert = local_flow_auto(ode, decl.flow, ctx)
+            table.register(ode.frame, ode.rhs, decl.flow)
             reports[decl.name] = {"ok": True, "lipschitz": str(cert.lipschitz),
                                   "samples": cert.samples}
         except FlowCertError as e:
@@ -126,7 +125,7 @@ def run_goal(model: ModelFile, goal: Goal, table: FlowTable, failed_flows: dict,
         for decl in model.flows:
             if decl.name == fid:
                 ode = model.programs[decl.target]
-                flows.register(ode.frame, ode.rhs, decl.flow, flow_id=fid)
+                flows.register(ode.frame, ode.rhs, decl.flow)
     if m.name in ("wp", "flow"):
         return settle("wp", [check_vc(vc, ctx, trials) for vc in gen_vcs(triple, flows)])
     if m.name in ("dInduct", "dInductAuto"):
@@ -364,6 +363,8 @@ def _parse_value(s: str):
     if s == "false":
         return False
     if s.startswith("["):
+        if not s.endswith("]"):
+            raise ValueError(f"{s} has no closing ]")
         return tuple(_parse_value(p) for p in _split_top(s[1:-1]))
     v = Fraction(s)
     try:

@@ -48,10 +48,6 @@ class NotDifferentiable(Exception):
     """The node has no derivative in the supported fragment."""
 
 
-class SideConditionUnknown(Exception):
-    """A positivity proviso was required but the caller demanded none."""
-
-
 @dataclass(frozen=True)
 class DerivResult:
     expr: Expr
@@ -126,12 +122,11 @@ def _derive(e: Expr, is_const: Callable[[Expr], bool],
     raise NotDifferentiable(f"no derivative rule for {e!r}")
 
 
-def lie_deriv(ctx: DerivCtx, e: Expr, strict: bool = False) -> DerivResult:
+def lie_deriv(ctx: DerivCtx, e: Expr) -> DerivResult:
     """Framed derivative of e along ctx.field within ctx.frame.
 
     Returns the simplified derivative plus any positivity provisos the chain
-    rules required.  With strict=True a nonempty proviso list raises
-    SideConditionUnknown instead.
+    rules required.
     """
     provisos: list = []
 
@@ -159,10 +154,8 @@ def lie_deriv(ctx: DerivCtx, e: Expr, strict: bool = False) -> DerivResult:
             return VecLit(tuple(comps))
         raise NotDifferentiable(f"lens {l!r} straddles the frame")
 
-    raw = _derive(e, is_const, d_atom, provisos)
-    if strict and provisos:
-        raise SideConditionUnknown(f"provisos required: {provisos!r}")
-    return DerivResult(simplify(raw), tuple(provisos))
+    return DerivResult(simplify(_derive(e, is_const, d_atom, provisos)),
+                       tuple(provisos))
 
 
 def deriv_in_var(e: Expr, name: str) -> DerivResult:

@@ -330,7 +330,7 @@ def _exact_sqrt(v: Fraction) -> Optional[Fraction]:
     return None
 
 
-def _as_vec(v, other=None):
+def _as_vec(v):
     if isinstance(v, tuple):
         return v
     raise KindMismatch(f"expected vector value, got {v!r}")

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .arith import Box, q_eval
 from .expr import (
-    And, Expr, Folded, RatLit, Subst, TRUE, compile_expr, eval_expr, fold_constants,
+    Expr, Folded, RatLit, Subst, TRUE, compile_expr, eval_expr, fold_constants,
 )
 from .store import Coord, Frame, Store, lens_get
 
@@ -32,13 +32,11 @@ class StepSizeTooLarge(Exception):
 class DurationSpec:
     """Admissible evolution durations.
 
-    Default is every nonnegative time.  A closed interval restricts both ends;
-    a member expression over (store, tau) carves out anything else.
+    Default is every nonnegative time; a closed interval restricts both ends.
     """
 
     lo: Fraction = Fraction(0)
     hi: Optional[Fraction] = None
-    member: Optional[Expr] = None
 
     def __post_init__(self):
         # The bounds as contains compares them, worked out once and kept in
@@ -46,16 +44,8 @@ class DurationSpec:
         self.__dict__["_lo"] = _exact_bound(self.lo)
         self.__dict__["_hi"] = None if self.hi is None else _exact_bound(self.hi)
 
-    def contains(self, tau, s: Store, env: Optional[dict] = None) -> bool:
-        if tau < self._lo:
-            return False
-        if self._hi is not None and tau > self._hi:
-            return False
-        if self.member is not None:
-            e = dict(env or {})
-            e[TAU] = tau
-            return eval_guard(self.member, s, e)
-        return True
+    def contains(self, tau) -> bool:
+        return not (tau < self._lo or self._hi is not None and tau > self._hi)
 
 
 def _exact_bound(b: Fraction):
@@ -130,8 +120,6 @@ class ODE(HybridProgram):
     rhs: Subst
     guard: Expr = TRUE
     dur: DurationSpec = NONNEG
-    dom: Optional[Expr] = None
-    t0: Fraction = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -141,7 +129,6 @@ class Evol(HybridProgram):
     frame: Frame
     flow: Subst
     guard: Expr = TRUE
-    dur: DurationSpec = NONNEG
 
 
 @dataclass
@@ -150,7 +137,6 @@ class SimConfig:
     horizon: float = 10.0
     samples_per_orbit: int = 64
     rng_seed: int = 0
-    explore_both: bool = False
 
 
 def modset(p: HybridProgram) -> Frame:
@@ -193,13 +179,6 @@ def eval_guard(e: Expr, s: Store, env: Optional[dict] = None) -> bool:
     return q_eval(e, s, env or {}, _GUARD_BOX, strict=True)[0] is not False
 
 
-def full_guard(p) -> Expr:
-    """An ODE's guard conjoined with its domain, if it declares one."""
-    if p.dom is None:
-        return p.guard
-    return And(p.guard, p.dom)
-
-
 # ---------------------------------------------------------------------------
 # Simulation
 
@@ -235,8 +214,6 @@ class _Sim:
                 out.extend(self.run(p.second, t1, s1))
             return out
         if isinstance(p, Choice):
-            if cfg.explore_both:
-                return self.run(p.left, t, s) + self.run(p.right, t, s)
             branch = p.left if self.rng.random() < 0.5 else p.right
             return self.run(branch, t, s)
         if isinstance(p, If):
@@ -265,7 +242,7 @@ class _Sim:
 
     def _integrate(self, p: ODE, t: float, s: Store) -> list:
         cfg = self.cfg
-        guard = fold_constants(full_guard(p), s, p.frame, formula=True)
+        guard = fold_constants(p.guard, s, p.frame, formula=True)
         if not eval_guard(guard, s):
             return []
         y0, unpack, fdot = _orbit_field(p, s)
@@ -293,14 +270,13 @@ class _Sim:
                     adv += rem
             return adv, y_good
 
-        base = t + float(p.t0)
         h = cfg.step
         nsteps = max(1, int(round(cfg.horizon / h)))
         samples = []
         tau = 0.0
         y = y0
-        if p.dur.contains(tau, s):
-            samples.append((base, s))
+        if p.dur.contains(tau):
+            samples.append((t, s))
         for _ in range(nsteps):
             y_next = rk4(y, h)
             st = unpack(y_next)
@@ -311,13 +287,13 @@ class _Sim:
                         f"guard region thinner than step/{1 << _BISECT_DEPTH}; reduce step")
                 if adv > 0.0:
                     st_b = unpack(y_b)
-                    if p.dur.contains(tau + adv, st_b):
-                        samples.append((base + tau + adv, st_b))
+                    if p.dur.contains(tau + adv):
+                        samples.append((t + tau + adv, st_b))
                 break
             tau += h
             y = y_next
-            if p.dur.contains(tau, st):
-                samples.append((base + tau, st))
+            if p.dur.contains(tau):
+                samples.append((t + tau, st))
         return _thin(samples, cfg.samples_per_orbit)
 
     # -- closed-form path
@@ -337,8 +313,7 @@ class _Sim:
             st = p.frame.put(vals, s)
             if not eval_guard(guard, st, env):
                 break
-            if p.dur.contains(tau, st):
-                samples.append((t + tau, st))
+            samples.append((t + tau, st))
         return _thin(samples, cfg.samples_per_orbit)
 
 

@@ -30,7 +30,7 @@ from .expr import (
 from .deriv import DerivCtx, NotDifferentiable, lie_deriv, deriv_in_var
 from .program import (
     HybridProgram, Skip, Abort, Test, Assign, Seq, Choice, If, Loop,
-    ODE, Evol, TAU, SimConfig, full_guard, simulate_traced,
+    ODE, Evol, TAU, SimConfig, simulate_traced,
 )
 from .vcg import VC, Triple, FlowTable, gen_vcs, wlp, MissingFlow, MissingLoopInvariant
 from .arith import (
@@ -119,7 +119,6 @@ class ProofResult:
 class CertResult:
     """Evidence that a closed form is the local flow of a field."""
 
-    flow_id: str
     lipschitz: Fraction
     samples: int  # Lipschitz conditions discharged, one per field row
 
@@ -217,7 +216,7 @@ def d_induct(ode: ODE, inv: Expr, ctx: ArithCtx, facts=(),
     if not isinstance(ode, ODE):
         raise NotAnODE(f"d_induct needs an ODE, got {type(ode).__name__}")
     dctx = DerivCtx(ode.frame, ode.rhs)
-    hyp = _hyp([full_guard(ode), *facts])
+    hyp = _hyp([ode.guard, *facts])
     outcomes = []
     steps = []
     env = ctx.polyenv()
@@ -249,7 +248,7 @@ def d_weaken(ode: ODE, post: Expr, ctx: ArithCtx, facts=()) -> ProofResult:
     """Differential weakening: the evolution domain already implies post."""
     if not isinstance(ode, (ODE, Evol)):
         raise NotAnODE(f"d_weaken needs an ODE, got {type(ode).__name__}")
-    hyp = _hyp([full_guard(ode) if isinstance(ode, ODE) else ode.guard, *facts])
+    hyp = _hyp([ode.guard, *facts])
     vc = VC("weaken", Implies(hyp, post) if hyp != TRUE else post, origin="dW")
     return settle("dW", (check_vc(vc, ctx),), steps=(f"dW {expr_key(post)}",),
                   exact=False)
@@ -287,7 +286,7 @@ def d_ghost(ode: ODE, target: Expr, ghost: str, k: Expr, ghost_inv: Expr,
     yf = Frame((y,))
     if not unrest(yf, target):
         raise GhostNotFresh(f"{ghost} occurs in the target invariant")
-    if not unrest(yf, full_guard(ode)):
+    if not unrest(yf, ode.guard):
         raise GhostInGuardOrField(f"{ghost} occurs in the evolution domain")
     for l, e in ode.rhs.entries:
         if not unrest(yf, e):
@@ -327,8 +326,7 @@ def _rows(frame: Frame, ds: Dataspace) -> list:
 
 
 def certify_flow(ode: ODE, flow: Subst, ctx: ArithCtx, *,
-                 lipschitz: Fraction = Fraction(1),
-                 flow_id: str = "") -> CertResult:
+                 lipschitz: Fraction = Fraction(1)) -> CertResult:
     """Check a closed-form candidate against its field before trusting it.
 
     Three obligations: the tau-derivative of each component equals the
@@ -386,20 +384,21 @@ def certify_flow(ode: ODE, flow: Subst, ctx: ArithCtx, *,
         if not v.valid:
             raise LipschitzSampleFailure(
                 f"constant {lipschitz} not shown for the {xi!r} row: {v.status}")
-    return CertResult(flow_id, Fraction(lipschitz), len(rows))
+    return CertResult(Fraction(lipschitz), len(rows))
 
 
-def local_flow_auto(ode: ODE, flow: Subst, ctx: ArithCtx, *,
-                    constants=(Fraction(1, 2), Fraction(1), Fraction(2)),
-                    flow_id: str = "") -> CertResult:
-    """Certify with the first workable constant from a small ladder."""
+# the Lipschitz constants local_flow_auto tries, in order
+_LIPSCHITZ_LADDER = (Fraction(1, 2), Fraction(1), Fraction(2))
+
+
+def local_flow_auto(ode: ODE, flow: Subst, ctx: ArithCtx) -> CertResult:
+    """Certify with the first workable constant from _LIPSCHITZ_LADDER."""
     notes = []
-    for L in constants:
+    for L in _LIPSCHITZ_LADDER:
         try:
-            return certify_flow(ode, flow, ctx, lipschitz=Fraction(L),
-                                flow_id=flow_id)
+            return certify_flow(ode, flow, ctx, lipschitz=L)
         except LipschitzSampleFailure as e:
-            notes.append(f"L={Fraction(L)}: {e}")
+            notes.append(f"L={L}: {e}")
     raise AllConstantsFailed("; ".join(notes))
 
 
@@ -407,11 +406,15 @@ def local_flow_auto(ode: ODE, flow: Subst, ctx: ArithCtx, *,
 # The combined ODE search
 
 
-def _refute_by_simulation(ode: ODE, pre: Expr, post: Expr, ctx: ArithCtx,
-                          attempts: int = 5) -> Optional[dict]:
+_REFUTE_ATTEMPTS = 5  # precondition states _refute_by_simulation tries
+_MEGA_ROUNDS = 8  # cut rounds of d_induct_mega
+
+
+def _refute_by_simulation(ode: ODE, pre: Expr, post: Expr,
+                          ctx: ArithCtx) -> Optional[dict]:
     """Sample a precondition state, integrate, and look for a clear exit."""
     cfg = SimConfig(step=0.01, horizon=4.0, samples_per_orbit=256)
-    for a in range(attempts):
+    for a in range(_REFUTE_ATTEMPTS):
         w = falsify(Not(pre), ctx, trials=120, seed=ctx.seed + a)
         if w is None:
             continue
@@ -434,7 +437,7 @@ def _refute_by_simulation(ode: ODE, pre: Expr, post: Expr, ctx: ArithCtx,
 
 
 def d_induct_mega(ode: ODE, pre: Expr, post: Expr, ctx: ArithCtx, *,
-                  rounds: int = 8, refute: bool = True) -> ProofResult:
+                  refute: bool = True) -> ProofResult:
     """Search loop over the ODE rules.
 
     Free cuts first (precondition conjuncts the field cannot move), then
@@ -455,7 +458,7 @@ def d_induct_mega(ode: ODE, pre: Expr, post: Expr, ctx: ArithCtx, *,
         steps.append(f"dD cut {expr_key(a)}")
 
     candidates = _dedup(conjuncts(pre) + conjuncts(post))
-    for _ in range(max(1, rounds)):
+    for _ in range(_MEGA_ROUNDS):
         w = d_weaken(cur, post, ctx)
         outcomes = list(w.outcomes)
         if w.proved:

@@ -41,6 +41,7 @@ from .program import (
     HybridProgram,
     If,
     Loop,
+    NONNEG,
     ODE,
     Seq,
     Skip,
@@ -91,7 +92,7 @@ class FlowTable:
 
     def __init__(self, dataspace: Optional[Dataspace] = None):
         self.dataspace = dataspace
-        self._entries: list = []  # (key, flow_id, flow Subst)
+        self._entries: list = []  # (key, flow Subst)
 
     def _key(self, frame: Frame, rhs: Subst):
         parts = tuple(sorted(
@@ -100,26 +101,15 @@ class FlowTable:
         names = tuple(sorted(frame.names()))
         return (names, parts)
 
-    def register(self, frame: Frame, rhs: Subst, flow: Subst,
-                 flow_id: str = "") -> None:
+    def register(self, frame: Frame, rhs: Subst, flow: Subst) -> None:
         key = self._key(frame, rhs)
         self._entries = [e for e in self._entries if e[0] != key]
-        self._entries.append((key, flow_id, flow))
-
-    def _find(self, ode: ODE) -> tuple:
-        """(flow_id, flow) of the entry registered for ode, or (None, None)."""
-        key = self._key(ode.frame, ode.rhs)
-        return next(((fid, flow) for k, fid, flow in self._entries if k == key),
-                    (None, None))
+        self._entries.append((key, flow))
 
     def lookup(self, ode: ODE) -> Optional[Subst]:
-        return self._find(ode)[1]
-
-    def lookup_id(self, ode: ODE) -> Optional[str]:
-        return self._find(ode)[0]
-
-    def __len__(self):
-        return len(self._entries)
+        """The flow registered for ode, or None."""
+        key = self._key(ode.frame, ode.rhs)
+        return next((flow for k, flow in self._entries if k == key), None)
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +126,10 @@ def _dur_bounds(dur: DurationSpec, t: Expr) -> Expr:
     out = Le(num(dur.lo), t)
     if dur.hi is not None:
         out = And(out, Le(t, num(dur.hi)))
-    if dur.member is not None:
-        raise VcgError("custom duration membership has no wlp translation")
     return out
 
 
-def _flow_wlp(frame: Frame, flow: Subst, guard: Expr, dur: DurationSpec,
-              q: Expr) -> Expr:
+def _flow_wlp(flow: Subst, guard: Expr, dur: DurationSpec, q: Expr) -> Expr:
     used = set(free_logicals(q)) | set(free_logicals(guard))
     for _, e in flow.entries:
         # the flow's own time parameter is substituted away, not captured
@@ -193,14 +180,14 @@ def wlp(p: HybridProgram, q: Expr, flows: Optional[FlowTable] = None,
         sides.append(("loop-post", Implies(inv, q)))
         return inv
     if isinstance(p, Evol):
-        return _flow_wlp(p.frame, p.flow, p.guard, p.dur, q)
+        return _flow_wlp(p.flow, p.guard, NONNEG, q)
     if isinstance(p, ODE):
         flow = flows.lookup(p) if flows is not None else None
         if flow is None:
             names = ", ".join(sorted(p.frame.names()))
             raise MissingFlow(
                 f"no certified flow for the system over {{{names}}}")
-        return _flow_wlp(p.frame, flow, p.guard, p.dur, q)
+        return _flow_wlp(flow, p.guard, p.dur, q)
     raise VcgError(f"no wlp case for {type(p).__name__}")
 
 

@@ -251,16 +251,31 @@ def test_simulate_seeded_repro(capsys):
     assert "flw=" in out1
 
 
-def test_simulate_vector_init(capsys, tmp_path):
+@pytest.fixture
+def vec_model(tmp_path):
     p = tmp_path / "vec.hsv"
     p.write_text("dataspace m {\n  variables p : vec[2], s : real;\n}\n\n"
                  "program bump = s := s + 1\n")
-    code, out, _ = run(capsys, "simulate", p, "--program", "bump",
+    return p
+
+
+def test_simulate_vector_init(capsys, vec_model):
+    code, out, _ = run(capsys, "simulate", vec_model, "--program", "bump",
                        "--init", "p=[1,2],s=1/2")
     assert code == 0
     last = out.strip().splitlines()[-1]
     assert "p=[1, 2]" in last
     assert "s=3/2" in last
+
+
+@pytest.mark.parametrize("value", ["p=[1,23", "p=[1,2", "p=["])
+def test_simulate_unclosed_vector_init(capsys, vec_model, value):
+    # a vector with no closing bracket is an error, not a shorter vector
+    code, out, err = run(capsys, "simulate", vec_model, "--program", "bump",
+                         "--init", value)
+    assert code == 1
+    assert err.startswith("error: bad initial state:")
+    assert out == ""
 
 
 def test_simulate_trace_file(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Model file reader and writer."""
 
+import pathlib
 import random
 from fractions import Fraction
 
@@ -392,12 +393,39 @@ def test_chain_over_the_depth_limit_is_a_parse_error(op, n):
 
 # -- round trips
 
-def test_round_trip_tank():
-    m = parse(TANK)
+def _assert_round_trip(src: str):
+    m = parse(src)
     txt = pretty(m)
     m2 = parse(txt)
     assert m2 == m
     assert pretty(m2) == txt
+
+
+def test_round_trip_tank():
+    _assert_round_trip(TANK)
+
+
+# a duration interval and a guarded closed-form evolution, which no
+# shipped model prints
+DURATIONS = """
+dataspace clocked {
+  variables x : real, z : real;
+}
+
+program timed = { x' = -x, z' = 1 | z <= 5 on 1/2..2 }
+program drift = { evol x = x + tau, z = z | z <= 3 }
+
+goal stays : { x >= 0 } timed { x >= 0 } by dInductMega
+"""
+
+ROUND_TRIP_MODELS = sorted(
+    (pathlib.Path(__file__).resolve().parent.parent / "models").glob("*.hsv"))
+
+
+@pytest.mark.parametrize("src", [p.read_text() for p in ROUND_TRIP_MODELS] + [DURATIONS],
+                         ids=[p.name for p in ROUND_TRIP_MODELS] + ["durations"])
+def test_round_trip_model(src):
+    _assert_round_trip(src)
 
 
 def test_round_trip_minimal():

@@ -206,8 +206,8 @@ def decay_flow(ds, factor=Neg(LogicalVar(TAU))):
 
 def test_certify_flow_decay():
     ds, ode = decay()
-    cert = certify_flow(ode, decay_flow(ds), ArithCtx(ds), flow_id="dissipate")
-    assert cert == CertResult("dissipate", Fraction(1), 1)
+    cert = certify_flow(ode, decay_flow(ds), ArithCtx(ds))
+    assert cert == CertResult(Fraction(1), 1)
 
 
 def test_certify_flow_catches_wrong_sign():
@@ -255,8 +255,8 @@ def shear():
 
 def test_certify_flow_two_rows():
     ode, flow, ctx = shear()
-    cert = certify_flow(ode, flow, ctx, flow_id="shear")
-    assert cert == CertResult("shear", Fraction(1), 2)
+    cert = certify_flow(ode, flow, ctx)
+    assert cert == CertResult(Fraction(1), 2)
 
 
 def test_certify_flow_two_rows_too_tight():
@@ -425,7 +425,7 @@ def test_d_prove_if_split():
 def test_d_prove_ode_with_registered_flow():
     ds, ode = decay()
     flows = FlowTable(ds)
-    flows.register(ode.frame, ode.rhs, decay_flow(ds), flow_id="dissipate")
+    flows.register(ode.frame, ode.rhs, decay_flow(ds))
     t = Triple(And(Ge(read("x"), ZERO), Le(read("x"), LogicalVar("y0"))),
                ode, Le(read("x"), LogicalVar("y0")))
     r = d_prove(t, ArithCtx(ds), flows)

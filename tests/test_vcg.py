@@ -206,10 +206,9 @@ def test_flow_table_matches_normalized_rhs():
     rate2 = Add(Neg(read("co")), read("ci"))  # same polynomial, reordered
     flow = Subst(((Var("h"), Add(Mul(rate1, tau), read("h"))),), ds)
     ft = FlowTable(ds)
-    ft.register(frame, Subst(((Var("h"), rate1),), ds), flow, "fill")
+    ft.register(frame, Subst(((Var("h"), rate1),), ds), flow)
     ode = ODE(frame, Subst(((Var("h"), rate2),), ds))
     assert ft.lookup(ode) == flow
-    assert ft.lookup_id(ode) == "fill"
     other = ODE(Frame((Var("ci"),)), Subst(((Var("ci"), rate2),), ds))
     assert ft.lookup(other) is None
 

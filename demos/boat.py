@@ -33,7 +33,7 @@ def main():
     a, v = read("a"), read("v")
     gap = Sub(Inner(a, v), Inner(v, a))
     print("a.v - v.a normalizes to zero:",
-          poly_of(gap, ctx.polyenv()).is_zero())
+          poly_of(gap, ctx.dataspace).is_zero())
 
     print()
     cli(["verify", str(path)])

@@ -71,8 +71,10 @@ from .expr import (
     simplify,
     subst_logical,
     subterms,
+    vec_component,
+    vec_dim,
 )
-from .store import BOOL, Coord, Dataspace, Kind, REAL, Store, Var
+from .store import BOOL, Coord, Dataspace, Kind, NotPartOf, REAL, Store, Var
 
 
 # ---------------------------------------------------------------------------
@@ -227,69 +229,42 @@ def reduce_trig(p: Poly) -> Poly:
         p = _square_out(p, *hit, Poly.const(1).sub(sin2))
 
 
-@dataclass
-class PolyEnv:
-    """Kind information the polynomial layer needs for vector expansion."""
-
-    dataspace: Optional[Dataspace] = None
-
-    def vec_dim(self, e: Expr) -> Optional[int]:
-        if isinstance(e, VecLit):
-            return len(e.items)
-        if isinstance(e, VarRead) and isinstance(e.lens, Var) and self.dataspace:
-            k = self.dataspace.kind_of(e.lens.name)
-            return k.dim if k.base == "vec" else None
-        if isinstance(e, (Neg,)):
-            return self.vec_dim(e.arg)
-        if isinstance(e, (Add, Sub)):
-            return self.vec_dim(e.left) or self.vec_dim(e.right)
-        if isinstance(e, ScalarMul):
-            return self.vec_dim(e.arg)
-        if isinstance(e, Ite):
-            return self.vec_dim(e.then) or self.vec_dim(e.other)
-        return None
-
-    def is_vec(self, e: Expr) -> bool:
-        return self.vec_dim(e) is not None
-
-
-def vec_polys(e: Expr, env: PolyEnv) -> list:
-    """Componentwise polynomials of a vector-valued expression."""
-    dim = env.vec_dim(e)
+def vec_polys(e: Expr, ds: Optional[Dataspace]) -> list:
+    """Componentwise polynomials of a vector-valued expression: poly_of of
+    each coordinate vec_component projects out.  Raises Unpolyable when e
+    has no vector shape, its vector operands' dimensions differ, or a
+    coordinate does not project."""
+    dim = vec_dim(e, ds)
     if dim is None:
         raise Unpolyable(f"unknown vector shape: {e!r}")
-    if isinstance(e, VecLit):
-        return [poly_of(i, env) for i in e.items]
-    if isinstance(e, VarRead) and isinstance(e.lens, Var):
-        return [Poly.atom(VarRead(Coord(e.lens.name, i))) for i in range(1, dim + 1)]
-    if isinstance(e, Neg):
-        return [p.neg() for p in vec_polys(e.arg, env)]
-    if isinstance(e, Add):
-        return [a.add(b) for a, b in zip(vec_polys(e.left, env), vec_polys(e.right, env))]
-    if isinstance(e, Sub):
-        return [a.sub(b) for a, b in zip(vec_polys(e.left, env), vec_polys(e.right, env))]
-    if isinstance(e, ScalarMul):
-        k = poly_of(e.scalar, env)
-        return [k.mul(p) for p in vec_polys(e.arg, env)]
-    raise Unpolyable(f"cannot expand vector expression {e!r}")
+    # every vector sub-term has e's dimension; the scan stops at literals,
+    # whose items are scalars, at norms and inner products, whose values
+    # are, and at Ite, which no coordinate expands through
+    if any(vec_dim(t, ds) not in (None, dim) for t in subterms(e, (VecLit, Ite, Norm, Inner))):
+        raise Unpolyable(f"vector dimensions differ in {e!r}")
+    try:
+        parts = [vec_component(e, i) for i in range(1, dim + 1)]
+    except (UnsupportedConstruct, NotPartOf) as err:
+        raise Unpolyable(str(err)) from None
+    return [poly_of(p, ds) for p in parts]
 
 
-def _vec_eq(atom: Expr, env: PolyEnv) -> Optional[Expr]:
+def _vec_eq(atom: Expr, ds: Optional[Dataspace]) -> Optional[Expr]:
     """A vector = as the conjunction of its coordinate equations, and a
     vector != as its negation; None for any other atom.  Raises Unpolyable
     when a side does not expand or the dimensions differ."""
-    if not (isinstance(atom, (Eq, Neq)) and env.is_vec(atom.left)):
+    if not (isinstance(atom, (Eq, Neq)) and vec_dim(atom.left, ds) is not None):
         return None
-    ls, rs = vec_polys(atom.left, env), vec_polys(atom.right, env)
+    ls, rs = vec_polys(atom.left, ds), vec_polys(atom.right, ds)
     if len(ls) != len(rs):
         raise Unpolyable(f"vector dimensions differ: {len(ls)} and {len(rs)}")
     out = ex.conj(Eq(poly_to_expr(a), poly_to_expr(b)) for a, b in zip(ls, rs))
     return negate(out) if isinstance(atom, Neq) else out
 
 
-def _canon_arg(e: Expr, env: PolyEnv) -> Expr:
+def _canon_arg(e: Expr, ds: Optional[Dataspace]) -> Expr:
     try:
-        return poly_to_expr(poly_of(e, env))
+        return poly_to_expr(poly_of(e, ds))
     except Unpolyable:
         return e
 
@@ -315,7 +290,7 @@ def _unslot(slot: tuple) -> Poly:
     return out
 
 
-def poly_of(e: Expr, env: PolyEnv) -> Poly:
+def poly_of(e: Expr, ds: Optional[Dataspace]) -> Poly:
     """e as a polynomial over opaque atoms, or Unpolyable.
 
     The result is cached in the frozen node's __dict__, in one slot that
@@ -324,7 +299,6 @@ def poly_of(e: Expr, env: PolyEnv) -> Poly:
     and takes the slot over.  Operands are built first, from an explicit
     stack.  The cached polynomials are shared, so no Poly is changed in
     place."""
-    ds = env.dataspace
     slot = e.__dict__.get("_poly")
     if slot is None or slot[0] is not ds:
         stack = [(e, False)]
@@ -338,7 +312,7 @@ def poly_of(e: Expr, env: PolyEnv) -> Poly:
                 stack.extend((k, False) for k in _poly_kids(node))
                 continue
             try:
-                out = _poly_node(node, env)
+                out = _poly_node(node, ds)
             except Unpolyable as err:
                 out = str(err)
             except Exception:
@@ -352,38 +326,38 @@ def poly_of(e: Expr, env: PolyEnv) -> Poly:
     return _unslot(slot)
 
 
-def _poly_node(e: Expr, env: PolyEnv) -> Poly:
+def _poly_node(e: Expr, ds: Optional[Dataspace]) -> Poly:
     """poly_of of one node; poly_of has built its operands."""
     if isinstance(e, RatLit):
         return Poly.const(e.value)
     if isinstance(e, VarRead):
-        if env.is_vec(e):
+        if vec_dim(e, ds) is not None:
             raise Unpolyable(f"vector read {e!r} in scalar position")
         return Poly.atom(e)
     if isinstance(e, LogicalVar):
         return Poly.atom(e)
     if isinstance(e, Neg):
-        return poly_of(e.arg, env).neg()
+        return poly_of(e.arg, ds).neg()
     if isinstance(e, Add):
-        return poly_of(e.left, env).add(poly_of(e.right, env))
+        return poly_of(e.left, ds).add(poly_of(e.right, ds))
     if isinstance(e, Sub):
-        return poly_of(e.left, env).sub(poly_of(e.right, env))
+        return poly_of(e.left, ds).sub(poly_of(e.right, ds))
     if isinstance(e, Mul):
-        return poly_of(e.left, env).mul(poly_of(e.right, env))
+        return poly_of(e.left, ds).mul(poly_of(e.right, ds))
     if isinstance(e, Pow):
-        return poly_of(e.base, env).pow(e.exp)
+        return poly_of(e.base, ds).pow(e.exp)
     if isinstance(e, Div):
-        d = poly_of(e.right, env).as_const() if not env.is_vec(e.right) else None
+        d = poly_of(e.right, ds).as_const() if vec_dim(e.right, ds) is None else None
         if d is not None:
             if d == 0:
                 raise Unpolyable("literal division by zero")
-            return poly_of(e.left, env).scale(Fraction(1) / d)
-        return Poly.atom(Div(_canon_arg(e.left, env), _canon_arg(e.right, env)))
+            return poly_of(e.left, ds).scale(Fraction(1) / d)
+        return Poly.atom(Div(_canon_arg(e.left, ds), _canon_arg(e.right, ds)))
     if isinstance(e, (Exp, Ln, Sin, Cos, Sqrt)):
-        return Poly.atom(type(e)(_canon_arg(e.arg, env)))
+        return Poly.atom(type(e)(_canon_arg(e.arg, ds)))
     if isinstance(e, Inner):
         try:
-            a, b = vec_polys(e.left, env), vec_polys(e.right, env)
+            a, b = vec_polys(e.left, ds), vec_polys(e.right, ds)
             if len(a) == len(b):
                 out = Poly()
                 for x, y in zip(a, b):
@@ -395,7 +369,7 @@ def _poly_node(e: Expr, env: PolyEnv) -> Poly:
         return Poly.atom(Inner(l, r))
     if isinstance(e, Norm):
         try:
-            comp = vec_polys(e.arg, env)
+            comp = vec_polys(e.arg, ds)
             q = Poly()
             for x in comp:
                 q = q.add(x.mul(x))
@@ -436,19 +410,17 @@ _STRUCTURE = (Eq, Neq, Le, Lt, Ge, Gt, And, Or, Implies, Iff, Not, Exists, Foral
               BoolLit)
 
 
-def poly_normalize(e: Expr, dataspace: Optional[Dataspace] = None) -> Expr:
+def poly_normalize(e: Expr, ds: Optional[Dataspace] = None) -> Expr:
     """Canonical sum-of-monomials form for real-valued (sub)expressions.
 
     Comparisons get both sides normalized; boolean structure is preserved;
     anything outside the polynomial fragment is left as it stands.
     """
-    env = PolyEnv(dataspace)
-
     def fn(t: Expr) -> Optional[Expr]:
         if isinstance(t, _STRUCTURE):
             return None
         try:
-            return poly_to_expr(reduce_trig(poly_of(t, env)))
+            return poly_to_expr(reduce_trig(poly_of(t, ds)))
         except Unpolyable:
             return t
 
@@ -555,9 +527,6 @@ class ArithCtx:
     def __post_init__(self):
         if self.box is None:
             self.box = Box.from_assumptions(self.assumptions)
-
-    def polyenv(self) -> PolyEnv:
-        return PolyEnv(self.dataspace)
 
 
 @dataclass(frozen=True)
@@ -920,11 +889,11 @@ _ORDERS = (Le, Lt, Ge, Gt)
 
 
 class _Prover:
-    """Proves sequents from their hypotheses alone; env gives the kinds of
+    """Proves sequents from their hypotheses alone; ds gives the kinds of
     the dataspace's names."""
 
-    def __init__(self, env: PolyEnv):
-        self.env = env
+    def __init__(self, ds: Optional[Dataspace]):
+        self.ds = ds
         self.rules: set = set()
         self.splits = 0
 
@@ -934,7 +903,7 @@ class _Prover:
     # -- polynomial helpers -------------------------------------------------
 
     def _poly(self, e: Expr, hyps: Optional[list] = None) -> Poly:
-        p = reduce_trig(poly_of(e, self.env))
+        p = reduce_trig(poly_of(e, self.ds))
         if hyps is not None:
             p = self._reduce_sqrt(p, hyps)
         return p
@@ -958,12 +927,12 @@ class _Prover:
         reads hyps, is cached on h: one slot per orientation, each holding
         its dataspace as poly_of's slot does."""
         key = "_diff_lr" if left_first else "_diff_rl"
-        ds = self.env.dataspace
+        ds = self.ds
         slot = h.__dict__.get(key)
         if slot is None or slot[0] is not ds:
             try:
                 out = reduce_trig(poly_of(Sub(h.left, h.right) if left_first
-                                          else Sub(h.right, h.left), self.env))
+                                          else Sub(h.right, h.left), self.ds))
             except Unpolyable as err:
                 out = str(err)
             slot = h.__dict__[key] = (ds, out)
@@ -979,7 +948,7 @@ class _Prover:
                     # norm_rel(h) is 0 <= right - left or 0 < right - left
                     p = self._diff(h, isinstance(h, (Ge, Gt)), rh)
                     rows.append(Row(p, isinstance(h, (Lt, Gt))))
-                elif isinstance(h, Eq) and not self.env.is_vec(h.left):
+                elif isinstance(h, Eq) and vec_dim(h.left, self.ds) is None:
                     p = self._diff(h, True, rh)
                     rows.append(Row(p, False))
                     rows.append(Row(p.neg(), False))
@@ -1035,7 +1004,7 @@ class _Prover:
         diff = Sub(atom.left, atom.right)
         if _has_div(atom):
             try:
-                n, d = _ratfunc(diff, self.env)
+                n, d = _ratfunc(diff, self.ds)
             except Unpolyable:
                 return False
             dexpr = poly_to_expr(d)
@@ -1252,7 +1221,7 @@ class _Prover:
     def _split_vectors(self, flat: list, concl: Expr):
         def split(atom):
             try:
-                comps = _vec_eq(atom, self.env)
+                comps = _vec_eq(atom, self.ds)
             except Unpolyable:
                 return None
             if comps is not None:
@@ -1261,8 +1230,8 @@ class _Prover:
             if isinstance(atom, (Eq, Neq, Le, Lt)) and any(
                     isinstance(t, (Inner, Norm, VecLit, ScalarMul)) for t in subterms(atom)):
                 try:
-                    l = poly_to_expr(reduce_trig(poly_of(atom.left, self.env)))
-                    r = poly_to_expr(reduce_trig(poly_of(atom.right, self.env)))
+                    l = poly_to_expr(reduce_trig(poly_of(atom.left, self.ds)))
+                    r = poly_to_expr(reduce_trig(poly_of(atom.right, self.ds)))
                 except Unpolyable:
                     return None
                 new = type(atom)(l, r)
@@ -1323,7 +1292,7 @@ class _Prover:
 
     def _subst_eqs(self, flat: list, concl: Expr):
         for i, h in enumerate(flat):
-            if not isinstance(h, Eq) or self.env.is_vec(h.left):
+            if not isinstance(h, Eq) or vec_dim(h.left, self.ds) is not None:
                 continue
             for lhs, rhs in ((h.left, h.right), (h.right, h.left)):
                 if isinstance(lhs, (LogicalVar,)) or \
@@ -1365,10 +1334,10 @@ class _Prover:
             atom = norm_rel(atom)
             if not isinstance(atom, (Le, Lt, Eq, Neq)) or not _has_div(atom):
                 return atom
-            if self.env.is_vec(atom.left):
+            if vec_dim(atom.left, self.ds) is not None:
                 return atom
             try:
-                n, d = _ratfunc(Sub(atom.left, atom.right), self.env)
+                n, d = _ratfunc(Sub(atom.left, atom.right), self.ds)
             except Unpolyable:
                 return atom
             if d.as_const() == 1:
@@ -1455,7 +1424,7 @@ class _Prover:
         if isinstance(concl, (VarRead, LogicalVar, Not)):
             return False
         # radical reduction can expose divisions that still need clearing
-        if isinstance(concl, (Eq, Neq, Le, Lt)) and not self.env.is_vec(concl.left):
+        if isinstance(concl, (Eq, Neq, Le, Lt)) and vec_dim(concl.left, self.ds) is None:
             try:
                 red = poly_to_expr(self._poly(Sub(concl.left, concl.right), flat))
                 rebuilt = type(concl)(red, ZERO)
@@ -1582,36 +1551,36 @@ def _has_div(e: Expr) -> bool:
     return any(isinstance(t, Div) for t in subterms(e))
 
 
-def _ratfunc(e: Expr, env: PolyEnv):
+def _ratfunc(e: Expr, ds: Optional[Dataspace]):
     """e as N/D with polynomial N, D; divisions inside opaque atoms stay put."""
     if not _has_div(e):
-        return poly_of(e, env), Poly.const(1)
+        return poly_of(e, ds), Poly.const(1)
     if isinstance(e, Div):
-        na, da = _ratfunc(e.left, env)
-        nb, db = _ratfunc(e.right, env)
+        na, da = _ratfunc(e.left, ds)
+        nb, db = _ratfunc(e.right, ds)
         if nb.is_zero():
             raise Unpolyable("division by syntactic zero")
         return na.mul(db), da.mul(nb)
     if isinstance(e, Neg):
-        n, d = _ratfunc(e.arg, env)
+        n, d = _ratfunc(e.arg, ds)
         return n.neg(), d
     if isinstance(e, Add):
-        na, da = _ratfunc(e.left, env)
-        nb, db = _ratfunc(e.right, env)
+        na, da = _ratfunc(e.left, ds)
+        nb, db = _ratfunc(e.right, ds)
         return na.mul(db).add(nb.mul(da)), da.mul(db)
     if isinstance(e, Sub):
-        na, da = _ratfunc(e.left, env)
-        nb, db = _ratfunc(e.right, env)
+        na, da = _ratfunc(e.left, ds)
+        nb, db = _ratfunc(e.right, ds)
         return na.mul(db).sub(nb.mul(da)), da.mul(db)
     if isinstance(e, Mul):
-        na, da = _ratfunc(e.left, env)
-        nb, db = _ratfunc(e.right, env)
+        na, da = _ratfunc(e.left, ds)
+        nb, db = _ratfunc(e.right, ds)
         return na.mul(nb), da.mul(db)
     if isinstance(e, Pow):
-        n, d = _ratfunc(e.base, env)
+        n, d = _ratfunc(e.base, ds)
         return n.pow(e.exp), d.pow(e.exp)
     # division buried inside a transcendental argument: opaque
-    return poly_of(e, env), Poly.const(1)
+    return poly_of(e, ds), Poly.const(1)
 
 
 def _linear_bound(q: Poly) -> Optional[tuple]:
@@ -2023,8 +1992,8 @@ def _smt_rat(v: Fraction) -> str:
 
 
 class _SmtOut:
-    def __init__(self, env: PolyEnv):
-        self.env = env
+    def __init__(self, ds: Dataspace):
+        self.ds = ds
         self.funs: list = []
 
     def _fun(self, name: str) -> str:
@@ -2040,7 +2009,7 @@ class _SmtOut:
         if isinstance(e, VarRead):
             l = e.lens
             if isinstance(l, Var):
-                if self.env.is_vec(e):
+                if vec_dim(e, self.ds) is not None:
                     raise UnsupportedConstruct(
                         f"whole-vector read of {l.name} has no scalar translation")
                 return _smt_sym(l.name)
@@ -2087,24 +2056,24 @@ class _SmtOut:
         raise UnsupportedConstruct(f"no SMT translation for {type(e).__name__}")
 
 
-def _smt_prepare(e: Expr, env: PolyEnv) -> Expr:
+def _smt_prepare(e: Expr, ds: Dataspace) -> Expr:
     """Expand vector structure so only scalar terms remain."""
 
     def fn(q: Expr) -> Optional[Expr]:
         try:
-            return _vec_eq(q, env)
+            return _vec_eq(q, ds)
         except Unpolyable as err:
             raise UnsupportedConstruct(str(err))
 
-    return poly_normalize(rewrite(e, fn), env.dataspace)
+    return poly_normalize(rewrite(e, fn), ds)
 
 
 def emit_smtlib(formula: Expr, ctx: ArithCtx, name: str = "vc") -> str:
     """Counterexample query: assumptions asserted, the condition negated."""
-    env = ctx.polyenv()
-    body = _smt_prepare(simplify(formula), env)
-    assumes = [_smt_prepare(a, env) for a in ctx.assumptions]
-    out = _SmtOut(env)
+    ds = ctx.dataspace
+    body = _smt_prepare(simplify(formula), ds)
+    assumes = [_smt_prepare(a, ds) for a in ctx.assumptions]
+    out = _SmtOut(ds)
     neg = out.term(Not(body))
     assume_terms = [out.term(a) for a in assumes]
 
@@ -2116,7 +2085,6 @@ def emit_smtlib(formula: Expr, ctx: ArithCtx, name: str = "vc") -> str:
         logic = "NRA" if has_q else "QF_NRA"
 
     lines = [f"; {name}: unsat means the condition holds", f"(set-logic {logic})"]
-    ds = ctx.dataspace
     for n in ds.names():
         k = ds.kind_of(n)
         if k == REAL:
@@ -2124,8 +2092,7 @@ def emit_smtlib(formula: Expr, ctx: ArithCtx, name: str = "vc") -> str:
         elif k == BOOL:
             lines.append(f"(declare-const {_smt_sym(n)} Bool)")
         else:
-            for i in range(1, k.dim + 1):
-                lines.append(f"(declare-const {_smt_sym(f'{n}#{i}')} Real)")
+            lines.extend(f"(declare-const {out.term(VarRead(c))} Real)" for c in ds.coords(n))
     for n in sorted(free_logicals(body) | set().union(*[free_logicals(a) for a in assumes] or [set()])):
         lines.append(f"(declare-const {_smt_sym(n)} Real)")
     for f in out.funs:
@@ -2159,7 +2126,7 @@ def prove_vc(formula: Expr, ctx: ArithCtx, *, vc_name: str = "vc",
         seqs = peel(full)
     except _Budget:
         return Verdict("unknown", rule="split-budget", residual=(formula,))
-    prover = _Prover(ctx.polyenv())
+    prover = _Prover(ctx.dataspace)
     residual = []
     for sq in seqs:
         try:

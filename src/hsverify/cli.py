@@ -141,7 +141,7 @@ def run_goal(model: ModelFile, goal: Goal, table: FlowTable, failed_flows: dict,
         gh = d_ghost(prog, goal.post, g, RatLit(Fraction(rate)), inv, ctx)
         return settle(gh.rule, parts=(_init_check(goal, ctx), gh))
     if m.name == "dProve":
-        return d_prove(triple, ctx, table)
+        return d_prove(triple, ctx, table, trials=trials)
     raise ModelError(f"goal {goal.name}: unhandled method {m.name!r}")
 
 

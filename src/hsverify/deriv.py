@@ -41,7 +41,7 @@ from .expr import (
     simplify,
     unrest,
 )
-from .store import Coord, Frame, Store, Var
+from .store import Frame, Store, Var
 
 
 class NotDifferentiable(Exception):
@@ -146,12 +146,8 @@ def lie_deriv(ctx: DerivCtx, e: Expr) -> DerivResult:
             ds = ctx.field.dataspace
             if ds is None:
                 raise NotDifferentiable(f"partially framed vector {l!r} without a dataspace")
-            dim = ds.kind_of(l.name).dim
-            comps = []
-            for i in range(1, dim + 1):
-                c = Coord(l.name, i)
-                comps.append(ctx.field.lookup(c) if ctx.frame.covers(c) else ZERO)
-            return VecLit(tuple(comps))
+            return VecLit(tuple(ctx.field.lookup(c) if ctx.frame.covers(c) else ZERO
+                                for c in ds.coords(l.name)))
         raise NotDifferentiable(f"lens {l!r} straddles the frame")
 
     return DerivResult(simplify(_derive(e, is_const, d_atom, provisos)),

@@ -789,6 +789,23 @@ def subst_logical(e: Expr, name: str, replacement: Expr) -> Expr:
 # Substitutions
 
 
+def vec_dim(e: Expr, ds: Optional[Dataspace]) -> Optional[int]:
+    """The dimension of a vector-valued expression, or None when e is no
+    vector term; whole-vector reads need ds to tell."""
+    if isinstance(e, VecLit):
+        return len(e.items)
+    if isinstance(e, VarRead) and isinstance(e.lens, Var) and ds:
+        k = ds.kind_of(e.lens.name)
+        return k.dim if k.base == "vec" else None
+    if isinstance(e, (Neg, ScalarMul)):
+        return vec_dim(e.arg, ds)
+    if isinstance(e, (Add, Sub)):
+        return vec_dim(e.left, ds) or vec_dim(e.right, ds)
+    if isinstance(e, Ite):
+        return vec_dim(e.then, ds) or vec_dim(e.other, ds)
+    return None
+
+
 def vec_component(e: Expr, i: int) -> Expr:
     """Project component i (1-based) out of a vector-valued expression."""
     if isinstance(e, VecLit):
@@ -848,8 +865,7 @@ class Subst:
         if isinstance(x, Var) and isinstance(m, Coord) and x.name == m.name:
             if self.dataspace is None:
                 raise NotPartOf(f"need a dataspace to assemble {x!r} from coordinate updates")
-            dim = self.dataspace.kind_of(x.name).dim
-            return VecLit(tuple(self._lookup(Coord(x.name, j), entries) for j in range(1, dim + 1)))
+            return VecLit(tuple(self._lookup(c, entries) for c in self.dataspace.coords(x.name)))
         raise NotPartOf(f"cannot resolve read of {x!r} against update of {m!r}")
 
     def lenses(self) -> tuple:

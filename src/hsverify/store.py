@@ -142,6 +142,10 @@ class Dataspace:
     def names(self) -> tuple[str, ...]:
         return tuple(self._decls)
 
+    def coords(self, name: str) -> tuple:
+        """The coordinate lenses of the vector name, in index order."""
+        return tuple(Coord(name, i) for i in range(1, self.kind_of(name).dim + 1))
+
     def writable_names(self) -> tuple[str, ...]:
         return tuple(n for n, (_, r) in self._decls.items() if r != CONSTANT)
 
@@ -429,15 +433,11 @@ class Frame:
         """All writable parts of the dataspace this frame leaves alone."""
         out = []
         for name in dataspace.writable_names():
-            kind = dataspace.kind_of(name)
             v = Var(name)
             if not self.overlaps(v):
                 out.append(v)
-            elif kind.base == "vec" and not self.covers(v):
-                for i in range(1, kind.dim + 1):
-                    c = Coord(name, i)
-                    if not self.overlaps(c):
-                        out.append(c)
+            elif dataspace.kind_of(name).base == "vec" and not self.covers(v):
+                out.extend(c for c in dataspace.coords(name) if not self.overlaps(c))
         return Frame(out)
 
     def get(self, s: Store) -> tuple:

@@ -19,13 +19,13 @@ from fractions import Fraction
 from functools import reduce
 from typing import Optional
 
-from .store import Coord, Dataspace, Frame, Var
+from .store import Dataspace, Frame, Var
 from .expr import (
     Expr, RatLit, VarRead, LogicalVar, Add, Mul, Neg, Sub, Eq, Le, Lt, Ge,
     And, Not, Implies, Iff, Exists, Forall, Ite, VecLit,
     TRUE, ZERO, num, read, conj, conjuncts, rewrite, subterms,
     fresh_logical, subst_logical, subst_apply_expr,
-    unrest, eval_expr, simplify, Subst, EvalError,
+    unrest, simplify, vec_dim, Subst, EvalError,
 )
 from .deriv import DerivCtx, NotDifferentiable, lie_deriv, deriv_in_var
 from .program import (
@@ -178,14 +178,14 @@ def _oriented(atom: Expr) -> Expr:
     raise UnsupportedRelation(f"cannot induct on {expr_key(atom)}")
 
 
-def _match_shapes(l: Expr, r: Expr, env) -> tuple:
+def _match_shapes(l: Expr, r: Expr, ds: Dataspace) -> tuple:
     """Broadcast a scalar zero derivative against a vector-valued one.
 
     Differentiating a frame-constant expression yields the scalar zero
     whatever its kind, so an equation between a moving vector and a
     constant one needs the zero re-shaped before comparison.
     """
-    ld, rd = env.vec_dim(l), env.vec_dim(r)
+    ld, rd = vec_dim(l, ds), vec_dim(r, ds)
     if ld and rd is None and r == ZERO:
         r = VecLit((ZERO,) * ld)
     elif rd and ld is None and l == ZERO:
@@ -219,13 +219,12 @@ def d_induct(ode: ODE, inv: Expr, ctx: ArithCtx, facts=(),
     hyp = _hyp([ode.guard, *facts])
     outcomes = []
     steps = []
-    env = ctx.polyenv()
     for i, atom in enumerate(conjuncts(inv)):
         a = _oriented(atom)
         dl = lie_deriv(dctx, a.left)
         dr = lie_deriv(dctx, a.right)
         rel = Eq if isinstance(a, Eq) else Le
-        prem = rel(*_match_shapes(dl.expr, dr.expr, env))
+        prem = rel(*_match_shapes(dl.expr, dr.expr, ctx.dataspace))
         provisos = dl.provisos + dr.provisos
         vc = VC(f"induct-step-{i}" if i else "induct-step",
                 Implies(hyp, prem) if hyp != TRUE else prem,
@@ -317,11 +316,8 @@ def _rows(frame: Frame, ds: Dataspace) -> list:
     """The frame's scalar coordinates: each vector member split by index."""
     out = []
     for m in frame.members:
-        k = ds.kind_of(m.name)
-        if isinstance(m, Var) and k.base == "vec":
-            out.extend(Coord(m.name, i) for i in range(1, k.dim + 1))
-        else:
-            out.append(m)
+        split = isinstance(m, Var) and ds.kind_of(m.name).base == "vec"
+        out.extend(ds.coords(m.name) if split else (m,))
     return out
 
 
@@ -418,10 +414,8 @@ def _refute_by_simulation(ode: ODE, pre: Expr, post: Expr,
         w = falsify(Not(pre), ctx, trials=120, seed=ctx.seed + a)
         if w is None:
             continue
-        try:
-            s0 = ctx.dataspace.make_store(w["store"])
-        except Exception:
-            continue
+        # falsify draws every declared name by its kind: the witness is a store
+        s0 = ctx.dataspace.make_store(w["store"])
         env = dict(w["env"])
         try:
             orbit = simulate_traced(ode, s0, cfg)
@@ -430,9 +424,7 @@ def _refute_by_simulation(ode: ODE, pre: Expr, post: Expr,
         for t, st in orbit:
             # 1e-7 rather than the guard's 1e-9: the orbit carries RK4 error
             if q_eval(post, st, env, ctx.box, tol=1e-7)[0] is False:
-                return {"store": w["store"], "env": env, "time": t,
-                        "state": {n: eval_expr(read(n), st)
-                                  for n in ctx.dataspace.names()}}
+                return {"store": w["store"], "env": env, "time": t, "state": dict(st.items())}
     return None
 
 
@@ -513,12 +505,13 @@ def _discrete(p: HybridProgram) -> bool:
 
 
 def d_prove(triple: Triple, ctx: ArithCtx, flows: Optional[FlowTable] = None,
-            depth: int = 8, exact: bool = True) -> ProofResult:
+            depth: int = 8, exact: bool = True, trials: int = 300) -> ProofResult:
     """Prove a hybrid triple by structural decomposition.
 
     Exact paths (weakest preconditions, branch splits) may refute with a
     witness; lossy paths (invariant chaining, the ODE search) only ever
-    answer proved or unknown.
+    answer proved or unknown.  trials is the falsifier's budget for each
+    condition of a weakest-precondition attempt.
     """
     pre, p, post = triple.pre, triple.prog, triple.post
     if depth <= 0:
@@ -529,7 +522,7 @@ def d_prove(triple: Triple, ctx: ArithCtx, flows: Optional[FlowTable] = None,
     except (MissingFlow, MissingLoopInvariant):
         vcs = None
     if vcs is not None:
-        r = settle("wp", [check_vc(vc, ctx, 300) for vc in vcs], exact=exact)
+        r = settle("wp", [check_vc(vc, ctx, trials) for vc in vcs], exact=exact)
         if r.status != UNKNOWN:
             return r
         wp_fallback = r
@@ -543,7 +536,7 @@ def d_prove(triple: Triple, ctx: ArithCtx, flows: Optional[FlowTable] = None,
         inv = p.invariant
         init = check_vc(VC("loop-init", Implies(pre, inv), "loop"), ctx)
         keep = d_prove(Triple(inv, p.body, inv), ctx, flows, depth - 1,
-                       exact=False)
+                       exact=False, trials=trials)
         final = check_vc(VC("loop-post", Implies(inv, post), "loop"), ctx)
         parts = [settle("loop", (init,), exact=False), keep,
                  settle("loop", (final,), exact=False)]
@@ -555,25 +548,25 @@ def d_prove(triple: Triple, ctx: ArithCtx, flows: Optional[FlowTable] = None,
         a, b = p.first, p.second
         if _discrete(b):
             mid = wlp(b, post)
-            r = d_prove(Triple(pre, a, mid), ctx, flows, depth - 1, exact=exact)
+            r = d_prove(Triple(pre, a, mid), ctx, flows, depth - 1, exact=exact, trials=trials)
             if r.status != UNKNOWN:
                 return r
             best = r
         for mid in _dedup([post, pre]):
-            ra = d_prove(Triple(pre, a, mid), ctx, flows, depth - 1, exact=False)
+            ra = d_prove(Triple(pre, a, mid), ctx, flows, depth - 1, exact=False, trials=trials)
             if not ra.proved:
                 continue
-            rb = d_prove(Triple(mid, b, post), ctx, flows, depth - 1, exact=False)
+            rb = d_prove(Triple(mid, b, post), ctx, flows, depth - 1, exact=False, trials=trials)
             if rb.proved:
                 return settle("seq", parts=(ra, rb),
                               steps=(f"chain through {expr_key(mid)}",))
     elif isinstance(p, If):
         rt = d_prove(Triple(And(pre, p.cond), p.then, post), ctx, flows,
-                     depth - 1, exact=exact)
+                     depth - 1, exact=exact, trials=trials)
         if rt.refuted:
             return rt
         rf = d_prove(Triple(And(pre, Not(p.cond)), p.other, post), ctx, flows,
-                     depth - 1, exact=exact)
+                     depth - 1, exact=exact, trials=trials)
         if rf.refuted:
             return rf
         r = settle("if", parts=(rt, rf), steps=("split on the branch condition",))
@@ -581,10 +574,10 @@ def d_prove(triple: Triple, ctx: ArithCtx, flows: Optional[FlowTable] = None,
             return r
         best = r
     elif isinstance(p, Choice):
-        rl = d_prove(Triple(pre, p.left, post), ctx, flows, depth - 1, exact=exact)
+        rl = d_prove(Triple(pre, p.left, post), ctx, flows, depth - 1, exact=exact, trials=trials)
         if rl.refuted:
             return rl
-        rr = d_prove(Triple(pre, p.right, post), ctx, flows, depth - 1, exact=exact)
+        rr = d_prove(Triple(pre, p.right, post), ctx, flows, depth - 1, exact=exact, trials=trials)
         if rr.refuted:
             return rr
         r = settle("choice", parts=(rl, rr))

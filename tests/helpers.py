@@ -23,7 +23,7 @@ from hsverify.store import (
 )
 from hsverify import expr as ex
 from hsverify.arith import (
-    _GRID, _NICE, ArithCtx, Box, Poly, PolyEnv, Unpolyable, Verdict, _Budget, _Prover,
+    _GRID, _NICE, ArithCtx, Box, Poly, Unpolyable, Verdict, _Budget, _Prover,
     _bound_terms, _inexact, expr_key, falsify, negate, norm_rel, peel, poly_of, poly_to_expr,
     reduce_trig,
 )
@@ -823,69 +823,69 @@ def reference_kind_of(e: Expr, dataspace: Dataspace) -> Kind:
 
 # -- the reference polynomial builder ---------------------------------------
 
-def _reference_vec_polys(e: Expr, env: PolyEnv) -> list:
+def _reference_vec_polys(e: Expr, ds) -> list:
     """Componentwise polynomials of a vector-valued expression."""
-    dim = env.vec_dim(e)
+    dim = ex.vec_dim(e, ds)
     if dim is None:
         raise Unpolyable(f"unknown vector shape: {e!r}")
     if isinstance(e, VecLit):
-        return [reference_poly_of(i, env) for i in e.items]
+        return [reference_poly_of(i, ds) for i in e.items]
     if isinstance(e, VarRead) and isinstance(e.lens, Var):
         return [Poly.atom(VarRead(Coord(e.lens.name, i))) for i in range(1, dim + 1)]
     if isinstance(e, Neg):
-        return [p.neg() for p in _reference_vec_polys(e.arg, env)]
+        return [p.neg() for p in _reference_vec_polys(e.arg, ds)]
     if isinstance(e, Add):
-        return [a.add(b) for a, b in zip(_reference_vec_polys(e.left, env),
-                                         _reference_vec_polys(e.right, env))]
+        return [a.add(b) for a, b in zip(_reference_vec_polys(e.left, ds),
+                                         _reference_vec_polys(e.right, ds))]
     if isinstance(e, Sub):
-        return [a.sub(b) for a, b in zip(_reference_vec_polys(e.left, env),
-                                         _reference_vec_polys(e.right, env))]
+        return [a.sub(b) for a, b in zip(_reference_vec_polys(e.left, ds),
+                                         _reference_vec_polys(e.right, ds))]
     if isinstance(e, ScalarMul):
-        k = reference_poly_of(e.scalar, env)
-        return [k.mul(p) for p in _reference_vec_polys(e.arg, env)]
+        k = reference_poly_of(e.scalar, ds)
+        return [k.mul(p) for p in _reference_vec_polys(e.arg, ds)]
     raise Unpolyable(f"cannot expand vector expression {e!r}")
 
 
-def _reference_canon_arg(e: Expr, env: PolyEnv) -> Expr:
+def _reference_canon_arg(e: Expr, ds) -> Expr:
     try:
-        return poly_to_expr(reference_poly_of(e, env))
+        return poly_to_expr(reference_poly_of(e, ds))
     except Unpolyable:
         return e
 
 
-def reference_poly_of(e: Expr, env: PolyEnv) -> Poly:
+def reference_poly_of(e: Expr, ds) -> Poly:
     """arith.poly_of by plain recursion, with no cache."""
     if isinstance(e, RatLit):
         return Poly.const(e.value)
     if isinstance(e, VarRead):
-        if env.is_vec(e):
+        if ex.vec_dim(e, ds) is not None:
             raise Unpolyable(f"vector read {e!r} in scalar position")
         return Poly.atom(e)
     if isinstance(e, LogicalVar):
         return Poly.atom(e)
     if isinstance(e, Neg):
-        return reference_poly_of(e.arg, env).neg()
+        return reference_poly_of(e.arg, ds).neg()
     if isinstance(e, Add):
-        return reference_poly_of(e.left, env).add(reference_poly_of(e.right, env))
+        return reference_poly_of(e.left, ds).add(reference_poly_of(e.right, ds))
     if isinstance(e, Sub):
-        return reference_poly_of(e.left, env).sub(reference_poly_of(e.right, env))
+        return reference_poly_of(e.left, ds).sub(reference_poly_of(e.right, ds))
     if isinstance(e, Mul):
-        return reference_poly_of(e.left, env).mul(reference_poly_of(e.right, env))
+        return reference_poly_of(e.left, ds).mul(reference_poly_of(e.right, ds))
     if isinstance(e, Pow):
-        return reference_poly_of(e.base, env).pow(e.exp)
+        return reference_poly_of(e.base, ds).pow(e.exp)
     if isinstance(e, Div):
-        d = reference_poly_of(e.right, env).as_const() if not env.is_vec(e.right) else None
+        d = reference_poly_of(e.right, ds).as_const() if ex.vec_dim(e.right, ds) is None else None
         if d is not None:
             if d == 0:
                 raise Unpolyable("literal division by zero")
-            return reference_poly_of(e.left, env).scale(Fraction(1) / d)
-        return Poly.atom(Div(_reference_canon_arg(e.left, env),
-                             _reference_canon_arg(e.right, env)))
+            return reference_poly_of(e.left, ds).scale(Fraction(1) / d)
+        return Poly.atom(Div(_reference_canon_arg(e.left, ds),
+                             _reference_canon_arg(e.right, ds)))
     if isinstance(e, (Exp, Ln, Sin, Cos, Sqrt)):
-        return Poly.atom(type(e)(_reference_canon_arg(e.arg, env)))
+        return Poly.atom(type(e)(_reference_canon_arg(e.arg, ds)))
     if isinstance(e, Inner):
         try:
-            a, b = _reference_vec_polys(e.left, env), _reference_vec_polys(e.right, env)
+            a, b = _reference_vec_polys(e.left, ds), _reference_vec_polys(e.right, ds)
             if len(a) == len(b):
                 out = Poly()
                 for x, y in zip(a, b):
@@ -897,7 +897,7 @@ def reference_poly_of(e: Expr, env: PolyEnv) -> Poly:
         return Poly.atom(Inner(l, r))
     if isinstance(e, Norm):
         try:
-            comp = _reference_vec_polys(e.arg, env)
+            comp = _reference_vec_polys(e.arg, ds)
             q = Poly()
             for x in comp:
                 q = q.add(x.mul(x))
@@ -907,10 +907,9 @@ def reference_poly_of(e: Expr, env: PolyEnv) -> Poly:
     raise Unpolyable(f"not polynomial: {e!r}")
 
 
-def reference_poly_normalize(e: Expr, dataspace=None) -> Expr:
+def reference_poly_normalize(e: Expr, ds=None) -> Expr:
     """arith.poly_normalize by plain recursion, rebuilding every node it
     goes through."""
-    env = PolyEnv(dataspace)
 
     def norm(e: Expr) -> Expr:
         if isinstance(e, (Eq, Neq, Le, Lt, Ge, Gt)):
@@ -926,7 +925,7 @@ def reference_poly_normalize(e: Expr, dataspace=None) -> Expr:
         if isinstance(e, BoolLit):
             return e
         try:
-            return poly_to_expr(reduce_trig(poly_of(e, env)))
+            return poly_to_expr(reduce_trig(poly_of(e, ds)))
         except Unpolyable:
             return e
 
@@ -947,7 +946,7 @@ def reference_prove_vc(formula: Expr, ctx: ArithCtx, *, vc_name: str = "vc",
         seqs = peel(full)
     except _Budget:
         return Verdict("unknown", rule="split-budget", residual=(formula,))
-    prover = _Prover(ctx.polyenv())
+    prover = _Prover(ctx.dataspace)
     residual = []
     for sq in seqs:
         try:

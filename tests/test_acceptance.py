@@ -117,7 +117,7 @@ def test_01_pendulum_rotation_invariant(corpus):
     assert isinstance(prem, Eq)
     # 2*y*x + 2*(-x)*y against 0: the difference is the zero polynomial,
     # no tolerance involved
-    assert poly_of(Sub(prem.left, prem.right), ctx.polyenv()).is_zero()
+    assert poly_of(Sub(prem.left, prem.right), ctx.dataspace).is_zero()
 
 
 def test_02_directional_derivative_scaling():

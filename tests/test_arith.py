@@ -6,6 +6,7 @@ import math
 import random
 import traceback
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,6 @@ from hsverify.arith import (
     BOX_HI,
     BOX_LO,
     Box,
-    PolyEnv,
     Row,
     Unpolyable,
     Verdict,
@@ -67,6 +67,7 @@ from hsverify.expr import (
     ONE,
     Or,
     Pow,
+    ScalarMul,
     Sin,
     Sqrt,
     Sub,
@@ -76,14 +77,19 @@ from hsverify.expr import (
     ZERO,
     conj,
     eval_expr,
+    kind_of,
     num,
     read,
     subterms,
 )
-from hsverify.store import BOOL, CONSTANT, Dataspace, REAL, Store, Var, check_value, vec
+from hsverify.store import (
+    BOOL, CONSTANT, Dataspace, KindMismatch, REAL, Store, Var, check_value, vec,
+)
 
+import helpers
 from helpers import (
     _cmp_vals,
+    _reference_vec_polys,
     rand_any_expr,
     rand_rat,
     rand_store,
@@ -219,6 +225,22 @@ def _poly_outcome(build, e, env):
         return type(err), str(err)
 
 
+def _reference_poly_outcome(build, e, env, got):
+    """build's outcome through the reference builder, or, when that is not
+    got, its outcome with arith.vec_polys expanding the vector operands in
+    place of the reference's own case analysis.  The two expansions differ
+    only on vector terms that kind_of rejects, or that have no kind without
+    a dataspace: the reference zips operands of different dimensions, and
+    builds the scalar operands of a vector before it finds one that is no
+    vector.  test_vec_polys_matches_the_reference_on_vector_terms checks
+    that they agree on every vector term kind_of accepts."""
+    want = _poly_outcome(build, e, env)
+    if want != got:
+        with mock.patch.object(helpers, "_reference_vec_polys", arith.vec_polys):
+            want = _poly_outcome(build, e, env)
+    return want
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_poly_of_matches_the_reference_builder(seed):
@@ -228,11 +250,10 @@ def test_poly_of_matches_the_reference_builder(seed):
             for _ in range(2))
     only_a = Dataspace()  # the other names' reads raise UndeclaredVariable
     only_a.declare("a", REAL)
-    for space in (ds, None, ds, only_a):
-        env = PolyEnv(space)
+    for env in (ds, None, ds, only_a):
         for e in (a, b):
-            want = _poly_outcome(reference_poly_of, e, env)
             got = _poly_outcome(poly_of, e, env)
+            want = _reference_poly_outcome(reference_poly_of, e, env, got)
             assert got == want
             if isinstance(got, arith.Poly):
                 # a cached polynomial is shared: using it must not change it
@@ -242,10 +263,56 @@ def test_poly_of_matches_the_reference_builder(seed):
         h = Le(a, b)
         prover = _Prover(env)
         for left_first, diff in ((True, Sub(a, b)), (False, Sub(b, a))):
-            want = _poly_outcome(lambda e, env: reduce_trig(reference_poly_of(e, env)),
-                                 diff, env)
             for _ in range(2):
-                assert _poly_outcome(lambda h, _: prover._diff(h, left_first), h, env) == want
+                got = _poly_outcome(lambda h, _: prover._diff(h, left_first), h, env)
+                assert got == _reference_poly_outcome(
+                    lambda e, env: reduce_trig(reference_poly_of(e, env)), diff, env, got)
+
+
+def _rand_vec_term(rng, ds, dim, depth):
+    """A dim-vector term over ds whose scalars and conditions are
+    rand_any_expr terms, so some are ill-kinded."""
+    pick = rng.random()
+    if depth == 0 or pick < 0.3:
+        if rng.random() < 0.5:
+            return VecLit(tuple(rand_any_expr(rng, ds, 1) for _ in range(dim)))
+        return read({2: "v", 3: "w"}[dim])
+    kid = lambda: _rand_vec_term(rng, ds, dim, depth - 1)  # noqa: E731
+    if pick < 0.45:
+        return Neg(kid())
+    if pick < 0.65:
+        return rng.choice((Add, Sub))(kid(), kid())
+    if pick < 0.8:
+        return ScalarMul(rand_any_expr(rng, ds, 1), kid())
+    return Ite(rand_any_expr(rng, ds, 1), kid(), kid())
+
+
+def test_vec_polys_matches_the_reference_on_vector_terms():
+    ds = small_dataspace()  # v : vec[2], w : vec[3]
+    rng = random.Random(19)
+    kinded = mixed = 0
+    for _ in range(3000):
+        dim = rng.choice((2, 3))
+        e = _rand_vec_term(rng, ds, dim, 3)
+        try:
+            kind_of(e, ds)
+        except (KindMismatch, UnsupportedConstruct):
+            pass
+        else:
+            kinded += 1
+            got = _poly_outcome(arith.vec_polys, e, ds)
+            want = _poly_outcome(_reference_vec_polys, e, ds)
+            assert got == want or got[0] is want[0] is Unpolyable
+        # the same term with one vector operand of the other dimension
+        other = _rand_vec_term(rng, ds, 5 - dim, 1)
+        op = rng.choice((Add, Sub))
+        bad = op(e, other) if rng.random() < 0.5 else op(other, e)
+        bad = rng.choice((lambda t: t, Neg, lambda t: ScalarMul(read("a"), t),
+                          lambda t: Add(t, t)))(bad)
+        with pytest.raises(Unpolyable):
+            arith.vec_polys(bad, ds)
+        mixed += 1
+    assert kinded >= 300 and mixed == 3000
 
 
 def test_poly_of_cache_is_keyed_by_dataspace():
@@ -257,16 +324,16 @@ def test_poly_of_cache_is_keyed_by_dataspace():
         for space in order:
             if space is as_vec:
                 with pytest.raises(Unpolyable, match="vector read"):
-                    poly_of(p, PolyEnv(space))
+                    poly_of(p, space)
             else:
-                assert poly_of(p, PolyEnv(space)) == arith.Poly.atom(p)
+                assert poly_of(p, space) == arith.Poly.atom(p)
 
 
 def test_poly_of_raises_in_the_reference_order():
     # the Unpolyable of the left operand comes first, although the right
     # operand, built first, fails in another way
     e = Mul(And(TRUE, TRUE), read("undeclared"))
-    env = PolyEnv(simple_ds())
+    env = simple_ds()
     for _ in range(2):
         assert _poly_outcome(poly_of, e, env) == _poly_outcome(reference_poly_of, e, env)
         assert _poly_outcome(poly_of, e, env)[0] is Unpolyable
@@ -274,7 +341,7 @@ def test_poly_of_raises_in_the_reference_order():
 
 def test_cached_unpolyable_is_raised_afresh():
     e = Add(x, And(TRUE, TRUE))
-    env = PolyEnv(simple_ds())
+    env = simple_ds()
     seen = []
     for _ in range(2):
         with pytest.raises(Unpolyable) as info:
@@ -1034,7 +1101,7 @@ def test_peel_splits_conjunction():
 
 
 def test_linear_bound_reads_one_atom_to_the_first_power():
-    env = PolyEnv(simple_ds())
+    env = simple_ds()
     t = LogicalVar("t")
     assert _linear_bound(poly_of(Sub(Mul(num(3), x), num(6)), env)) == ("x", 3, 2)
     assert _linear_bound(poly_of(Sub(num(2), t), env)) == ("?t", -1, 2)

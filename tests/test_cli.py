@@ -331,6 +331,56 @@ def test_simulate_stop_is_reported(capsys, tmp_path, ode, args):
     assert out == ""
 
 
+# the prover cannot refute this goal, but the falsifier can at x = 1
+SHRINK = """\
+dataspace d {
+  variables x : real;
+}
+
+program shrink = x := x * exp(-1)
+
+goal by_wp : { x = 1 } shrink { x >= 1 } by wp
+goal by_dprove : { x = 1 } shrink { x >= 1 } by dProve
+"""
+
+
+def test_trials_bound_the_wp_attempts_of_dprove(capsys, tmp_path):
+    p = tmp_path / "shrink.hsv"
+    p.write_text(SHRINK)
+    code, out, _ = run(capsys, "verify", p, "--trials", 0)
+    assert (code, out) == (0, "goal by_wp: unknown (wp)\ngoal by_dprove: unknown (wp)\n")
+    code, out, _ = run(capsys, "verify", p)
+    assert (code, out) == (2, "goal by_wp: refuted (wp)\ngoal by_dprove: refuted (wp)\n")
+
+
+DURATIONS = """\
+dataspace d {
+  variables s : real;
+}
+
+program grow = { s' = s on 0..1 }
+program blow = { s' = s^2 on 0..1/2 }
+"""
+
+
+@pytest.fixture
+def durations_model(tmp_path):
+    p = tmp_path / "durations.hsv"
+    p.write_text(DURATIONS)
+    return p
+
+
+def test_simulate_stops_at_the_end_of_the_duration(capsys, durations_model):
+    outs = [run(capsys, "simulate", durations_model, "--program", "grow", "--init", "s=1",
+                "--step", "0.001", "--horizon", h) for h in (1, 100)]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0
+    # s' = s^2 from s = 1 overflows before tau = 1, after the interval ends
+    code, out, err = run(capsys, "simulate", durations_model, "--program", "blow",
+                         "--init", "s=1", "--step", "0.01", "--horizon", "2")
+    assert (code, err) == (0, "")
+
+
 def test_deep_expression_is_an_error_not_a_traceback(capsys, tmp_path):
     p = tmp_path / "deep.hsv"
     p.write_text("dataspace d {\n  variables x : real;\n}\n\n"

@@ -51,6 +51,7 @@ from hsverify.program import (
     simulate_traced,
     _orbit_field,
 )
+from hsverify import program
 from hsverify.store import Coord, Dataspace, Frame, REAL, Var, lens_get, vec
 from hsverify.expr import Exp, LogicalVar, Mul, eval_expr
 
@@ -183,6 +184,23 @@ def test_duration_interval_filters_samples():
                 dur=interval(Fraction(1, 2), 1))
     out = simulate_traced(clock, s, SimConfig(step=0.25, horizon=2.0, samples_per_orbit=1000))
     assert all(0.5 <= t <= 1.0 + 1e-9 for t, _ in out)
+
+
+def test_duration_interval_ends_the_integration(monkeypatch):
+    # once tau passes the interval's end no step can add a sample, so no
+    # step is taken: the guard is checked once per step
+    ds = xy_ds()
+    s = ds.make_store({"x": 1, "t": 0})
+    grow = ODE(Frame([Var("x")]), Subst(((Var("x"), read("x")),), ds), dur=interval(0, 1))
+    checks = []
+    check = program.eval_guard
+    monkeypatch.setattr(program, "eval_guard", lambda *a: checks.append(1) or check(*a))
+    orbits = []
+    for horizon in (1.0, 100.0):
+        del checks[:]
+        orbits.append(simulate_traced(grow, s, SimConfig(step=0.01, horizon=horizon)))
+    assert orbits[0] == orbits[1]
+    assert len(checks) <= 103
 
 
 def test_duration_bounds_compare_exactly():

@@ -147,6 +147,13 @@ def test_frame_complement():
     assert f.disjoint(comp)
 
 
+def test_coords_are_the_vector_lenses_in_index_order():
+    ds = small_dataspace()
+    assert ds.coords("w") == (Coord("w", 1), Coord("w", 2), Coord("w", 3))
+    with pytest.raises(UndeclaredVariable):
+        ds.coords("nope")
+
+
 def test_frame_get_put_roundtrip():
     ds = small_dataspace()
     s = ds.make_store({}, default_missing=True)

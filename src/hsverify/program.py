@@ -272,14 +272,14 @@ class _Sim:
 
         h = cfg.step
         nsteps = max(1, int(round(cfg.horizon / h)))
-        hi = p.dur._hi  # once tau passes it, no later step adds a sample
+        hi = p.dur._hi  # once tau reaches it, no later step adds a sample
         samples = []
         tau = 0.0
         y = y0
         if p.dur.contains(tau):
             samples.append((t, s))
         for _ in range(nsteps):
-            if hi is not None and tau > hi:
+            if hi is not None and tau >= hi:
                 break
             y_next = rk4(y, h)
             st = unpack(y_next)

@@ -6,7 +6,6 @@ import math
 import random
 import traceback
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,6 +72,7 @@ from hsverify.expr import (
     Sub,
     TRUE,
     UnsupportedConstruct,
+    VarRead,
     VecLit,
     ZERO,
     conj,
@@ -81,12 +81,13 @@ from hsverify.expr import (
     num,
     read,
     subterms,
+    vec_dim,
 )
 from hsverify.store import (
-    BOOL, CONSTANT, Dataspace, KindMismatch, REAL, Store, Var, check_value, vec,
+    BOOL, CONSTANT, Dataspace, KindMismatch, REAL, Store, UndeclaredVariable, Var,
+    check_value, vec,
 )
 
-import helpers
 from helpers import (
     _cmp_vals,
     _reference_vec_polys,
@@ -225,20 +226,27 @@ def _poly_outcome(build, e, env):
         return type(err), str(err)
 
 
-def _reference_poly_outcome(build, e, env, got):
-    """build's outcome through the reference builder, or, when that is not
-    got, its outcome with arith.vec_polys expanding the vector operands in
-    place of the reference's own case analysis.  The two expansions differ
-    only on vector terms that kind_of rejects, or that have no kind without
-    a dataspace: the reference zips operands of different dimensions, and
-    builds the scalar operands of a vector before it finds one that is no
-    vector.  test_vec_polys_matches_the_reference_on_vector_terms checks
-    that they agree on every vector term kind_of accepts."""
-    want = _poly_outcome(build, e, env)
-    if want != got:
-        with mock.patch.object(helpers, "_reference_vec_polys", arith.vec_polys):
-            want = _poly_outcome(build, e, env)
-    return want
+def _vector_operand_may_differ(e, env, ds):
+    """Whether an operand of an Inner or Norm in e is a vector term on
+    which the derived vec_polys may part from the reference's own case
+    analysis: one that kind_of rejects under env (the reference zips
+    operands of different dimensions, and builds the scalar operands of a
+    vector before it finds one that is no vector), or, without a dataspace,
+    one that reads a whole vector of ds, whose coordinates vec_component
+    projects out but the reference cannot size.
+    test_vec_polys_matches_the_reference_on_vector_terms checks that the two
+    agree on every vector term kind_of accepts."""
+    for t in subterms(e):
+        for u in (t.left, t.right) if isinstance(t, Inner) else \
+                (t.arg,) if isinstance(t, Norm) else ():
+            if env is None and any(isinstance(r, VarRead) and vec_dim(r, ds)
+                                   for r in subterms(u)):
+                return True
+            try:
+                kind_of(u, ds if env is None else env)
+            except (KindMismatch, UnsupportedConstruct, UndeclaredVariable):
+                return True
+    return False
 
 
 @settings(max_examples=200, deadline=None)
@@ -252,30 +260,34 @@ def test_poly_of_matches_the_reference_builder(seed):
     only_a.declare("a", REAL)
     for env in (ds, None, ds, only_a):
         for e in (a, b):
+            want = _poly_outcome(reference_poly_of, e, env)
             got = _poly_outcome(poly_of, e, env)
-            want = _reference_poly_outcome(reference_poly_of, e, env, got)
-            assert got == want
+            assert got == want or _vector_operand_may_differ(e, env, ds)
             if isinstance(got, arith.Poly):
                 # a cached polynomial is shared: using it must not change it
                 _fm_infeasible([Row(got, False), Row(got.neg(), True)])
-                assert poly_of(e, env) == want
+                assert poly_of(e, env) == got
         # the comparison's difference, cached on the node per orientation
         h = Le(a, b)
         prover = _Prover(env)
         for left_first, diff in ((True, Sub(a, b)), (False, Sub(b, a))):
+            want = _poly_outcome(lambda e, env: reduce_trig(reference_poly_of(e, env)),
+                                 diff, env)
             for _ in range(2):
                 got = _poly_outcome(lambda h, _: prover._diff(h, left_first), h, env)
-                assert got == _reference_poly_outcome(
-                    lambda e, env: reduce_trig(reference_poly_of(e, env)), diff, env, got)
+                assert got == want or _vector_operand_may_differ(diff, env, ds)
 
 
 def _rand_vec_term(rng, ds, dim, depth):
-    """A dim-vector term over ds whose scalars and conditions are
-    rand_any_expr terms, so some are ill-kinded."""
+    """A dim-vector term over ds whose scalars are rand_total_expr or
+    rand_any_expr terms and whose conditions are rand_any_expr terms, so
+    some are ill-kinded."""
+    scalar = lambda: (rand_total_expr if rng.random() < 0.5  # noqa: E731
+                      else rand_any_expr)(rng, ds, 1)
     pick = rng.random()
     if depth == 0 or pick < 0.3:
         if rng.random() < 0.5:
-            return VecLit(tuple(rand_any_expr(rng, ds, 1) for _ in range(dim)))
+            return VecLit(tuple(scalar() for _ in range(dim)))
         return read({2: "v", 3: "w"}[dim])
     kid = lambda: _rand_vec_term(rng, ds, dim, depth - 1)  # noqa: E731
     if pick < 0.45:
@@ -283,26 +295,38 @@ def _rand_vec_term(rng, ds, dim, depth):
     if pick < 0.65:
         return rng.choice((Add, Sub))(kid(), kid())
     if pick < 0.8:
-        return ScalarMul(rand_any_expr(rng, ds, 1), kid())
+        return ScalarMul(scalar(), kid())
     return Ite(rand_any_expr(rng, ds, 1), kid(), kid())
+
+
+def _kinded(e, ds):
+    try:
+        kind_of(e, ds)
+    except (KindMismatch, UnsupportedConstruct):
+        return False
+    return True
 
 
 def test_vec_polys_matches_the_reference_on_vector_terms():
     ds = small_dataspace()  # v : vec[2], w : vec[3]
     rng = random.Random(19)
-    kinded = mixed = 0
+    kinded = expanded = mixed = 0
     for _ in range(3000):
         dim = rng.choice((2, 3))
         e = _rand_vec_term(rng, ds, dim, 3)
-        try:
-            kind_of(e, ds)
-        except (KindMismatch, UnsupportedConstruct):
-            pass
-        else:
+        if _kinded(e, ds):
             kinded += 1
             got = _poly_outcome(arith.vec_polys, e, ds)
             want = _poly_outcome(_reference_vec_polys, e, ds)
             assert got == want or got[0] is want[0] is Unpolyable
+            expanded += isinstance(got, list)
+            # through a norm or an inner product, poly_of keeps the
+            # reference's result exactly, its fallback atom included
+            f = _rand_vec_term(rng, ds, dim, 2)
+            for t in (Norm(e), Inner(e, f)):
+                if _kinded(t, ds):
+                    assert _poly_outcome(poly_of, t, ds) \
+                        == _poly_outcome(reference_poly_of, t, ds)
         # the same term with one vector operand of the other dimension
         other = _rand_vec_term(rng, ds, 5 - dim, 1)
         op = rng.choice((Add, Sub))
@@ -312,7 +336,7 @@ def test_vec_polys_matches_the_reference_on_vector_terms():
         with pytest.raises(Unpolyable):
             arith.vec_polys(bad, ds)
         mixed += 1
-    assert kinded >= 300 and mixed == 3000
+    assert kinded >= 900 and expanded >= 900 and mixed == 3000
 
 
 def test_poly_of_cache_is_keyed_by_dataspace():

@@ -187,7 +187,7 @@ def test_duration_interval_filters_samples():
 
 
 def test_duration_interval_ends_the_integration(monkeypatch):
-    # once tau passes the interval's end no step can add a sample, so no
+    # once tau reaches the interval's end no step can add a sample, so no
     # step is taken: the guard is checked once per step
     ds = xy_ds()
     s = ds.make_store({"x": 1, "t": 0})

@@ -278,7 +278,7 @@ class _Sim:
         y = y0
         if p.dur.contains(tau):
             samples.append((t, s))
-        for _ in range(nsteps):
+        for k in range(1, nsteps + 1):
             if hi is not None and tau >= hi:
                 break
             y_next = rk4(y, h)
@@ -293,7 +293,7 @@ class _Sim:
                     if p.dur.contains(tau + adv):
                         samples.append((t + tau + adv, st_b))
                 break
-            tau += h
+            tau = k * h  # as _evolve's grid: a sum of steps drifts off it
             y = y_next
             if p.dur.contains(tau):
                 samples.append((t + tau, st))

@@ -355,10 +355,12 @@ def test_trials_bound_the_wp_attempts_of_dprove(capsys, tmp_path):
 
 DURATIONS = """\
 dataspace d {
-  variables s : real;
+  variables s : real, x : real;
 }
 
 program blow = { s' = s^2 on 0..1/2 }
+program clock = { s' = 1 on 0..1 }
+program edge = { s' = 1, x' = ln(51/50 - s) on 0..1 }
 """
 
 
@@ -370,10 +372,20 @@ def durations_model(tmp_path):
 
 
 def test_simulate_stops_at_the_end_of_the_duration(capsys, durations_model):
-    # s' = s^2 from s = 1 overflows before tau = 1, after the interval ends
-    code, out, err = run(capsys, "simulate", durations_model, "--program", "blow",
-                         "--init", "s=1", "--step", "0.01", "--horizon", "2")
-    assert (code, err) == (0, "")
+    # s' = s^2 from s = 1 overflows before tau = 1, after the interval ends;
+    # the step after tau = 10 * 0.1 = 1 would take ln of a negative number
+    for prog, init, step in (("blow", "s=1", "0.01"), ("edge", "s=0", "0.1")):
+        code, out, err = run(capsys, "simulate", durations_model, "--program", prog,
+                             "--init", init, "--step", step, "--horizon", "2")
+        assert (code, err) == (0, "")
+
+
+def test_simulate_keeps_the_end_of_the_duration(capsys, durations_model):
+    # 1,000 steps of 0.001 sum to 1.0000000000000007, past the end; 1000 * 0.001 is 1
+    code, out, _ = run(capsys, "simulate", durations_model, "--program", "clock",
+                       "--init", "s=0", "--step", "0.001", "--horizon", "1")
+    assert code == 0
+    assert out.strip().splitlines()[-1].startswith("1.000000\t")
 
 
 def test_deep_expression_is_an_error_not_a_traceback(capsys, tmp_path):

@@ -1,7 +1,7 @@
 """Seeded random generators shared by the unit and acceptance suites, and
 the reference expression evaluator, simplifier, traversals, falsifier
 samplers, three-valued evaluator, kind checker, polynomial builder,
-polynomial normalizer and condition prover."""
+polynomial normalizer, condition prover and triple prover."""
 
 import math
 import random
@@ -33,6 +33,11 @@ from hsverify.expr import (
     ScalarMul, Sin, Sqrt, Sub, UnsupportedConstruct, VarRead, VecLit, _exact_sqrt, _fold_binop,
     _rebalance, children, conj, eval_expr, rebuild, simplify, subterms, total,
 )
+from hsverify.program import ODE, Choice, If, Loop, Seq
+from hsverify.tactics import (
+    UNKNOWN, ProofResult, _dedup, _discrete, check_vc, d_induct_mega, settle,
+)
+from hsverify.vcg import VC, MissingFlow, MissingLoopInvariant, Triple, gen_vcs, wlp
 
 
 def small_dataspace() -> Dataspace:
@@ -964,3 +969,91 @@ def reference_prove_vc(formula: Expr, ctx: ArithCtx, *, vc_name: str = "vc",
     return Verdict("unknown", rule="residual",
                    residual=tuple(sq.formula() for sq in residual),
                    query=(full, ctx, vc_name))
+
+
+def reference_d_prove(triple: Triple, ctx: ArithCtx, flows=None,
+                      depth: int = 8, exact: bool = True, trials: int = 300) -> ProofResult:
+    """tactics.d_prove as it was before its recursion, branch split and
+    fallback were each written once; it recurses into itself."""
+    pre, p, post = triple.pre, triple.prog, triple.post
+    if depth <= 0:
+        return ProofResult(UNKNOWN, "depth", ("search depth exhausted",))
+
+    try:
+        vcs = gen_vcs(triple, flows)
+    except (MissingFlow, MissingLoopInvariant):
+        vcs = None
+    if vcs is not None:
+        r = settle("wp", [check_vc(vc, ctx, trials) for vc in vcs], exact=exact)
+        if r.status != UNKNOWN:
+            return r
+        wp_fallback = r
+    else:
+        wp_fallback = None
+
+    best = None
+    if isinstance(p, Loop):
+        if p.invariant is None:
+            raise MissingLoopInvariant("loop rule needs an invariant")
+        inv = p.invariant
+        init = check_vc(VC("loop-init", Implies(pre, inv), "loop"), ctx)
+        keep = reference_d_prove(Triple(inv, p.body, inv), ctx, flows, depth - 1,
+                                 exact=False, trials=trials)
+        final = check_vc(VC("loop-post", Implies(inv, post), "loop"), ctx)
+        parts = [settle("loop", (init,), exact=False), keep,
+                 settle("loop", (final,), exact=False)]
+        r = settle("loop", parts=parts, steps=(f"loop invariant {expr_key(inv)}",))
+        if r.proved:
+            return r
+        best = r
+    elif isinstance(p, Seq):
+        a, b = p.first, p.second
+        if _discrete(b):
+            mid = wlp(b, post)
+            r = reference_d_prove(Triple(pre, a, mid), ctx, flows, depth - 1, exact=exact, trials=trials)
+            if r.status != UNKNOWN:
+                return r
+            best = r
+        for mid in _dedup([post, pre]):
+            ra = reference_d_prove(Triple(pre, a, mid), ctx, flows, depth - 1, exact=False, trials=trials)
+            if not ra.proved:
+                continue
+            rb = reference_d_prove(Triple(mid, b, post), ctx, flows, depth - 1, exact=False, trials=trials)
+            if rb.proved:
+                return settle("seq", parts=(ra, rb),
+                              steps=(f"chain through {expr_key(mid)}",))
+    elif isinstance(p, If):
+        rt = reference_d_prove(Triple(And(pre, p.cond), p.then, post), ctx, flows,
+                               depth - 1, exact=exact, trials=trials)
+        if rt.refuted:
+            return rt
+        rf = reference_d_prove(Triple(And(pre, Not(p.cond)), p.other, post), ctx, flows,
+                               depth - 1, exact=exact, trials=trials)
+        if rf.refuted:
+            return rf
+        r = settle("if", parts=(rt, rf), steps=("split on the branch condition",))
+        if r.proved:
+            return r
+        best = r
+    elif isinstance(p, Choice):
+        rl = reference_d_prove(Triple(pre, p.left, post), ctx, flows, depth - 1, exact=exact, trials=trials)
+        if rl.refuted:
+            return rl
+        rr = reference_d_prove(Triple(pre, p.right, post), ctx, flows, depth - 1, exact=exact, trials=trials)
+        if rr.refuted:
+            return rr
+        r = settle("choice", parts=(rl, rr))
+        if r.proved:
+            return r
+        best = r
+    elif isinstance(p, ODE):
+        r = d_induct_mega(p, pre, post, ctx, refute=exact)
+        if r.status != UNKNOWN:
+            return r
+        best = r
+
+    if wp_fallback is not None:
+        return wp_fallback
+    if best is not None:
+        return best
+    return ProofResult(UNKNOWN, "dProve", ("no rule closed the goal",))

@@ -1,5 +1,6 @@
 """Differential proof rules, flow certification, and the triple prover."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,7 @@ from hsverify.expr import (
     num,
     read,
 )
-from hsverify.program import TAU, Assign, Evol, If, Loop, ODE, Seq, Skip
+from hsverify.program import TAU, Assign, Choice, Evol, If, Loop, ODE, Seq, Skip, Test
 from hsverify.store import CONSTANT, Dataspace, Frame, GHOST, REAL, VARIABLE, Var
 from hsverify.tactics import (
     AllConstantsFailed,
@@ -55,7 +56,9 @@ from hsverify.tactics import (
     d_weaken,
     local_flow_auto,
 )
-from hsverify.vcg import FlowTable, Triple
+from hsverify.vcg import FlowTable, MissingLoopInvariant, Triple
+
+from helpers import reference_d_prove
 
 
 def pendulum():
@@ -439,3 +442,94 @@ def test_d_prove_evol_direct():
     t = Triple(And(Ge(read("x"), ZERO), Le(read("x"), LogicalVar("y0"))),
                ev, Le(read("x"), LogicalVar("y0")))
     assert d_prove(t, ArithCtx(ds)).proved
+
+
+def _rand_fact(rng):
+    x = read("x")
+    if rng.random() < 0.15:
+        return TRUE
+    atom = rng.choice((Ge, Le, Gt, Lt, Eq))(x, num(rng.randint(-2, 2)))
+    if rng.random() < 0.25:
+        return And(atom, rng.choice((Ge, Le))(x, num(rng.randint(-2, 2))))
+    return atom
+
+
+def _rand_prog(rng, ds, odes, depth):
+    """A small program over x : real from Skip, Assign, Test, the given
+    ODEs and, above depth 0, Seq, If, Choice and an invariant Loop."""
+    x = read("x")
+    pick = rng.randrange(9 if depth > 0 else 5)
+    if pick == 0:
+        return Skip()
+    if pick == 1:
+        rhs = rng.choice((Add(x, num(rng.randint(-2, 2))), Mul(num(rng.choice((-1, 2))), x)))
+        return Assign(Subst(((Var("x"), rhs),), ds))
+    if pick == 2:
+        return Test(rng.choice((Ge, Le, Gt))(x, num(rng.randint(-2, 2))))
+    if pick < 5:
+        return rng.choice(odes)
+    a = _rand_prog(rng, ds, odes, depth - 1)
+    b = _rand_prog(rng, ds, odes, depth - 1)
+    if pick == 5:
+        return Seq(a, b)
+    if pick == 6:
+        return If(_rand_fact(rng), a, b)
+    if pick == 7:
+        return Choice(a, b)
+    return Loop(a, invariant=_rand_fact(rng))
+
+
+def _proof_summary(r):
+    return (r.status, r.rule, r.steps,
+            tuple((o.vc.vc_id, o.verdict.status, o.verdict.rule) for o in r.outcomes),
+            r.witness)
+
+
+def test_d_prove_matches_the_reference_on_small_triples():
+    """d_prove gives the verbatim reference's result: status, rule, steps,
+    each condition's verdict, and the witness.  Seeded random triples, and
+    a few that reach the paths random ones seldom do: a loop, a chain and
+    a choice closed by structure, and a refuted later branch."""
+    rng = random.Random(20)
+    ds = Dataspace()
+    ds.declare("x", REAL, VARIABLE)
+    ds.declare("c", REAL, CONSTANT)
+    x = read("x")
+    _, flowed = decay()
+    flowed = ODE(flowed.frame, Subst(flowed.rhs.entries, ds))
+    unflowed = ODE(Frame((Var("x"),)), Subst(((Var("x"), read("c")),), ds))
+    flows = FlowTable(ds)
+    flows.register(flowed.frame, flowed.rhs, decay_flow(ds))
+    bump = Assign(Subst(((Var("x"), Add(x, num(1))),), ds))
+    drop = Assign(Subst(((Var("x"), Add(x, num(-2))),), ds))
+    fixed = [
+        Triple(Ge(x, ZERO), Loop(Seq(bump, unflowed), invariant=Ge(x, ZERO)), Ge(x, num(-1))),
+        Triple(Ge(x, ZERO), Seq(bump, unflowed), Ge(x, ZERO)),
+        Triple(Ge(x, num(1)), Seq(bump, unflowed), Ge(x, ZERO)),
+        Triple(TRUE, If(Ge(x, ZERO), drop, unflowed), Ge(x, ZERO)),
+        Triple(TRUE, If(Ge(x, ZERO), unflowed, drop), Ge(x, ZERO)),
+        Triple(Ge(x, ZERO), Choice(drop, unflowed), Ge(x, ZERO)),
+        Triple(Ge(x, ZERO), Choice(unflowed, drop), Ge(x, ZERO)),
+        Triple(Ge(x, ZERO), Choice(unflowed, bump), Ge(x, ZERO)),
+    ]
+    kws = [dict(depth=d, exact=e, trials=20) for d in (1, 2, 3) for e in (True, False)]
+    cases = [(t, kw) for t in fixed for kw in kws]
+    for _ in range(150):
+        t = Triple(_rand_fact(rng), _rand_prog(rng, ds, (flowed, unflowed), 2), _rand_fact(rng))
+        kw = dict(depth=rng.randint(1, 3), exact=rng.random() < 0.5, trials=rng.randint(1, 3))
+        cases.append((t, kw))
+    seen = set()
+    for i, (t, kw) in enumerate(cases):
+        ctx = ArithCtx(ds, assumptions=(Ge(read("c"), ZERO),), seed=i)
+        got = d_prove(t, ctx, flows, **kw)
+        want = reference_d_prove(t, ctx, flows, **kw)
+        assert _proof_summary(got) == _proof_summary(want), (t, kw)
+        seen.add((got.status, got.rule))
+    # a refuted branch comes back as it is, under its own rule
+    assert {("proved", r) for r in ("wp", "dI*", "loop", "seq", "if", "choice")} <= seen
+    assert {("refuted", "wp"), ("refuted", "dI*"), ("unknown", "dProve")} <= seen
+    # a loop without an invariant stops both the same way
+    t = Triple(TRUE, Loop(unflowed), TRUE)
+    for prove in (d_prove, reference_d_prove):
+        with pytest.raises(MissingLoopInvariant):
+            prove(t, ArithCtx(ds), flows)

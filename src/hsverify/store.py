@@ -250,42 +250,6 @@ class SumLens(LensRef):
         return "(" + " (+) ".join(repr(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class Ident(LensRef):
-    """Identity selector on a localized value (quotient result only)."""
-
-    def get_value(self, v: Value) -> Value:
-        return v
-
-    def put_value(self, new: Value, old: Value) -> Value:
-        return new
-
-    def __repr__(self) -> str:
-        return "<id>"
-
-
-@dataclass(frozen=True)
-class Proj(LensRef):
-    """Bare coordinate selector on a vector value (quotient result only)."""
-
-    index: int
-
-    def get_value(self, v: tuple) -> Value:
-        if not 1 <= self.index <= len(v):
-            raise CoordOutOfRange(f"component {self.index} of {len(v)}-vector")
-        return v[self.index - 1]
-
-    def put_value(self, new: Value, old: tuple) -> tuple:
-        if not 1 <= self.index <= len(old):
-            raise CoordOutOfRange(f"component {self.index} of {len(old)}-vector")
-        out = list(old)
-        out[self.index - 1] = new
-        return tuple(out)
-
-    def __repr__(self) -> str:
-        return f"<proj {self.index}>"
-
-
 def _primitives(l: LensRef) -> tuple:
     if isinstance(l, SumLens):
         out = []
@@ -334,10 +298,6 @@ def lens_put(l: LensRef, v: Value, s: Store) -> Store:
 
 
 def _prim_indep(a: LensRef, b: LensRef) -> bool:
-    if isinstance(a, (Ident, Proj)) or isinstance(b, (Ident, Proj)):
-        if isinstance(a, Proj) and isinstance(b, Proj):
-            return a.index != b.index
-        return False
     if a.name != b.name:
         return True
     if isinstance(a, Coord) and isinstance(b, Coord):
@@ -355,8 +315,6 @@ def _prim_covered(p: LensRef, q: LensRef) -> bool:
         return True
     if isinstance(p, Coord) and isinstance(q, Var):
         return p.name == q.name
-    if isinstance(p, Proj) and isinstance(q, Ident):
-        return True
     return False
 
 
@@ -451,19 +409,3 @@ class Frame:
             s = lens_put(m, v, s)
         return s
 
-
-def lens_quot(l: LensRef, a: Frame) -> LensRef:
-    """Localize l to the store addressed by a singleton frame.
-
-    Quotienting a frame member by its own frame yields the identity selector;
-    a coordinate quotiented by its whole variable yields the bare coordinate
-    selector.  Anything else is not expressible here and raises NotPartOf.
-    """
-    if len(a.members) != 1:
-        raise NotPartOf(f"quotient by non-singleton frame {a!r}")
-    m = a.members[0]
-    if l == m:
-        return Ident()
-    if isinstance(l, Coord) and isinstance(m, Var) and l.name == m.name:
-        return Proj(l.index)
-    raise NotPartOf(f"{l!r} is not part of {a!r}")

@@ -10,11 +10,8 @@ from hsverify.store import (
     CoordOutOfRange,
     Dataspace,
     Frame,
-    Ident,
     KindMismatch,
     NotIndependent,
-    NotPartOf,
-    Proj,
     REAL,
     SumLens,
     UndeclaredVariable,
@@ -23,7 +20,6 @@ from hsverify.store import (
     lens_indep,
     lens_le,
     lens_put,
-    lens_quot,
     vec,
 )
 
@@ -161,28 +157,6 @@ def test_frame_get_put_roundtrip():
     s2 = f.put((Fraction(5), (Fraction(1), Fraction(2))), s)
     assert f.get(s2) == (5, (1, 2))
     assert s2.get("b") == 0
-
-
-def test_quotient_forms():
-    assert lens_quot(Coord("v", 1), Frame([Var("v")])) == Proj(1)
-    assert lens_quot(Var("a"), Frame([Var("a")])) == Ident()
-    assert lens_quot(Coord("v", 2), Frame([Coord("v", 2)])) == Ident()
-    with pytest.raises(NotPartOf):
-        lens_quot(Var("a"), Frame([Var("b")]))
-    with pytest.raises(NotPartOf):
-        lens_quot(Var("a"), Frame([Var("a"), Var("b")]))
-
-
-def test_quotient_composes_with_frame_read():
-    rng = random.Random(5)
-    ds = small_dataspace()
-    for _ in range(200):
-        s = rand_store(rng, ds)
-        local = lens_get(Var("v"), s)
-        q = lens_quot(Coord("v", 2), Frame([Var("v")]))
-        assert q.get_value(local) == lens_get(Coord("v", 2), s)
-        newc = Fraction(rng.randint(-9, 9))
-        assert q.put_value(newc, local) == lens_get(Var("v"), lens_put(Coord("v", 2), newc, s))
 
 
 LAW_CASES = 300  # the acceptance suite runs the full 1000 per law

@@ -921,11 +921,12 @@ class _Prover:
         return p
 
     def _diff(self, h: Expr, left_first: bool, hyps: Optional[list] = None) -> Poly:
-        """self._poly(Sub(h.left, h.right), hyps) of the comparison h, or of
-        h.right - h.left when not left_first.  A hypothesis is the same node
-        at every prove level, so the polynomial before _reduce_sqrt, which
-        reads hyps, is cached on h: one slot per orientation, each holding
-        its dataspace as poly_of's slot does."""
+        """The polynomial of h.left - h.right for the comparison h, as
+        self._poly gives it with hyps, or of h.right - h.left when not
+        left_first.  A hypothesis is the same node at every prove level, so
+        the polynomial before _reduce_sqrt, which reads hyps, is cached on
+        h: one slot per orientation, each holding its dataspace as poly_of's
+        slot does."""
         key = "_diff_lr" if left_first else "_diff_rl"
         ds = self.ds
         slot = h.__dict__.get(key)
@@ -943,17 +944,15 @@ class _Prover:
         rows = []
         rh = hyps if reduce_radicals else None
         for h in hyps:
-            try:
-                if isinstance(h, _ORDERS):
-                    # norm_rel(h) is 0 <= right - left or 0 < right - left
-                    p = self._diff(h, isinstance(h, (Ge, Gt)), rh)
-                    rows.append(Row(p, isinstance(h, (Lt, Gt))))
-                elif isinstance(h, Eq) and vec_dim(h.left, self.ds) is None:
+            if isinstance(h, Eq) and vec_dim(h.left, self.ds) is None:
+                try:
                     p = self._diff(h, True, rh)
-                    rows.append(Row(p, False))
-                    rows.append(Row(p.neg(), False))
-            except Unpolyable:
-                continue
+                except Unpolyable:
+                    continue
+                rows.append(Row(p, False))
+                rows.append(Row(p.neg(), False))
+            else:
+                rows.extend(Row(q, strict) for q, strict in self._bounds((h,), rh))
         return rows
 
     def _fm(self, hyps: list, neg_rows: list, quick: bool = False,
@@ -984,14 +983,15 @@ class _Prover:
             return False
         return any(strict and q == target for q, strict in self._bounds(hyps))
 
-    def _bounds(self, hyps: list):
+    def _bounds(self, hyps, rh: Optional[list] = None):
         """Each order hypothesis read as norm_rel reads it, 0 <= q or
-        0 < q: the pairs (q, strict), in hypothesis order."""
+        0 < q: the pairs (q, strict), in hypothesis order.  With rh, q's
+        radicals are reduced under the hypotheses rh."""
         for h in hyps:
             if not isinstance(h, _ORDERS):
                 continue
             try:
-                q = self._diff(h, isinstance(h, (Ge, Gt)))
+                q = self._diff(h, isinstance(h, (Ge, Gt)), rh)
             except Unpolyable:
                 continue
             yield q, isinstance(h, (Lt, Gt))
@@ -1001,29 +1001,27 @@ class _Prover:
         atom = norm_rel(atom)
         if not isinstance(atom, (Le, Lt)):
             return False
-        diff = Sub(atom.left, atom.right)
-        if _has_div(atom):
-            try:
-                n, d = _ratfunc(diff, self.ds)
-            except Unpolyable:
-                return False
-            dexpr = poly_to_expr(d)
-            if d.as_const() is not None and d.as_const() > 0:
-                pass
-            elif self._entails(hyps, Gt(dexpr, ZERO), quick=True,
-                               reduce_radicals=False):
-                pass
-            elif self._entails(hyps, Lt(dexpr, ZERO), quick=True,
-                               reduce_radicals=False):
-                n = n.neg()
-            else:
-                return False
-            diff = poly_to_expr(n)
         try:
-            neg = [Row(self._poly(diff), not isinstance(atom, Lt))]
+            if not _has_div(atom):
+                p = self._diff(atom, True)
+            else:
+                n, d = _ratfunc(Sub(atom.left, atom.right), self.ds)
+                dexpr = poly_to_expr(d)
+                if d.as_const() is not None and d.as_const() > 0:
+                    pass
+                elif self._entails(hyps, Gt(dexpr, ZERO), quick=True,
+                                   reduce_radicals=False):
+                    pass
+                elif self._entails(hyps, Lt(dexpr, ZERO), quick=True,
+                                   reduce_radicals=False):
+                    n = n.neg()
+                else:
+                    return False
+                p = self._poly(poly_to_expr(n))
         except Unpolyable:
             return False
-        return self._fm(hyps, neg, quick=quick, reduce_radicals=reduce_radicals)
+        return self._fm(hyps, [Row(p, not isinstance(atom, Lt))], quick=quick,
+                        reduce_radicals=reduce_radicals)
 
     def _sign(self, e: Expr, hyps: list) -> Optional[str]:
         """Best provable sign of e: one of '>', '>=', '<', '<=', '0', None."""
@@ -1230,8 +1228,8 @@ class _Prover:
             if isinstance(atom, (Eq, Neq, Le, Lt)) and any(
                     isinstance(t, (Inner, Norm, VecLit, ScalarMul)) for t in subterms(atom)):
                 try:
-                    l = poly_to_expr(reduce_trig(poly_of(atom.left, self.ds)))
-                    r = poly_to_expr(reduce_trig(poly_of(atom.right, self.ds)))
+                    l = poly_to_expr(self._poly(atom.left))
+                    r = poly_to_expr(self._poly(atom.right))
                 except Unpolyable:
                     return None
                 new = type(atom)(l, r)
@@ -1305,7 +1303,7 @@ class _Prover:
                     return True, new, simplify(_replace_expr(concl, lhs, rhs))
             # linear solve: c*a + rest = 0 with constant coefficient c
             try:
-                p = self._poly(Sub(h.left, h.right))
+                p = self._diff(h, True)
             except Unpolyable:
                 continue
             for m in p.monomials():
@@ -1368,7 +1366,7 @@ class _Prover:
         cands = [ZERO, ONE, num(-1), num(Fraction(1, 2)), num(Fraction(-1, 2))]
         for atom in (t for t in subterms(body) if isinstance(t, Eq)):
             try:
-                p = self._poly(Sub(atom.left, atom.right))
+                p = self._diff(atom, True)
             except Unpolyable:
                 continue
             by_pow: dict = {}
@@ -1426,7 +1424,7 @@ class _Prover:
         # radical reduction can expose divisions that still need clearing
         if isinstance(concl, (Eq, Neq, Le, Lt)) and vec_dim(concl.left, self.ds) is None:
             try:
-                red = poly_to_expr(self._poly(Sub(concl.left, concl.right), flat))
+                red = poly_to_expr(self._diff(concl, True, flat))
                 rebuilt = type(concl)(red, ZERO)
                 if _has_div(red) and rebuilt != concl:
                     return self.prove(flat, rebuilt, depth + 1)
@@ -1443,7 +1441,7 @@ class _Prover:
             return False
         if isinstance(concl, Eq):
             try:
-                p = self._poly(Sub(concl.left, concl.right), flat)
+                p = self._diff(concl, True, flat)
             except Unpolyable:
                 return False
             if p.is_zero():
@@ -1461,7 +1459,7 @@ class _Prover:
             self._rule("sign")
             return True
         try:
-            if self._fm(flat, [Row(self._poly(diff, flat), isinstance(concl, Le))]):
+            if self._fm(flat, [Row(self._diff(concl, True, flat), isinstance(concl, Le))]):
                 self._rule("fourier-motzkin")
                 return True
         except Unpolyable:

@@ -76,8 +76,6 @@ def _derive(e: Expr, is_const: Callable[[Expr], bool],
 
     if isinstance(e, (VarRead, LogicalVar)):
         return d_atom(e)
-    if isinstance(e, RatLit):
-        return ZERO
     if isinstance(e, Neg):
         return Neg(d(e.arg))
     if isinstance(e, Add):

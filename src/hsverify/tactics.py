@@ -517,81 +517,64 @@ def d_prove(triple: Triple, ctx: ArithCtx, flows: Optional[FlowTable] = None,
     if depth <= 0:
         return ProofResult(UNKNOWN, "depth", ("search depth exhausted",))
 
+    def sub(pre, prog, post, exact):
+        return d_prove(Triple(pre, prog, post), ctx, flows, depth - 1,
+                       exact=exact, trials=trials)
+
     try:
         vcs = gen_vcs(triple, flows)
     except (MissingFlow, MissingLoopInvariant):
         vcs = None
+    wp = None
     if vcs is not None:
-        r = settle("wp", [check_vc(vc, ctx, trials) for vc in vcs], exact=exact)
-        if r.status != UNKNOWN:
-            return r
-        wp_fallback = r
-    else:
-        wp_fallback = None
+        wp = settle("wp", [check_vc(vc, ctx, trials) for vc in vcs], exact=exact)
+        if wp.status != UNKNOWN:
+            return wp
 
-    best = None
+    r = None  # the structural result
     if isinstance(p, Loop):
         if p.invariant is None:
             raise MissingLoopInvariant("loop rule needs an invariant")
         inv = p.invariant
         init = check_vc(VC("loop-init", Implies(pre, inv), "loop"), ctx)
-        keep = d_prove(Triple(inv, p.body, inv), ctx, flows, depth - 1,
-                       exact=False, trials=trials)
+        keep = sub(inv, p.body, inv, False)
         final = check_vc(VC("loop-post", Implies(inv, post), "loop"), ctx)
         parts = [settle("loop", (init,), exact=False), keep,
                  settle("loop", (final,), exact=False)]
         r = settle("loop", parts=parts, steps=(f"loop invariant {expr_key(inv)}",))
-        if r.proved:
-            return r
-        best = r
     elif isinstance(p, Seq):
         a, b = p.first, p.second
         if _discrete(b):
-            mid = wlp(b, post)
-            r = d_prove(Triple(pre, a, mid), ctx, flows, depth - 1, exact=exact, trials=trials)
+            r = sub(pre, a, wlp(b, post), exact)
             if r.status != UNKNOWN:
                 return r
-            best = r
         for mid in _dedup([post, pre]):
-            ra = d_prove(Triple(pre, a, mid), ctx, flows, depth - 1, exact=False, trials=trials)
+            ra = sub(pre, a, mid, False)
             if not ra.proved:
                 continue
-            rb = d_prove(Triple(mid, b, post), ctx, flows, depth - 1, exact=False, trials=trials)
+            rb = sub(mid, b, post, False)
             if rb.proved:
                 return settle("seq", parts=(ra, rb),
                               steps=(f"chain through {expr_key(mid)}",))
-    elif isinstance(p, If):
-        rt = d_prove(Triple(And(pre, p.cond), p.then, post), ctx, flows,
-                     depth - 1, exact=exact, trials=trials)
-        if rt.refuted:
-            return rt
-        rf = d_prove(Triple(And(pre, Not(p.cond)), p.other, post), ctx, flows,
-                     depth - 1, exact=exact, trials=trials)
-        if rf.refuted:
-            return rf
-        r = settle("if", parts=(rt, rf), steps=("split on the branch condition",))
-        if r.proved:
-            return r
-        best = r
-    elif isinstance(p, Choice):
-        rl = d_prove(Triple(pre, p.left, post), ctx, flows, depth - 1, exact=exact, trials=trials)
-        if rl.refuted:
-            return rl
-        rr = d_prove(Triple(pre, p.right, post), ctx, flows, depth - 1, exact=exact, trials=trials)
-        if rr.refuted:
-            return rr
-        r = settle("choice", parts=(rl, rr))
-        if r.proved:
-            return r
-        best = r
+    elif isinstance(p, (If, Choice)):
+        if isinstance(p, If):
+            rule, steps = "if", ("split on the branch condition",)
+            branches = ((And(pre, p.cond), p.then), (And(pre, Not(p.cond)), p.other))
+        else:
+            rule, steps = "choice", ()
+            branches = ((pre, p.left), (pre, p.right))
+        parts = []
+        for bpre, branch in branches:
+            part = sub(bpre, branch, post, exact)
+            if part.refuted:
+                return part
+            parts.append(part)
+        r = settle(rule, parts=parts, steps=steps)
     elif isinstance(p, ODE):
         r = d_induct_mega(p, pre, post, ctx, refute=exact)
         if r.status != UNKNOWN:
             return r
-        best = r
 
-    if wp_fallback is not None:
-        return wp_fallback
-    if best is not None:
-        return best
-    return ProofResult(UNKNOWN, "dProve", ("no rule closed the goal",))
+    if r is not None and r.proved:
+        return r
+    return wp or r or ProofResult(UNKNOWN, "dProve", ("no rule closed the goal",))

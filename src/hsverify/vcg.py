@@ -92,7 +92,7 @@ class FlowTable:
 
     def __init__(self, dataspace: Optional[Dataspace] = None):
         self.dataspace = dataspace
-        self._entries: list = []  # (key, flow Subst)
+        self._flows: dict = {}  # _key(frame, rhs) -> flow Subst
 
     def _key(self, frame: Frame, rhs: Subst):
         parts = tuple(sorted(
@@ -102,14 +102,11 @@ class FlowTable:
         return (names, parts)
 
     def register(self, frame: Frame, rhs: Subst, flow: Subst) -> None:
-        key = self._key(frame, rhs)
-        self._entries = [e for e in self._entries if e[0] != key]
-        self._entries.append((key, flow))
+        self._flows[self._key(frame, rhs)] = flow
 
     def lookup(self, ode: ODE) -> Optional[Subst]:
         """The flow registered for ode, or None."""
-        key = self._key(ode.frame, ode.rhs)
-        return next((flow for k, flow in self._entries if k == key), None)
+        return self._flows.get(self._key(ode.frame, ode.rhs))
 
 
 # ---------------------------------------------------------------------------

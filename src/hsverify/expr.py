@@ -1058,6 +1058,15 @@ def _rebalance(cls, terms, unit):
     return out
 
 
+_SAME = object()  # the cached result of a node that is its own simplification
+
+
+def _simplified(t: Expr) -> Expr:
+    """t's cached simplification; t itself when it caches _SAME or nothing."""
+    out = t.__dict__.get("_simplified", _SAME)
+    return t if out is _SAME else out
+
+
 def simplify(e: Expr) -> Expr:
     """Local, evaluation-preserving cleanup: constant folding, units, and
     literal branches.  Rewrites that drop a subterm require it total.
@@ -1070,11 +1079,13 @@ def simplify(e: Expr) -> Expr:
     simplification comes back as the same object, and a later pass over it
     is one lookup.  A second pass can fold further, so the cache maps an
     input node to its result and nothing else: a result is never marked as
-    simplified.  A childless node is its own result and caches nothing."""
+    simplified.  A childless node is its own result and caches nothing; a
+    node that is its own result caches _SAME, not itself, so that it holds
+    no reference to itself and reference counting frees it."""
     if isinstance(e, Expr):
         out = e.__dict__.get("_simplified")
         if out is not None:
-            return out
+            return e if out is _SAME else out
     stack = [(e, None)]
     while stack:
         node, kids = stack.pop()
@@ -1085,10 +1096,11 @@ def simplify(e: Expr) -> Expr:
                     stack.append((node, kids))
                     stack.extend((k, None) for k in kids)
             continue
-        new = tuple(k.__dict__.get("_simplified", k) for k in kids)
+        new = tuple(_simplified(k) for k in kids)
         same = all(a is b for a, b in zip(new, kids))
-        node.__dict__["_simplified"] = _simplify_node(node if same else rebuild(node, new))
-    return e.__dict__.get("_simplified", e)
+        out = _simplify_node(node if same else rebuild(node, new))
+        node.__dict__["_simplified"] = _SAME if out is node else out
+    return _simplified(e)
 
 
 def _simplify_node(e: Expr) -> Expr:

@@ -406,6 +406,21 @@ def test_a_simplified_fixed_point_comes_back_as_itself(seed):
     assert again == reference_simplify(r)
 
 
+def test_a_kept_node_does_not_cache_itself():
+    # a node caching itself is a reference cycle that only the cyclic
+    # collector frees
+    rng = random.Random(7)
+    ds = small_dataspace()
+    kept = 0
+    for _ in range(300):
+        e = rand_any_expr(rng, ds, 4)
+        r = simplify(e)
+        for t in list(subterms(e)) + list(subterms(r)):
+            assert t.__dict__.get("_simplified") is not t
+            kept += simplify(t) is t and bool(ex.children(t))
+    assert kept > 300
+
+
 @pytest.mark.parametrize("e", [
     Add(read("a"), read("b")),
     Add(read("a"), num(3)),  # a sum that ends in its one literal

@@ -307,48 +307,40 @@ class _Sim:
         flows = [compile_expr(fold_constants(p.flow.lookup(m), s, Frame()))
                  for m in p.frame.members]
         guard = fold_constants(p.guard, s, p.frame, formula=True)
+        _, unpack = _stage_stores(p.frame.members, s)
         nsteps = max(1, int(round(cfg.horizon / cfg.step)))
         samples = []
         for k in range(nsteps + 1):
             tau = k * cfg.step
             env = {TAU: tau}
-            vals = tuple(f(s, env) for f in flows)
-            st = p.frame.put(vals, s)
+            # the parser kind-checks every flow, so each value has its
+            # member's shape, as an RK4 stage does
+            st = unpack(_flat(f(s, env) for f in flows))
             if not eval_guard(guard, st, env):
                 break
             samples.append((t + tau, st))
         return _thin(samples, cfg.samples_per_orbit)
 
 
-def _orbit_field(p: ODE, s: Store):
-    """(y0, unpack, fdot) for RK4 along p's orbit from s.
+def _flat(values) -> tuple:
+    """Member values laid out flat: a vector's coordinates in index order."""
+    return tuple(c for v in values for c in (v if isinstance(v, tuple) else (v,)))
 
-    y0 flattens the frame members' values at s into floats, unpack(y) is
-    the stage store for a flat state y, and fdot(y) the field at it.  Each
-    right-hand side is folded once (fold_constants): a row that folds
-    completely is a float tuple computed here, and the others run their
-    compiled residual on the stage store.  When every row folds, fdot
-    returns the one tuple and never builds a stage store.
-    """
-    members = p.frame.members
-    shapes = []
-    y0 = []
-    for m in members:
-        v = lens_get(m, s)
-        if isinstance(v, tuple):
-            shapes.append(len(v))
-            y0.extend(float(c) for c in v)
-        else:
-            shapes.append(0)
-            y0.append(float(v))
+
+def _stage_stores(members: tuple, s: Store):
+    """(widths, unpack) for the frame members at s: each member's width, 0
+    for a scalar, and unpack(y), the store s with the members rebound to
+    the flat values y, as _flat lays them out."""
+    widths = [len(v) if isinstance(v, tuple) else 0
+              for v in (lens_get(m, s) for m in members)]
     # (name, coordinate or 0, width) per member, in frame order
     layout = [(m.name, m.index if isinstance(m, Coord) else 0, dim)
-              for m, dim in zip(members, shapes)]
+              for m, dim in zip(members, widths)]
     data0 = dict(s.items())
 
     def unpack(y: tuple) -> Store:
-        # RK4 writes floats of each member's own shape, so the stage
-        # store is one copy of s with the members rebound, unchecked.
+        # y holds values of each member's own shape, so the stage store is
+        # one copy of s with the members rebound, unchecked.
         data = data0.copy()
         i = 0
         for name, index, dim in layout:
@@ -364,6 +356,23 @@ def _orbit_field(p: ODE, s: Store):
             data[name] = v
         return Store(s.dataspace, data)
 
+    return widths, unpack
+
+
+def _orbit_field(p: ODE, s: Store):
+    """(y0, unpack, fdot) for RK4 along p's orbit from s.
+
+    y0 flattens the frame members' values at s into floats, unpack(y) is
+    the stage store for a flat state y (_stage_stores), and fdot(y) the
+    field at it.  Each right-hand side is folded once (fold_constants): a
+    row that folds completely is a float tuple computed here, and the
+    others run their compiled residual on the stage store.  When every row
+    folds, fdot returns the one tuple and never builds a stage store.
+    """
+    members = p.frame.members
+    shapes, unpack = _stage_stores(members, s)
+    y0 = tuple(float(c) for c in _flat(lens_get(m, s) for m in members))
+
     # per row: its floats when it folds completely, its width, its closure
     rows = []
     for m, dim in zip(members, shapes):
@@ -372,7 +381,7 @@ def _orbit_field(p: ODE, s: Store):
         rows.append((floats, dim, compile_expr(e)))
     if all(floats is not None for floats, _, _ in rows):
         k = tuple(c for floats, _, _ in rows for c in floats)
-        return tuple(y0), unpack, lambda y: k
+        return y0, unpack, lambda y: k
 
     def fdot(y: tuple) -> tuple:
         st = unpack(y)
@@ -388,7 +397,7 @@ def _orbit_field(p: ODE, s: Store):
                 out.extend(float(c) for c in v)
         return tuple(out)
 
-    return tuple(y0), unpack, fdot
+    return y0, unpack, fdot
 
 
 def _floats(v, dim: int) -> Optional[tuple]:

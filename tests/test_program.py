@@ -1,4 +1,5 @@
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -201,6 +202,24 @@ def test_duration_interval_ends_the_integration(monkeypatch):
         orbits.append(simulate_traced(grow, s, SimConfig(step=0.01, horizon=horizon)))
     assert orbits[0] == orbits[1]
     assert len(checks) <= 103
+
+
+def test_evol_samples_are_built_without_lens_writes(monkeypatch):
+    # each sample is one copy of the start store with the frame rebound, as
+    # an RK4 stage store is; no Frame.put, so no lens_put or kind check
+    from hsverify import expr as ex_mod, store
+    from hsverify.syntax import parse
+    models = pathlib.Path(__file__).resolve().parent.parent / "models"
+    model = parse((models / "decay.hsv").read_text(encoding="utf-8"))
+    calls = []
+    for owner in (store.Frame, store, ex_mod):
+        name = "put" if owner is store.Frame else "lens_put"
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _real=real: calls.append(a) or _real(*a))
+    s0 = model.dataspace.make_store({"x": Fraction(3, 2)}, default_missing=True)
+    out = simulate_traced(model.programs["sol"], s0, SimConfig(step=0.01, horizon=2.0))
+    assert len(out) > 10 and calls == []
+    assert out[0][1] == s0 and out[-1][1].get("x") == pytest.approx(1.5 * math.exp(-2.0))
 
 
 def test_duration_bounds_compare_exactly():

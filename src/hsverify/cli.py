@@ -133,7 +133,7 @@ def run_goal(model: ModelFile, goal: Goal, table: FlowTable, failed_flows: dict,
                        exact=(m.name == "dInduct"))
         return settle(ind.rule, parts=(_init_check(goal, ctx), ind))
     if m.name == "dInductMega":
-        return d_induct_mega(prog, goal.pre, goal.post, ctx)
+        return d_induct_mega(prog, goal.pre, goal.post, ctx, refute=trials > 0)
     if m.name == "dWeaken":
         return d_weaken(prog, goal.post, ctx, facts=facts)
     if m.name == "dGhost":

@@ -511,7 +511,8 @@ def d_prove(triple: Triple, ctx: ArithCtx, flows: Optional[FlowTable] = None,
     Exact paths (weakest preconditions, branch splits) may refute with a
     witness; lossy paths (invariant chaining, the ODE search) only ever
     answer proved or unknown.  trials is the falsifier's budget for each
-    condition of a weakest-precondition attempt.
+    condition of a weakest-precondition attempt; at 0 the ODE search does
+    not look for an orbit that leaves the postcondition either.
     """
     pre, p, post = triple.pre, triple.prog, triple.post
     if depth <= 0:
@@ -571,7 +572,7 @@ def d_prove(triple: Triple, ctx: ArithCtx, flows: Optional[FlowTable] = None,
             parts.append(part)
         r = settle(rule, parts=parts, steps=steps)
     elif isinstance(p, ODE):
-        r = d_induct_mega(p, pre, post, ctx, refute=exact)
+        r = d_induct_mega(p, pre, post, ctx, refute=exact and trials > 0)
         if r.status != UNKNOWN:
             return r
 

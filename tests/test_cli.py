@@ -353,6 +353,46 @@ def test_trials_bound_the_wp_attempts_of_dprove(capsys, tmp_path):
     assert (code, out) == (2, "goal by_wp: refuted (wp)\ngoal by_dprove: refuted (wp)\n")
 
 
+DECAY = """\
+dataspace d {
+  variables x : real;
+}
+
+program dec = { x' = -x }
+
+flow shrink for dec = [x ~> x * exp(-tau)] lipschitz 1
+
+goal by_wp : { x = 1 } dec { x >= 1 } by wp
+goal by_dprove : { x = 1 } dec { x >= 1 } by dProve
+goal by_mega : { x = 1 } dec { x >= 1 } by dInductMega
+"""
+
+
+def test_trials_zero_turns_off_the_orbit_search(capsys, tmp_path):
+    p = tmp_path / "decay.hsv"
+    p.write_text(DECAY)
+    flow = "flow shrink: certified, L=1\n"
+    code, out, _ = run(capsys, "verify", p, "--trials", 0)
+    assert (code, out) == (0, "goal by_wp: unknown (wp)\ngoal by_dprove: unknown (wp)\n"
+                              "goal by_mega: unknown (dI*)\n" + flow)
+    code, out, _ = run(capsys, "verify", p)
+    assert (code, out) == (2, "goal by_wp: refuted (wp)\ngoal by_dprove: refuted (wp)\n"
+                              "goal by_mega: refuted (dI*)\n" + flow)
+
+
+def test_vcs_simulates_no_orbit(capsys, tmp_path, monkeypatch):
+    # vcs runs each goal at no trials and prints no verdict, so the orbit
+    # search of an unflowed dInductMega goal has nothing to do
+    from hsverify import tactics
+    p = tmp_path / "decay.hsv"
+    p.write_text(DECAY.split("flow shrink")[0] + "goal g : { x = 1 } dec { x >= 1 } by dInductMega\n")
+    calls = []
+    real = tactics.simulate_traced
+    monkeypatch.setattr(tactics, "simulate_traced", lambda *a: calls.append(a) or real(*a))
+    code, out, _ = run(capsys, "vcs", p)
+    assert code == 0 and out and calls == []
+
+
 DURATIONS = """\
 dataspace d {
   variables s : real, x : real;

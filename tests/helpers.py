@@ -1,7 +1,7 @@
 """Seeded random generators shared by the unit and acceptance suites, and
 the reference expression evaluator, simplifier, traversals, falsifier
-samplers, three-valued evaluator, kind checker, polynomial builder,
-polynomial normalizer, condition prover and triple prover."""
+samplers, three-valued evaluator, falsifier, kind checker, polynomial
+builder, polynomial normalizer, condition prover and triple prover."""
 
 import math
 import random
@@ -15,6 +15,7 @@ from hsverify.store import (
     Kind,
     KindMismatch,
     REAL,
+    Store,
     SumLens,
     Var,
     lens_get,
@@ -23,15 +24,15 @@ from hsverify.store import (
 )
 from hsverify import expr as ex
 from hsverify.arith import (
-    _GRID, _NICE, ArithCtx, Box, Poly, Unpolyable, Verdict, _Budget, _Prover,
-    _bound_terms, _inexact, expr_key, falsify, negate, norm_rel, peel, poly_of, poly_to_expr,
-    reduce_trig,
+    _NICE, _STEPS, ArithCtx, Box, Poly, Unpolyable, Verdict, _Budget, _Prover, _bound_terms,
+    _inexact, _sampler, _store_samplers, expr_key, falsify, negate, norm_rel, peel, poly_of,
+    poly_to_expr, reduce_trig,
 )
 from hsverify.expr import (
     FALSE, ONE, TRUE, ZERO, Add, And, BoolLit, Cos, Div, Eq, Exists, Exp, Expr, Forall, Ge, Gt,
     Iff, Implies, Inner, Ite, Le, Ln, LogicalVar, Lt, Mul, Neg, Neq, Norm, Not, Or, Pow, RatLit,
     ScalarMul, Sin, Sqrt, Sub, UnsupportedConstruct, VarRead, VecLit, _exact_sqrt, _fold_binop,
-    _rebalance, children, conj, eval_expr, rebuild, simplify, subterms, total,
+    _rebalance, children, conj, eval_expr, free_logicals, rebuild, simplify, subterms, total,
 )
 from hsverify.program import ODE, Choice, If, Loop, Seq
 from hsverify.tactics import (
@@ -703,14 +704,14 @@ def reference_q_eval(e: Expr, s, env: dict, box: Box, tol: float = 1e-9,
             raise UnsupportedConstruct("quantified guards have no evaluation")
         if isinstance(e, Forall):
             lo, hi = _reference_binder_range(e.body, e.var, s, env, box)
-            for val in _reference_grid(lo, hi):
+            for val in reference_grid(lo, hi):
                 r, inst = walk(e.body, {**env, e.var: val})
                 if r is False:
                     return False, {e.var: val, **inst}
             return None, {}
         if isinstance(e, Exists):
             lo, hi = _reference_binder_range(e.body, e.var, s, env, box)
-            for val in _reference_grid(lo, hi):
+            for val in reference_grid(lo, hi):
                 r, inst = walk(e.body, {**env, e.var: val})
                 if r is True:
                     return True, {e.var: val, **inst}
@@ -724,9 +725,49 @@ def reference_q_eval(e: Expr, s, env: dict, box: Box, tol: float = 1e-9,
     return walk(e, env)
 
 
-def _reference_grid(lo: Fraction, hi: Fraction) -> list:
+def reference_grid(lo: Fraction, hi: Fraction) -> list:
+    """arith._grid as it was before it was cached: the binder's grid points,
+    built again at every call."""
     # keep the endpoints exact, thin duplicates
-    return list(dict.fromkeys(lo + Fraction(i, _GRID - 1) * (hi - lo) for i in range(_GRID)))
+    width = hi - lo
+    return list(dict.fromkeys(lo + k * width for k in _STEPS))
+
+
+def reference_falsify(formula: Expr, ctx: ArithCtx, trials: int = 300,
+                      seed=None):
+    """arith.falsify as it was before it bound its truth closures once per
+    search, with reference_q_eval, whose grid is reference_grid, in place
+    of q_eval."""
+    if trials < 1:
+        return None
+    rng = random.Random(ctx.seed if seed is None else seed)
+    stores = _store_samplers(ctx)
+    logicals = [(n, _sampler(REAL, *ctx.box.for_name(n))) for n in sorted(free_logicals(formula))]
+    for _ in range(trials):
+        # each sampler draws in its name's kind, so the store needs no check
+        vals = {n: draw(rng) for n, draw in stores}
+        s = Store(ctx.dataspace, vals)
+        env = {n: draw(rng) for n, draw in logicals}
+        ok = True
+        for a in ctx.assumptions:
+            r, _ = reference_q_eval(a, s, env, ctx.box)
+            if r is not True:
+                ok = False
+                break
+        if not ok:
+            continue
+        r, inst = reference_q_eval(formula, s, env, ctx.box)
+        if r is False:
+            witness = {"store": vals, "env": {**env, **inst}}
+            if not _reference_recheck(formula, ctx, witness):
+                return witness
+    return None
+
+
+def _reference_recheck(formula: Expr, ctx: ArithCtx, witness: dict) -> bool:
+    s = ctx.dataspace.make_store(witness["store"])
+    r, _ = reference_q_eval(formula, s, dict(witness["env"]), ctx.box)
+    return r is not False
 
 
 def reference_kind_of(e: Expr, dataspace: Dataspace) -> Kind:

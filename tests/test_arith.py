@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import pathlib
 import random
 import traceback
 from fractions import Fraction
@@ -87,6 +88,8 @@ from hsverify.store import (
     BOOL, CONSTANT, Dataspace, KindMismatch, REAL, Store, UndeclaredVariable, Var,
     check_value, vec,
 )
+from hsverify.syntax import parse
+from hsverify.vcg import FlowTable, Triple, gen_vcs
 
 from helpers import (
     _cmp_vals,
@@ -98,11 +101,15 @@ from helpers import (
     reference_poly_normalize,
     reference_poly_of,
     reference_prove_vc,
+    reference_falsify,
     reference_q_eval,
     reference_sample_logicals,
     reference_sample_store,
     small_dataspace,
 )
+
+
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
 
 def ctx_for(ds, **kw):
@@ -1062,6 +1069,69 @@ def test_q_eval_matches_the_reference_walker(seed):
                     == _q_outcome(reference_q_eval, f, s, env, box, tol, strict)
     assert (repr(f), hash(f)) == before
     assert f == twin and twin == f and f in {twin}
+
+
+def _falsify_ds():
+    ds = Dataspace()
+    ds.declare("x", REAL)
+    ds.declare("y", REAL)
+    ds.declare("v", vec(2))
+    ds.declare("flag", BOOL)
+    return ds
+
+
+def _guard_over_time(rng):
+    """A condition shaped like a flow's guard over time: the outer binder's
+    range is bounded by a store value, the inner binder's by the outer
+    binder."""
+    tau, sig = LogicalVar("t"), LogicalVar("u")
+    inner = Forall("u", Implies(And(Le(ZERO, sig), Le(sig, tau)),
+                                _rand_formula(rng, ["t", "u"], 1)))
+    return Forall("t", Implies(And(Le(ZERO, tau), Le(tau, rng.choice((x, y)))), inner))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_falsify_refutes_as_the_reference(seed):
+    rng = random.Random(seed)
+    pick = rng.random()
+    if pick < 0.3:
+        f = _guard_over_time(rng)
+    elif pick < 0.5:
+        # a binder bounded by a store value: forall t. t <= x -> ...
+        t = LogicalVar("t")
+        f = Forall("t", Implies(Le(t, x), _rand_formula(rng, ["t"], 2)))
+    else:
+        f = _rand_formula(rng, [], 3)
+    # assumptions that reject some draws; the free logical q of a term is
+    # drawn with the store
+    assumptions = tuple(rng.choice((Gt(x, num(rand_rat(rng, -2, 2))),
+                                    Le(y, num(rand_rat(rng, -2, 2))),
+                                    _rand_formula(rng, [], 1)))
+                        for _ in range(rng.randint(0, 2)))
+    narrow = Box({"t": (Fraction(-2), Fraction(2)), "u": (Fraction(-1), Fraction(3)),
+                  "x": (Fraction(-3), Fraction(3)), "y": (Fraction(-3), Fraction(3))})
+    ctx = ArithCtx(_falsify_ds(), assumptions=assumptions,
+                   box=rng.choice((None, narrow)), seed=seed)
+    trials = rng.randint(1, 40)
+    assert falsify(f, ctx, trials=trials) == reference_falsify(f, ctx, trials=trials)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_falsify_refutes_tank_conditions_as_the_reference(seed):
+    # the flows' guards quantified over time: forall tau. 0 <= tau ->
+    # (forall sig. 0 <= sig and sig <= tau -> guard) -> post
+    model = parse((MODELS / "tank.hsv").read_text())
+    table = FlowTable(model.dataspace)
+    for decl in model.flows:
+        ode = model.programs[decl.target]
+        table.register(ode.frame, ode.rhs, decl.flow)
+    ctx = ArithCtx(model.dataspace, assumptions=model.assumptions(), seed=seed)
+    for goal in model.goals:
+        triple = Triple(goal.pre, model.programs[goal.prog_name], goal.post)
+        for vc in gen_vcs(triple, table):
+            assert falsify(vc.formula, ctx, trials=60) \
+                == reference_falsify(vc.formula, ctx, trials=60)
 
 
 # -- SMT export -------------------------------------------------------------

@@ -102,6 +102,7 @@ from helpers import (
     reference_poly_of,
     reference_prove_vc,
     reference_falsify,
+    reference_grid,
     reference_q_eval,
     reference_sample_logicals,
     reference_sample_store,
@@ -1115,6 +1116,22 @@ def test_falsify_refutes_as_the_reference(seed):
                    box=rng.choice((None, narrow)), seed=seed)
     trials = rng.randint(1, 40)
     assert falsify(f, ctx, trials=trials) == reference_falsify(f, ctx, trials=trials)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.fractions(-12, 12, max_denominator=64), width=st.fractions(-4, 24, max_denominator=64))
+def test_grid_is_the_reference_points_as_a_tuple(lo, width):
+    # an inverted range too, and an empty one whose points all coincide
+    got = arith._grid(lo, lo + width)
+    assert type(got) is tuple and got == tuple(reference_grid(lo, lo + width))
+    assert arith._grid(lo, lo + width) is got
+
+
+def test_grid_cache_stays_bounded():
+    for i in range(1000):
+        arith._grid(Fraction(i, 7), Fraction(i + 1, 3))
+    info = arith._grid.cache_info()
+    assert info.currsize <= info.maxsize
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

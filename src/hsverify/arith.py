@@ -729,6 +729,30 @@ def _fm_infeasible(rows: list) -> bool:
     return False
 
 
+def _independent(rows: list) -> list:
+    """rows split into groups, two rows in one group when a chain of rows
+    sharing atoms links them; in the order of each group's first row, the
+    rows with no atom making one group."""
+    root: dict = {}
+
+    def find(k):
+        while root[k] != k:
+            root[k] = root[root[k]]
+            k = root[k]
+        return k
+
+    keys = [[k for m in r.poly.terms for k, _, _ in m] for r in rows]
+    for ks in keys:
+        for k in ks:
+            root.setdefault(k, k)
+        for k in ks[1:]:
+            root[find(k)] = find(ks[0])
+    groups: dict = {}
+    for r, ks in zip(rows, keys):
+        groups.setdefault(find(ks[0]) if ks else None, []).append(r)
+    return list(groups.values())
+
+
 def _sign_facts(rows: list) -> list:
     """Nonnegativity facts implied by atom shapes in the current support."""
     atoms: dict = {}
@@ -958,12 +982,16 @@ class _Prover:
 
     def _fm(self, hyps: list, neg_rows: list, quick: bool = False,
             reduce_radicals: bool = True) -> bool:
-        rows = self._rows(hyps, reduce_radicals) + neg_rows
-        rows = rows + _sign_facts(rows) + self._radical_facts(hyps, rows)
-        if not quick:
-            rows = _augment(rows)
-            rows = rows + _sign_facts(rows)
-        return _fm_infeasible(rows)
+        # groups share no atom, so the rows are infeasible exactly when
+        # one group is; each group is decided on its own, under the caps
+        for rows in _independent(self._rows(hyps, reduce_radicals) + neg_rows):
+            rows = rows + _sign_facts(rows) + self._radical_facts(hyps, rows)
+            if not quick:
+                rows = _augment(rows)
+                rows = rows + _sign_facts(rows)
+            if _fm_infeasible(rows):
+                return True
+        return False
 
     def _radical_facts(self, hyps: list, rows: list) -> list:
         """sqrt(u) is strictly positive whenever some hypothesis says u > 0."""

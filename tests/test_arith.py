@@ -607,6 +607,50 @@ def test_interval_proofs_hold_where_their_hypotheses_do(seed):
         assert eval_expr(concl, s, {"t": at[names[2]]}) is True, at
 
 
+def _rand_entailed(rng):
+    """A condition over x, y and z whose conclusion is a nonnegative
+    combination of its hypotheses, loosened: valid by Fourier-Motzkin, and
+    often by the prover's other rules."""
+    hyps, total, strict = [], ZERO, False
+    for _ in range(rng.randint(1, 4)):
+        term = functools.reduce(Add, [Mul(num(rand_rat(rng, -3, 3)), v)
+                                      for v in rng.sample((x, y, z, Mul(x, y)), 2)])
+        c = num(rand_rat(rng, -3, 3))
+        rel = rng.choice((Ge, Gt))
+        hyps.append(rel(term, c))
+        k = num(Fraction(rng.randint(0, 3)))
+        total = Add(total, Mul(k, Sub(term, c)))
+        strict = strict or (rel is Gt and k.value > 0)
+    slack = num(Fraction(rng.randint(0, 2), 2))
+    concl = (Gt if strict else Ge)(Add(total, slack), ZERO)
+    return Implies(conj(hyps), concl)
+
+
+_FRESH = [LogicalVar(f"f{i}") for i in range(10)]
+
+
+def _rand_fresh_comparison(rng):
+    a, b = rng.sample(_FRESH, 2)
+    term = rng.choice((a, Sub(a, b), Mul(a, b), Pow(a, 2), Add(Mul(num(2), a), b)))
+    return rng.choice((Le, Lt, Ge, Gt, Eq))(term, num(rand_rat(rng, -4, 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_comparisons_over_fresh_names_lose_no_proof(seed):
+    # the added rows share no atom with the condition's, so they neither
+    # help nor hinder it; before the prover split its rows by shared atoms,
+    # they pushed Fourier-Motzkin past its variable cap
+    rng = random.Random(seed)
+    f = _rand_entailed(rng)
+    ctx = ctx_for(simple_ds(), assumptions=(Ge(z, ZERO),) if rng.random() < 0.3 else ())
+    if not prove_vc(f, ctx, falsify_trials=0).valid:
+        return
+    extra = [_rand_fresh_comparison(rng) for _ in range(rng.randint(1, 14))]
+    out = prove_vc(Implies(conj(extra), f), ctx, falsify_trials=0)
+    assert out.valid, (f, extra, out.rule)
+
+
 def test_exp_positive_fact():
     ds = simple_ds()
     f = Implies(Gt(x, ZERO), Gt(Mul(x, Exp(Neg(y))), ZERO))

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hsverify.arith import ArithCtx
+from hsverify.cli import run_goal
 from hsverify.expr import (
     Add,
     And,
@@ -35,6 +36,7 @@ from hsverify.expr import (
 )
 from hsverify.program import TAU, Assign, Choice, Evol, If, Loop, ODE, Seq, Skip, Test
 from hsverify.store import CONSTANT, Dataspace, Frame, GHOST, REAL, VARIABLE, Var
+from hsverify.syntax import parse
 from hsverify.tactics import (
     AllConstantsFailed,
     CertResult,
@@ -533,3 +535,28 @@ def test_d_prove_matches_the_reference_on_small_triples():
     for prove in (d_prove, reference_d_prove):
         with pytest.raises(MissingLoopInvariant):
             prove(t, ArithCtx(ds), flows)
+
+
+# a falling ball with two assumptions that its goals do not read
+_BALL = """
+dataspace ball {
+  constants g : real, a : real, k : real, H : real;
+  assumes gpos: g > 0, apos: a > 0, kpos: k > 0;
+  variables x : real, y : real, z : real, h : real, v : real;
+}
+program fall = { h' = v, v' = -g | h >= 0 }
+program noop = skip
+goal ball_energy :
+  { 2*g*h + v^2 = 2*g*H and H >= 0 } fall { h <= H } by dInductMega using gpos
+goal vacuous :
+  { a > 0 and a < 0 } noop { x > 0 } by wp
+"""
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_unrelated_assumptions_do_not_lose_a_proof(seed):
+    # the vacuous goal is proved only through rows that never reach x > 0
+    model = parse(_BALL)
+    got = {g.name: run_goal(model, g, FlowTable(model.dataspace), {}, seed).status
+           for g in model.goals}
+    assert got == {"ball_energy": "proved", "vacuous": "proved"}

@@ -98,11 +98,11 @@ from helpers import (
     rand_rat,
     rand_store,
     rand_total_expr,
+    reference_falsify,
+    reference_grid,
     reference_poly_normalize,
     reference_poly_of,
     reference_prove_vc,
-    reference_falsify,
-    reference_grid,
     reference_q_eval,
     reference_sample_logicals,
     reference_sample_store,
@@ -1082,6 +1082,16 @@ def _q_outcome(evaluate, f, s, env, box, tol, strict):
     return type(r), r, {n: (type(v), v) for n, v in inst.items()}
 
 
+def _formula_ds():
+    """The names _rand_formula reads."""
+    ds = Dataspace()
+    ds.declare("x", REAL)
+    ds.declare("y", REAL)
+    ds.declare("v", vec(2))
+    ds.declare("flag", BOOL)
+    return ds
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_q_eval_matches_the_reference_walker(seed):
@@ -1089,11 +1099,7 @@ def test_q_eval_matches_the_reference_walker(seed):
     f = _rand_formula(rng, [], 3)
     twin = _rand_formula(random.Random(seed), [], 3)
     before = (repr(f), hash(f))
-    ds = Dataspace()
-    ds.declare("x", REAL)
-    ds.declare("y", REAL)
-    ds.declare("v", vec(2))
-    ds.declare("flag", BOOL)
+    ds = _formula_ds()
     narrow = Box({"t": (Fraction(-2), Fraction(2)), "u": (Fraction(-1), Fraction(3))})
     box = rng.choice((Box(), narrow))
     stores = []
@@ -1114,15 +1120,6 @@ def test_q_eval_matches_the_reference_walker(seed):
                     == _q_outcome(reference_q_eval, f, s, env, box, tol, strict)
     assert (repr(f), hash(f)) == before
     assert f == twin and twin == f and f in {twin}
-
-
-def _falsify_ds():
-    ds = Dataspace()
-    ds.declare("x", REAL)
-    ds.declare("y", REAL)
-    ds.declare("v", vec(2))
-    ds.declare("flag", BOOL)
-    return ds
 
 
 def _guard_over_time(rng):
@@ -1148,15 +1145,15 @@ def test_falsify_refutes_as_the_reference(seed):
         f = Forall("t", Implies(Le(t, x), _rand_formula(rng, ["t"], 2)))
     else:
         f = _rand_formula(rng, [], 3)
-    # assumptions that reject some draws; the free logical q of a term is
-    # drawn with the store
+    # assumptions that reject some draws; _rand_term's free logical q is
+    # drawn after the store
     assumptions = tuple(rng.choice((Gt(x, num(rand_rat(rng, -2, 2))),
                                     Le(y, num(rand_rat(rng, -2, 2))),
                                     _rand_formula(rng, [], 1)))
                         for _ in range(rng.randint(0, 2)))
     narrow = Box({"t": (Fraction(-2), Fraction(2)), "u": (Fraction(-1), Fraction(3)),
                   "x": (Fraction(-3), Fraction(3)), "y": (Fraction(-3), Fraction(3))})
-    ctx = ArithCtx(_falsify_ds(), assumptions=assumptions,
+    ctx = ArithCtx(_formula_ds(), assumptions=assumptions,
                    box=rng.choice((None, narrow)), seed=seed)
     trials = rng.randint(1, 40)
     assert falsify(f, ctx, trials=trials) == reference_falsify(f, ctx, trials=trials)

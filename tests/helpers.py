@@ -24,7 +24,7 @@ from hsverify.store import (
 )
 from hsverify import expr as ex
 from hsverify.arith import (
-    _NICE, _STEPS, ArithCtx, Box, Poly, Unpolyable, Verdict, _Budget, _Prover, _bound_terms,
+    _GRID, _NICE, ArithCtx, Box, Poly, Unpolyable, Verdict, _Budget, _Prover, _bound_terms,
     _inexact, _sampler, _store_samplers, expr_key, falsify, negate, norm_rel, peel, poly_of,
     poly_to_expr, reduce_trig,
 )
@@ -726,18 +726,18 @@ def reference_q_eval(e: Expr, s, env: dict, box: Box, tol: float = 1e-9,
 
 
 def reference_grid(lo: Fraction, hi: Fraction) -> list:
-    """arith._grid as it was before it was cached: the binder's grid points,
-    built again at every call."""
+    """arith._grid as a plain list built again at every call, its points
+    worked out here rather than from arith._STEPS, so that a wrong step
+    table fails against it."""
     # keep the endpoints exact, thin duplicates
-    width = hi - lo
-    return list(dict.fromkeys(lo + k * width for k in _STEPS))
+    return list(dict.fromkeys(lo + Fraction(i, _GRID - 1) * (hi - lo) for i in range(_GRID)))
 
 
 def reference_falsify(formula: Expr, ctx: ArithCtx, trials: int = 300,
                       seed=None):
-    """arith.falsify as it was before it bound its truth closures once per
-    search, with reference_q_eval, whose grid is reference_grid, in place
-    of q_eval."""
+    """arith.falsify with reference_q_eval, whose grid is reference_grid,
+    in place of q_eval: the same search without the compiled truth closures
+    or the grid cache."""
     if trials < 1:
         return None
     rng = random.Random(ctx.seed if seed is None else seed)

@@ -1831,16 +1831,8 @@ def q_eval(e: Expr, s, env: dict, box: Box, tol: float = 1e-9,
     Returns (truth, instantiations), where the instantiations pin binder
     values along any definite-False path.
     """
-    return _truth(e)(s, env, _q(box, tol, strict))
-
-
-def _q(box: Box, tol: float = 1e-9, strict: bool = False) -> tuple:
-    """The q that truth closures take: (box, tol, the exceptions that make
-    an atom None)."""
-    return box, tol, () if strict else (ex.EvalError, UnsupportedConstruct)
-
-
-_EXACT = (Fraction, int)  # value types that are never _inexact
+    soft = () if strict else (ex.EvalError, UnsupportedConstruct)
+    return _truth(e)(s, env, (box, tol, soft))
 
 
 def _inexact(v) -> bool:
@@ -1864,7 +1856,7 @@ def _comparison(op: type) -> Callable:
         apart = op is Neq  # the answer for values further apart than the margin
 
         def compare(a, b, tol):
-            if type(a) in _EXACT and type(b) in _EXACT or not _inexact(a) and not _inexact(b):
+            if not _inexact(a) and not _inexact(b):
                 return test(a, b)
             if isinstance(a, tuple) and isinstance(b, tuple):
                 if len(a) != len(b):
@@ -1881,7 +1873,7 @@ def _comparison(op: type) -> Callable:
     above = op in (Ge, Gt)  # the answer when a exceeds b by the margin
 
     def compare(a, b, tol):
-        if type(a) in _EXACT and type(b) in _EXACT or not _inexact(a) and not _inexact(b):
+        if not _inexact(a) and not _inexact(b):
             return test(a, b)
         if isinstance(a, tuple) or isinstance(b, tuple):
             return None
@@ -1979,22 +1971,24 @@ def falsify(formula: Expr, ctx: ArithCtx, trials: int = 300,
     rng = random.Random(ctx.seed if seed is None else seed)
     stores = _store_samplers(ctx)
     logicals = [(n, _sampler(REAL, *ctx.box.for_name(n))) for n in sorted(free_logicals(formula))]
-    # q_eval's lookups, done once for every trial
-    q, assumed, truth = _q(ctx.box), [_truth(a) for a in ctx.assumptions], _truth(formula)
     for _ in range(trials):
         # each sampler draws in its name's kind, so the store needs no check
         vals = {n: draw(rng) for n, draw in stores}
         s = Store(ctx.dataspace, vals)
         env = {n: draw(rng) for n, draw in logicals}
-        for a in assumed:
-            if a(s, env, q)[0] is not True:
+        ok = True
+        for a in ctx.assumptions:
+            r, _ = q_eval(a, s, env, ctx.box)
+            if r is not True:
+                ok = False
                 break
-        else:
-            r, inst = truth(s, env, q)
-            if r is False:
-                witness = {"store": vals, "env": {**env, **inst}}
-                if not recheck(formula, ctx, witness):
-                    return witness
+        if not ok:
+            continue
+        r, inst = q_eval(formula, s, env, ctx.box)
+        if r is False:
+            witness = {"store": vals, "env": {**env, **inst}}
+            if not recheck(formula, ctx, witness):
+                return witness
     return None
 
 

@@ -67,6 +67,7 @@ from .expr import (
     compile_expr,
     fresh_logical,
     free_logicals,
+    has_type,
     num,
     rewrite,
     simplify,
@@ -1031,7 +1032,7 @@ class _Prover:
         if not isinstance(atom, (Le, Lt)):
             return False
         try:
-            if not _has_div(atom):
+            if not has_type(atom, Div):
                 p = self._diff(atom, True)
             else:
                 n, d = _ratfunc(Sub(atom.left, atom.right), self.ds)
@@ -1171,10 +1172,7 @@ class _Prover:
                                        concl, depth + 1))
 
         # conditional elimination
-        # the leftmost Ite whose condition holds no Ite
-        cond = next((t.cond for h in [concl] + flat for t in subterms(h)
-                     if isinstance(t, Ite)
-                     and not any(isinstance(u, Ite) for u in subterms(t.cond))), None)
+        cond = _ite_cond([concl] + flat)
         if cond is not None:
             self._rule("ite-split")
             t_hyps = [_set_ite_cond(h, cond, True) for h in flat]
@@ -1254,8 +1252,8 @@ class _Prover:
             if comps is not None:
                 return comps
             # scalar comparison over vector subterms: expose the coordinates
-            if isinstance(atom, (Eq, Neq, Le, Lt)) and any(
-                    isinstance(t, (Inner, Norm, VecLit, ScalarMul)) for t in subterms(atom)):
+            if isinstance(atom, (Eq, Neq, Le, Lt)) and has_type(
+                    atom, (Inner, Norm, VecLit, ScalarMul)):
                 try:
                     l = poly_to_expr(self._poly(atom.left))
                     r = poly_to_expr(self._poly(atom.right))
@@ -1359,7 +1357,7 @@ class _Prover:
         def clear(atom, hyps):
             nonlocal changed
             atom = norm_rel(atom)
-            if not isinstance(atom, (Le, Lt, Eq, Neq)) or not _has_div(atom):
+            if not isinstance(atom, (Le, Lt, Eq, Neq)) or not has_type(atom, Div):
                 return atom
             if vec_dim(atom.left, self.ds) is not None:
                 return atom
@@ -1455,7 +1453,7 @@ class _Prover:
             try:
                 red = poly_to_expr(self._diff(concl, True, flat))
                 rebuilt = type(concl)(red, ZERO)
-                if _has_div(red) and rebuilt != concl:
+                if has_type(red, Div) and rebuilt != concl:
                     return self.prove(flat, rebuilt, depth + 1)
             except Unpolyable:
                 pass
@@ -1574,13 +1572,16 @@ def _bound_terms(atoms: Iterable[Expr], v: str) -> list:
     return out
 
 
-def _has_div(e: Expr) -> bool:
-    return any(isinstance(t, Div) for t in subterms(e))
+def _ite_cond(terms: list) -> Optional[Expr]:
+    """The condition of the leftmost Ite in terms whose condition holds no
+    Ite; only a term that holds an Ite is walked."""
+    return next((t.cond for h in terms if has_type(h, Ite) for t in subterms(h)
+                 if isinstance(t, Ite) and not has_type(t.cond, Ite)), None)
 
 
 def _ratfunc(e: Expr, ds: Optional[Dataspace]):
     """e as N/D with polynomial N, D; divisions inside opaque atoms stay put."""
-    if not _has_div(e):
+    if not has_type(e, Div):
         return poly_of(e, ds), Poly.const(1)
     if isinstance(e, Div):
         na, da = _ratfunc(e.left, ds)
@@ -2106,7 +2107,7 @@ def emit_smtlib(formula: Expr, ctx: ArithCtx, name: str = "vc") -> str:
     neg = out.term(Not(body))
     assume_terms = [out.term(a) for a in assumes]
 
-    has_q = any(isinstance(t, (Forall, Exists)) for a in [body] + assumes for t in subterms(a))
+    has_q = any(has_type(a, (Forall, Exists)) for a in [body] + assumes)
     has_fun = bool(out.funs)
     if has_fun:
         logic = "UFNRA" if has_q else "QF_UFNRA"

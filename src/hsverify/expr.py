@@ -518,13 +518,6 @@ def cached(e: Expr, key: str, kids: Callable, build: Callable):
     return out
 
 
-def _compiled_kids(e: Expr) -> tuple:
-    try:
-        return tuple(k for k in children(e) if isinstance(k, Expr))
-    except UnsupportedConstruct:
-        return ()
-
-
 def compile_expr(e: Expr) -> Callable:
     """e as a closure (store, env) -> value, cached on the node.
 
@@ -532,7 +525,7 @@ def compile_expr(e: Expr) -> Callable:
     floats in binary64.  Errors are raised when the closure is called."""
     if not isinstance(e, Expr):
         return _compile(e)
-    return cached(e, "_compiled", _compiled_kids, _compile)
+    return cached(e, "_compiled", _kids, _compile)
 
 
 def eval_expr(e: Expr, s: Store, env: Optional[dict] = None) -> Union[Fraction, float, bool, tuple]:
@@ -623,24 +616,25 @@ def _fold_children(e) -> Optional[tuple]:
 # Structure queries
 
 
+# Each node type's children, as a tuple.
+_CHILDREN = {
+    **dict.fromkeys((RatLit, BoolLit, VarRead, LogicalVar, Folded), lambda e: ()),
+    **dict.fromkeys((Neg, Ln, Exp, Sin, Cos, Sqrt, Norm, Not), lambda e: (e.arg,)),
+    Pow: lambda e: (e.base,),
+    **dict.fromkeys((Add, Sub, Mul, Div, Inner, Eq, Le, Lt, Ge, Gt, Neq, And, Or, Implies, Iff),
+                    operator.attrgetter("left", "right")),
+    ScalarMul: operator.attrgetter("scalar", "arg"),
+    VecLit: operator.attrgetter("items"),
+    Ite: operator.attrgetter("cond", "then", "other"),
+    **dict.fromkeys((Exists, Forall), lambda e: (e.body,)),
+}
+
+
 def children(e: Expr) -> tuple:
-    if isinstance(e, (RatLit, BoolLit, VarRead, LogicalVar, Folded)):
-        return ()
-    if isinstance(e, (Neg, Ln, Exp, Sin, Cos, Sqrt, Norm, Not)):
-        return (e.arg,)
-    if isinstance(e, Pow):
-        return (e.base,)
-    if isinstance(e, (Add, Sub, Mul, Div, Inner, Eq, Le, Lt, Ge, Gt, Neq, And, Or, Implies, Iff)):
-        return (e.left, e.right)
-    if isinstance(e, ScalarMul):
-        return (e.scalar, e.arg)
-    if isinstance(e, VecLit):
-        return e.items
-    if isinstance(e, Ite):
-        return (e.cond, e.then, e.other)
-    if isinstance(e, (Exists, Forall)):
-        return (e.body,)
-    raise UnsupportedConstruct(f"unknown node {e!r}")
+    try:
+        return _CHILDREN[type(e)](e)
+    except KeyError:
+        raise UnsupportedConstruct(f"unknown node {e!r}") from None
 
 
 # How many levels an expression tree may have, in a parsed model and in a
@@ -652,15 +646,62 @@ def children(e: Expr) -> tuple:
 MAX_DEPTH = 256
 
 
+def _kids(e: Expr) -> tuple:
+    """The children cached values are built from: none for an unknown node."""
+    get = _CHILDREN.get(type(e))
+    return () if get is None else get(e)
+
+
+# Each node's structural facts are built once, children first, through
+# cached, and only when asked for: its hash, its depth, its free logicals
+# and the set of node types in its tree, as a bitmask.  Nodes are
+# immutable, so a fact never goes stale.
+
+_NODE_TYPES = tuple(Expr.__subclasses__())
+_BIT = {cls: 1 << i for i, cls in enumerate(_NODE_TYPES)}
+_MASKS = {}  # a type or tuple of types -> the bits of the node types it covers
+# The dataclass hash of each node type: the hash of its fields' tuple.  A
+# node's children are hashed, and so cached, before it.
+_FIELDS_HASH = {cls: cls.__hash__ for cls in _NODE_TYPES}
+
+
+def _fields_hash(e: Expr) -> int:
+    return _FIELDS_HASH.get(type(e), type(e).__hash__)(e)
+
+
+def _hash(e: Expr) -> int:
+    h = e.__dict__.get("_hash")  # the common case, ahead of a call to cached
+    return h if h is not None else cached(e, "_hash", _kids, _fields_hash)
+
+
+for _cls in _NODE_TYPES:
+    _cls.__hash__ = _hash
+
+
+def _depth_of(e: Expr) -> int:
+    return 1 + max((k.__dict__["_depth"] for k in _kids(e)), default=0)
+
+
 def depth(e: Expr) -> int:
-    """The number of levels in e's tree, counted from an explicit stack."""
-    most = 0
-    stack = [(e, 1)]
-    while stack:
-        node, d = stack.pop()
-        most = max(most, d)
-        stack.extend((k, d + 1) for k in children(node))
-    return most
+    """The number of levels in e's tree."""
+    return cached(e, "_depth", _kids, _depth_of)
+
+
+def _kinds_of(e: Expr) -> int:
+    out = _BIT.get(type(e), 0)
+    for k in _kids(e):
+        out |= k.__dict__["_kinds"]
+    return out
+
+
+def has_type(e: Expr, types) -> bool:
+    """Some sub-term of e, e included, is an instance of types (a type or a
+    tuple of types), as a subterms scan with isinstance would tell."""
+    kinds = cached(e, "_kinds", _kids, _kinds_of)
+    mask = _MASKS.get(types)
+    if mask is None:
+        mask = _MASKS[types] = sum(b for cls, b in _BIT.items() if issubclass(cls, types))
+    return bool(kinds & mask)
 
 
 def rebuild(e: Expr, kids: tuple) -> Expr:
@@ -725,22 +766,25 @@ def free_lenses(e: Expr) -> tuple:
     return tuple(dict.fromkeys(t.lens for t in subterms(e) if isinstance(t, VarRead)))
 
 
-def free_logicals(e: Expr) -> set:
-    """Logical variables of e not bound by a quantifier around them."""
-    out, bound, stack = set(), [], [e]
-    while stack:
-        t = stack.pop()
-        if t is None:  # the walk leaves the innermost binder's body
-            bound.pop()
-        elif isinstance(t, LogicalVar):
-            if t.name not in bound:
-                out.add(t.name)
-        elif isinstance(t, (Exists, Forall)):
-            bound.append(t.var)
-            stack += (None, t.body)
-        else:
-            stack += children(t)
+_NO_NAMES = frozenset()
+
+
+def _free_of(e: Expr) -> frozenset:
+    if isinstance(e, LogicalVar):
+        return frozenset((e.name,))
+    out = _NO_NAMES
+    for k in _kids(e):
+        more = k.__dict__["_free"]
+        if more:
+            out = out | more if out else more
+    if isinstance(e, (Exists, Forall)) and e.var in out:
+        out = out - {e.var}
     return out
+
+
+def free_logicals(e: Expr) -> frozenset:
+    """Logical variables of e not bound by a quantifier around them."""
+    return cached(e, "_free", _kids, _free_of)
 
 
 def fresh_logical(base: str, avoid: set) -> str:
@@ -763,7 +807,7 @@ def unrest(a: Frame, e: Expr) -> bool:
 
 def total(e: Expr) -> bool:
     """No partial operation anywhere in e (safe to duplicate or drop)."""
-    return not any(isinstance(t, (Div, Ln, Sqrt)) for t in subterms(e))
+    return not has_type(e, (Div, Ln, Sqrt))
 
 
 def subst_logical(e: Expr, name: str, replacement: Expr) -> Expr:

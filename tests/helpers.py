@@ -3,6 +3,7 @@ the reference expression evaluator, simplifier, traversals, falsifier
 samplers, three-valued evaluator, falsifier, kind checker, polynomial
 builder, polynomial normalizer, condition prover and triple prover."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -488,6 +489,83 @@ def reference_rewrite(e: Expr, fn) -> Expr:
         return new
     kids = children(e)
     return rebuild(e, tuple(reference_rewrite(k, fn) for k in kids)) if kids else e
+
+
+# -- the reference structural facts ------------------------------------------
+# The walks that the cached per-node facts replaced, as they were.
+
+
+def reference_depth(e: Expr) -> int:
+    """The number of levels in e's tree, counted from an explicit stack."""
+    most = 0
+    stack = [(e, 1)]
+    while stack:
+        node, d = stack.pop()
+        most = max(most, d)
+        stack.extend((k, d + 1) for k in children(node))
+    return most
+
+
+def reference_free_logicals(e: Expr) -> set:
+    """Logical variables of e not bound by a quantifier around them."""
+    out, bound, stack = set(), [], [e]
+    while stack:
+        t = stack.pop()
+        if t is None:  # the walk leaves the innermost binder's body
+            bound.pop()
+        elif isinstance(t, LogicalVar):
+            if t.name not in bound:
+                out.add(t.name)
+        elif isinstance(t, (Exists, Forall)):
+            bound.append(t.var)
+            stack += (None, t.body)
+        else:
+            stack += children(t)
+    return out
+
+
+def reference_total(e: Expr) -> bool:
+    """No partial operation anywhere in e (safe to duplicate or drop)."""
+    return not any(isinstance(t, (Div, Ln, Sqrt)) for t in subterms(e))
+
+
+def reference_has_div(e: Expr) -> bool:
+    return any(isinstance(t, Div) for t in subterms(e))
+
+
+def reference_has_vector_op(atom: Expr) -> bool:
+    """The prover's scan for a scalar comparison over vector sub-terms."""
+    return any(isinstance(t, (Inner, Norm, VecLit, ScalarMul)) for t in subterms(atom))
+
+
+def reference_ite_cond(concl: Expr, flat: list):
+    """The prover's pick: the leftmost Ite whose condition holds no Ite."""
+    return next((t.cond for h in [concl] + flat for t in subterms(h)
+                 if isinstance(t, Ite)
+                 and not any(isinstance(u, Ite) for u in subterms(t.cond))), None)
+
+
+class _HashesAs:
+    """Stands in for a node in a field tuple: Python uses the hash it returns
+    as the node's own."""
+
+    def __init__(self, h: int):
+        self.h = h
+
+    def __hash__(self):
+        return self.h
+
+
+def reference_hash(e: Expr) -> int:
+    """The dataclass hash of e, the hash of its fields' tuple, worked out by
+    plain recursion and without calling any node's __hash__."""
+    def stand_in(v):
+        if isinstance(v, Expr):
+            return _HashesAs(reference_hash(v))
+        if isinstance(v, tuple):
+            return tuple(stand_in(i) for i in v)
+        return v
+    return hash(tuple(stand_in(getattr(e, f.name)) for f in dataclasses.fields(e)))
 
 
 _LEAVES = (ex.RatLit, ex.BoolLit, ex.VarRead, ex.LogicalVar)

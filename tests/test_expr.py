@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hsverify import expr as ex
+from hsverify.arith import _ite_cond
 from hsverify.expr import (
     Add,
     And,
@@ -40,6 +42,7 @@ from hsverify.expr import (
     eval_expr,
     free_lenses,
     free_logicals,
+    has_type,
     kind_of,
     num,
     read,
@@ -61,11 +64,18 @@ from helpers import (
     rand_store,
     rand_subst,
     rand_total_expr,
+    reference_depth,
     reference_eval,
+    reference_free_logicals,
+    reference_has_div,
+    reference_has_vector_op,
+    reference_hash,
+    reference_ite_cond,
     reference_kind_of,
     reference_rewrite,
     reference_simplify,
     reference_subterms,
+    reference_total,
     small_dataspace,
 )
 
@@ -486,6 +496,82 @@ def test_free_logicals_bind_only_inside_the_quantifier():
     p, q = LogicalVar("p"), LogicalVar("q")
     assert free_logicals(And(p, Forall("p", Le(p, q)))) == {"p", "q"}
     assert free_logicals(And(Exists("q", Forall("p", Le(p, q))), q)) == {"q"}
+
+
+def _rand_binder_expr(rng, ds, depth):
+    """rand_any_expr terms under nested quantifiers over p, q and r, so
+    binders shadow one another and bind some names and not others."""
+    if depth == 0 or rng.random() < 0.3:
+        return rand_any_expr(rng, ds, rng.randint(0, 3))
+    kid = lambda: _rand_binder_expr(rng, ds, depth - 1)  # noqa: E731
+    pick = rng.random()
+    if pick < 0.4:
+        return rng.choice((Exists, Forall))(rng.choice("pqr"), kid())
+    if pick < 0.8:
+        return rng.choice((And, Implies, Add, Le))(kid(), kid())
+    return Ite(kid(), kid(), kid())
+
+
+_TYPE_QUERIES = (Div, Ite, (Div, Ln, Sqrt), (Inner, Norm, VecLit, ScalarMul), (Exists, Forall),
+                 LogicalVar, VarRead)
+
+
+def test_cached_facts_match_the_reference_walks():
+    ds = small_dataspace()
+    rng = random.Random(2207)
+    seen_bound = 0
+    for _ in range(300):
+        e = _rand_binder_expr(rng, ds, 4)
+        want_hash = reference_hash(e)
+        # the top node first, so its children's facts are built by the cache
+        # walk, then every sub-term on its own
+        for t in [e] + reference_subterms(e):
+            assert ex.depth(t) == reference_depth(t)
+            assert free_logicals(t) == reference_free_logicals(t)
+            assert isinstance(free_logicals(t), frozenset)
+            for types in _TYPE_QUERIES:
+                want = any(isinstance(u, types) for u in reference_subterms(t))
+                assert has_type(t, types) == want, (t, types)
+            assert total(t) == reference_total(t)
+            assert has_type(t, Div) == reference_has_div(t)
+            assert has_type(t, (Inner, Norm, VecLit, ScalarMul)) == reference_has_vector_op(t)
+            assert hash(t) == reference_hash(t)
+            if isinstance(t, (Exists, Forall)):
+                seen_bound += t.var not in free_logicals(t)
+        assert hash(e) == want_hash
+        flat = [_rand_binder_expr(rng, ds, 2) for _ in range(rng.randint(0, 3))]
+        assert _ite_cond([e] + flat) == reference_ite_cond(e, flat)
+    assert seen_bound > 100
+
+
+def test_cached_facts_are_invisible():
+    p = LogicalVar("p")
+    e = Forall("q", And(Le(Div(read("a"), p), LogicalVar("q")), Eq(read("v"), VecLit((p, p)))))
+    twin = Forall("q", And(Le(Div(read("a"), p), LogicalVar("q")), Eq(read("v"), VecLit((p, p)))))
+    before = (repr(e), reference_hash(e))
+    assert not any("_hash" in t.__dict__ for t in subterms(e))
+    assert (ex.depth(e), free_logicals(e), has_type(e, Div), total(e)) == (5, {"p"}, True, False)
+    assert hash(e) == before[1]
+    assert (repr(e), hash(e)) == before
+    assert all({"_hash", "_depth", "_free", "_kinds"} <= set(t.__dict__) for t in subterms(e))
+    assert e == twin and twin == e and e in {twin} and twin in {e: 1}
+    assert hash(twin) == hash(e) and repr(twin) == repr(e)
+    assert [f.name for f in dataclasses.fields(e)] == ["var", "body"]
+
+
+def test_facts_of_a_10000_deep_chain():
+    # == and repr would recurse, and so would the dataclass hash
+    def chain():
+        e = Forall("p", Le(LogicalVar("p"), read("a")))
+        for i in range(9997):
+            e = Add(e, LogicalVar("q") if i % 3 == 0 else read("b"))
+        return e
+    e, twin = chain(), chain()
+    assert ex.depth(e) == 10000
+    assert free_logicals(e) == {"q"}
+    assert has_type(e, Forall) and not has_type(e, Div) and total(e)
+    assert isinstance(hash(e), int) and hash(twin) == hash(e)
+    assert hash(Add(e, read("a"))) == hash((e, read("a")))
 
 
 def test_deep_chain_walks_without_deep_recursion():

@@ -12,6 +12,7 @@ Exit codes: 0 all goals proved (unknowns tolerated unless --strict),
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -418,6 +419,9 @@ def cmd_simulate(args) -> int:
 # Entry point
 
 
+# Built on the first call, not at import, and then kept: parse_args makes a
+# fresh namespace from the defaults at each call, so no option carries over.
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hsverify",

@@ -278,6 +278,41 @@ def test_simulate_unclosed_vector_init(capsys, vec_model, value):
     assert out == ""
 
 
+def fresh_run(*argv):
+    """(exit code, stdout, stderr) of hsverify in a process of its own."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-m", "hsverify.cli", *map(str, argv)],
+                         env=env, capture_output=True, text=True)
+    return out.returncode, out.stdout, out.stderr
+
+
+def test_no_option_carries_over_between_calls(capsys, hard_model, tmp_path):
+    # one process reuses one argument parser; each call must read as a fresh run
+    tr = tmp_path / "t.txt"
+
+    def take_trace():
+        text = tr.read_text() if tr.exists() else None
+        tr.unlink(missing_ok=True)
+        return text
+
+    sim = ("simulate", MODELS / "decay.hsv", "--program", "dec", "--init", "x=1",
+           "--step", "0.5", "--horizon", "1")
+    runs = (("verify", hard_model, "--trials", 50, "--strict"),
+            ("verify", hard_model, "--trials", 50),
+            sim + ("--trace", tr),
+            sim)
+    codes, traces = [], []
+    for argv in runs:
+        got = run(capsys, *argv)
+        traces.append(take_trace())
+        assert got == fresh_run(*argv)
+        assert take_trace() == traces[-1]
+        codes.append(got[0])
+    assert codes == [3, 0, 0, 0]
+    assert traces[2].startswith("0.000000\t") and traces[3] is None
+
+
 def test_simulate_trace_file(capsys, tmp_path):
     tr = tmp_path / "t.txt"
     code, out, _ = run(capsys, "simulate", MODELS / "decay.hsv",

@@ -212,6 +212,9 @@ class _Parser:
         self.programs = {}
         self.flows = []
         self.goals = []
+        # (goal name, "flow" or "assumption", the name's token), checked by
+        # resolve once the whole file is read
+        self.refs = []
         self.depth = 0
 
     # -- token plumbing
@@ -305,14 +308,11 @@ class _Parser:
                          self.programs, tuple(self.flows), tuple(self.goals))
 
     def resolve(self) -> None:
-        flow_names = {f.name for f in self.flows}
-        assume_names = {n for n, _ in self.assumes}
-        for g in self.goals:
-            if g.method.name == "flow" and g.method.args[0] not in flow_names:
-                raise ParseError(f"goal {g.name} uses unknown flow {g.method.args[0]!r}", 1, 1)
-            for u in g.using:
-                if u not in assume_names:
-                    raise ParseError(f"goal {g.name} uses unknown assumption {u!r}", 1, 1)
+        known = {"flow": {f.name for f in self.flows},
+                 "assumption": {n for n, _ in self.assumes}}
+        for goal, what, t in self.refs:
+            if t.text not in known[what]:
+                raise self.fail(f"goal {goal} uses unknown {what} {t.text!r}", t)
 
     # -- dataspace
 
@@ -810,23 +810,26 @@ class _Parser:
         post = self.check_bool(self.expr(), start)
         self.expect("}")
         self.expect("by")
-        method = self.method()
+        method = self.method(t.text)
         using = []
         if self.take("using"):
-            using.append(self.ident("assumption name").text)
+            using.append(self.ident("assumption name"))
             while self.take(","):
-                using.append(self.ident("assumption name").text)
-        self.goals.append(Goal(t.text, pre, pt.text, post, method, tuple(using)))
+                using.append(self.ident("assumption name"))
+        self.refs += [(t.text, "assumption", u) for u in using]
+        self.goals.append(Goal(t.text, pre, pt.text, post, method,
+                               tuple(u.text for u in using)))
 
-    def method(self) -> Method:
+    def method(self, goal: str) -> Method:
         t = self.ident("proof method")
         if t.text in _METHODS_BARE:
             return Method(t.text)
         if t.text == "flow":
             self.expect("(")
-            fid = self.ident("flow name").text
+            fid = self.ident("flow name")
             self.expect(")")
-            return Method("flow", (fid,))
+            self.refs.append((goal, "flow", fid))
+            return Method("flow", (fid.text,))
         if t.text == "dGhost":
             self.expect("(")
             g = self.ident("ghost name")

@@ -83,6 +83,19 @@ def test_verify_parse_error(capsys, tmp_path):
     assert "error:" in err and "bad.hsv" in err
 
 
+@pytest.mark.parametrize("method,where", [
+    ("flow(nope)", "6:42: goal g uses unknown flow 'nope'"),
+    ("dInductMega using cpos, nope", "6:61: goal g uses unknown assumption 'nope'"),
+])
+def test_unknown_reference_names_its_position(capsys, tmp_path, method, where):
+    p = tmp_path / "f.hsv"
+    p.write_text("dataspace d {\n  variables x : real;\n  assumes cpos: x >= 0;\n}\n"
+                 "program p = skip\n"
+                 f"goal g : {{ x >= 0 }} p {{ x >= 0 }} by {method}\n")
+    code, out, err = run(capsys, "verify", p)
+    assert (code, out, err) == (1, "", f"error: {p}:{where}\n")
+
+
 def test_verify_unknown_goal_name(capsys):
     code, _, err = run(capsys, "verify", MODELS / "decay.hsv", "--goal", "nope")
     assert code == 1

@@ -343,6 +343,30 @@ def test_goal_reference_checks():
         parse(PREAMBLE + "\ngoal g : { true } noop { true } by dGhost(x, true, 1)")
 
 
+# flows may be declared after the goals that use them, so these names are
+# checked once the file is read; each error still points at the name
+REFS = PREAMBLE + """program p = { x' = -x }
+goal ok : { x >= 0 } p { x >= 0 } by flow(shrink) using cpos
+goal g : { x >= 0 } p { x >= 0 } by flow(nope)
+goal h : { x >= 0 } p { x >= 0 } by dInductMega using cpos, nope
+flow shrink for p = [x ~> x * exp(-tau)] lipschitz 1
+"""
+
+
+@pytest.mark.parametrize("drop,msg,line,col", [
+    (None, "goal g uses unknown flow 'nope'", 11, 42),
+    ("goal g ", "goal h uses unknown assumption 'nope'", 12, 61),
+])
+def test_unknown_references_point_at_the_name(drop, msg, line, col):
+    text = REFS if drop is None else "\n".join(
+        ln for ln in REFS.splitlines() if not ln.startswith(drop))
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert str(e.value).endswith(msg)
+    # a dropped line shifts the ones below it
+    assert (e.value.line, e.value.col) == (line - (drop is not None), col)
+
+
 def test_duplicate_names_rejected():
     with pytest.raises(ParseError, match="duplicate program"):
         parse(PREAMBLE + "\nprogram noop = skip")

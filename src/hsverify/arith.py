@@ -1668,7 +1668,7 @@ def _binder_range(bounds: list, v: str, s, env, box: Box):
     for f, upper in bounds:
         try:
             val = f(s, env)
-        except ex.EvalError:
+        except (ex.EvalError, OverflowError):
             continue
         if not isinstance(val, (Fraction, int)):
             continue
@@ -1710,11 +1710,9 @@ def _truth_node(e: Expr) -> Callable:
 
         def compare(s, env, q):
             try:
-                a = fa(s, env)
-                b = fb(s, env)
+                return test(fa(s, env), fb(s, env), q[1]), {}
             except q[2]:
                 return None, {}
-            return test(a, b, q[1]), {}
         return compare
     if isinstance(e, And):
         fa, fb = kids
@@ -1826,13 +1824,14 @@ def q_eval(e: Expr, s, env: dict, box: Box, tol: float = 1e-9,
     the instance it exhibits: a Forall can be False, an Exists True, and
     neither is ever decided the other way.  Exact values compare
     exactly; a comparison with a float decides only outside
-    tol * (1 + |a| + |b|).  An atom that cannot be evaluated is None, or
-    raises when strict.  Strict mode also raises UnsupportedConstruct on a
-    quantifier: a grid can pass a guard that fails between its points.
-    Returns (truth, instantiations), where the instantiations pin binder
-    values along any definite-False path.
+    tol * (1 + |a| + |b|).  An atom that cannot be evaluated, or whose
+    evaluation or comparison overflows a float, is None, or raises when
+    strict.  Strict mode also raises UnsupportedConstruct on a quantifier:
+    a grid can pass a guard that fails between its points.  Returns
+    (truth, instantiations), where the instantiations pin binder values
+    along any definite-False path.
     """
-    soft = () if strict else (ex.EvalError, UnsupportedConstruct)
+    soft = () if strict else (ex.EvalError, UnsupportedConstruct, OverflowError)
     return _truth(e)(s, env, (box, tol, soft))
 
 

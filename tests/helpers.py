@@ -651,7 +651,7 @@ def _reference_binder_range(body: Expr, v: str, s, env, box: Box):
     for t, _ in _bound_terms(subterms(body, stop=(Le, Lt, Ge, Gt)), v):
         try:
             val = eval_expr(t, s, env)
-        except ex.EvalError:
+        except (ex.EvalError, OverflowError):
             continue
         if not isinstance(val, (Fraction, int)):
             continue
@@ -721,13 +721,14 @@ def reference_q_eval(e: Expr, s, env: dict, box: Box, tol: float = 1e-9,
     the instance it exhibits: a Forall can be False, an Exists True, and
     neither is ever decided the other way.  Exact values compare
     exactly; a comparison with a float decides only outside
-    tol * (1 + |a| + |b|).  An atom that cannot be evaluated is None, or
-    raises when strict.  Strict mode also raises UnsupportedConstruct on a
-    quantifier: a grid can pass a guard that fails between its points.
-    Returns (truth, instantiations), where the instantiations pin binder
-    values along any definite-False path.
+    tol * (1 + |a| + |b|).  An atom that cannot be evaluated, or whose
+    evaluation or comparison overflows a float, is None, or raises when
+    strict.  Strict mode also raises UnsupportedConstruct on a quantifier:
+    a grid can pass a guard that fails between its points.  Returns
+    (truth, instantiations), where the instantiations pin binder values
+    along any definite-False path.
     """
-    soft = () if strict else (ex.EvalError, UnsupportedConstruct)
+    soft = () if strict else (ex.EvalError, UnsupportedConstruct, OverflowError)
 
     def walk(e: Expr, env: dict):
         if isinstance(e, BoolLit):
@@ -736,9 +737,9 @@ def reference_q_eval(e: Expr, s, env: dict, box: Box, tol: float = 1e-9,
             try:
                 a = eval_expr(e.left, s, env)
                 b = eval_expr(e.right, s, env)
+                return _cmp_vals(type(e), a, b, tol), {}
             except soft:
                 return None, {}
-            return _cmp_vals(type(e), a, b, tol), {}
         if isinstance(e, And):
             a, ia = walk(e.left, env)
             if a is False:

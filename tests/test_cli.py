@@ -236,6 +236,30 @@ def test_falsify_clean(capsys):
     assert "no counterexample" in out
 
 
+# valid goals whose atoms overflow a float at some draws: exp of a large
+# square, and a rational power too large to convert for the comparison
+OVERFLOW = """\
+dataspace d {{
+  variables x : real;
+}}
+
+program p = skip
+
+goal g : {goal} by wp
+"""
+
+
+@pytest.mark.parametrize("goal", ["{ true } p { exp(x * x) >= x * x + 1 }",
+                                  "{ x >= 50 } p { x^300 >= exp(x) }"])
+@pytest.mark.parametrize("command, expected", [("verify", "goal g: unknown (wp)\n"),
+                                               ("falsify", "goal g: no counterexample in 300 trials\n")])
+def test_an_overflow_leaves_the_atom_undecided(capsys, tmp_path, goal, command, expected):
+    p = tmp_path / "overflow.hsv"
+    p.write_text(OVERFLOW.format(goal=goal))
+    code, out, err = run(capsys, command, p)
+    assert (code, out, err) == (0, expected, "")
+
+
 def test_vcs_listing(capsys):
     code, out, _ = run(capsys, "vcs", MODELS / "pendulum.hsv")
     assert code == 0

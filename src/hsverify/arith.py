@@ -1815,6 +1815,49 @@ def _truth(e: Expr) -> Callable:
     return cached(e, "_truth", _truth_kids, _truth_node)
 
 
+def _can(true: bool, false: bool) -> frozenset:
+    return frozenset(v for v, can in ((True, true), (False, false)) if can)
+
+
+_BOTH = _can(True, True)
+
+
+def _answers_node(e: Expr) -> frozenset:
+    """The answers of one node; its formulas' sets are cached.  Each rule
+    reads only which answers _truth_node's closure gets from its kids."""
+    kids = [k.__dict__["_answers"] for k in _truth_kids(e)]
+    if isinstance(e, BoolLit):
+        return frozenset((e.value,))
+    if isinstance(e, And):
+        a, b = kids
+        return _can(True in a and True in b, False in a or False in b)
+    if isinstance(e, (Or, Implies)):
+        a, b = kids
+        return _can(True in a or True in b, False in a and False in b)
+    if isinstance(e, Not):
+        return _can(False in kids[0], True in kids[0])
+    if isinstance(e, Iff):
+        a, b = kids
+        return _can((True in a and True in b) or (False in a and False in b),
+                    (True in a and False in b) or (False in a and True in b))
+    if isinstance(e, Ite):
+        return kids[1] | kids[2]
+    if isinstance(e, Forall):
+        return _can(False, False in kids[0])
+    if isinstance(e, Exists):
+        return _can(True in kids[0], False)
+    return _BOTH
+
+
+def _answers(e: Expr) -> frozenset:
+    """The truth values (True, False) that q_eval of e can return, None
+    aside, whatever the store, env, box or tol: a sound over-approximation
+    built children-first, once per node.  A comparison or any other term
+    can give either value; a Forall can only be False and an Exists only
+    True, as their grids decide only through an instance."""
+    return cached(e, "_answers", _truth_kids, _answers_node)
+
+
 def q_eval(e: Expr, s, env: dict, box: Box, tol: float = 1e-9,
            strict: bool = False):
     """Three-valued truth of a formula at a store: True, False or None.
@@ -1965,8 +2008,11 @@ def falsify(formula: Expr, ctx: ArithCtx, trials: int = 300,
 
     Returns {"store": {...}, "env": {...}} or None.  Deterministic in
     (formula, ctx, seed); any returned witness re-checks False exactly.
+    It draws nothing when no trial can find one: when q_eval can never
+    make the formula False, or some assumption True (_answers).
     """
-    if trials < 1:
+    if trials < 1 or False not in _answers(formula) \
+            or any(True not in _answers(a) for a in ctx.assumptions):
         return None
     rng = random.Random(ctx.seed if seed is None else seed)
     stores = _store_samplers(ctx)

@@ -78,6 +78,7 @@ from hsverify.expr import (
     ZERO,
     conj,
     eval_expr,
+    has_type,
     kind_of,
     num,
     read,
@@ -1175,21 +1176,134 @@ def test_grid_cache_stays_bounded():
     assert info.currsize <= info.maxsize
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_falsify_refutes_tank_conditions_as_the_reference(seed):
-    # the flows' guards quantified over time: forall tau. 0 <= tau ->
-    # (forall sig. 0 <= sig and sig <= tau -> guard) -> post
+def _tank_conditions():
+    """The tank model and the formulas of its goals' conditions: the flows'
+    guards quantified over time, forall tau. 0 <= tau -> (forall sig.
+    0 <= sig and sig <= tau -> guard) -> post."""
     model = parse((MODELS / "tank.hsv").read_text())
     table = FlowTable(model.dataspace)
     for decl in model.flows:
         ode = model.programs[decl.target]
         table.register(ode.frame, ode.rhs, decl.flow)
+    return model, [vc.formula for goal in model.goals
+                   for vc in gen_vcs(Triple(goal.pre, model.programs[goal.prog_name],
+                                            goal.post), table)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_falsify_refutes_tank_conditions_as_the_reference(seed):
+    model, formulas = _tank_conditions()
     ctx = ArithCtx(model.dataspace, assumptions=model.assumptions(), seed=seed)
-    for goal in model.goals:
-        triple = Triple(goal.pre, model.programs[goal.prog_name], goal.post)
-        for vc in gen_vcs(triple, table):
-            assert falsify(vc.formula, ctx, trials=60) \
-                == reference_falsify(vc.formula, ctx, trials=60)
+    for f in formulas:
+        assert falsify(f, ctx, trials=60) == reference_falsify(f, ctx, trials=60)
+
+
+# -- answer sets --------------------------------------------------------------
+
+
+_t = LogicalVar("t")
+
+
+def _truth_shapes(rng):
+    """A formula of _rand_formula, or a rand_any_expr term, or one of the
+    shapes whose rules differ most: nested binders, an Implies with a
+    quantified antecedent, an Ite in a truth position, and an Iff."""
+    ds = _formula_ds()
+    kid = lambda: (_rand_formula(rng, [], 2) if rng.random() < 0.6  # noqa: E731
+                   else rand_any_expr(rng, ds, 2))
+    pick = rng.random()
+    if pick < 0.3:
+        return _rand_formula(rng, [], 3)
+    if pick < 0.45:
+        return rand_any_expr(rng, ds, 3)
+    if pick < 0.6:
+        inner = rng.choice((Forall, Exists))("p", kid())
+        return rng.choice((Forall, Exists))(rng.choice("pt"), rng.choice((And, Or))(inner, kid()))
+    if pick < 0.75:
+        lo = Le(_t, rng.choice((x, y, num(1))))
+        return Implies(rng.choice((Forall, Exists))("t", Implies(lo, kid())), kid())
+    if pick < 0.9:
+        return Ite(kid(), kid(), kid())
+    return Iff(kid(), kid())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_every_answer_lies_in_the_answer_set(seed):
+    rng = random.Random(seed)
+    f = _truth_shapes(rng)
+    ds = _formula_ds()
+    narrow = Box({"t": (Fraction(-2), Fraction(2)), "p": (Fraction(-1), Fraction(3))})
+    stores = []
+    for _ in range(3):
+        vals = {"x": rand_rat(rng, -3, 3), "y": rand_rat(rng, -3, 3),
+                "v": (rand_rat(rng, -2, 2), rand_rat(rng, -2, 2)), "flag": rng.random() < 0.5}
+        stores.append(ds.make_store(vals))
+        stores.append(ds.make_store({**vals, "x": float(vals["x"]) * (1 + 1e-10)}))
+    # every node, each read in a truth position, holds its own set
+    for sub in subterms(f):
+        answers = arith._answers(sub)
+        assert answers <= {True, False}
+        for s in stores:
+            env = {n: rand_rat(rng, -2, 2) for n in "pqtu" if rng.random() < 0.5}
+            for box in (Box(), narrow):
+                try:
+                    r, _ = q_eval(sub, s, env, box)
+                except Exception:
+                    continue  # an error, such as a rand_any_expr kind error, answers nothing
+                assert r is None or r in answers, (sub, r, answers)
+
+
+def test_tank_conditions_can_never_be_false():
+    # each condition through a guarded flow reads (forall sig. ... guard)
+    # -> post, that is (exists sig. not ...) or post, and a grid Exists is
+    # never False; the conditions with no flow can be
+    _, formulas = _tank_conditions()
+    through_flow = [f for f in formulas if has_type(f, (Forall, Exists))]
+    assert len(through_flow) == 3 and len(formulas) == 7
+    for f in formulas:
+        assert (False in arith._answers(f)) == (f not in through_flow)
+
+
+def test_answer_sets_of_binders_and_comparisons():
+    body = Le(_t, x)
+    assert arith._answers(Exists("t", body)) == {True}
+    assert arith._answers(Forall("t", body)) == {False}
+    assert arith._answers(body) == {True, False}
+    assert arith._answers(Not(Exists("t", body))) == {False}
+    assert arith._answers(Exists("t", Forall("u", body))) == set()
+    # an Implies reads its negated antecedent: not forall is an Exists
+    assert arith._answers(Implies(Forall("t", body), Lt(x, y))) == {True}
+    assert arith._answers(Implies(Exists("t", body), Lt(x, y))) == {True, False}
+    assert arith._answers(Implies(Lt(x, y), Exists("t", body))) == {True}
+    assert arith._answers(And(TRUE, Forall("t", body))) == {False}
+    assert arith._answers(Or(BoolLit(False), Forall("t", body))) == {False}
+    assert arith._answers(Iff(TRUE, Exists("t", body))) == {True}
+    assert arith._answers(Iff(BoolLit(False), Exists("t", body))) == {False}
+    assert arith._answers(Ite(Lt(x, y), TRUE, Exists("t", body))) == {True}
+
+
+@pytest.fixture
+def trial_stores(monkeypatch):
+    """The number of trial stores falsify builds."""
+    built = []
+    monkeypatch.setattr(arith, "Store", lambda *a: built.append(a) or Store(*a))
+    return built
+
+
+def test_falsify_draws_nothing_for_a_formula_that_is_never_false(trial_stores):
+    ctx = ctx_for(simple_ds())
+    never = Or(Exists("t", Lt(_t, x)), Lt(x, x))
+    assert falsify(never, ctx) is None and trial_stores == []
+    assert reference_falsify(never, ctx) is None
+    # the count sees the trials that do run
+    assert falsify(Lt(x, x), ctx) is not None and trial_stores
+
+
+def test_falsify_draws_nothing_under_an_assumption_that_is_never_true(trial_stores):
+    ctx = ctx_for(simple_ds(), assumptions=(Gt(x, ZERO), Forall("t", Le(_t, x))))
+    assert falsify(Lt(x, x), ctx) is None and trial_stores == []
+    assert reference_falsify(Lt(x, x), ctx) is None
 
 
 # -- SMT export -------------------------------------------------------------

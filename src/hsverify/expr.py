@@ -403,7 +403,16 @@ def _compile(e) -> Callable:
         return sub
     if isinstance(e, Mul):
         fa, fb = compile_expr(e.left), compile_expr(e.right)
-        return lambda s, env: fa(s, env) * fb(s, env)
+
+        def mul(s, env):
+            a, b = fa(s, env), fb(s, env)
+            ta, tb = type(a), type(b)
+            if (ta is Fraction and tb is float) or (ta is float and tb is Fraction):
+                # what Fraction's * does with a float operand, without its
+                # operator dispatch
+                return float(a) * float(b)
+            return a * b
+        return mul
     if isinstance(e, Div):
         fa, fb = compile_expr(e.left), compile_expr(e.right)
 

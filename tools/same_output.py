@@ -15,10 +15,13 @@ own, which imports hsverify from that tree's src/ and makes these calls:
     at seeds 0 and 1; the models' store and logical names are real, vector
     and bool, every kind the falsifier samples;
   - ``falsify models/tank.hsv --trials 2000 --seed 0``, whose conditions
-    quantify each flow's guard over time, so the falsifier samples many
-    binder grids;
+    through a guarded flow quantify the guard over time; q_eval can never
+    make them False, so this call pins the falsifier's skip of their
+    trials (falsify-generated's evol goals still sample binder grids);
   - ``vcs MODEL --seed 0`` over each models/*.hsv and each prove-generated
     model of seed 0, which prints every condition after substitution;
+  - ``falsify MODEL --seed 0`` over each prove-generated model of seed 0,
+    whose conditions the falsifier either tries or skips;
   - ``verify MODEL --seed 0 --emit-smt DIR`` over each prove-generated model
     of seed 0, whose stdout digest also covers the sorted names and sha256
     of the files written to DIR;
@@ -119,6 +122,8 @@ def worker(tree: str, workloads_py: str, work: str) -> int:
                   "--seed", "0"]))
     for path in shipped + generated:
         emit(f"vcs {os.path.basename(path)}", main_of(["vcs", path, "--seed", "0"]))
+    for path in generated:
+        emit(f"falsify {os.path.basename(path)}", main_of(["falsify", path, "--seed", "0"]))
     for path in generated:
         where = os.path.join(work, "smt", os.path.basename(path))
 

@@ -1177,9 +1177,9 @@ def test_grid_cache_stays_bounded():
 
 
 def _tank_conditions():
-    """The tank model and the formulas of its goals' conditions: the flows'
-    guards quantified over time, forall tau. 0 <= tau -> (forall sig.
-    0 <= sig and sig <= tau -> guard) -> post."""
+    """The tank model and the formulas of its goals' conditions.  Those
+    through a flow quantify its guard over time: forall tau. 0 <= tau ->
+    (forall sig. 0 <= sig and sig <= tau -> guard) -> post."""
     model = parse((MODELS / "tank.hsv").read_text())
     table = FlowTable(model.dataspace)
     for decl in model.flows:

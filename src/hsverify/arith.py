@@ -72,6 +72,8 @@ from .expr import (
     rewrite,
     simplify,
     subst_logical,
+    subst_term,
+    substitute,
     subterms,
     vec_component,
     vec_dim,
@@ -90,12 +92,7 @@ def expr_key(e: Expr) -> str:
     if isinstance(e, BoolLit):
         return "true" if e.value else "false"
     if isinstance(e, VarRead):
-        l = e.lens
-        if isinstance(l, Var):
-            return l.name
-        if isinstance(l, Coord):
-            return f"{l.name}[{l.index}]"
-        return repr(l)
+        return repr(e.lens)
     if isinstance(e, LogicalVar):
         return f"?{e.name}"
     if isinstance(e, Pow):
@@ -661,17 +658,14 @@ def _skolemize(hyps: list, used: set) -> list:
     return out
 
 
-def _replace_expr(e: Expr, target: Expr, repl: Expr) -> Expr:
-    return rewrite(e, lambda t: repl if t == target else None)
-
-
 def _set_ite_cond(e: Expr, cond: Expr, value: bool) -> Expr:
-    """Resolve every Ite whose condition is syntactically `cond`."""
+    """Resolve every Ite whose condition is syntactically `cond`, outside the
+    binders of cond's logicals."""
     def fn(t):
         if isinstance(t, Ite) and t.cond == cond:
-            return rewrite(t.then if value else t.other, fn)
+            return substitute(t.then if value else t.other, fn, (cond,), ())
         return None
-    return rewrite(e, fn)
+    return substitute(e, fn, (cond,), ())
 
 
 # ---------------------------------------------------------------------------
@@ -939,8 +933,8 @@ class _Prover:
         for _ in range(8):
             hit = next(((m, k, at, pw) for m in p.terms for k, at, pw in m
                         if isinstance(at, Sqrt) and pw >= 2
-                        and self._entails(hyps, Ge(at.arg, ZERO), quick=True,
-                                          reduce_radicals=False)), None)
+                        and self._entails(hyps, Ge(at.arg, ZERO), reduce_radicals=False)),
+                       None)
             if hit is None:
                 return p
             p = _square_out(p, *hit, self._poly(hit[2].arg))
@@ -1026,8 +1020,7 @@ class _Prover:
                 continue
             yield q, isinstance(h, (Lt, Gt))
 
-    def _entails(self, hyps: list, atom: Expr, quick: bool = False,
-                 reduce_radicals: bool = True) -> bool:
+    def _entails(self, hyps: list, atom: Expr, reduce_radicals: bool = True) -> bool:
         atom = norm_rel(atom)
         if not isinstance(atom, (Le, Lt)):
             return False
@@ -1039,18 +1032,16 @@ class _Prover:
                 dexpr = poly_to_expr(d)
                 if d.as_const() is not None and d.as_const() > 0:
                     pass
-                elif self._entails(hyps, Gt(dexpr, ZERO), quick=True,
-                                   reduce_radicals=False):
+                elif self._entails(hyps, Gt(dexpr, ZERO), reduce_radicals=False):
                     pass
-                elif self._entails(hyps, Lt(dexpr, ZERO), quick=True,
-                                   reduce_radicals=False):
+                elif self._entails(hyps, Lt(dexpr, ZERO), reduce_radicals=False):
                     n = n.neg()
                 else:
                     return False
                 p = self._poly(poly_to_expr(n))
         except Unpolyable:
             return False
-        return self._fm(hyps, [Row(p, not isinstance(atom, Lt))], quick=quick,
+        return self._fm(hyps, [Row(p, not isinstance(atom, Lt))], quick=True,
                         reduce_radicals=reduce_radicals)
 
     def _sign(self, e: Expr, hyps: list) -> Optional[str]:
@@ -1231,11 +1222,11 @@ class _Prover:
         changed = False
         for target, val in facts.items():
             lit = BoolLit(val)
-            nf = [_replace_expr(h, target, lit) if h is not target
+            nf = [subst_term(h, target, lit) if h is not target
                   and not (isinstance(h, Not) and h.arg is target)
                   and not (isinstance(h, Eq) and h.left is target) else h
                   for h in new_flat]
-            nc = _replace_expr(new_concl, target, lit)
+            nc = subst_term(new_concl, target, lit)
             if nf != new_flat or nc != new_concl:
                 changed = True
                 new_flat, new_concl = nf, nc
@@ -1325,9 +1316,9 @@ class _Prover:
                     if lhs in subterms(rhs):
                         continue
                     rest = flat[:i] + flat[i + 1:]
-                    new = [simplify(_replace_expr(g, lhs, rhs)) for g in rest]
+                    new = [simplify(subst_term(g, lhs, rhs)) for g in rest]
                     self._rule("eq-subst")
-                    return True, new, simplify(_replace_expr(concl, lhs, rhs))
+                    return True, new, simplify(subst_term(concl, lhs, rhs))
             # linear solve: c*a + rest = 0 with constant coefficient c
             try:
                 p = self._diff(h, True)
@@ -1346,9 +1337,9 @@ class _Prover:
                 if at in subterms(sol):
                     continue
                 rest = flat[:i] + flat[i + 1:]
-                new = [simplify(_replace_expr(g, at, sol)) for g in rest]
+                new = [simplify(subst_term(g, at, sol)) for g in rest]
                 self._rule("eq-subst")
-                return True, new, simplify(_replace_expr(concl, at, sol))
+                return True, new, simplify(subst_term(concl, at, sol))
         return False, flat, concl
 
     def _clear_divisions(self, flat: list, concl: Expr):
@@ -1368,9 +1359,9 @@ class _Prover:
             if d.as_const() == 1:
                 return atom
             dexpr = poly_to_expr(d)
-            if self._entails(hyps, Gt(dexpr, ZERO), quick=True):
+            if self._entails(hyps, Gt(dexpr, ZERO)):
                 flip = False
-            elif self._entails(hyps, Lt(dexpr, ZERO), quick=True):
+            elif self._entails(hyps, Lt(dexpr, ZERO)):
                 flip = True
             else:
                 return atom
@@ -1502,13 +1493,13 @@ class _Prover:
     def _monotone(self, flat: list, concl: Expr, depth: int) -> bool:
         diff = simplify(Sub(concl.left, concl.right))
         for v in sorted(free_logicals(diff)):
-            if not self._entails(flat, Ge(LogicalVar(v), ZERO), quick=True):
+            if not self._entails(flat, Ge(LogicalVar(v), ZERO)):
                 continue
             try:
                 dr = deriv_in_var(diff, v)
             except (NotDifferentiable, UnsupportedConstruct):
                 continue
-            if any(not self._entails(flat, pv, quick=True) for pv in dr.provisos):
+            if any(not self._entails(flat, pv) for pv in dr.provisos):
                 continue
             s = self._sign(simplify(dr.expr), flat)
             if s in ("<=", "<", "0"):
@@ -1573,9 +1564,11 @@ def _bound_terms(atoms: Iterable[Expr], v: str) -> list:
 
 
 def _ite_cond(terms: list) -> Optional[Expr]:
-    """The condition of the leftmost Ite in terms whose condition holds no
-    Ite; only a term that holds an Ite is walked."""
-    return next((t.cond for h in terms if has_type(h, Ite) for t in subterms(h)
+    """The condition of the leftmost Ite outside every binder in terms whose
+    condition holds no Ite; only a term that holds an Ite is walked.  An Ite
+    under a binder waits for the stage that opens the binder."""
+    return next((t.cond for h in terms if has_type(h, Ite)
+                 for t in subterms(h, stop=(Exists, Forall))
                  if isinstance(t, Ite) and not has_type(t.cond, Ite)), None)
 
 

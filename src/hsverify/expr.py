@@ -819,23 +819,41 @@ def total(e: Expr) -> bool:
     return not has_type(e, (Div, Ln, Sqrt))
 
 
+def substitute(e: Expr, fn: Callable, matched: tuple, returned: tuple) -> Expr:
+    """e with each outermost free sub-term t for which fn(t) is not None
+    replaced by fn(t).  fn matches only terms whose logicals are among those
+    of the matched terms, and returns only terms whose logicals are among
+    those of the returned terms.  The walk does not go below a binder of a
+    logical of the matched terms, where a match would not be free, and it
+    renames apart a binder of a logical of the returned terms before going
+    below it, so that no replacement is captured."""
+    if not has_type(e, (Exists, Forall)):
+        return rewrite(e, fn)
+    bound = _NO_NAMES.union(*map(free_logicals, matched))
+    free = _NO_NAMES.union(*map(free_logicals, returned))
+
+    def walk(t):
+        new = fn(t)
+        if new is not None or not isinstance(t, (Exists, Forall)):
+            return new
+        if t.var in bound:
+            return t
+        if t.var not in free:
+            return None
+        var = fresh_logical(t.var, free | free_logicals(t.body) | bound)
+        return type(t)(var, rewrite(subst_logical(t.body, t.var, LogicalVar(var)), walk))
+
+    return rewrite(e, walk)
+
+
+def subst_term(e: Expr, target: Expr, repl: Expr) -> Expr:
+    """Replace each free occurrence of the term target by repl."""
+    return substitute(e, lambda t: repl if t == target else None, (target,), (repl,))
+
+
 def subst_logical(e: Expr, name: str, replacement: Expr) -> Expr:
     """Replace the free logical variable name by replacement."""
-    repl_free = free_logicals(replacement)
-
-    def fn(t):
-        if isinstance(t, LogicalVar) and t.name == name:
-            return replacement
-        if isinstance(t, (Exists, Forall)):
-            if t.var == name:
-                return t
-            if t.var in repl_free:
-                newv = fresh_logical(t.var, repl_free | free_logicals(t.body) | {name})
-                body = subst_logical(t.body, t.var, LogicalVar(newv))
-                return type(t)(newv, rewrite(body, fn))
-        return None
-
-    return rewrite(e, fn)
+    return subst_term(e, LogicalVar(name), replacement)
 
 
 # ---------------------------------------------------------------------------
@@ -938,19 +956,8 @@ class Subst:
 def subst_apply_expr(q: Expr, sigma: Subst) -> Expr:
     """Push sigma through q so that evaluating the result in s matches
     evaluating q in sigma(s)."""
-    rhs_free = set()
-    for _, e in sigma.entries:
-        rhs_free |= free_logicals(e)
-
-    def fn(t):
-        if isinstance(t, VarRead):
-            return sigma.lookup(t.lens)
-        if isinstance(t, (Exists, Forall)) and t.var in rhs_free:
-            newv = fresh_logical(t.var, rhs_free | free_logicals(t.body))
-            return type(t)(newv, rewrite(subst_logical(t.body, t.var, LogicalVar(newv)), fn))
-        return None
-
-    return rewrite(q, fn)
+    return substitute(q, lambda t: sigma.lookup(t.lens) if isinstance(t, VarRead) else None,
+                      (), tuple(e for _, e in sigma.entries))
 
 
 # ---------------------------------------------------------------------------

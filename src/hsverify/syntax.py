@@ -857,17 +857,13 @@ _FUNC_TEXT = {Sin: "sin", Cos: "cos", Exp: "exp", Ln: "ln", Sqrt: "sqrt",
               Norm: "norm"}
 
 
-def _rat_text(v: Fraction) -> str:
-    return str(v)
-
-
 def pretty_expr(e: Expr, prec: int = 0) -> str:
     def wrap(s: str, mine: int) -> str:
         return f"({s})" if mine < prec else s
 
     if isinstance(e, RatLit):
         v = e.value
-        s = _rat_text(v)
+        s = str(v)
         if v.denominator != 1:     # reads back as a division
             return f"({s})" if prec > 8 else s
         if v < 0:                  # reads back as a unary minus
@@ -876,8 +872,7 @@ def pretty_expr(e: Expr, prec: int = 0) -> str:
     if isinstance(e, BoolLit):
         return "true" if e.value else "false"
     if isinstance(e, VarRead):
-        l = e.lens
-        return l.name if isinstance(l, Var) else f"{l.name}[{l.index}]"
+        return repr(e.lens)
     if isinstance(e, LogicalVar):
         return e.name
     if isinstance(e, Neg):
@@ -920,10 +915,6 @@ def pretty_expr(e: Expr, prec: int = 0) -> str:
     raise TypeError(f"cannot print {e!r}")
 
 
-def _lens_text(l) -> str:
-    return l.name if isinstance(l, Var) else f"{l.name}[{l.index}]"
-
-
 def _unit_text(p: HybridProgram) -> str:
     s = pretty_program(p)
     if isinstance(p, (Seq, Choice, Loop)):
@@ -942,8 +933,8 @@ def pretty_program(p: HybridProgram) -> str:
         entries = p.subst.entries
         if len(entries) == 1:
             l, e = entries[0]
-            return f"{_lens_text(l)} := {pretty_expr(e)}"
-        lhs = ", ".join(_lens_text(l) for l, _ in entries)
+            return f"{l!r} := {pretty_expr(e)}"
+        lhs = ", ".join(repr(l) for l, _ in entries)
         rhs = ", ".join(pretty_expr(e) for _, e in entries)
         return f"({lhs}) := ({rhs})"
     if isinstance(p, Seq):
@@ -969,14 +960,14 @@ def pretty_program(p: HybridProgram) -> str:
         inv = pretty_expr(p.invariant) if p.invariant is not None else "true"
         return f"(loop {pretty_program(p.body)} inv {inv})"
     if isinstance(p, ODE):
-        inner = ", ".join(f"{_lens_text(l)}' = {pretty_expr(e)}"
+        inner = ", ".join(f"{l!r}' = {pretty_expr(e)}"
                           for l, e in p.rhs.entries)
         tail = "" if p.guard == TRUE else f" | {pretty_expr(p.guard)}"
         if p.dur.hi is not None:
-            tail += f" on {_rat_text(p.dur.lo)}..{_rat_text(p.dur.hi)}"
+            tail += f" on {p.dur.lo}..{p.dur.hi}"
         return "{" + inner + tail + "}"
     if isinstance(p, Evol):
-        inner = ", ".join(f"{_lens_text(l)} = {pretty_expr(e)}"
+        inner = ", ".join(f"{l!r} = {pretty_expr(e)}"
                           for l, e in p.flow.entries)
         tail = "" if p.guard == TRUE else f" | {pretty_expr(p.guard)}"
         return "{evol " + inner + tail + "}"
@@ -989,20 +980,12 @@ def _seq_part(p: HybridProgram) -> str:
     return pretty_program(p)
 
 
-def _kind_text(k: Kind) -> str:
-    if k == REAL:
-        return "real"
-    if k == BOOL:
-        return "bool"
-    return f"vec[{k.dim}]"
-
-
 def pretty_method(m: Method) -> str:
     if m.name == "flow":
         return f"flow({m.args[0]})"
     if m.name == "dGhost":
         g, inv, rate = m.args
-        return f"dGhost({g}, {pretty_expr(inv)}, {_rat_text(rate)})"
+        return f"dGhost({g}, {pretty_expr(inv)}, {rate})"
     return m.name
 
 
@@ -1011,7 +994,7 @@ def pretty(model: ModelFile) -> str:
     lines = [f"dataspace {model.name} {{"]
     for role, kw in ((CONSTANT, "constants"), (VARIABLE, "variables"),
                      (GHOST, "ghost")):
-        decls = [f"{n} : {_kind_text(ds.kind_of(n))}"
+        decls = [f"{n} : {ds.kind_of(n)!r}"
                  for n in ds.names() if ds.role_of(n) == role]
         if decls:
             lines.append(f"  {kw} {', '.join(decls)};")
@@ -1024,9 +1007,9 @@ def pretty(model: ModelFile) -> str:
         lines.append(f"program {name} = {pretty_program(prog)}")
     for f in model.flows:
         lines.append("")
-        inner = ", ".join(f"{_lens_text(l)} ~> {pretty_expr(e)}"
+        inner = ", ".join(f"{l!r} ~> {pretty_expr(e)}"
                           for l, e in f.flow.entries)
-        tail = f" lipschitz {_rat_text(f.lipschitz)}" if f.lipschitz is not None else ""
+        tail = f" lipschitz {f.lipschitz}" if f.lipschitz is not None else ""
         lines.append(f"flow {f.name} for {f.target} = [{inner}]{tail}")
     for g in model.goals:
         lines.append("")

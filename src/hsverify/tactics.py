@@ -22,9 +22,9 @@ from typing import Optional
 from .store import Dataspace, Frame, Var
 from .expr import (
     Expr, RatLit, VarRead, LogicalVar, Add, Mul, Neg, Sub, Eq, Le, Lt, Ge,
-    And, Not, Implies, Iff, Exists, Forall, Ite, VecLit,
-    TRUE, ZERO, num, read, conj, conjuncts, rewrite, subterms,
-    fresh_logical, subst_logical, subst_apply_expr,
+    And, Not, Implies, Iff, Exists, Ite, VecLit,
+    TRUE, ZERO, num, read, conj, conjuncts,
+    free_logicals, fresh_logical, subst_logical, subst_apply_expr, subst_term,
     unrest, simplify, vec_dim, Subst, EvalError,
 )
 from .deriv import DerivCtx, NotDifferentiable, lie_deriv, deriv_in_var
@@ -296,12 +296,8 @@ def d_ghost(ode: ODE, target: Expr, ghost: str, k: Expr, ghost_inv: Expr,
     ext = replace(ode, frame=ode.frame.union(yf),
                   rhs=Subst(ode.rhs.entries + ((y, Mul(k, read(ghost))),),
                             ode.rhs.dataspace))
-    # every logical name in either formula, bound or free
-    v = fresh_logical("v", {t.name if isinstance(t, LogicalVar) else t.var
-                            for e in (target, ghost_inv) for t in subterms(e)
-                            if isinstance(t, (LogicalVar, Exists, Forall))})
-    gy, gv = read(ghost), LogicalVar(v)
-    equiv = Iff(target, Exists(v, rewrite(ghost_inv, lambda t: gv if t == gy else None)))
+    v = fresh_logical("v", free_logicals(target) | free_logicals(ghost_inv))
+    equiv = Iff(target, Exists(v, subst_term(ghost_inv, read(ghost), LogicalVar(v))))
     ev = check_vc(VC("ghost-equiv", equiv, origin="dG"), ctx)
     ind = d_induct(ext, ghost_inv, ctx)
     return settle("dG", (ev,), (ind,),

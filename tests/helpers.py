@@ -491,6 +491,49 @@ def reference_rewrite(e: Expr, fn) -> Expr:
     return rebuild(e, tuple(reference_rewrite(k, fn) for k in kids)) if kids else e
 
 
+# -- the reference substitutions ---------------------------------------------
+# subst_logical and subst_apply_expr as they were, each with its own copy of
+# the binder rules, before both became calls of expr.substitute.
+
+
+def reference_subst_logical(e: Expr, name: str, replacement: Expr) -> Expr:
+    """Replace the free logical variable name by replacement."""
+    repl_free = free_logicals(replacement)
+
+    def fn(t):
+        if isinstance(t, LogicalVar) and t.name == name:
+            return replacement
+        if isinstance(t, (Exists, Forall)):
+            if t.var == name:
+                return t
+            if t.var in repl_free:
+                newv = ex.fresh_logical(t.var, repl_free | free_logicals(t.body) | {name})
+                body = reference_subst_logical(t.body, t.var, LogicalVar(newv))
+                return type(t)(newv, ex.rewrite(body, fn))
+        return None
+
+    return ex.rewrite(e, fn)
+
+
+def reference_subst_apply_expr(q: Expr, sigma: ex.Subst) -> Expr:
+    """Push sigma through q so that evaluating the result in s matches
+    evaluating q in sigma(s)."""
+    rhs_free = set()
+    for _, e in sigma.entries:
+        rhs_free |= free_logicals(e)
+
+    def fn(t):
+        if isinstance(t, VarRead):
+            return sigma.lookup(t.lens)
+        if isinstance(t, (Exists, Forall)) and t.var in rhs_free:
+            newv = ex.fresh_logical(t.var, rhs_free | free_logicals(t.body))
+            return type(t)(newv, ex.rewrite(reference_subst_logical(t.body, t.var,
+                                                                    LogicalVar(newv)), fn))
+        return None
+
+    return ex.rewrite(q, fn)
+
+
 # -- the reference structural facts ------------------------------------------
 # The walks that the cached per-node facts replaced, as they were.
 
@@ -539,8 +582,9 @@ def reference_has_vector_op(atom: Expr) -> bool:
 
 
 def reference_ite_cond(concl: Expr, flat: list):
-    """The prover's pick: the leftmost Ite whose condition holds no Ite."""
-    return next((t.cond for h in [concl] + flat for t in subterms(h)
+    """The prover's pick: the leftmost Ite outside every binder whose
+    condition holds no Ite."""
+    return next((t.cond for h in [concl] + flat for t in reference_subterms(h, (Exists, Forall))
                  if isinstance(t, Ite)
                  and not any(isinstance(u, Ite) for u in subterms(t.cond))), None)
 

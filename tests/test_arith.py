@@ -78,6 +78,7 @@ from hsverify.expr import (
     ZERO,
     conj,
     eval_expr,
+    free_logicals,
     has_type,
     kind_of,
     num,
@@ -449,6 +450,51 @@ def test_ite_case_split():
     ds = simple_ds()
     f = Le(Ite(Le(x, ZERO), ZERO, x), Ite(Le(x, ZERO), ZERO, Add(x, ONE)))
     assert prove_vc(f, ctx_for(ds)).valid
+
+
+def _capture_prone(rng):
+    """A condition whose hypothesis pins a logical or a store read, and whose
+    conclusion binds that logical or a logical of the pinned term, often
+    around an if on the bound name.  The binders lean to forall, which
+    q_eval can find false."""
+    name = rng.choice("uw")
+    v, w = LogicalVar(name), LogicalVar("w" if name == "u" else "u")
+    lit = lambda: num(rng.randint(-2, 2))  # noqa: E731
+    cmp = lambda a, b: rng.choice((Eq, Le, Lt, Ge, Gt))(a, b)  # noqa: E731
+    atom = lambda: cmp(rng.choice((x, y, w, Add(x, y))), lit())  # noqa: E731
+    binder = lambda body: rng.choice((Forall, Forall, Forall, Exists))(name, body)  # noqa: E731
+    c = lit()
+    pin = And(Eq(v, c), atom()) if rng.random() < 0.5 else Eq(c, v)
+    shape = rng.randrange(3)
+    if shape == 0:
+        return Implies(pin, Or(atom(), binder(cmp(v, rng.choice((c, x, lit()))))))
+    if shape == 1:
+        t = rng.choice((v, Add(v, lit()), Sub(w, v)))
+        hyp = Eq(x, t) if rng.random() < 0.7 else And(atom(), Eq(t, x))
+        return Implies(hyp, Or(atom(), binder(cmp(x, rng.choice((v, Add(v, lit()), y))))))
+    body = Ite(cmp(v, lit()), cmp(v, lit()), rng.choice((TRUE, cmp(v, lit()))))
+    return Implies(pin, Or(atom(), binder(body)))
+
+
+def test_no_proof_substitutes_under_a_capturing_binder():
+    # equality substitution and the if split once reached under a binder of
+    # the term's logicals, and proved such conditions where they fail
+    ds = simple_ds()
+    ctx = ctx_for(ds)
+    rng = random.Random(2424)
+    valid = 0
+    for _ in range(200):
+        f = _capture_prone(rng)
+        if not prove_vc(f, ctx, falsify_trials=0).valid:
+            continue
+        valid += 1
+        names = sorted(free_logicals(f))
+        for _ in range(80):
+            vals = [Fraction(rng.randint(-4, 4), 2) for _ in range(2 + len(names))]
+            s = ds.make_store({"x": vals[0], "y": vals[1], "z": ZERO.value})
+            env = dict(zip(names, vals[2:]))
+            assert q_eval(f, s, env, ctx.box)[0] is not False, (f, vals)
+    assert valid > 30
 
 
 def test_vector_equality_splits_componentwise():

@@ -569,6 +569,33 @@ def test_a_binder_with_a_store_name_is_an_error(capsys, tmp_path, command):
     assert err == f"error: {p}:7:35: bound variable 'x' is a declared name\n"
 
 
+# invalid goals whose proof once replaced a term under a binder of one of
+# its logicals, or resolved or split on an if under a binder of its
+# condition's name
+CAPTURE = {
+    # false at v = 5, x = -1
+    "r1": "{ v = 5 and x = -1 } p { x > 0 or forall v. v = 5 }",
+    # false at x = w = 0, y = -1
+    "r2": "{ x = w } p { y > 0 or forall w. x = w }",
+    # false at v = 1, x = -1
+    "r3": "{ forall v. (if v > 0 then v > 0 else true) } p { if v > 0 then x > 0 else true }",
+    # false at x = -1
+    "r4": "{ forall v. (if v > 0 then v > 0 else v < 1) } p { x > 0 }",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_no_binder_captures_a_substituted_term(capsys, tmp_path, seed):
+    p = tmp_path / "capture.hsv"
+    goals = [(f"{name}_{method}", goal, method) for method in ("wp", "dProve")
+             for name, goal in CAPTURE.items()]
+    p.write_text("dataspace capture {\n  variables x : real;\n}\n\nprogram p = skip\n\n"
+                 + "".join(f"goal {name} : {goal} by {method}\n" for name, goal, method in goals))
+    code, out, err = run(capsys, "verify", p, "--seed", seed)
+    assert (code, err) == (0, "")
+    assert out == "".join(f"goal {name}: unknown (wp)\n" for name, _, _ in goals)
+
+
 def test_long_sum_inside_deep_brackets_parses(capsys, tmp_path):
     # 63 brackets around (x + ... + x) * x with an 80-term sum: the parser's
     # own frames are on the stack when it checks the product's kinds

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hsverify import expr as ex
-from hsverify.arith import _ite_cond
+from hsverify.arith import Box, _ite_cond, _set_ite_cond, q_eval
 from hsverify.expr import (
     Add,
     And,
@@ -23,6 +23,7 @@ from hsverify.expr import (
     LnNonPositive,
     Ln,
     LogicalVar,
+    Lt,
     Mul,
     Neg,
     Norm,
@@ -36,6 +37,7 @@ from hsverify.expr import (
     Subst,
     TRUE,
     UnboundLogicalVar,
+    UnsupportedConstruct,
     VarRead,
     VecLit,
     compile_expr,
@@ -50,12 +52,14 @@ from hsverify.expr import (
     simplify,
     subst_apply_expr,
     subst_logical,
+    subst_term,
     subterms,
     total,
     unrest,
 )
 from hsverify.store import (
-    BOOL, Coord, CoordOutOfRange, Dataspace, Frame, KindMismatch, REAL, Var, lens_put, vec,
+    BOOL, Coord, CoordOutOfRange, Dataspace, Frame, KindMismatch, NotPartOf, REAL, Var, lens_put,
+    vec,
 )
 
 from helpers import (
@@ -74,6 +78,8 @@ from helpers import (
     reference_kind_of,
     reference_rewrite,
     reference_simplify,
+    reference_subst_apply_expr,
+    reference_subst_logical,
     reference_subterms,
     reference_total,
     small_dataspace,
@@ -262,6 +268,12 @@ def test_subst_apply_expr_renames_captured_binders():
     assert isinstance(out, Exists)
     assert out.var != "u"
     assert out.body == Eq(LogicalVar("u"), LogicalVar(out.var))
+    # subst_term renames the same way, past a name the body reads free
+    u, u1, w = LogicalVar("u"), LogicalVar("u1"), LogicalVar("w")
+    q = Forall("u", And(Eq(read("a"), u), Le(u1, w)))
+    assert subst_term(q, read("a"), Add(u, w)) == \
+        Forall("u2", And(Eq(Add(u, w), LogicalVar("u2")), Le(u1, w)))
+    assert subst_term(q, read("a"), w) == Forall("u", And(Eq(w, u), Le(u1, w)))
 
 
 def test_subst_logical():
@@ -269,6 +281,68 @@ def test_subst_logical():
     assert subst_logical(e, "tau", num(0)) == Add(num(0), read("a"))
     q = Forall("tau", Le(LogicalVar("tau"), read("a")))
     assert subst_logical(q, "tau", num(1)) == q
+    # subst_term replaces a term only where its logicals are free
+    u, w = LogicalVar("u"), LogicalVar("w")
+    target = Add(read("a"), u)
+    e = And(Le(target, w), Exists("w", Forall("u", Le(target, w))))
+    assert subst_term(e, target, num(2)) == \
+        And(Le(num(2), w), Exists("w", Forall("u", Le(target, w))))
+    e = And(Le(target, w), Exists("w", Le(target, w)))
+    assert subst_term(e, target, w) == And(Le(w, w), Exists("w1", Le(w, LogicalVar("w1"))))
+    # _set_ite_cond resolves an if only where its condition is free
+    cond = Lt(u, num(0))
+    ite = Ite(cond, u, Ite(cond, w, num(1)))
+    e = And(Le(ite, w), Forall("w", Le(ite, w)))
+    assert _set_ite_cond(e, cond, False) == And(Le(num(1), w), Forall("w", Le(num(1), w)))
+    assert _set_ite_cond(e, cond, True) == And(Le(u, w), Forall("w", Le(u, w)))
+    e = And(Le(ite, w), Forall("u", Le(ite, w)))
+    assert _set_ite_cond(e, cond, True) == And(Le(u, w), Forall("u", Le(ite, w)))
+    # f[t/n] at env is f at env with n taken to t's value, for binder-heavy f
+    rng = random.Random(2417)
+    ds = small_dataspace()
+    p, q, r = (LogicalVar(n) for n in "pqr")
+    repls = (num(Fraction(3, 2)), q, Add(r, num(1)), read("a"), Add(read("a"), p), Sub(p, q))
+    decided = renamed = 0
+    for _ in range(400):
+        f = _rand_binder_formula(rng, 4)
+        s = rand_store(rng, ds)
+        env = {n: rand_rat(rng, -2, 2) for n in "pqr"}
+        n, t = rng.choice("pqr"), rng.choice(repls)
+        out = subst_logical(f, n, t)
+        want = q_eval(f, s, {**env, n: eval_expr(t, s, env)}, Box())[0]
+        assert q_eval(out, s, env, Box())[0] == want, (f, n, t)
+        decided += want in (True, False)
+        renamed += _binder_names(out) != _binder_names(f)
+    assert decided > 200 and renamed > 40
+
+
+def _rand_binder_formula(rng, depth):
+    """A well-kinded formula over a, b, p, q and r: comparisons of sums and
+    products, if-terms and if-formulas, under quantifiers over p, q and r
+    that shadow one another."""
+    def term(d):
+        if d == 0 or rng.random() < 0.3:
+            return rng.choice((read("a"), read("b"), num(rand_rat(rng, -2, 2)),
+                               *(LogicalVar(n) for n in "pqrpqr")))
+        if rng.random() < 0.15:
+            return Ite(form(d - 1), term(d - 1), term(d - 1))
+        return rng.choice((Add, Sub, Mul))(term(d - 1), term(d - 1))
+
+    def form(d):
+        pick = rng.random()
+        if d == 0 or pick < 0.3:
+            return rng.choice((Eq, Le, Lt))(term(1), term(1))
+        if pick < 0.6:
+            return rng.choice((Exists, Forall, Forall))(rng.choice("pqr"), form(d - 1))
+        if pick < 0.85:
+            return rng.choice((And, Implies))(form(d - 1), form(d - 1))
+        return Ite(form(d - 1), form(d - 1), form(d - 1))
+
+    return form(depth)
+
+
+def _binder_names(e):
+    return [t.var for t in subterms(e) if isinstance(t, (Exists, Forall))]
 
 
 def test_free_sets():
@@ -542,6 +616,31 @@ def test_cached_facts_match_the_reference_walks():
         flat = [_rand_binder_expr(rng, ds, 2) for _ in range(rng.randint(0, 3))]
         assert _ite_cond([e] + flat) == reference_ite_cond(e, flat)
     assert seen_bound > 100
+
+
+def test_substitutions_match_the_reference_copies():
+    # binder names included: == compares each binder's variable
+    ds = small_dataspace()
+    rng = random.Random(2424)
+    p, q, r = (LogicalVar(n) for n in "pqr")
+    repls = (num(1), p, q, Add(q, r), Mul(read("a"), p), Forall("q", Le(q, r)))
+    renamed = 0
+    for _ in range(400):
+        e = _rand_binder_expr(rng, ds, 4)
+        n, t = rng.choice("pqr"), rng.choice(repls)
+        out = subst_logical(e, n, t)
+        assert out == reference_subst_logical(e, n, t), (e, n, t)
+        renamed += _binder_names(out) != _binder_names(e)
+        sigma = Subst(((Var("a"), rng.choice(repls[:5])), (Coord("v", 2), rng.choice(repls[:5])),
+                       (Var("w"), VecLit((r, num(0), q)))), ds)
+        try:
+            want = reference_subst_apply_expr(e, sigma)
+        except (NotPartOf, UnsupportedConstruct) as err:  # a read sigma cannot resolve
+            with pytest.raises(type(err)):
+                subst_apply_expr(e, sigma)
+            continue
+        assert subst_apply_expr(e, sigma) == want, (e, sigma)
+    assert renamed > 40
 
 
 def test_cached_facts_are_invisible():

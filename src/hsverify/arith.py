@@ -2059,6 +2059,12 @@ def _smt_rat(v: Fraction) -> str:
     return f"(/ {v.numerator}.0 {v.denominator}.0)"
 
 
+# the SMT-LIB operator of each node that translates child by child
+_SMT_OPS = {Neg: "-", Add: "+", Sub: "-", Mul: "*", Div: "/", Eq: "=", Le: "<=", Lt: "<",
+            Ge: ">=", Gt: ">", Neq: "distinct", And: "and", Or: "or", Implies: "=>",
+            Iff: "=", Not: "not", Ite: "ite"}
+
+
 class _SmtOut:
     def __init__(self, ds: Dataspace):
         self.ds = ds
@@ -2086,11 +2092,9 @@ class _SmtOut:
             raise UnsupportedConstruct(f"lens {l!r} has no translation")
         if isinstance(e, LogicalVar):
             return _smt_sym(e.name)
-        if isinstance(e, Neg):
-            return f"(- {self.term(e.arg)})"
-        if isinstance(e, (Add, Sub, Mul, Div)):
-            op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(e)]
-            return f"({op} {self.term(e.left)} {self.term(e.right)})"
+        if type(e) in _SMT_OPS:
+            args = " ".join(self.term(c) for c in ex.children(e))
+            return f"({_SMT_OPS[type(e)]} {args})"
         if isinstance(e, Pow):
             if e.exp == 0:
                 return "1.0"
@@ -2099,24 +2103,6 @@ class _SmtOut:
         if isinstance(e, (Exp, Ln, Sin, Cos, Sqrt)):
             f = self._fun(type(e).__name__.lower())
             return f"({f} {self.term(e.arg)})"
-        if isinstance(e, (Eq, Le, Lt, Ge, Gt)):
-            op = {Eq: "=", Le: "<=", Lt: "<", Ge: ">=", Gt: ">"}[type(e)]
-            return f"({op} {self.term(e.left)} {self.term(e.right)})"
-        if isinstance(e, Neq):
-            return f"(distinct {self.term(e.left)} {self.term(e.right)})"
-        if isinstance(e, And):
-            return f"(and {self.term(e.left)} {self.term(e.right)})"
-        if isinstance(e, Or):
-            return f"(or {self.term(e.left)} {self.term(e.right)})"
-        if isinstance(e, Implies):
-            return f"(=> {self.term(e.left)} {self.term(e.right)})"
-        if isinstance(e, Iff):
-            return f"(= {self.term(e.left)} {self.term(e.right)})"
-        if isinstance(e, Not):
-            return f"(not {self.term(e.arg)})"
-        if isinstance(e, Ite):
-            return (f"(ite {self.term(e.cond)} {self.term(e.then)}"
-                    f" {self.term(e.other)})")
         if isinstance(e, Forall):
             return f"(forall (({_smt_sym(e.var)} Real)) {self.term(e.body)})"
         if isinstance(e, Exists):

@@ -27,7 +27,7 @@ from .expr import (
     Add, And, BoolLit, Cos, Div, Eq, Exists, Exp, Expr, FALSE, Forall, Ge,
     Gt, Iff, Implies, Inner, Ite, Le, Ln, LogicalVar, Lt, Mul, Neg, Neq,
     Norm, Not, Or, Pow, RatLit, ScalarMul, Sin, Sqrt, Sub, Subst, TRUE,
-    VarRead, VecLit, MAX_DEPTH, depth, kind_of, read,
+    VarRead, VecLit, MAX_DEPTH, RELATIONS, children, depth, kind_of, read,
 )
 from .program import (
     Abort, Assign, Choice, Evol, HybridProgram, If, Loop, NONNEG, ODE, Seq,
@@ -91,13 +91,13 @@ def tokenize(text: str):
             i += 1
             col += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdecimal():
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
             lit = text[i:j]
             toks.append(Token("num", lit, Fraction(lit), line, col))
@@ -191,10 +191,22 @@ _FUNCS1 = {"sin": Sin, "cos": Cos, "exp": Exp, "ln": Ln, "sqrt": Sqrt,
 
 _TOP_KEYWORDS = ("dataspace", "program", "flow", "goal")
 
+# Each infix operator's node and binding power, loosest first; the reader
+# and the writer both read this table.  `->` groups to the right, a
+# comparison takes no comparison as an operand, and the rest group to the
+# left.  A quantifier's body is read at the power of `->`.
+_INFIX = {
+    "<->": (Iff, 1), "->": (Implies, 2), "or": (Or, 3), "and": (And, 4),
+    "=": (Eq, 6), "<=": (Le, 6), "<": (Lt, 6), ">=": (Ge, 6), ">": (Gt, 6), "!=": (Neq, 6),
+    "+": (Add, 7), "-": (Sub, 7), "*": (Mul, 8), "/": (Div, 8),
+}
+# the powers of prefix `not`, prefix `-`, and `^` after an atom
+_NOT, _NEG, _POW = 5, 9, 10
+
 # How deeply brackets, conditionals, quantifiers, function calls, prefix
 # operators, implications and sub-programs may nest, together.  One level
-# of expression nesting costs the recursive reader about a dozen stack
-# frames, so this keeps deep input well inside the interpreter's limit.
+# of expression nesting costs the recursive reader at most 3 stack frames,
+# so this keeps deep input well inside the interpreter's limit.
 MAX_NESTING = 64
 
 
@@ -271,7 +283,7 @@ class _Parser:
 
     def check_kind(self, e: Expr, tok: Token) -> Kind:
         # every parsed expression is kind-checked, so this one check
-        # bounds them all, before the recursive kind_of runs
+        # bounds them all, before kind_of walks the tree
         if depth(e) > MAX_DEPTH:
             raise self.fail(f"expression more than {MAX_DEPTH} levels deep", tok)
         try:
@@ -382,81 +394,40 @@ class _Parser:
 
     # -- expressions
 
-    def expr(self) -> Expr:
-        return self.iff_level()
-
-    def iff_level(self) -> Expr:
-        e = self.impl_level()
-        while self.at("<->"):
-            self.next()
-            e = Iff(e, self.impl_level())
-        return e
-
-    def impl_level(self) -> Expr:
-        e = self.or_level()
-        if self.at("->"):
-            self.next()
+    def expr(self, power: int = 1) -> Expr:
+        """The longest expression at the cursor whose operators bind at
+        least as tightly as power, by precedence climbing over _INFIX."""
+        if power <= _NOT and self.take("not"):
             with self.nested():
-                return Implies(e, self.impl_level())
-        return e
-
-    def or_level(self) -> Expr:
-        e = self.and_level()
-        while self.at("or"):
-            self.next()
-            e = Or(e, self.and_level())
-        return e
-
-    def and_level(self) -> Expr:
-        e = self.not_level()
-        while self.at("and"):
-            self.next()
-            e = And(e, self.not_level())
-        return e
-
-    def not_level(self) -> Expr:
-        if self.take("not"):
+                e = Not(self.expr(_NOT))
+            top = _NOT - 1
+        elif self.take("-"):
             with self.nested():
-                return Not(self.not_level())
-        return self.cmp_level()
-
-    _CMP = {"=": Eq, "<=": Le, "<": Lt, ">=": Ge, ">": Gt, "!=": Neq}
-
-    def cmp_level(self) -> Expr:
-        e = self.add_level()
-        t = self.peek()
-        if t.kind == "op" and t.text in self._CMP:
-            self.next()
-            return self._CMP[t.text](e, self.add_level())
-        return e
-
-    def add_level(self) -> Expr:
-        e = self.mul_level()
+                e = self.expr(_NEG)
+            e = RatLit(-e.value) if isinstance(e, RatLit) else Neg(e)
+            top = _NEG - 1
+        else:
+            e, top = self.postfix(), _POW
         while True:
-            if self.at("+"):
-                self.next()
-                e = Add(e, self.mul_level())
-            elif self.at("-"):
-                self.next()
-                e = Sub(e, self.mul_level())
-            else:
+            node, p = _INFIX.get(self.peek().text, (None, 0))
+            # top: the loosest operator e may still be the left operand of;
+            # a comparison takes no comparison as an operand
+            if not power <= p <= top:
                 return e
-
-    def mul_level(self) -> Expr:
-        e = self.unary_level()
-        while True:
-            if self.at("*"):
-                t = self.next()
-                e = self.smart_mul(e, self.unary_level(), t)
-            elif self.at("/"):
-                self.next()
-                r = self.unary_level()
-                if isinstance(e, RatLit) and isinstance(r, RatLit) and r.value != 0:
+            t = self.next()
+            if node is Implies:
+                with self.nested():
+                    e = Implies(e, self.expr(p))
+            else:
+                r = self.expr(p + 1)
+                if node is Mul:
+                    e = self.smart_mul(e, r, t)
+                elif node is Div and isinstance(e, RatLit) and isinstance(r, RatLit) \
+                        and r.value != 0:
                     e = RatLit(e.value / r.value)
                 else:
-                    e = Div(e, r)
-            else:
-                return e
+                    e = node(e, r)
+            top = p - 1 if node in RELATIONS else p
 
     def smart_mul(self, l: Expr, r: Expr, tok: Token) -> Expr:
         lk = self.check_kind(l, tok)
@@ -471,27 +442,9 @@ class _Parser:
             return Inner(l, r)
         raise self.fail("cannot multiply these kinds", tok)
 
-    def unary_level(self) -> Expr:
-        if self.at("-"):
-            self.next()
-            with self.nested():
-                e = self.unary_level()
-            if isinstance(e, RatLit):
-                return RatLit(-e.value)
-            return Neg(e)
-        return self.pow_level()
-
-    def pow_level(self) -> Expr:
-        e = self.postfix_level()
-        if self.at("^"):
-            self.next()
-            t = self.next()
-            if t.kind != "num" or t.value.denominator != 1 or t.value < 0:
-                raise self.fail("exponent must be a natural number", t)
-            return Pow(e, int(t.value))
-        return e
-
-    def postfix_level(self) -> Expr:
+    def postfix(self) -> Expr:
+        """An atom, its coordinate indices, and at most one ^ with a natural
+        literal exponent."""
         e = self.atom()
         while self.at("["):
             t = self.next()
@@ -504,6 +457,11 @@ class _Parser:
                 self.check_kind(e, t)
             else:
                 raise self.fail("coordinates apply to declared vector names", t)
+        if self.take("^"):
+            t = self.next()
+            if t.kind != "num" or t.value.denominator != 1 or t.value < 0:
+                raise self.fail("exponent must be a natural number", t)
+            return Pow(e, int(t.value))
         return e
 
     def atom(self) -> Expr:
@@ -540,7 +498,7 @@ class _Parser:
                 raise self.fail(f"bound variable {v!r} is a declared name", b)
             self.expect(".")
             with self.nested():
-                body = self.impl_level()
+                body = self.expr(_INFIX["->"][1])
             return (Exists if q == "exists" else Forall)(v, body)
         if t.kind == "ident":
             self.next()
@@ -852,12 +810,16 @@ def parse(text: str) -> ModelFile:
 # ---------------------------------------------------------------------------
 # The writer
 
-_CMP_TEXT = {Eq: "=", Le: "<=", Lt: "<", Ge: ">=", Gt: ">", Neq: "!="}
 _FUNC_TEXT = {Sin: "sin", Cos: "cos", Exp: "exp", Ln: "ln", Sqrt: "sqrt",
               Norm: "norm"}
+# each infix node's token and binding power; a scaling prints as `*`
+_INFIX_TEXT = {node: (text, p) for text, (node, p) in _INFIX.items()}
+_INFIX_TEXT[ScalarMul] = _INFIX_TEXT[Mul]
 
 
 def pretty_expr(e: Expr, prec: int = 0) -> str:
+    """e's text, bracketed where it binds less tightly than prec, the power
+    at which the reader reads the operand that e stands in."""
     def wrap(s: str, mine: int) -> str:
         return f"({s})" if mine < prec else s
 
@@ -865,9 +827,9 @@ def pretty_expr(e: Expr, prec: int = 0) -> str:
         v = e.value
         s = str(v)
         if v.denominator != 1:     # reads back as a division
-            return f"({s})" if prec > 8 else s
+            return f"({s})" if prec > _INFIX["/"][1] else s
         if v < 0:                  # reads back as a unary minus
-            return f"({s})" if prec > 9 else s
+            return f"({s})" if prec > _NEG else s
         return s
     if isinstance(e, BoolLit):
         return "true" if e.value else "false"
@@ -875,43 +837,32 @@ def pretty_expr(e: Expr, prec: int = 0) -> str:
         return repr(e.lens)
     if isinstance(e, LogicalVar):
         return e.name
+    if type(e) in _INFIX_TEXT:
+        text, p = _INFIX_TEXT[type(e)]
+        left, right = children(e)
+        # the operand on the side e groups to is read at e's own power
+        lp, rp = (p + 1, p) if type(e) is Implies else (p, p + 1)
+        if type(e) in RELATIONS:
+            lp = p + 1
+        return wrap(f"{pretty_expr(left, lp)} {text} {pretty_expr(right, rp)}", p)
     if isinstance(e, Neg):
-        return wrap(f"-{pretty_expr(e.arg, 10)}", 9)
-    if isinstance(e, (Add, Sub)):
-        op = "+" if isinstance(e, Add) else "-"
-        return wrap(f"{pretty_expr(e.left, 7)} {op} {pretty_expr(e.right, 8)}", 7)
-    if isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        return wrap(f"{pretty_expr(e.left, 8)} {op} {pretty_expr(e.right, 9)}", 8)
-    if isinstance(e, ScalarMul):
-        return wrap(f"{pretty_expr(e.scalar, 8)} * {pretty_expr(e.arg, 9)}", 8)
+        return wrap(f"-{pretty_expr(e.arg, _NEG + 1)}", _NEG)
+    if isinstance(e, Not):
+        return wrap(f"not {pretty_expr(e.arg, _NOT)}", _NOT)
+    if isinstance(e, Pow):
+        return wrap(f"{pretty_expr(e.base, _POW + 1)}^{e.exp}", _POW)
     if isinstance(e, Inner):
         return f"inner({pretty_expr(e.left)}, {pretty_expr(e.right)})"
-    if isinstance(e, Pow):
-        return wrap(f"{pretty_expr(e.base, 11)}^{e.exp}", 10)
     if type(e) in _FUNC_TEXT:
         return f"{_FUNC_TEXT[type(e)]}({pretty_expr(e.arg)})"
     if isinstance(e, VecLit):
         return "[" + ", ".join(pretty_expr(i) for i in e.items) + "]"
-    if type(e) in _CMP_TEXT:
-        return wrap(f"{pretty_expr(e.left, 7)} {_CMP_TEXT[type(e)]} "
-                    f"{pretty_expr(e.right, 7)}", 6)
-    if isinstance(e, And):
-        return wrap(f"{pretty_expr(e.left, 4)} and {pretty_expr(e.right, 5)}", 4)
-    if isinstance(e, Or):
-        return wrap(f"{pretty_expr(e.left, 3)} or {pretty_expr(e.right, 4)}", 3)
-    if isinstance(e, Not):
-        return wrap(f"not {pretty_expr(e.arg, 5)}", 5)
-    if isinstance(e, Implies):
-        return wrap(f"{pretty_expr(e.left, 3)} -> {pretty_expr(e.right, 2)}", 2)
-    if isinstance(e, Iff):
-        return wrap(f"{pretty_expr(e.left, 2)} <-> {pretty_expr(e.right, 2)}", 1)
     if isinstance(e, Ite):
         return (f"(if {pretty_expr(e.cond)} then {pretty_expr(e.then)} "
                 f"else {pretty_expr(e.other)})")
     if isinstance(e, (Exists, Forall)):
         q = "exists" if isinstance(e, Exists) else "forall"
-        return f"({q} {e.var}. {pretty_expr(e.body)})"
+        return f"({q} {e.var}. {pretty_expr(e.body, _INFIX['->'][1])})"
     raise TypeError(f"cannot print {e!r}")
 
 

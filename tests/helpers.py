@@ -1,7 +1,8 @@
 """Seeded random generators shared by the unit and acceptance suites, and
 the reference expression evaluator, simplifier, traversals, falsifier
 samplers, three-valued evaluator, falsifier, kind checker, polynomial
-builder, polynomial normalizer, condition prover and triple prover."""
+builder, polynomial normalizer, condition prover, triple prover and
+expression reader."""
 
 import dataclasses
 import math
@@ -33,9 +34,11 @@ from hsverify.expr import (
     FALSE, ONE, TRUE, ZERO, Add, And, BoolLit, Cos, Div, Eq, Exists, Exp, Expr, Forall, Ge, Gt,
     Iff, Implies, Inner, Ite, Le, Ln, LogicalVar, Lt, Mul, Neg, Neq, Norm, Not, Or, Pow, RatLit,
     ScalarMul, Sin, Sqrt, Sub, UnsupportedConstruct, VarRead, VecLit, _exact_sqrt, _fold_binop,
-    _rebalance, children, conj, eval_expr, free_logicals, rebuild, simplify, subterms, total,
+    _rebalance, children, conj, eval_expr, free_logicals, read, rebuild, simplify, subterms,
+    total,
 )
 from hsverify.program import ODE, Choice, If, Loop, Seq
+from hsverify.syntax import _FUNCS1, Token, _Parser
 from hsverify.tactics import (
     UNKNOWN, ProofResult, _dedup, _discrete, check_vc, d_induct_mega, settle,
 )
@@ -1221,3 +1224,194 @@ def reference_d_prove(triple: Triple, ctx: ArithCtx, flows=None,
     if best is not None:
         return best
     return ProofResult(UNKNOWN, "dProve", ("no rule closed the goal",))
+
+
+class ReferenceParser(_Parser):
+    """The model reader with its earlier expression methods, one per binding
+    level from iff_level to postfix_level, copied verbatim: the oracle of
+    the precedence-climbing reader."""
+
+    def expr(self) -> Expr:
+        return self.iff_level()
+
+    def iff_level(self) -> Expr:
+        e = self.impl_level()
+        while self.at("<->"):
+            self.next()
+            e = Iff(e, self.impl_level())
+        return e
+
+    def impl_level(self) -> Expr:
+        e = self.or_level()
+        if self.at("->"):
+            self.next()
+            with self.nested():
+                return Implies(e, self.impl_level())
+        return e
+
+    def or_level(self) -> Expr:
+        e = self.and_level()
+        while self.at("or"):
+            self.next()
+            e = Or(e, self.and_level())
+        return e
+
+    def and_level(self) -> Expr:
+        e = self.not_level()
+        while self.at("and"):
+            self.next()
+            e = And(e, self.not_level())
+        return e
+
+    def not_level(self) -> Expr:
+        if self.take("not"):
+            with self.nested():
+                return Not(self.not_level())
+        return self.cmp_level()
+
+    _CMP = {"=": Eq, "<=": Le, "<": Lt, ">=": Ge, ">": Gt, "!=": Neq}
+
+    def cmp_level(self) -> Expr:
+        e = self.add_level()
+        t = self.peek()
+        if t.kind == "op" and t.text in self._CMP:
+            self.next()
+            return self._CMP[t.text](e, self.add_level())
+        return e
+
+    def add_level(self) -> Expr:
+        e = self.mul_level()
+        while True:
+            if self.at("+"):
+                self.next()
+                e = Add(e, self.mul_level())
+            elif self.at("-"):
+                self.next()
+                e = Sub(e, self.mul_level())
+            else:
+                return e
+
+    def mul_level(self) -> Expr:
+        e = self.unary_level()
+        while True:
+            if self.at("*"):
+                t = self.next()
+                e = self.smart_mul(e, self.unary_level(), t)
+            elif self.at("/"):
+                self.next()
+                r = self.unary_level()
+                if isinstance(e, RatLit) and isinstance(r, RatLit) and r.value != 0:
+                    e = RatLit(e.value / r.value)
+                else:
+                    e = Div(e, r)
+            else:
+                return e
+
+    def smart_mul(self, l: Expr, r: Expr, tok: Token) -> Expr:
+        lk = self.check_kind(l, tok)
+        rk = self.check_kind(r, tok)
+        if lk == REAL and rk == REAL:
+            return Mul(l, r)
+        if lk == REAL and rk.base == "vec":
+            return ScalarMul(l, r)
+        if lk.base == "vec" and rk == REAL:
+            return ScalarMul(r, l)
+        if lk.base == "vec" and rk.base == "vec":
+            return Inner(l, r)
+        raise self.fail("cannot multiply these kinds", tok)
+
+    def unary_level(self) -> Expr:
+        if self.at("-"):
+            self.next()
+            with self.nested():
+                e = self.unary_level()
+            if isinstance(e, RatLit):
+                return RatLit(-e.value)
+            return Neg(e)
+        return self.pow_level()
+
+    def pow_level(self) -> Expr:
+        e = self.postfix_level()
+        if self.at("^"):
+            self.next()
+            t = self.next()
+            if t.kind != "num" or t.value.denominator != 1 or t.value < 0:
+                raise self.fail("exponent must be a natural number", t)
+            return Pow(e, int(t.value))
+        return e
+
+    def postfix_level(self) -> Expr:
+        e = self.atom()
+        while self.at("["):
+            t = self.next()
+            idx = self.next()
+            if idx.kind != "num" or idx.value.denominator != 1:
+                raise self.fail("coordinate index must be an integer", idx)
+            self.expect("]")
+            if isinstance(e, VarRead) and isinstance(e.lens, Var):
+                e = read(e.lens.name, int(idx.value))
+                self.check_kind(e, t)
+            else:
+                raise self.fail("coordinates apply to declared vector names", t)
+        return e
+
+    def atom(self) -> Expr:
+        t = self.peek()
+        if t.kind == "num":
+            self.next()
+            return RatLit(t.value)
+        if self.take("("):
+            with self.nested():
+                e = self.expr()
+            self.expect(")")
+            return e
+        if self.take("["):
+            with self.nested():
+                items = [self.expr()]
+                while self.take(","):
+                    items.append(self.expr())
+            self.expect("]")
+            return VecLit(tuple(items))
+        if self.take("if"):
+            with self.nested():
+                c = self.expr()
+                self.expect("then")
+                a = self.expr()
+                self.expect("else")
+                b = self.expr()
+            return Ite(c, a, b)
+        if self.at("exists") or self.at("forall"):
+            q = self.next().text
+            b = self.ident("bound variable")
+            v = b.text
+            if v in self.space().names():
+                # a store name reads the store: the binder would bind nothing
+                raise self.fail(f"bound variable {v!r} is a declared name", b)
+            self.expect(".")
+            with self.nested():
+                body = self.impl_level()
+            return (Exists if q == "exists" else Forall)(v, body)
+        if t.kind == "ident":
+            self.next()
+            if t.text == "true":
+                return TRUE
+            if t.text == "false":
+                return FALSE
+            if t.text in _FUNCS1 and self.at("("):
+                self.next()
+                with self.nested():
+                    arg = self.expr()
+                self.expect(")")
+                return _FUNCS1[t.text](arg)
+            if t.text == "inner" and self.at("("):
+                self.next()
+                with self.nested():
+                    a = self.expr()
+                    self.expect(",")
+                    b = self.expr()
+                self.expect(")")
+                return Inner(a, b)
+            if t.text in self.space().names():
+                return read(t.text)
+            return LogicalVar(t.text)
+        raise self.fail(f"expected an expression, found {t.text or 'end of input'!r}")

@@ -569,6 +569,13 @@ def test_a_binder_with_a_store_name_is_an_error(capsys, tmp_path, command):
     assert err == f"error: {p}:7:35: bound variable 'x' is a declared name\n"
 
 
+def test_a_superscript_digit_is_a_located_error(capsys, tmp_path):
+    p = tmp_path / "digit.hsv"
+    p.write_text("dataspace d {\n  variables x : real;\n}\nprogram p = x := 2²\n")
+    code, out, err = run(capsys, "verify", p)
+    assert (code, out, err) == (1, "", f"error: {p}:4:19: stray character '²'\n")
+
+
 # invalid goals whose proof once replaced a term under a binder of one of
 # its logicals, or resolved or split on an if under a binder of its
 # condition's name

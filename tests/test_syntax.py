@@ -25,6 +25,7 @@ from hsverify.expr import (
     Lt,
     Mul,
     Neg,
+    Not,
     Or,
     Pow,
     RatLit,
@@ -54,7 +55,7 @@ from hsverify.syntax import (
     tokenize,
 )
 
-from helpers import rand_store, rand_total_expr, small_dataspace
+from helpers import ReferenceParser, rand_store, rand_total_expr, small_dataspace
 
 PREAMBLE = """
 dataspace m {
@@ -97,9 +98,11 @@ def test_tokenizer_range_vs_decimal():
 
 
 def test_tokenizer_rejects_stray():
-    with pytest.raises(ParseError) as e:
-        tokenize("x @ y")
-    assert e.value.line == 1 and e.value.col == 3
+    # a number is decimal digits: a superscript digit is no digit of one
+    for src, col in (("x @ y", 3), ("x := 2²", 7), ("x := ²", 6)):
+        with pytest.raises(ParseError, match="stray character") as e:
+            tokenize(src)
+        assert e.value.line == 1 and e.value.col == col
 
 
 # -- expressions
@@ -115,6 +118,106 @@ def test_connective_precedence():
     e = parse_expr("x > 0 -> x > 1 -> x > 2")
     assert isinstance(e, Implies) and isinstance(e.right, Implies)
     assert isinstance(parse_expr("flag <-> flag"), Iff)
+    # a comparison takes no comparison as an operand
+    with pytest.raises(ParseError, match="expected '}', found '<'") as e:
+        parse_expr("x < z < 1")
+    assert e.value.col == len("goal g : { x < z ") + 1
+    assert parse_expr("not x = z") == Not(Eq(read("x"), read("z")))
+    # a quantifier's body is read at the power of ->
+    assert parse_expr("exists v. v = 1 <-> flag") \
+        == Iff(Exists("v", Eq(LogicalVar("v"), num(1))), read("flag"))
+    assert parse_expr("flag -> flag <-> flag") \
+        == Iff(Implies(read("flag"), read("flag")), read("flag"))
+
+
+# the reader against the reference reader: random token strings of a
+# formula grammar, some mutated a token or two
+
+_TOKENS = ("<->", "->", "or", "and", "not", "=", "<=", "<", ">=", ">", "!=", "+", "-", "*",
+           "/", "^", "(", ")", "[", "]", ",", ".", "if", "then", "else", "exists", "forall",
+           "x", "u", "flag", "v", "1", "sin", "inner", "}")
+
+
+def _formula_tokens(rng, kind, depth):
+    """The tokens of a random well-kinded expression of kind "bool" or
+    "real".  A real `if` is bracketed and `^` follows an atom, so the text
+    reads back as an expression of that kind."""
+    def sub(k):
+        return _formula_tokens(rng, k, depth - 1)
+
+    r = rng.random() if depth > 0 else 1.0
+    if kind == "bool":
+        if r < 0.3:
+            return sub("bool") + [rng.choice(("<->", "->", "or", "and"))] + sub("bool")
+        if r < 0.45:
+            return sub("real") + [rng.choice(("=", "<=", "<", ">=", ">", "!="))] + sub("real")
+        if r < 0.55:
+            return ["not"] + sub("bool")
+        if r < 0.65:
+            return [rng.choice(("exists", "forall")), rng.choice(("v", "w")), "."] + sub("bool")
+        if r < 0.7:
+            return ["if"] + sub("bool") + ["then"] + sub("bool") + ["else"] + sub("bool")
+        if r < 0.85:
+            return ["("] + sub("bool") + [")"]
+        return [rng.choice(("flag", "true", "false"))]
+    atom = rng.choice(("x", "z", "c", "y", "u[1]", "v", "w", "x0", "0", "2", "2.5"))
+    if r < 0.3:
+        return sub("real") + [rng.choice(("+", "-", "*", "/"))] + sub("real")
+    if r < 0.4:
+        return ["-"] + sub("real")
+    if r < 0.45:
+        return [atom, "^", rng.choice(("0", "2", "3"))]
+    if r < 0.55:
+        return ["("] + sub("real") + [")"]
+    if r < 0.6:
+        return ["(", "if"] + sub("bool") + ["then"] + sub("real") + ["else"] + sub("real") + [")"]
+    if r < 0.65:
+        return [rng.choice(("sin", "sqrt")), "("] + sub("real") + [")"]
+    if r < 0.68:
+        return ["inner", "(", "u", ",", "["] + sub("real") + [","] + sub("real") + ["]", ")"]
+    return [atom]
+
+
+def _mutated_tokens(rng):
+    if rng.random() < 0.05:
+        # near MAX_NESTING, through each construct that nests
+        k = rng.randint(MAX_NESTING - 4, MAX_NESTING + 2)
+        inner = _formula_tokens(rng, "bool", 2)
+        toks = rng.choice((["("] * k + inner + [")"] * k, ["not"] * k + inner,
+                           ["flag", "->"] * k + inner,
+                           ["-"] * k + ["x", "<", "1"]))
+    else:
+        toks = _formula_tokens(rng, rng.choice(("bool",) * 9 + ("real",)), 4)
+    for _ in range(rng.choice((0, 0, 1, 1, 2))):
+        i = rng.randrange(len(toks))
+        how = rng.randrange(4)
+        if how == 0 and len(toks) > 1:
+            del toks[i]
+        elif how == 1:
+            toks.insert(i, rng.choice(_TOKENS))
+        elif how == 2:
+            toks[i] = rng.choice(_TOKENS)
+        elif how == 3 and i + 1 < len(toks):
+            toks[i], toks[i + 1] = toks[i + 1], toks[i]
+    return toks
+
+
+def _goals_or_error(reader, text):
+    try:
+        return reader(text).goals
+    except ParseError as err:
+        return str(err), err.line, err.col
+
+
+def test_reader_matches_the_reference_reader():
+    rng = random.Random(1973)
+    trees = 0
+    for _ in range(1200):
+        text = PREAMBLE + "\ngoal g : { " + " ".join(_mutated_tokens(rng)) + " } noop { true } by wp"
+        got = _goals_or_error(parse, text)
+        assert got == _goals_or_error(lambda s: ReferenceParser(s).model(), text), text
+        trees += isinstance(got[0], Goal)
+    assert trees >= 400
 
 
 def test_undeclared_names_are_logical():
@@ -429,8 +532,8 @@ def test_round_trip_tank():
     _assert_round_trip(TANK)
 
 
-# a duration interval and a guarded closed-form evolution, which no
-# shipped model prints
+# a duration interval, a guarded closed-form evolution and a quantifier
+# over an <->, which no shipped model prints
 DURATIONS = """
 dataspace clocked {
   variables x : real, z : real;
@@ -440,6 +543,7 @@ program timed = { x' = -x, z' = 1 | z <= 5 on 1/2..2 }
 program drift = { evol x = x + tau, z = z | z <= 3 }
 
 goal stays : { x >= 0 } timed { x >= 0 } by dInductMega
+goal body : { true } timed { exists v. (v = 1 <-> x = 1) } by wp
 """
 
 ROUND_TRIP_MODELS = sorted(
@@ -472,3 +576,10 @@ def test_random_exprs_print_and_reparse():
         for _ in range(3):
             s = rand_store(rng, ds)
             assert eval_expr(e2, s) == eval_expr(e, s)
+    # formula text over every connective, comparisons, if and quantifiers
+    for _ in range(1000):
+        f = parse_expr(" ".join(_formula_tokens(rng, "bool", 4)))
+        text = pretty_expr(f)
+        f2 = parse_expr(text)
+        assert f2 == f, text
+        assert pretty_expr(f2) == text

@@ -20,6 +20,8 @@ own, which imports hsverify from that tree's src/ and makes these calls:
     trials (falsify-generated's evol goals still sample binder grids);
   - ``vcs MODEL --seed 0`` over each models/*.hsv and each prove-generated
     model of seed 0, which prints every condition after substitution;
+  - ``syntax.pretty(syntax.parse(text))`` over the same models, which
+    prints each model through the model writer;
   - ``falsify MODEL --seed 0`` over each prove-generated model of seed 0,
     whose conditions the falsifier either tries or skips;
   - ``verify MODEL --seed 0 --emit-smt DIR`` over each prove-generated model
@@ -84,7 +86,7 @@ def worker(tree: str, workloads_py: str, work: str) -> int:
     tree = os.path.realpath(tree)
     src = os.path.join(tree, "src")
     sys.path.insert(0, src)
-    from hsverify import cli
+    from hsverify import cli, syntax
     if not os.path.realpath(cli.__file__).startswith(src + os.sep):
         raise ImportError(f"hsverify came from {cli.__file__}, not {src}")
     W = _load(workloads_py, "same_output_workloads")
@@ -122,6 +124,12 @@ def worker(tree: str, workloads_py: str, work: str) -> int:
                   "--seed", "0"]))
     for path in shipped + generated:
         emit(f"vcs {os.path.basename(path)}", main_of(["vcs", path, "--seed", "0"]))
+    for path in shipped + generated:
+        def pretty(path=path):
+            with open(path, encoding="utf-8") as f:
+                print(syntax.pretty(syntax.parse(f.read())), end="")
+            return 0
+        emit(f"pretty {os.path.basename(path)}", pretty)
     for path in generated:
         emit(f"falsify {os.path.basename(path)}", main_of(["falsify", path, "--seed", "0"]))
     for path in generated:

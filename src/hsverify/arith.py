@@ -1491,7 +1491,14 @@ class _Prover:
         return False
 
     def _monotone(self, flat: list, concl: Expr, depth: int) -> bool:
+        """concl, f(v) <= 0 or f(v) < 0, for a logical v >= 0, from f at an
+        end of a segment on which f is monotone: f(0) when df/dv <= 0 on
+        [0, v], or f(t) at an upper bound t of v when df/dv >= 0 on
+        [v, t].  The sign and the derivative's provisos are shown at a
+        fresh logical w on the segment."""
         diff = simplify(Sub(concl.left, concl.right))
+        used = set(free_logicals(concl)).union(*(free_logicals(h) for h in flat))
+        w = LogicalVar(fresh_logical("w", used))
         for v in sorted(free_logicals(diff)):
             if not self._entails(flat, Ge(LogicalVar(v), ZERO)):
                 continue
@@ -1499,22 +1506,26 @@ class _Prover:
                 dr = deriv_in_var(diff, v)
             except (NotDifferentiable, UnsupportedConstruct):
                 continue
-            if any(not self._entails(flat, pv) for pv in dr.provisos):
-                continue
-            s = self._sign(simplify(dr.expr), flat)
-            if s in ("<=", "<", "0"):
+            slope = simplify(subst_logical(dr.expr, v, w))
+            provisos = [subst_logical(pv, v, w) for pv in dr.provisos]
+
+            def signed(lo: Expr, hi: Expr, want: tuple) -> bool:
+                hyps = flat + [Le(lo, w), Le(w, hi)]
+                return (all(self._entails(hyps, pv) for pv in provisos)
+                        and self._sign(slope, hyps) in want)
+
+            if signed(ZERO, LogicalVar(v), ("<=", "<", "0")):
                 at0 = type(concl)(subst_logical(concl.left, v, ZERO),
                                   subst_logical(concl.right, v, ZERO))
                 if self.prove(flat, at0, depth + 1):
                     return True
-            if s in (">=", ">", "0"):
-                for t, upper in _bound_terms(flat, v):
-                    if not upper:
-                        continue
-                    atT = type(concl)(subst_logical(concl.left, v, t),
-                                      subst_logical(concl.right, v, t))
-                    if self.prove(flat, atT, depth + 1):
-                        return True
+            for t, upper in _bound_terms(flat, v):
+                if not upper or not signed(LogicalVar(v), t, (">=", ">", "0")):
+                    continue
+                atT = type(concl)(subst_logical(concl.left, v, t),
+                                  subst_logical(concl.right, v, t))
+                if self.prove(flat, atT, depth + 1):
+                    return True
         return False
 
     def _interval(self, flat: list, concl: Expr) -> bool:

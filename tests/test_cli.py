@@ -603,6 +603,31 @@ def test_no_binder_captures_a_substituted_term(capsys, tmp_path, seed):
     assert out == "".join(f"goal {name}: unknown (wp)\n" for name, _, _ in goals)
 
 
+# invalid goals that the monotone rule once proved from the derivative's
+# sign at v alone, not on the segment from v to the endpoint
+MONOTONE = {
+    # false at v = 1: 2 - 2*v <= 0 holds for v >= 1, not on [0, 1)
+    "m7": "{ true } p { forall v. v >= 1 -> v^2 - 2*v >= 0 }",
+    # false at v = 1: the segment [v, 10] runs past the bound v <= 1
+    "m4": "{ true } p { forall v. 0 <= v and v <= 1 and v <= 10 -> 2 - (v - 2)^2 <= 0 }",
+    # false at tau = 5
+    "m6": "{ x = 0 } e { x >= 5 -> 9 - (x - 3)^2 <= 0 }",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_monotone_shows_the_slope_on_the_whole_segment(capsys, tmp_path, seed):
+    p = tmp_path / "monotone.hsv"
+    p.write_text("dataspace d {\n  variables x : real;\n}\n\nprogram p = skip\n"
+                 "program e = { evol x = x + tau }\n\n"
+                 + "".join(f"goal {name} : {goal} by wp\n" for name, goal in MONOTONE.items()))
+    code, out, err = run(capsys, "verify", p, "--seed", seed)
+    assert err == "" and code in (0, 2)
+    verdicts = dict(line.split(": ", 1) for line in out.splitlines())
+    assert list(verdicts) == [f"goal {name}" for name in MONOTONE]
+    assert not any(v.startswith("proved") for v in verdicts.values()), verdicts
+
+
 def test_long_sum_inside_deep_brackets_parses(capsys, tmp_path):
     # 63 brackets around (x + ... + x) * x with an 80-term sum: the parser's
     # own frames are on the stack when it checks the product's kinds

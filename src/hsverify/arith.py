@@ -494,6 +494,8 @@ def negate(e: Expr) -> Expr:
         return And(negate(e.left), negate(e.right))
     if isinstance(e, Implies):
         return And(e.left, negate(e.right))
+    if isinstance(e, Iff):
+        return Iff(e.left, negate(e.right))
     if isinstance(e, Ite):
         return Ite(e.cond, negate(e.then), negate(e.other))
     if isinstance(e, Forall):

@@ -911,6 +911,22 @@ def test_a_condition_stops_at_its_first_failing_sequent(monkeypatch):
     assert out.rule == reference_prove_vc(f, ctx_for(ds)).rule
 
 
+def test_a_negated_iff_is_proved_in_few_steps(monkeypatch):
+    # negate once left not (a <-> b) as it was, and the prover negated it
+    # again at every level until the depth cap
+    calls = []
+    prove = _Prover.prove
+
+    def counting(self, hyps, concl, depth=0):
+        calls.append(concl)
+        return prove(self, hyps, concl, depth)
+
+    monkeypatch.setattr(_Prover, "prove", counting)
+    f = Implies(Gt(x, ZERO), Not(Iff(Gt(x, ZERO), Lt(x, ZERO))))
+    out = prove_vc(f, ctx_for(simple_ds()))
+    assert out.status == "valid" and len(calls) < 10
+
+
 def test_quantified_falsification_instantiates():
     ds = simple_ds()
     f = Forall("t", Implies(And(Le(ZERO, LogicalVar("t")),

@@ -628,6 +628,16 @@ def test_monotone_shows_the_slope_on_the_whole_segment(capsys, tmp_path, seed):
     assert not any(v.startswith("proved") for v in verdicts.values()), verdicts
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_negated_iff_is_proved(capsys, tmp_path, seed):
+    p = tmp_path / "iff.hsv"
+    p.write_text("dataspace d {\n  variables x : real;\n}\n\nprogram p = skip\n\n"
+                 "goal g1 : { x > 0 } p { not (x > 0 <-> x < 0) } by wp\n"
+                 "goal g2 : { x > 0 } p { x > 0 <-> not (x < 0) } by wp\n")
+    code, out, err = run(capsys, "verify", p, "--seed", seed)
+    assert (code, out, err) == (0, "goal g1: proved (wp)\ngoal g2: proved (wp)\n", "")
+
+
 def test_long_sum_inside_deep_brackets_parses(capsys, tmp_path):
     # 63 brackets around (x + ... + x) * x with an 80-term sum: the parser's
     # own frames are on the stack when it checks the product's kinds

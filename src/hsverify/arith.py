@@ -583,34 +583,37 @@ class _Budget(Exception):
 # Peeling a formula into sequents
 
 
+def _split(hyps: list, concl: Expr, used: set) -> Optional[list]:
+    """The structural rule: the premises, pairs (hyps, concl), that prove
+    hyps |- concl when concl is true, an and, ->, <-> or forall, or a not
+    of anything but a store read; None for any other conclusion.  A
+    forall's binder is renamed apart from used."""
+    if isinstance(concl, BoolLit) and concl.value:
+        return []
+    if isinstance(concl, And):
+        return [(hyps, concl.left), (hyps, concl.right)]
+    if isinstance(concl, Implies):
+        return [(hyps + [concl.left], concl.right)]
+    if isinstance(concl, Iff):
+        return [(hyps + [concl.left], concl.right), (hyps + [concl.right], concl.left)]
+    if isinstance(concl, Forall):
+        return [(hyps, _open(concl, used))]
+    if isinstance(concl, Not) and not isinstance(concl.arg, VarRead):
+        return [(hyps, negate(concl.arg))]
+    return None
+
+
 def _peel(hyps: list, concl: Expr, out: list, count: list, used: set) -> None:
     if count[0] > _SPLIT_BUDGET:
         raise _Budget()
     count[0] += 1
     concl = simplify(concl)
-    if isinstance(concl, BoolLit):
-        if concl.value:
-            return
-        out.append(Sequent(list(hyps), FALSE))
+    premises = _split(hyps, concl, used)
+    if premises is None:
+        out.append(Sequent(list(hyps), concl))
         return
-    if isinstance(concl, And):
-        _peel(hyps, concl.left, out, count, used)
-        _peel(hyps, concl.right, out, count, used)
-        return
-    if isinstance(concl, Implies):
-        _peel(hyps + [concl.left], concl.right, out, count, used)
-        return
-    if isinstance(concl, Iff):
-        _peel(hyps, Implies(concl.left, concl.right), out, count, used)
-        _peel(hyps, Implies(concl.right, concl.left), out, count, used)
-        return
-    if isinstance(concl, Forall):
-        _peel(hyps, _open(concl, used), out, count, used)
-        return
-    if isinstance(concl, Not) and isinstance(concl.arg, (And, Or, Implies, Forall, Exists)):
-        _peel(hyps, negate(concl.arg), out, count, used)
-        return
-    out.append(Sequent(list(hyps), concl))
+    for h, c in premises:
+        _peel(h, c, out, count, used)
 
 
 def _open(q: Expr, used: set) -> Expr:
@@ -1102,9 +1105,12 @@ class _Prover:
                 return None
         return total
 
-    # -- the sequent pipeline ----------------------------------------------
+    # -- the sequent rules ----------------------------------------------------
 
     def prove(self, hyps_in: list, concl: Expr, depth: int = 0) -> bool:
+        """hyps_in |- concl by the first rule of _RULES that applies.  A
+        rule answers None when it does not apply, else a verdict or its
+        premises, which are proved in order one level deeper."""
         if depth > _DEPTH_CAP or self.splits > _SPLIT_BUDGET:
             return False
         self.splits += 1
@@ -1112,103 +1118,30 @@ class _Prover:
         flat: list = []
         for h in hyps_in:
             _flatten_hyp(h, flat)
-        used = set(free_logicals(concl))
-        for h in flat:
-            used |= free_logicals(h)
+        used = set(free_logicals(concl)).union(*map(free_logicals, flat))
         sk = _skolemize(flat, used)
         flat = []
         for h in sk:
             _flatten_hyp(h, flat)
 
-        concl = simplify(concl)
+        concl = norm_rel(simplify(concl))
         if isinstance(concl, BoolLit) and concl.value:
             return True
         if any(isinstance(h, BoolLit) and not h.value for h in flat):
             self._rule("absurd-hyp")
             return True
+        for name, rule in _RULES:
+            got = rule(self, flat, concl, depth, used)
+            if got is None:
+                continue
+            if got is False:
+                return False
+            if name:
+                self._rule(name)
+            return got is True or all(self.prove(h, c, depth + 1) for h, c in got)
 
-        # structural conclusions
-        if isinstance(concl, And):
-            return (self.prove(flat, concl.left, depth + 1)
-                    and self.prove(flat, concl.right, depth + 1))
-        if isinstance(concl, Implies):
-            return self.prove(flat + [concl.left], concl.right, depth + 1)
-        if isinstance(concl, Iff):
-            return (self.prove(flat + [concl.left], concl.right, depth + 1)
-                    and self.prove(flat + [concl.right], concl.left, depth + 1))
-        if isinstance(concl, Forall):
-            return self.prove(flat, _open(concl, used), depth + 1)
-        if isinstance(concl, Not) and not isinstance(concl.arg, VarRead):
-            return self.prove(flat, negate(concl.arg), depth + 1)
-        concl = norm_rel(concl)
-
-        if concl in flat:
-            self._rule("assumption")
-            return True
-
-        # boolean literal propagation
-        changed, flat, concl = self._bool_prop(flat, concl)
-        if changed:
-            return self.prove(flat, concl, depth + 1)
-
-        # case splits on hypothesis structure
-        for i, h in enumerate(flat):
-            rest = flat[:i] + flat[i + 1:]
-            if isinstance(h, Or):
-                self._rule("case-split")
-                return (self.prove(rest + [h.left], concl, depth + 1)
-                        and self.prove(rest + [h.right], concl, depth + 1))
-            if isinstance(h, Iff):
-                self._rule("case-split")
-                return (self.prove(rest + [h.left, h.right], concl, depth + 1)
-                        and self.prove(rest + [negate(h.left), negate(h.right)],
-                                       concl, depth + 1))
-
-        # conditional elimination
-        cond = _ite_cond([concl] + flat)
-        if cond is not None:
-            self._rule("ite-split")
-            t_hyps = [_set_ite_cond(h, cond, True) for h in flat]
-            f_hyps = [_set_ite_cond(h, cond, False) for h in flat]
-            return (self.prove(t_hyps + [cond], _set_ite_cond(concl, cond, True),
-                               depth + 1)
-                    and self.prove(f_hyps + [negate(cond)],
-                                   _set_ite_cond(concl, cond, False), depth + 1))
-
-        # componentwise vector equalities
-        changed, flat, concl = self._split_vectors(flat, concl)
-        if changed:
-            return self.prove(flat, concl, depth + 1)
-
-        # universally quantified hypotheses: bounded instantiation
-        changed, flat = self._instantiate(flat)
-        if changed:
-            return self.prove(flat, concl, depth + 1)
-
-        # resolve implication hypotheses whose antecedent is provable
-        changed, flat = self._modus_ponens(flat, depth)
-        if changed:
-            return self.prove(flat, concl, depth + 1)
-
-        if isinstance(concl, Exists):
-            return self._witness(flat, concl, depth)
-
-        # substitute out solved equalities
-        changed, flat, concl = self._subst_eqs(flat, concl)
-        if changed:
-            return self.prove(flat, concl, depth + 1)
-
-        # clear divisions against sign-entailed denominators
-        changed, flat, concl = self._clear_divisions(flat, concl)
-        if changed:
-            self._rule("div-clear")
-            return self.prove(flat, concl, depth + 1)
-
-        return self._atomic(flat, concl, depth)
-
-    # -- stages -------------------------------------------------------------
-
-    def _bool_prop(self, flat: list, concl: Expr):
+    def _bool_prop(self, flat: list, concl: Expr, depth: int, used: set):
+        """Each bool a hypothesis fixes, replaced by its value elsewhere."""
         facts = {}
         for h in flat:
             if isinstance(h, (VarRead, LogicalVar)):
@@ -1218,10 +1151,7 @@ class _Prover:
             elif isinstance(h, Eq) and isinstance(h.right, BoolLit) \
                     and isinstance(h.left, (VarRead, LogicalVar)):
                 facts[h.left] = h.right.value
-        if not facts:
-            return False, flat, concl
         new_flat, new_concl = flat, concl
-        changed = False
         for target, val in facts.items():
             lit = BoolLit(val)
             nf = [subst_term(h, target, lit) if h is not target
@@ -1230,18 +1160,39 @@ class _Prover:
                   for h in new_flat]
             nc = subst_term(new_concl, target, lit)
             if nf != new_flat or nc != new_concl:
-                changed = True
                 new_flat, new_concl = nf, nc
-        if changed:
-            self._rule("bool-prop")
-        return changed, new_flat, new_concl
+        if new_flat is flat and new_concl is concl:
+            return None
+        return [(new_flat, new_concl)]
 
-    def _split_vectors(self, flat: list, concl: Expr):
+    def _case_split(self, flat: list, concl: Expr, depth: int, used: set):
+        """The first hypothesis that is an or or an <->, split in two."""
+        for i, h in enumerate(flat):
+            if isinstance(h, (Or, Iff)):
+                rest = flat[:i] + flat[i + 1:]
+                if isinstance(h, Or):
+                    return [(rest + [h.left], concl), (rest + [h.right], concl)]
+                return [(rest + [h.left, h.right], concl),
+                        (rest + [negate(h.left), negate(h.right)], concl)]
+        return None
+
+    def _ite_split(self, flat: list, concl: Expr, depth: int, used: set):
+        """One if condition outside its logicals' binders, true then false."""
+        cond = _ite_cond([concl] + flat)
+        if cond is None:
+            return None
+        return [([_set_ite_cond(h, cond, value) for h in flat]
+                 + [cond if value else negate(cond)], _set_ite_cond(concl, cond, value))
+                for value in (True, False)]
+
+    def _split_vectors(self, flat: list, concl: Expr, depth: int, used: set):
+        """Vector equalities split by component, and scalar comparisons
+        over vector terms read by coordinate."""
         def split(atom):
             try:
                 comps = _vec_eq(atom, self.ds)
             except Unpolyable:
-                return None
+                return atom
             if comps is not None:
                 return comps
             # scalar comparison over vector subterms: expose the coordinates
@@ -1251,64 +1202,50 @@ class _Prover:
                     l = poly_to_expr(self._poly(atom.left))
                     r = poly_to_expr(self._poly(atom.right))
                 except Unpolyable:
-                    return None
+                    return atom
                 new = type(atom)(l, r)
-                return new if new != atom else None
+                return new if new != atom else atom
+            return atom
+
+        old = flat + [concl]
+        *hyps, goal = new = [split(e) for e in old]
+        if all(a is b for a, b in zip(new, old)):
             return None
+        return [(hyps, goal)]
 
-        changed = False
-        new_flat = []
-        for h in flat:
-            got = split(h)
-            if got is not None:
-                changed = True
-                new_flat.append(got)
-            else:
-                new_flat.append(h)
-        got = split(concl)
-        if got is not None:
-            changed = True
-            concl = got
-        if changed:
-            self._rule("vec-split")
-        return changed, new_flat, concl
-
-    def _instantiate(self, flat: list):
-        changed = False
+    def _instantiate(self, flat: list, concl: Expr, depth: int, used: set):
+        """Each forall hypothesis replaced by its instances at 0 and at the
+        terms that bound its variable."""
+        if not any(isinstance(h, Forall) for h in flat):
+            return None
         out = []
         for h in flat:
             if not isinstance(h, Forall):
                 out.append(h)
                 continue
-            v, body = h.var, h.body
             cands = [ZERO]
-            for t, _ in _bound_terms(subterms(body, stop=_ORDERS), v):
+            for t, _ in _bound_terms(subterms(h.body, stop=_ORDERS), h.var):
                 if t not in cands:
                     cands.append(t)
-            for t in cands:
-                out.append(simplify(subst_logical(body, v, t)))
-            changed = True
-        if changed:
-            self._rule("instantiate")
-        return changed, out
+            out.extend(simplify(subst_logical(h.body, h.var, t)) for t in cands)
+        return [(out, concl)]
 
-    def _modus_ponens(self, flat: list, depth: int):
+    def _modus_ponens(self, flat: list, concl: Expr, depth: int, used: set):
+        """Each implication hypothesis replaced by its consequent when the
+        others prove its antecedent, else dropped: no row reads it."""
+        if not any(isinstance(h, Implies) for h in flat):
+            return None
         plain = [h for h in flat if not isinstance(h, Implies)]
         out = []
-        changed = False
         for h in flat:
-            if isinstance(h, Implies) and self.prove(plain, h.left, depth + 1):
-                out.append(h.right)
-                changed = True
-            elif isinstance(h, Implies):
-                changed = True  # drop: not usable as a row
-            else:
+            if not isinstance(h, Implies):
                 out.append(h)
-        if changed:
-            self._rule("modus-ponens")
-        return changed, out
+            elif self.prove(plain, h.left, depth + 1):
+                out.append(h.right)
+        return [(out, concl)]
 
-    def _subst_eqs(self, flat: list, concl: Expr):
+    def _subst_eqs(self, flat: list, concl: Expr, depth: int, used: set):
+        """The first solved equality substituted out of the sequent."""
         for i, h in enumerate(flat):
             if not isinstance(h, Eq) or vec_dim(h.left, self.ds) is not None:
                 continue
@@ -1319,8 +1256,7 @@ class _Prover:
                         continue
                     rest = flat[:i] + flat[i + 1:]
                     new = [simplify(subst_term(g, lhs, rhs)) for g in rest]
-                    self._rule("eq-subst")
-                    return True, new, simplify(subst_term(concl, lhs, rhs))
+                    return [(new, simplify(subst_term(concl, lhs, rhs)))]
             # linear solve: c*a + rest = 0 with constant coefficient c
             try:
                 p = self._diff(h, True)
@@ -1340,16 +1276,13 @@ class _Prover:
                     continue
                 rest = flat[:i] + flat[i + 1:]
                 new = [simplify(subst_term(g, at, sol)) for g in rest]
-                self._rule("eq-subst")
-                return True, new, simplify(subst_term(concl, at, sol))
-        return False, flat, concl
+                return [(new, simplify(subst_term(concl, at, sol)))]
+        return None
 
-    def _clear_divisions(self, flat: list, concl: Expr):
-        changed = False
-
+    def _clear_divisions(self, flat: list, concl: Expr, depth: int, used: set):
+        """Each comparison's divisions cleared against a denominator whose
+        sign the other hypotheses entail."""
         def clear(atom, hyps):
-            nonlocal changed
-            atom = norm_rel(atom)
             if not isinstance(atom, (Le, Lt, Eq, Neq)) or not has_type(atom, Div):
                 return atom
             if vec_dim(atom.left, self.ds) is not None:
@@ -1368,20 +1301,21 @@ class _Prover:
             else:
                 return atom
             nexpr = poly_to_expr(n)
-            changed = True
-            if isinstance(atom, Eq):
-                return Eq(nexpr, ZERO)
-            if isinstance(atom, Neq):
-                return Neq(nexpr, ZERO)
-            if isinstance(atom, Le):
-                return Le(ZERO, nexpr) if flip else Le(nexpr, ZERO)
-            return Lt(ZERO, nexpr) if flip else Lt(nexpr, ZERO)
+            if flip and isinstance(atom, (Le, Lt)):
+                return type(atom)(ZERO, nexpr)
+            return type(atom)(nexpr, ZERO)
 
-        new_flat = [clear(h, [g for g in flat if g is not h]) for h in flat]
-        new_concl = clear(concl, new_flat)
-        return changed, new_flat, new_concl
+        hyps = [clear(h, [g for g in flat if g is not h]) for h in flat]
+        goal = clear(concl, hyps)
+        if goal is concl and all(a is b for a, b in zip(hyps, flat)):
+            return None
+        return [(hyps, goal)]
 
-    def _witness(self, flat: list, concl: Exists, depth: int) -> bool:
+    def _witness(self, flat: list, concl: Expr, depth: int, used: set):
+        """An exists proved at a root of one of its equalities or at a
+        small constant."""
+        if not isinstance(concl, Exists):
+            return None
         v, body = concl.var, concl.body
         cands = [ZERO, ONE, num(-1), num(Fraction(1, 2)), num(Fraction(-1, 2))]
         for atom in (t for t in subterms(body) if isinstance(t, Eq)):
@@ -1421,13 +1355,10 @@ class _Prover:
                 w = Sqrt(simplify(sq))
                 cands.insert(0, Neg(w))
                 cands.insert(0, w)
-        for w in cands:
-            if self.prove(flat, subst_logical(body, v, w), depth + 1):
-                self._rule("witness")
-                return True
-        return False
+        return any(self.prove(flat, subst_logical(body, v, w), depth + 1) for w in cands)
 
-    def _atomic(self, flat: list, concl: Expr, depth: int) -> bool:
+    def _atomic(self, flat: list, concl: Expr, depth: int, used: set) -> bool:
+        """A conclusion no other rule takes apart: an atom, an or, or false."""
         if isinstance(concl, BoolLit):
             if concl.value:
                 return True
@@ -1499,7 +1430,7 @@ class _Prover:
         [v, t].  The sign and the derivative's provisos are shown at a
         fresh logical w on the segment."""
         diff = simplify(Sub(concl.left, concl.right))
-        used = set(free_logicals(concl)).union(*(free_logicals(h) for h in flat))
+        used = set(free_logicals(concl)).union(*map(free_logicals, flat))
         w = LogicalVar(fresh_logical("w", used))
         for v in sorted(free_logicals(diff)):
             if not self._entails(flat, Ge(LogicalVar(v), ZERO)):
@@ -1558,6 +1489,25 @@ class _Prover:
             if lo < hi and hi - lo <= 1.0e6 and _iv_subdivide(concl, bnds, key, lo, hi, 0):
                 return True
         return False
+
+
+# _Prover.prove's rules in the order tried, each with the name it records
+# when it gives premises or proves the sequent.  The structural rule records
+# none; the atomic rule, last, always answers and records its leaf rule.
+_RULES = (
+    (None, lambda prover, flat, concl, depth, used: _split(flat, concl, used)),
+    ("assumption", lambda prover, flat, concl, depth, used: [] if concl in flat else None),
+    ("bool-prop", _Prover._bool_prop),
+    ("case-split", _Prover._case_split),
+    ("ite-split", _Prover._ite_split),
+    ("vec-split", _Prover._split_vectors),
+    ("instantiate", _Prover._instantiate),
+    ("modus-ponens", _Prover._modus_ponens),
+    ("witness", _Prover._witness),
+    ("eq-subst", _Prover._subst_eqs),
+    ("div-clear", _Prover._clear_divisions),
+    (None, _Prover._atomic),
+)
 
 
 def _bound_terms(atoms: Iterable[Expr], v: str) -> list:

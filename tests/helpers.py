@@ -1,8 +1,8 @@
 """Seeded random generators shared by the unit and acceptance suites, and
 the reference expression evaluator, simplifier, traversals, falsifier
 samplers, three-valued evaluator, falsifier, kind checker, polynomial
-builder, polynomial normalizer, condition prover, triple prover and
-expression reader."""
+builder, polynomial normalizer, condition prover, sequent prover and
+peeler, triple prover and expression reader."""
 
 import dataclasses
 import math
@@ -26,16 +26,17 @@ from hsverify.store import (
 )
 from hsverify import expr as ex
 from hsverify.arith import (
-    _GRID, _NICE, ArithCtx, Box, Poly, Unpolyable, Verdict, _Budget, _Prover, _bound_terms,
-    _inexact, _sampler, _store_samplers, expr_key, falsify, negate, norm_rel, peel, poly_of,
-    poly_to_expr, reduce_trig,
+    _DEPTH_CAP, _GRID, _NICE, _ORDERS, _SPLIT_BUDGET, ArithCtx, Box, Poly, Row, Sequent,
+    Unpolyable, Verdict, _Budget, _Prover, _bound_terms, _flatten_hyp, _inexact, _ite_cond,
+    _open, _ratfunc, _sampler, _set_ite_cond, _skolemize, _store_samplers, _vec_eq, expr_key,
+    falsify, negate, norm_rel, peel, poly_of, poly_to_expr, reduce_trig,
 )
 from hsverify.expr import (
     FALSE, ONE, TRUE, ZERO, Add, And, BoolLit, Cos, Div, Eq, Exists, Exp, Expr, Forall, Ge, Gt,
     Iff, Implies, Inner, Ite, Le, Ln, LogicalVar, Lt, Mul, Neg, Neq, Norm, Not, Or, Pow, RatLit,
     ScalarMul, Sin, Sqrt, Sub, UnsupportedConstruct, VarRead, VecLit, _exact_sqrt, _fold_binop,
-    _rebalance, children, conj, eval_expr, free_logicals, read, rebuild, simplify, subterms,
-    total,
+    _rebalance, children, conj, eval_expr, free_logicals, has_type, num, read, rebuild, simplify,
+    subst_logical, subst_term, subterms, total, vec_dim,
 )
 from hsverify.program import ODE, Choice, If, Loop, Seq
 from hsverify.syntax import _FUNCS1, Token, _Parser
@@ -1105,9 +1106,11 @@ def reference_poly_normalize(e: Expr, ds=None) -> Expr:
 
 
 def reference_prove_vc(formula: Expr, ctx: ArithCtx, *, vc_name: str = "vc",
-                       falsify_trials: int = 300) -> Verdict:
+                       falsify_trials: int = 300, prover=_Prover, peeler=peel) -> Verdict:
     """arith.prove_vc as it was when it tried every sequent of a condition,
-    so its residual holds every sequent that failed to prove."""
+    so its residual holds every sequent that failed to prove.  prover(ds)
+    makes the sequent prover, and peeler splits the formula into
+    sequents."""
     full = simplify(formula)
     if ex.depth(full) > ex.MAX_DEPTH:
         # the prover's semantic walks (poly_of, ==) recurse once per level
@@ -1115,10 +1118,10 @@ def reference_prove_vc(formula: Expr, ctx: ArithCtx, *, vc_name: str = "vc",
     for a in reversed(ctx.assumptions):
         full = Implies(a, full)
     try:
-        seqs = peel(full)
+        seqs = peeler(full)
     except _Budget:
         return Verdict("unknown", rule="split-budget", residual=(formula,))
-    prover = _Prover(ctx.dataspace)
+    prover = prover(ctx.dataspace)
     residual = []
     for sq in seqs:
         try:
@@ -1136,6 +1139,440 @@ def reference_prove_vc(formula: Expr, ctx: ArithCtx, *, vc_name: str = "vc",
     return Verdict("unknown", rule="residual",
                    residual=tuple(sq.formula() for sq in residual),
                    query=(full, ctx, vc_name))
+
+
+class ReferenceProver(_Prover):
+    """arith._Prover with prove as it was before the rule table: one chain
+    of rules, each written out with its own recursive calls, and the six
+    stages that answered a changed flag.  _witness and _atomic are copied
+    for the signature this prove calls them with."""
+
+    def prove(self, hyps_in: list, concl: Expr, depth: int = 0) -> bool:
+        if depth > _DEPTH_CAP or self.splits > _SPLIT_BUDGET:
+            return False
+        self.splits += 1
+
+        flat: list = []
+        for h in hyps_in:
+            _flatten_hyp(h, flat)
+        used = set(free_logicals(concl))
+        for h in flat:
+            used |= free_logicals(h)
+        sk = _skolemize(flat, used)
+        flat = []
+        for h in sk:
+            _flatten_hyp(h, flat)
+
+        concl = simplify(concl)
+        if isinstance(concl, BoolLit) and concl.value:
+            return True
+        if any(isinstance(h, BoolLit) and not h.value for h in flat):
+            self._rule("absurd-hyp")
+            return True
+
+        # structural conclusions
+        if isinstance(concl, And):
+            return (self.prove(flat, concl.left, depth + 1)
+                    and self.prove(flat, concl.right, depth + 1))
+        if isinstance(concl, Implies):
+            return self.prove(flat + [concl.left], concl.right, depth + 1)
+        if isinstance(concl, Iff):
+            return (self.prove(flat + [concl.left], concl.right, depth + 1)
+                    and self.prove(flat + [concl.right], concl.left, depth + 1))
+        if isinstance(concl, Forall):
+            return self.prove(flat, _open(concl, used), depth + 1)
+        if isinstance(concl, Not) and not isinstance(concl.arg, VarRead):
+            return self.prove(flat, negate(concl.arg), depth + 1)
+        concl = norm_rel(concl)
+
+        if concl in flat:
+            self._rule("assumption")
+            return True
+
+        # boolean literal propagation
+        changed, flat, concl = self._bool_prop(flat, concl)
+        if changed:
+            return self.prove(flat, concl, depth + 1)
+
+        # case splits on hypothesis structure
+        for i, h in enumerate(flat):
+            rest = flat[:i] + flat[i + 1:]
+            if isinstance(h, Or):
+                self._rule("case-split")
+                return (self.prove(rest + [h.left], concl, depth + 1)
+                        and self.prove(rest + [h.right], concl, depth + 1))
+            if isinstance(h, Iff):
+                self._rule("case-split")
+                return (self.prove(rest + [h.left, h.right], concl, depth + 1)
+                        and self.prove(rest + [negate(h.left), negate(h.right)],
+                                       concl, depth + 1))
+
+        # conditional elimination
+        cond = _ite_cond([concl] + flat)
+        if cond is not None:
+            self._rule("ite-split")
+            t_hyps = [_set_ite_cond(h, cond, True) for h in flat]
+            f_hyps = [_set_ite_cond(h, cond, False) for h in flat]
+            return (self.prove(t_hyps + [cond], _set_ite_cond(concl, cond, True),
+                               depth + 1)
+                    and self.prove(f_hyps + [negate(cond)],
+                                   _set_ite_cond(concl, cond, False), depth + 1))
+
+        # componentwise vector equalities
+        changed, flat, concl = self._split_vectors(flat, concl)
+        if changed:
+            return self.prove(flat, concl, depth + 1)
+
+        # universally quantified hypotheses: bounded instantiation
+        changed, flat = self._instantiate(flat)
+        if changed:
+            return self.prove(flat, concl, depth + 1)
+
+        # resolve implication hypotheses whose antecedent is provable
+        changed, flat = self._modus_ponens(flat, depth)
+        if changed:
+            return self.prove(flat, concl, depth + 1)
+
+        if isinstance(concl, Exists):
+            return self._witness(flat, concl, depth)
+
+        # substitute out solved equalities
+        changed, flat, concl = self._subst_eqs(flat, concl)
+        if changed:
+            return self.prove(flat, concl, depth + 1)
+
+        # clear divisions against sign-entailed denominators
+        changed, flat, concl = self._clear_divisions(flat, concl)
+        if changed:
+            self._rule("div-clear")
+            return self.prove(flat, concl, depth + 1)
+
+        return self._atomic(flat, concl, depth)
+
+    # -- stages -------------------------------------------------------------
+
+    def _bool_prop(self, flat: list, concl: Expr):
+        facts = {}
+        for h in flat:
+            if isinstance(h, (VarRead, LogicalVar)):
+                facts[h] = True
+            elif isinstance(h, Not) and isinstance(h.arg, (VarRead, LogicalVar)):
+                facts[h.arg] = False
+            elif isinstance(h, Eq) and isinstance(h.right, BoolLit) \
+                    and isinstance(h.left, (VarRead, LogicalVar)):
+                facts[h.left] = h.right.value
+        if not facts:
+            return False, flat, concl
+        new_flat, new_concl = flat, concl
+        changed = False
+        for target, val in facts.items():
+            lit = BoolLit(val)
+            nf = [subst_term(h, target, lit) if h is not target
+                  and not (isinstance(h, Not) and h.arg is target)
+                  and not (isinstance(h, Eq) and h.left is target) else h
+                  for h in new_flat]
+            nc = subst_term(new_concl, target, lit)
+            if nf != new_flat or nc != new_concl:
+                changed = True
+                new_flat, new_concl = nf, nc
+        if changed:
+            self._rule("bool-prop")
+        return changed, new_flat, new_concl
+
+    def _split_vectors(self, flat: list, concl: Expr):
+        def split(atom):
+            try:
+                comps = _vec_eq(atom, self.ds)
+            except Unpolyable:
+                return None
+            if comps is not None:
+                return comps
+            # scalar comparison over vector subterms: expose the coordinates
+            if isinstance(atom, (Eq, Neq, Le, Lt)) and has_type(
+                    atom, (Inner, Norm, VecLit, ScalarMul)):
+                try:
+                    l = poly_to_expr(self._poly(atom.left))
+                    r = poly_to_expr(self._poly(atom.right))
+                except Unpolyable:
+                    return None
+                new = type(atom)(l, r)
+                return new if new != atom else None
+            return None
+
+        changed = False
+        new_flat = []
+        for h in flat:
+            got = split(h)
+            if got is not None:
+                changed = True
+                new_flat.append(got)
+            else:
+                new_flat.append(h)
+        got = split(concl)
+        if got is not None:
+            changed = True
+            concl = got
+        if changed:
+            self._rule("vec-split")
+        return changed, new_flat, concl
+
+    def _instantiate(self, flat: list):
+        changed = False
+        out = []
+        for h in flat:
+            if not isinstance(h, Forall):
+                out.append(h)
+                continue
+            v, body = h.var, h.body
+            cands = [ZERO]
+            for t, _ in _bound_terms(subterms(body, stop=_ORDERS), v):
+                if t not in cands:
+                    cands.append(t)
+            for t in cands:
+                out.append(simplify(subst_logical(body, v, t)))
+            changed = True
+        if changed:
+            self._rule("instantiate")
+        return changed, out
+
+    def _modus_ponens(self, flat: list, depth: int):
+        plain = [h for h in flat if not isinstance(h, Implies)]
+        out = []
+        changed = False
+        for h in flat:
+            if isinstance(h, Implies) and self.prove(plain, h.left, depth + 1):
+                out.append(h.right)
+                changed = True
+            elif isinstance(h, Implies):
+                changed = True  # drop: not usable as a row
+            else:
+                out.append(h)
+        if changed:
+            self._rule("modus-ponens")
+        return changed, out
+
+    def _subst_eqs(self, flat: list, concl: Expr):
+        for i, h in enumerate(flat):
+            if not isinstance(h, Eq) or vec_dim(h.left, self.ds) is not None:
+                continue
+            for lhs, rhs in ((h.left, h.right), (h.right, h.left)):
+                if isinstance(lhs, (LogicalVar,)) or \
+                        (isinstance(lhs, VarRead) and isinstance(lhs.lens, (Var, Coord))):
+                    if lhs in subterms(rhs):
+                        continue
+                    rest = flat[:i] + flat[i + 1:]
+                    new = [simplify(subst_term(g, lhs, rhs)) for g in rest]
+                    self._rule("eq-subst")
+                    return True, new, simplify(subst_term(concl, lhs, rhs))
+            # linear solve: c*a + rest = 0 with constant coefficient c
+            try:
+                p = self._diff(h, True)
+            except Unpolyable:
+                continue
+            for m in p.monomials():
+                if len(m) != 1 or m[0][2] != 1:
+                    continue
+                key, at = m[0][0], m[0][1]
+                if not isinstance(at, (VarRead, LogicalVar)):
+                    continue
+                rem = Poly({mm: c for mm, c in p.terms.items() if mm != m})
+                if not rem.free_of_atom_key(key):
+                    continue
+                sol = poly_to_expr(rem.scale(Fraction(-1) / p.terms[m]))
+                if at in subterms(sol):
+                    continue
+                rest = flat[:i] + flat[i + 1:]
+                new = [simplify(subst_term(g, at, sol)) for g in rest]
+                self._rule("eq-subst")
+                return True, new, simplify(subst_term(concl, at, sol))
+        return False, flat, concl
+
+    def _clear_divisions(self, flat: list, concl: Expr):
+        changed = False
+
+        def clear(atom, hyps):
+            nonlocal changed
+            atom = norm_rel(atom)
+            if not isinstance(atom, (Le, Lt, Eq, Neq)) or not has_type(atom, Div):
+                return atom
+            if vec_dim(atom.left, self.ds) is not None:
+                return atom
+            try:
+                n, d = _ratfunc(Sub(atom.left, atom.right), self.ds)
+            except Unpolyable:
+                return atom
+            if d.as_const() == 1:
+                return atom
+            dexpr = poly_to_expr(d)
+            if self._entails(hyps, Gt(dexpr, ZERO)):
+                flip = False
+            elif self._entails(hyps, Lt(dexpr, ZERO)):
+                flip = True
+            else:
+                return atom
+            nexpr = poly_to_expr(n)
+            changed = True
+            if isinstance(atom, Eq):
+                return Eq(nexpr, ZERO)
+            if isinstance(atom, Neq):
+                return Neq(nexpr, ZERO)
+            if isinstance(atom, Le):
+                return Le(ZERO, nexpr) if flip else Le(nexpr, ZERO)
+            return Lt(ZERO, nexpr) if flip else Lt(nexpr, ZERO)
+
+        new_flat = [clear(h, [g for g in flat if g is not h]) for h in flat]
+        new_concl = clear(concl, new_flat)
+        return changed, new_flat, new_concl
+
+    def _witness(self, flat: list, concl: Exists, depth: int) -> bool:
+        v, body = concl.var, concl.body
+        cands = [ZERO, ONE, num(-1), num(Fraction(1, 2)), num(Fraction(-1, 2))]
+        for atom in (t for t in subterms(body) if isinstance(t, Eq)):
+            try:
+                p = self._diff(atom, True)
+            except Unpolyable:
+                continue
+            by_pow: dict = {}
+            ok = True
+            for m, c in p.terms.items():
+                pw = 0
+                rest = []
+                for k, at, q in m:
+                    if isinstance(at, LogicalVar) and at.name == v:
+                        pw = q
+                    else:
+                        rest.append((k, at, q))
+                by_pow.setdefault(pw, Poly())
+                by_pow[pw] = by_pow[pw].add(Poly({tuple(rest): c}))
+                if pw not in (0, 1, 2):
+                    ok = False
+            if not ok:
+                continue
+            c0 = by_pow.get(0, Poly())
+            c1 = by_pow.get(1, Poly())
+            c2 = by_pow.get(2, Poly())
+            if not c1.is_zero() and c2.is_zero():
+                # linear: v = -c0 / c1
+                cc = c1.as_const()
+                if cc is not None:
+                    cands.insert(0, poly_to_expr(c0.scale(Fraction(-1) / cc)))
+                else:
+                    cands.insert(0, Div(poly_to_expr(c0.neg()), poly_to_expr(c1)))
+            elif c1.is_zero() and not c2.is_zero():
+                # quadratic: v^2 = -c0 / c2
+                sq = Div(poly_to_expr(c0.neg()), poly_to_expr(c2))
+                w = Sqrt(simplify(sq))
+                cands.insert(0, Neg(w))
+                cands.insert(0, w)
+        for w in cands:
+            if self.prove(flat, subst_logical(body, v, w), depth + 1):
+                self._rule("witness")
+                return True
+        return False
+
+    def _atomic(self, flat: list, concl: Expr, depth: int) -> bool:
+        if isinstance(concl, BoolLit):
+            if concl.value:
+                return True
+            if self._fm(flat, []):
+                self._rule("fourier-motzkin")
+                return True
+            return False
+        if isinstance(concl, Or):
+            return (self.prove(flat + [negate(concl.right)], concl.left, depth + 1)
+                    or self.prove(flat + [negate(concl.left)], concl.right,
+                                  depth + 1))
+        if isinstance(concl, (VarRead, LogicalVar, Not)):
+            return False
+        # radical reduction can expose divisions that still need clearing
+        if isinstance(concl, (Eq, Neq, Le, Lt)) and vec_dim(concl.left, self.ds) is None:
+            try:
+                red = poly_to_expr(self._diff(concl, True, flat))
+                rebuilt = type(concl)(red, ZERO)
+                if has_type(red, Div) and rebuilt != concl:
+                    return self.prove(flat, rebuilt, depth + 1)
+            except Unpolyable:
+                pass
+        if isinstance(concl, Neq):
+            s = self._sign(Sub(concl.left, concl.right), flat)
+            if s in (">", "<"):
+                self._rule("sign")
+                return True
+            if self.prove(flat + [Eq(concl.left, concl.right)], FALSE, depth + 1):
+                self._rule("fourier-motzkin")
+                return True
+            return False
+        if isinstance(concl, Eq):
+            try:
+                p = self._diff(concl, True, flat)
+            except Unpolyable:
+                return False
+            if p.is_zero():
+                self._rule("poly")
+                return True
+            return (self.prove(flat, Le(concl.left, concl.right), depth + 1)
+                    and self.prove(flat, Le(concl.right, concl.left), depth + 1))
+        if not isinstance(concl, (Le, Lt)):
+            return False
+
+        diff = Sub(concl.left, concl.right)
+        s = self._sign(diff, flat)
+        want = ("<=", "<", "0") if isinstance(concl, Le) else ("<",)
+        if s in want:
+            self._rule("sign")
+            return True
+        try:
+            if self._fm(flat, [Row(self._diff(concl, True, flat), isinstance(concl, Le))]):
+                self._rule("fourier-motzkin")
+                return True
+        except Unpolyable:
+            pass
+        if self._monotone(flat, concl, depth):
+            self._rule("monotone")
+            return True
+        if self._interval(flat, concl):
+            self._rule("interval")
+            return True
+        return False
+
+
+def _reference_peel(hyps: list, concl: Expr, out: list, count: list, used: set) -> None:
+    if count[0] > _SPLIT_BUDGET:
+        raise _Budget()
+    count[0] += 1
+    concl = simplify(concl)
+    if isinstance(concl, BoolLit):
+        if concl.value:
+            return
+        out.append(Sequent(list(hyps), FALSE))
+        return
+    if isinstance(concl, And):
+        _reference_peel(hyps, concl.left, out, count, used)
+        _reference_peel(hyps, concl.right, out, count, used)
+        return
+    if isinstance(concl, Implies):
+        _reference_peel(hyps + [concl.left], concl.right, out, count, used)
+        return
+    if isinstance(concl, Iff):
+        _reference_peel(hyps, Implies(concl.left, concl.right), out, count, used)
+        _reference_peel(hyps, Implies(concl.right, concl.left), out, count, used)
+        return
+    if isinstance(concl, Forall):
+        _reference_peel(hyps, _open(concl, used), out, count, used)
+        return
+    if isinstance(concl, Not) and isinstance(concl.arg, (And, Or, Implies, Forall, Exists)):
+        _reference_peel(hyps, negate(concl.arg), out, count, used)
+        return
+    out.append(Sequent(list(hyps), concl))
+
+
+def reference_peel(formula: Expr) -> list:
+    """arith.peel as it was when it split connectives itself and negated
+    only a not of a connective or quantifier."""
+    out: list = []
+    used = set(free_logicals(formula))
+    _reference_peel([], formula, out, [0], used)
+    return out
 
 
 def reference_d_prove(triple: Triple, ctx: ArithCtx, flows=None,

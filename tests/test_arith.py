@@ -104,6 +104,8 @@ from helpers import (
     reference_grid,
     reference_poly_normalize,
     reference_poly_of,
+    ReferenceProver,
+    reference_peel,
     reference_prove_vc,
     reference_q_eval,
     reference_sample_logicals,
@@ -925,6 +927,43 @@ def test_a_negated_iff_is_proved_in_few_steps(monkeypatch):
     f = Implies(Gt(x, ZERO), Not(Iff(Gt(x, ZERO), Lt(x, ZERO))))
     out = prove_vc(f, ctx_for(simple_ds()))
     assert out.status == "valid" and len(calls) < 10
+
+
+def _decided(f, ds, trials, prover, peeler):
+    """reference_prove_vc's status, rule and witness for f with the given
+    prover and peeler, and the prover's splits; or the error raised."""
+    made = []
+
+    def make(ds):
+        made.append(prover(ds))
+        return made[-1]
+
+    try:
+        out = reference_prove_vc(f, ArithCtx(ds), falsify_trials=trials, prover=make,
+                                 peeler=peeler)
+    except Exception as err:
+        return (type(err), str(err)), 0
+    return (out.status, out.rule, out.witness), sum(p.splits for p in made)
+
+
+def test_the_rule_table_decides_as_the_reference_prover():
+    # the prover as one chain of rules, and peel with its own connective
+    # split, against the rule table and peel by the prover's structural
+    # rule; every other formula runs the falsifier
+    rng = random.Random(2626)
+    conditions, formulas = small_dataspace(), _formula_ds()
+    cases = ([(_rand_condition(rng, conditions), conditions) for _ in range(200)]
+             + [(_capture_prone(rng), simple_ds()) for _ in range(200)]
+             + [(_rand_formula(rng, [], 2), formulas) for _ in range(200)])
+    valid = 0
+    for i, (f, ds) in enumerate(cases):
+        trials = (0, 40)[i % 2]
+        want, want_splits = _decided(f, ds, trials, ReferenceProver, reference_peel)
+        got, splits = _decided(f, ds, trials, _Prover, peel)
+        assert got == want, f
+        assert splits <= want_splits, f
+        valid += got[0] == "valid"
+    assert valid > 40
 
 
 def test_quantified_falsification_instantiates():

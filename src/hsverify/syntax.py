@@ -104,9 +104,9 @@ def tokenize(text: str):
             col += j - i
             i = j
             continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+        if c.isidentifier():  # by Python's rules, which reject a superscript digit
+            j = i + 1
+            while j < n and ("_" + text[j]).isidentifier():
                 j += 1
             word = text[i:j]
             toks.append(Token("ident", word, word, line, col))

@@ -574,6 +574,11 @@ def test_a_superscript_digit_is_a_located_error(capsys, tmp_path):
     p.write_text("dataspace d {\n  variables x : real;\n}\nprogram p = x := 2²\n")
     code, out, err = run(capsys, "verify", p)
     assert (code, out, err) == (1, "", f"error: {p}:4:19: stray character '²'\n")
+    # x² once read as one name, an undeclared one and so a free logical
+    p.write_text("dataspace d {\n  variables x : real;\n}\nprogram p = x := x²\n\n"
+                 "goal g : { true } p { x >= 0 } by wp\n")
+    code, out, err = run(capsys, "verify", p)
+    assert (code, out, err) == (1, "", f"error: {p}:4:19: stray character '²'\n")
 
 
 # invalid goals whose proof once replaced a term under a binder of one of

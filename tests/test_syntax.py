@@ -98,8 +98,9 @@ def test_tokenizer_range_vs_decimal():
 
 
 def test_tokenizer_rejects_stray():
-    # a number is decimal digits: a superscript digit is no digit of one
-    for src, col in (("x @ y", 3), ("x := 2²", 7), ("x := ²", 6)):
+    # a number is decimal digits and a name is a Python identifier: a
+    # superscript digit is part of neither
+    for src, col in (("x @ y", 3), ("x := 2²", 7), ("x := ²", 6), ("x := x²", 7)):
         with pytest.raises(ParseError, match="stray character") as e:
             tokenize(src)
         assert e.value.line == 1 and e.value.col == col

@@ -14,6 +14,8 @@ own, which imports hsverify from that tree's src/ and makes these calls:
   - ``verify MODEL --json -`` and ``falsify MODEL`` over each models/*.hsv
     at seeds 0 and 1; the models' store and logical names are real, vector
     and bool, every kind the falsifier samples;
+  - ``verify PROBES --json -`` at seeds 0-2, where PROBES is the probe
+    model below, written to the work directory;
   - ``falsify models/tank.hsv --trials 2000 --seed 0``, whose conditions
     through a guarded flow quantify the guard over time; q_eval can never
     make them False, so this call pins the falsifier's skip of their
@@ -52,6 +54,61 @@ import traceback
 
 SEEDS = (0, 1, 2, 3)
 MODEL_SEEDS = (0, 1)
+PROBE_SEEDS = (0, 1, 2)
+
+# Goals whose verdicts mark what the prover can decide and where it once
+# decided wrongly: four valid ODE goals that dInductMega leaves unknown (the
+# ball's velocity is u here, since v is a binder below), eleven polynomial
+# facts, three quantified goals, three invalid goals that the monotone rule
+# once proved (m4, m6, m7), four invalid goals once proved by a capturing
+# substitution (r1-r4) by wp and by dProve, and two forms of one valid
+# equivalence.
+PROBES = """\
+dataspace probes {
+  constants g : real, H : real;
+  assumes gpos: g > 0;
+  variables x : real, y : real, h : real, u : real;
+}
+
+program p = skip
+program inc = x := x + 1
+program e = { evol x = x + tau }
+program decay = { x' = -x }
+program prod = { x' = x * y, y' = 1 }
+program ball = { h' = u, u' = -g | h >= 0 }
+
+goal decay_pos : { x > 0 } decay { x > 0 } by dInductMega
+goal prod_zero : { x = 0 } prod { x = 0 } by dInductMega
+goal prod_pos : { x > 0 } prod { x > 0 } by dInductMega
+goal ball_drop : { h = H and u = 0 and H >= 0 } ball { h <= H } by dInductMega using gpos
+goal sq1 : { true } p { x^2 - 2*x + 1 >= 0 } by wp
+goal sq2 : { true } p { x^2 + x + 1 > 0 } by wp
+goal sq3 : { true } p { x^2 - 3*x + 3 > 0 } by wp
+goal sq4 : { true } p { x^4 - 2*x^2 + 1 >= 0 } by wp
+goal sq5 : { true } p { x^4 + 1 >= 2*x^2 } by wp
+goal sq6 : { true } p { x^2 + y^2 >= 2*x*y } by wp
+goal cube : { x >= 1 } p { x^3 - x >= 0 } by wp
+goal unit : { 0 <= x and x <= 1 } p { x - x^2 >= 0 } by wp
+goal past2 : { x > 2 } p { x^2 > 4 } by wp
+goal bad_sq : { true } p { x^2 - 3*x + 2 >= 0 } by wp
+goal bad_quartic : { true } p { x^4 - 3*x^2 + 2 >= 0 } by wp
+goal far : { x >= 0 } inc { exists v. v > 1000 + x } by wp
+goal between : { x >= 0 } inc { exists v. v > x and v < x + 1 } by wp
+goal no_seven : { true } p { not (exists v. v = 7) } by wp
+goal m7 : { true } p { forall v. v >= 1 -> v^2 - 2*v >= 0 } by wp
+goal m4 : { true } p { forall v. 0 <= v and v <= 1 and v <= 10 -> 2 - (v - 2)^2 <= 0 } by wp
+goal m6 : { x = 0 } e { x >= 5 -> 9 - (x - 3)^2 <= 0 } by wp
+goal r1 : { v = 5 and x = -1 } p { x > 0 or forall v. v = 5 } by wp
+goal r2 : { x = w } p { y > 0 or forall w. x = w } by wp
+goal r3 : { forall v. (if v > 0 then v > 0 else true) } p { if v > 0 then x > 0 else true } by wp
+goal r4 : { forall v. (if v > 0 then v > 0 else v < 1) } p { x > 0 } by wp
+goal r1_dprove : { v = 5 and x = -1 } p { x > 0 or forall v. v = 5 } by dProve
+goal r2_dprove : { x = w } p { y > 0 or forall w. x = w } by dProve
+goal r3_dprove : { forall v. (if v > 0 then v > 0 else true) } p { if v > 0 then x > 0 else true } by dProve
+goal r4_dprove : { forall v. (if v > 0 then v > 0 else v < 1) } p { x > 0 } by dProve
+goal not_iff : { x > 0 } p { not (x > 0 <-> x < 0) } by wp
+goal iff_not : { x > 0 } p { x > 0 <-> not (x < 0) } by wp
+"""
 
 
 def _load(path: str, name: str):
@@ -119,6 +176,12 @@ def worker(tree: str, workloads_py: str, work: str) -> int:
                  main_of(["verify", path, "--json", "-", "--seed", str(seed)]))
             emit(f"falsify {os.path.basename(path)} seed {seed}",
                  main_of(["falsify", path, "--seed", str(seed)]))
+    probes = os.path.join(work, "probes.hsv")
+    with open(probes, "w", encoding="utf-8") as f:
+        f.write(PROBES)
+    for seed in PROBE_SEEDS:
+        emit(f"verify probes.hsv seed {seed}",
+             main_of(["verify", probes, "--json", "-", "--seed", str(seed)]))
     emit("falsify tank.hsv --trials 2000",
          main_of(["falsify", os.path.join(models, "tank.hsv"), "--trials", "2000",
                   "--seed", "0"]))

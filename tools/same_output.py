@@ -61,8 +61,8 @@ PROBE_SEEDS = (0, 1, 2)
 # ball's velocity is u here, since v is a binder below), eleven polynomial
 # facts, three quantified goals, three invalid goals that the monotone rule
 # once proved (m4, m6, m7), four invalid goals once proved by a capturing
-# substitution (r1-r4) by wp and by dProve, and two forms of one valid
-# equivalence.
+# substitution (r1-r4) by wp and by dProve, two forms of one valid
+# equivalence, and one goal for each leaf rule of the sequent prover.
 PROBES = """\
 dataspace probes {
   constants g : real, H : real;
@@ -108,6 +108,14 @@ goal r3_dprove : { forall v. (if v > 0 then v > 0 else true) } p { if v > 0 then
 goal r4_dprove : { forall v. (if v > 0 then v > 0 else v < 1) } p { x > 0 } by dProve
 goal not_iff : { x > 0 } p { not (x > 0 <-> x < 0) } by wp
 goal iff_not : { x > 0 } p { x > 0 <-> not (x < 0) } by wp
+goal leaf_neq : { x + y > 2 and x - y > 0 } p { x != 0 } by wp
+goal leaf_false : { x > y and y > x } p { x > 0 } by wp
+goal leaf_or : { x > 1 } p { x < 0 or x > 1/2 } by wp
+goal leaf_eq : { x <= y and y <= x } p { x = y } by wp
+goal leaf_interval : { x >= 2 } p { cos(x) < x } by wp
+goal leaf_monotone : { x >= 0 } p { forall t. 0 <= t -> x * exp(-t) <= x } by wp
+goal leaf_poly : { true } p { (x + y)^2 = x^2 + 2*x*y + y^2 } by wp
+goal leaf_div : { x > 0 } p { sqrt(x)^2 / x = 1 } by wp
 """
 
 

@@ -3,11 +3,12 @@
 The pipeline, in order: polynomial normalization over exact rationals
 (transcendental subterms kept as opaque atoms, cosine squares reduced),
 sequent peeling with case splits, equality substitution and division clearing
-against sign-entailed denominators, monomial sign analysis, Fourier-Motzkin
-elimination over monomial atoms with a bounded product augmentation, endpoint
-and monotonicity checks for flow-parameter goals, outward-rounded interval
-evaluation with subdivision, then seeded numeric falsification.  What survives
-all of that is reported Unknown together with an SMT-LIB export.
+against sign-entailed denominators, then the leaf rules: zero-polynomial
+equalities, monomial sign analysis, Fourier-Motzkin elimination over monomial
+atoms with a bounded product augmentation, monotonicity checks for
+flow-parameter goals and outward-rounded interval evaluation with subdivision;
+then seeded numeric falsification.  What survives all of that is reported
+Unknown together with an SMT-LIB export.
 
 Verdicts are deterministic functions of (formula, context, seed).
 """
@@ -444,37 +445,24 @@ class Box:
     def for_name(self, name: str) -> tuple:
         return self.bounds.get(name, (BOX_LO, BOX_HI))
 
-    def with_bound(self, name: str, lo=None, hi=None) -> "Box":
-        cur_lo, cur_hi = self.for_name(name)
-        if lo is not None:
-            cur_lo = max(cur_lo, Fraction(lo))
-        if hi is not None:
-            cur_hi = min(cur_hi, Fraction(hi))
-        out = Box(self.bounds)
-        out.bounds[name] = (cur_lo, cur_hi)
-        return out
-
     @staticmethod
     def from_assumptions(assumptions: Iterable[Expr]) -> "Box":
+        """The default box, narrowed by each conjunct of the assumptions
+        that bounds a store name by a literal."""
         box = Box()
         for a in assumptions:
             for atom in ex.conjuncts(a):
-                box = box._refine(atom)
+                atom = norm_rel(atom)
+                if not isinstance(atom, (Le, Lt)):
+                    continue
+                for read, c, upper in ((atom.left, atom.right, True),
+                                       (atom.right, atom.left, False)):
+                    if isinstance(read, VarRead) and isinstance(read.lens, Var) \
+                            and isinstance(c, RatLit):
+                        lo, hi = box.for_name(read.lens.name)
+                        box.bounds[read.lens.name] = ((lo, min(hi, c.value)) if upper
+                                                      else (max(lo, c.value), hi))
         return box
-
-    def _refine(self, atom: Expr) -> "Box":
-        def name_of(e):
-            return e.lens.name if isinstance(e, VarRead) and isinstance(e.lens, Var) else None
-
-        atom = norm_rel(atom)
-        if isinstance(atom, (Le, Lt)):
-            n, c = name_of(atom.left), atom.right
-            if n and isinstance(c, RatLit):
-                return self.with_bound(n, hi=c.value)
-            n, c = name_of(atom.right), atom.left
-            if n and isinstance(c, RatLit):
-                return self.with_bound(n, lo=c.value)
-        return self
 
 
 # ---------------------------------------------------------------------------
@@ -911,6 +899,8 @@ def _iv_subdivide(concl: Expr, bnds: dict, key: str, lo: float, hi: float,
 
 _DEPTH_CAP = 60
 _ORDERS = (Le, Lt, Ge, Gt)
+# the signs of a comparison's difference that prove it
+_SIGNS = {Neq: (">", "<"), Le: ("<=", "<", "0"), Lt: ("<",)}
 
 
 class _Prover:
@@ -921,9 +911,6 @@ class _Prover:
         self.ds = ds
         self.rules: set = set()
         self.splits = 0
-
-    def _rule(self, name: str) -> None:
-        self.rules.add(name)
 
     # -- polynomial helpers -------------------------------------------------
 
@@ -1127,9 +1114,6 @@ class _Prover:
         concl = norm_rel(simplify(concl))
         if isinstance(concl, BoolLit) and concl.value:
             return True
-        if any(isinstance(h, BoolLit) and not h.value for h in flat):
-            self._rule("absurd-hyp")
-            return True
         for name, rule in _RULES:
             got = rule(self, flat, concl, depth, used)
             if got is None:
@@ -1137,7 +1121,7 @@ class _Prover:
             if got is False:
                 return False
             if name:
-                self._rule(name)
+                self.rules.add(name)
             return got is True or all(self.prove(h, c, depth + 1) for h, c in got)
 
     def _bool_prop(self, flat: list, concl: Expr, depth: int, used: set):
@@ -1357,71 +1341,60 @@ class _Prover:
                 cands.insert(0, w)
         return any(self.prove(flat, subst_logical(body, v, w), depth + 1) for w in cands)
 
-    def _atomic(self, flat: list, concl: Expr, depth: int, used: set) -> bool:
-        """A conclusion no other rule takes apart: an atom, an or, or false."""
-        if isinstance(concl, BoolLit):
-            if concl.value:
-                return True
-            if self._fm(flat, []):
-                self._rule("fourier-motzkin")
-                return True
-            return False
-        if isinstance(concl, Or):
-            return (self.prove(flat + [negate(concl.right)], concl.left, depth + 1)
-                    or self.prove(flat + [negate(concl.left)], concl.right,
-                                  depth + 1))
-        if isinstance(concl, (VarRead, LogicalVar, Not)):
-            return False
-        # radical reduction can expose divisions that still need clearing
-        if isinstance(concl, (Eq, Neq, Le, Lt)) and vec_dim(concl.left, self.ds) is None:
-            try:
-                red = poly_to_expr(self._diff(concl, True, flat))
-                rebuilt = type(concl)(red, ZERO)
-                if has_type(red, Div) and rebuilt != concl:
-                    return self.prove(flat, rebuilt, depth + 1)
-            except Unpolyable:
-                pass
-        if isinstance(concl, Neq):
-            s = self._sign(Sub(concl.left, concl.right), flat)
-            if s in (">", "<"):
-                self._rule("sign")
-                return True
-            if self.prove(flat + [Eq(concl.left, concl.right)], FALSE, depth + 1):
-                self._rule("fourier-motzkin")
-                return True
-            return False
-        if isinstance(concl, Eq):
-            try:
-                p = self._diff(concl, True, flat)
-            except Unpolyable:
-                return False
-            if p.is_zero():
-                self._rule("poly")
-                return True
-            return (self.prove(flat, Le(concl.left, concl.right), depth + 1)
-                    and self.prove(flat, Le(concl.right, concl.left), depth + 1))
-        if not isinstance(concl, (Le, Lt)):
+    def _or(self, flat: list, concl: Expr, depth: int, used: set):
+        """An or, proved by either side under the other side's negation."""
+        if not isinstance(concl, Or):
+            return None
+        return (self.prove(flat + [negate(concl.right)], concl.left, depth + 1)
+                or self.prove(flat + [negate(concl.left)], concl.right, depth + 1))
+
+    def _exposed_division(self, flat: list, concl: Expr, depth: int, used: set):
+        """A scalar comparison restated as its difference against 0 when
+        radical reduction exposes a division that still needs clearing."""
+        if not isinstance(concl, (Eq, Neq, Le, Lt)) or vec_dim(concl.left, self.ds) is not None:
+            return None
+        try:
+            red = poly_to_expr(self._diff(concl, True, flat))
+        except Unpolyable:
+            return None
+        rebuilt = type(concl)(red, ZERO)
+        return [(flat, rebuilt)] if has_type(red, Div) and rebuilt != concl else None
+
+    def _poly_eq(self, flat: list, concl: Expr, depth: int, used: set):
+        """An equality whose difference is the zero polynomial; one with no
+        polynomial is not proved."""
+        if not isinstance(concl, Eq):
+            return None
+        try:
+            return self._diff(concl, True, flat).is_zero() or None
+        except Unpolyable:
             return False
 
-        diff = Sub(concl.left, concl.right)
-        s = self._sign(diff, flat)
-        want = ("<=", "<", "0") if isinstance(concl, Le) else ("<",)
-        if s in want:
-            self._rule("sign")
-            return True
+    def _signed(self, flat: list, concl: Expr, depth: int, used: set):
+        """A !=, <= or < whose difference has one of the type's _SIGNS."""
+        want = _SIGNS.get(type(concl))
+        if want is None:
+            return None
+        return self._sign(Sub(concl.left, concl.right), flat) in want or None
+
+    def _refute_eq(self, flat: list, concl: Expr, depth: int, used: set):
+        """a != b by refuting a = b; the name is recorded once that holds."""
+        if not isinstance(concl, Neq):
+            return None
+        return self.prove(flat + [Eq(concl.left, concl.right)], FALSE, depth + 1)
+
+    def _fourier_motzkin(self, flat: list, concl: Expr, depth: int, used: set):
+        """false, <= or < by Fourier-Motzkin on the hypotheses and the
+        conclusion's negation; false is not proved otherwise."""
+        if concl == FALSE:
+            return self._fm(flat, [])
+        if not isinstance(concl, (Le, Lt)):
+            return None
         try:
-            if self._fm(flat, [Row(self._diff(concl, True, flat), isinstance(concl, Le))]):
-                self._rule("fourier-motzkin")
-                return True
+            return self._fm(flat, [Row(self._diff(concl, True, flat),
+                                       isinstance(concl, Le))]) or None
         except Unpolyable:
-            pass
-        if self._monotone(flat, concl, depth):
-            self._rule("monotone")
-            return True
-        if self._interval(flat, concl):
-            self._rule("interval")
-            return True
-        return False
+            return None
 
     def _monotone(self, flat: list, concl: Expr, depth: int) -> bool:
         """concl, f(v) <= 0 or f(v) < 0, for a logical v >= 0, from f at an
@@ -1492,9 +1465,12 @@ class _Prover:
 
 
 # _Prover.prove's rules in the order tried, each with the name it records
-# when it gives premises or proves the sequent.  The structural rule records
-# none; the atomic rule, last, always answers and records its leaf rule.
+# when it gives premises or proves the sequent.  The rows after div-clear
+# take the conclusions no earlier row takes apart; the last always answers.
+# A row may rely on the rows before it: the = split takes only an equality
+# that poly left open, which has a polynomial.
 _RULES = (
+    ("absurd-hyp", lambda prover, flat, concl, depth, used: True if FALSE in flat else None),
     (None, lambda prover, flat, concl, depth, used: _split(flat, concl, used)),
     ("assumption", lambda prover, flat, concl, depth, used: [] if concl in flat else None),
     ("bool-prop", _Prover._bool_prop),
@@ -1506,7 +1482,20 @@ _RULES = (
     ("witness", _Prover._witness),
     ("eq-subst", _Prover._subst_eqs),
     ("div-clear", _Prover._clear_divisions),
-    (None, _Prover._atomic),
+    (None, _Prover._or),
+    (None, _Prover._exposed_division),
+    ("poly", _Prover._poly_eq),
+    ("sign", _Prover._signed),
+    ("fourier-motzkin", _Prover._refute_eq),
+    (None, lambda prover, flat, concl, depth, used: [
+        (flat, Le(concl.left, concl.right)), (flat, Le(concl.right, concl.left))]
+        if isinstance(concl, Eq) else None),
+    ("fourier-motzkin", _Prover._fourier_motzkin),
+    ("monotone", lambda prover, flat, concl, depth, used:
+        isinstance(concl, (Le, Lt)) and prover._monotone(flat, concl, depth) or None),
+    ("interval", lambda prover, flat, concl, depth, used:
+        isinstance(concl, (Le, Lt)) and prover._interval(flat, concl) or None),
+    (None, lambda prover, flat, concl, depth, used: False),
 )
 
 
@@ -2148,7 +2137,7 @@ def prove_vc(formula: Expr, ctx: ArithCtx, *, vc_name: str = "vc",
     for sq in seqs:
         try:
             ok = prover.prove(sq.hyps, sq.concl, 0)
-        except (_Budget, RecursionError):
+        except RecursionError:
             ok = False
         if not ok:
             residual.append(sq)

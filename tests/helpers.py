@@ -1145,7 +1145,12 @@ class ReferenceProver(_Prover):
     """arith._Prover with prove as it was before the rule table: one chain
     of rules, each written out with its own recursive calls, and the six
     stages that answered a changed flag.  _witness and _atomic are copied
-    for the signature this prove calls them with."""
+    for the signature this prove calls them with, and _rule, which every
+    rule here calls to record its name, from before the leaf rules became
+    rows of the table."""
+
+    def _rule(self, name: str) -> None:
+        self.rules.add(name)
 
     def prove(self, hyps_in: list, concl: Expr, depth: int = 0) -> bool:
         if depth > _DEPTH_CAP or self.splits > _SPLIT_BUDGET:

@@ -946,17 +946,22 @@ def _decided(f, ds, trials, prover, peeler):
     return (out.status, out.rule, out.witness), sum(p.splits for p in made)
 
 
+def _seeded_cases():
+    """600 seeded (formula, dataspace) pairs: 200 each from _rand_condition,
+    _capture_prone and _rand_formula."""
+    rng = random.Random(2626)
+    conditions, formulas = small_dataspace(), _formula_ds()
+    return ([(_rand_condition(rng, conditions), conditions) for _ in range(200)]
+            + [(_capture_prone(rng), simple_ds()) for _ in range(200)]
+            + [(_rand_formula(rng, [], 2), formulas) for _ in range(200)])
+
+
 def test_the_rule_table_decides_as_the_reference_prover():
     # the prover as one chain of rules, and peel with its own connective
     # split, against the rule table and peel by the prover's structural
     # rule; every other formula runs the falsifier
-    rng = random.Random(2626)
-    conditions, formulas = small_dataspace(), _formula_ds()
-    cases = ([(_rand_condition(rng, conditions), conditions) for _ in range(200)]
-             + [(_capture_prone(rng), simple_ds()) for _ in range(200)]
-             + [(_rand_formula(rng, [], 2), formulas) for _ in range(200)])
     valid = 0
-    for i, (f, ds) in enumerate(cases):
+    for i, (f, ds) in enumerate(_seeded_cases()):
         trials = (0, 40)[i % 2]
         want, want_splits = _decided(f, ds, trials, ReferenceProver, reference_peel)
         got, splits = _decided(f, ds, trials, _Prover, peel)
@@ -964,6 +969,46 @@ def test_the_rule_table_decides_as_the_reference_prover():
         assert splits <= want_splits, f
         valid += got[0] == "valid"
     assert valid > 40
+
+
+# one goal for each leaf rule, each over p = skip, so its condition is
+# pre -> post
+LEAF_PROBES = """\
+dataspace leaves {
+  variables x : real, y : real;
+}
+
+program p = skip
+
+goal refute_eq : { x + y > 2 and x - y > 0 } p { x != 0 } by wp
+goal infeasible : { x > y and y > x } p { x > 0 } by wp
+goal either : { x > 1 } p { x < 0 or x > 1/2 } by wp
+goal both_orders : { x <= y and y <= x } p { x = y } by wp
+goal cosine : { x >= 2 } p { cos(x) < x } by wp
+goal decay : { x >= 0 } p { forall t. 0 <= t -> x * exp(-t) <= x } by wp
+goal square : { true } p { (x + y)^2 = x^2 + 2*x*y + y^2 } by wp
+goal radical : { x > 0 } p { sqrt(x)^2 / x = 1 } by wp
+"""
+
+LEAF_RULES = ("sign", "poly", "fourier-motzkin", "monotone", "interval")
+
+
+def test_each_leaf_rule_proves_a_formula_the_falsifier_cannot_refute():
+    # a floor on each leaf rule's valid verdicts over the seeded formulas
+    # and the probes, and a check of every valid verdict by the falsifier
+    model = parse(LEAF_PROBES)
+    cases = _seeded_cases() + [(Implies(g.pre, g.post), model.dataspace)
+                               for g in model.goals]
+    valid = dict.fromkeys(LEAF_RULES, 0)
+    for f, ds in cases:
+        ctx = ArithCtx(ds)
+        out = prove_vc(f, ctx, falsify_trials=0)
+        if not out.valid:
+            continue
+        for rule in set(out.rule.split(",")).intersection(valid):
+            valid[rule] += 1
+        assert falsify(f, ctx, trials=200) is None, f
+    assert all(n >= 1 for n in valid.values()), valid
 
 
 def test_quantified_falsification_instantiates():

@@ -1145,9 +1145,8 @@ class ReferenceProver(_Prover):
     """arith._Prover with prove as it was before the rule table: one chain
     of rules, each written out with its own recursive calls, and the six
     stages that answered a changed flag.  _witness and _atomic are copied
-    for the signature this prove calls them with, and _rule, which every
-    rule here calls to record its name, from before the leaf rules became
-    rows of the table."""
+    for the signature this prove calls them with, and _rule, with which
+    each rule here records its name, since arith._Prover no longer has it."""
 
     def _rule(self, name: str) -> None:
         self.rules.add(name)

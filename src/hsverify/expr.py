@@ -879,6 +879,8 @@ def vec_dim(e: Expr, ds: Optional[Dataspace]) -> Optional[int]:
 
 def vec_component(e: Expr, i: int) -> Expr:
     """Project component i (1-based) out of a vector-valued expression."""
+    if e == ZERO:  # what differentiation returns for a frame constant
+        return ZERO
     if isinstance(e, VecLit):
         if not 1 <= i <= len(e.items):
             raise NotPartOf(f"component {i} of {len(e.items)}-vector literal")

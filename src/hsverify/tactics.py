@@ -34,7 +34,8 @@ from .program import (
 )
 from .vcg import VC, Triple, FlowTable, gen_vcs, wlp, MissingFlow, MissingLoopInvariant
 from .arith import (
-    ArithCtx, Verdict, prove_vc, falsify, poly_normalize, expr_key, q_eval, norm_rel,
+    ArithCtx, Verdict, Unpolyable, prove_vc, falsify, poly_normalize, expr_key, q_eval,
+    norm_rel, reduce_trig, vec_polys,
 )
 
 
@@ -317,6 +318,19 @@ def _rows(frame: Frame, ds: Dataspace) -> list:
     return out
 
 
+def _off_by(e: Expr, ds: Dataspace) -> Optional[str]:
+    """None when e is zero by normalization, coordinate by coordinate for
+    a vector term; else the normal form that shows it is not."""
+    if vec_dim(e, ds) is not None:
+        try:
+            if all(reduce_trig(p).is_zero() for p in vec_polys(e, ds)):
+                return None
+        except Unpolyable:
+            pass
+    diff = poly_normalize(e, ds)
+    return None if diff == ZERO else expr_key(diff)
+
+
 def certify_flow(ode: ODE, flow: Subst, ctx: ArithCtx, *,
                  lipschitz: Fraction = Fraction(1)) -> CertResult:
     """Check a closed-form candidate against its field before trusting it.
@@ -346,14 +360,12 @@ def certify_flow(ode: ODE, flow: Subst, ctx: ArithCtx, *,
                     raise DerivativeMismatch(
                         f"side condition for {m.name} not discharged: {expr_key(p)}")
         along = subst_apply_expr(ode.rhs.lookup(m), flow)
-        diff = poly_normalize(Sub(d.expr, along), ds)
-        if diff != ZERO:
-            raise DerivativeMismatch(
-                f"d/dtau of the {m.name} component is off by {expr_key(diff)}")
-        at0 = poly_normalize(Sub(simplify(subst_logical(e, TAU, ZERO)), VarRead(m)), ds)
-        if at0 != ZERO:
-            raise NotIdentityAtZero(
-                f"{m.name} component at tau = 0 is off by {expr_key(at0)}")
+        diff = _off_by(Sub(d.expr, along), ds)
+        if diff is not None:
+            raise DerivativeMismatch(f"d/dtau of the {m.name} component is off by {diff}")
+        at0 = _off_by(Sub(simplify(subst_logical(e, TAU, ZERO)), VarRead(m)), ds)
+        if at0 is not None:
+            raise NotIdentityAtZero(f"{m.name} component at tau = 0 is off by {at0}")
 
     # the evolution guard is deliberately not a hypothesis: the bound must
     # hold on a convex region, and a guard need not describe one

@@ -643,6 +643,25 @@ def test_a_negated_iff_is_proved(capsys, tmp_path, seed):
     assert (code, out, err) == (0, "goal g1: proved (wp)\ngoal g2: proved (wp)\n", "")
 
 
+OFF = "d/dtau of the p component is off by sub(add(scalarmul(mul(2,?tau),0),scalarmul(2,w)),w)"
+
+
+@pytest.mark.parametrize("flow, expected", [
+    ("p + tau * w", (0, "goal g: proved (wp)\nflow slide: certified, L=1/2\n")),
+    ("p + 2 * tau * w", (1, f"goal g: error -- flow 'slide' failed certification: {OFF}\n"
+                            f"flow slide: rejected: {OFF}\n")),
+])
+def test_a_vector_flow_is_certified_by_coordinate(capsys, tmp_path, flow, expected):
+    p = tmp_path / "slide.hsv"
+    p.write_text("dataspace d {\n  variables p : vec[2], w : vec[2];\n}\n\n"
+                 "program move = { p' = w }\n"
+                 f"flow slide for move = [p ~> {flow}]\n\n"
+                 "goal g : { w = [0, 0] and p = [1, 2] } move { p = [1, 2] } by flow(slide)\n")
+    code, out, err = run(capsys, "verify", p)
+    assert (code, out) == expected
+    assert "Traceback" not in err
+
+
 def test_long_sum_inside_deep_brackets_parses(capsys, tmp_path):
     # 63 brackets around (x + ... + x) * x with an 80-term sum: the parser's
     # own frames are on the stack when it checks the product's kinds

@@ -270,6 +270,32 @@ def test_certify_flow_two_rows_too_tight():
         certify_flow(ode, flow, ctx, lipschitz=Fraction(1, 2))
 
 
+# a vec[2] member whose field reads a frame constant: d/dtau of p is the
+# scalar 0 plus the derivative of tau * w
+SLIDE = """\
+dataspace d {
+  variables p : vec[2], w : vec[2];
+}
+
+program move = { p' = w }
+flow slide for move = [p ~> FLOW]
+"""
+
+
+def test_certify_flow_compares_a_vector_member_by_coordinate():
+    model = parse(SLIDE.replace("FLOW", "p + tau * w"))
+    ode, = (model.programs[d.target] for d in model.flows)
+    cert = certify_flow(ode, model.flows[0].flow, ArithCtx(model.dataspace))
+    assert cert == CertResult(Fraction(1), 2)  # one condition per coordinate row
+
+
+def test_certify_flow_rejects_a_wrong_vector_member():
+    model = parse(SLIDE.replace("FLOW", "p + 2 * tau * w"))
+    ode, = (model.programs[d.target] for d in model.flows)
+    with pytest.raises(DerivativeMismatch, match="d/dtau of the p component"):
+        certify_flow(ode, model.flows[0].flow, ArithCtx(model.dataspace))
+
+
 def test_local_flow_auto_picks_a_constant():
     ds, ode = decay()
     cert = local_flow_auto(ode, decay_flow(ds), ArithCtx(ds))

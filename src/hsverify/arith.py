@@ -911,6 +911,8 @@ class _Prover:
         self.ds = ds
         self.rules: set = set()
         self.splits = 0
+        # sub-proofs already made, by _antecedent and _entails
+        self.memo: dict = {}
 
     # -- polynomial helpers -------------------------------------------------
 
@@ -1013,6 +1015,17 @@ class _Prover:
             yield q, isinstance(h, (Lt, Gt))
 
     def _entails(self, hyps: list, atom: Expr, reduce_radicals: bool = True) -> bool:
+        """hyps entail the comparison atom by a quick Fourier-Motzkin
+        check.  The check proves nothing through prove, so it is made once
+        per prover and its answer kept in the memo, under a key tagged
+        apart from _antecedent's, whose depth 1 equals True."""
+        key = ("entails", tuple(hyps), atom, reduce_radicals)
+        got = self.memo.get(key)
+        if got is None:
+            got = self.memo[key] = self._entailed(hyps, atom, reduce_radicals)
+        return got
+
+    def _entailed(self, hyps: list, atom: Expr, reduce_radicals: bool) -> bool:
         atom = norm_rel(atom)
         if not isinstance(atom, (Le, Lt)):
             return False
@@ -1224,9 +1237,26 @@ class _Prover:
         for h in flat:
             if not isinstance(h, Implies):
                 out.append(h)
-            elif self.prove(plain, h.left, depth + 1):
+            elif self._antecedent(plain, h.left, depth + 1):
                 out.append(h.right)
         return [(out, concl)]
+
+    def _antecedent(self, plain: list, goal: Expr, depth: int) -> bool:
+        """self.prove(plain, goal, depth), made once per prover.  The memo
+        keeps the answer with the splits its proof spent; a repeat adds
+        those splits when the budget still holds them and proves again when
+        it does not.  A proof the budget cut is never reused, since splits
+        only grow, and a repeat's rule names are in rules already.  So
+        splits, rules and every verdict are those of proving each time."""
+        key = (tuple(plain), goal, depth)
+        hit = self.memo.get(key)
+        if hit is not None and self.splits + hit[1] <= _SPLIT_BUDGET:
+            self.splits += hit[1]
+            return hit[0]
+        start = self.splits
+        got = self.prove(plain, goal, depth)
+        self.memo[key] = (got, self.splits - start)
+        return got
 
     def _subst_eqs(self, flat: list, concl: Expr, depth: int, used: set):
         """The first solved equality substituted out of the sequent."""

@@ -1141,6 +1141,17 @@ def reference_prove_vc(formula: Expr, ctx: ArithCtx, *, vc_name: str = "vc",
                    query=(full, ctx, vc_name))
 
 
+class UnmemoizedProver(_Prover):
+    """arith._Prover without its memo: every modus-ponens antecedent is
+    proved and every entailment checked each time it is asked."""
+
+    def _antecedent(self, plain: list, goal: Expr, depth: int) -> bool:
+        return self.prove(plain, goal, depth)
+
+    def _entails(self, hyps: list, atom: Expr, reduce_radicals: bool = True) -> bool:
+        return self._entailed(hyps, atom, reduce_radicals)
+
+
 class ReferenceProver(_Prover):
     """arith._Prover with prove as it was before the rule table: one chain
     of rules, each written out with its own recursive calls, and the six

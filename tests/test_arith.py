@@ -11,7 +11,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsverify import arith
+from collections import Counter
+
+from hsverify import arith, cli
 from hsverify.arith import (
     ArithCtx,
     BOX_HI,
@@ -105,6 +107,7 @@ from helpers import (
     reference_poly_normalize,
     reference_poly_of,
     ReferenceProver,
+    UnmemoizedProver,
     reference_peel,
     reference_prove_vc,
     reference_q_eval,
@@ -1322,18 +1325,136 @@ def test_grid_cache_stays_bounded():
     assert info.currsize <= info.maxsize
 
 
-def _tank_conditions():
-    """The tank model and the formulas of its goals' conditions.  Those
-    through a flow quantify its guard over time: forall tau. 0 <= tau ->
-    (forall sig. 0 <= sig and sig <= tau -> guard) -> post."""
+def _tank_vcs():
+    """The tank model and its goals' conditions, each with its goal's name."""
     model = parse((MODELS / "tank.hsv").read_text())
     table = FlowTable(model.dataspace)
     for decl in model.flows:
         ode = model.programs[decl.target]
         table.register(ode.frame, ode.rhs, decl.flow)
-    return model, [vc.formula for goal in model.goals
+    return model, [(goal.name, vc) for goal in model.goals
                    for vc in gen_vcs(Triple(goal.pre, model.programs[goal.prog_name],
                                             goal.post), table)]
+
+
+def _tank_conditions():
+    """The tank model and the formulas of its goals' conditions.  Those
+    through a flow quantify its guard over time: forall tau. 0 <= tau ->
+    (forall sig. 0 <= sig and sig <= tau -> guard) -> post."""
+    model, vcs = _tank_vcs()
+    return model, [vc.formula for _, vc in vcs]
+
+
+def _with_prover(monkeypatch, prover, run):
+    """What run() returns while prove_vc makes its sequent provers with
+    prover, and the splits and rules of each prover made, in order."""
+    made = []
+
+    def make(ds):
+        made.append(prover(ds))
+        return made[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(arith, "_Prover", make)
+        out = run()
+    return out, [(p.splits, p.rules) for p in made]
+
+
+def _verdict(f, ctx, trials):
+    """prove_vc's status, rule and witness for f, or the error raised."""
+    try:
+        out = arith.prove_vc(f, ctx, falsify_trials=trials)
+    except Exception as err:
+        return type(err), str(err)
+    return out.status, out.rule, out.witness
+
+
+def test_the_memo_changes_no_verdict_and_no_count(monkeypatch, capsys):
+    for i, (f, ds) in enumerate(_seeded_cases()):
+        def decide(f=f, ds=ds, trials=(0, 40)[i % 2]):
+            return _verdict(f, ArithCtx(ds), trials)
+        want = _with_prover(monkeypatch, UnmemoizedProver, decide)
+        assert _with_prover(monkeypatch, _Prover, decide) == want, f
+    # every condition of the shipped models, through the report
+    for path in sorted(MODELS.glob("*.hsv")):
+        for seed in (0, 1):
+            def report(path=path, seed=seed):
+                code = cli.main(["verify", str(path), "--json", "-", "--seed", str(seed)])
+                return code, capsys.readouterr().out
+            want = _with_prover(monkeypatch, UnmemoizedProver, report)
+            assert _with_prover(monkeypatch, _Prover, report) == want, (path.name, seed)
+
+
+def test_the_memo_keeps_to_the_split_budget(monkeypatch):
+    model, vcs = _tank_vcs()
+    vc, = (vc for goal, vc in vcs if goal == "tank_correct" and vc.vc_id == "loop-preserve")
+    ctx = ArithCtx(model.dataspace, assumptions=model.assumptions(), seed=0)
+
+    def decide():
+        return _verdict(vc.formula, ctx, 0)
+
+    _, [(splits, _)] = _with_prover(monkeypatch, _Prover, decide)
+    # the proof needs a budget of splits - 1; today its last repeated
+    # antecedent spends 8 splits from split 163 of 174, so its memo entry
+    # fits a budget of 171, a second proof of it fits 170, and 169 cuts it
+    statuses = set()
+    for budget in range(splits - 5, splits + 2):
+        monkeypatch.setattr(arith, "_SPLIT_BUDGET", budget)
+        want = _with_prover(monkeypatch, UnmemoizedProver, decide)
+        assert _with_prover(monkeypatch, _Prover, decide) == want, budget
+        statuses.add(want[0][0])
+    assert statuses == {"valid", "unknown"}
+
+
+def test_the_memo_keeps_to_the_depth_cap(monkeypatch):
+    # the antecedent x > 0 of the same plain hypotheses is asked at depth 1
+    # in the first sequent and, after the case split, at depth 2 in the
+    # second; under a cap of 1 only the first is proved
+    ds = simple_ds()
+    mp = Implies(Gt(x, ZERO), Gt(y, ZERO))
+    f = And(Implies(And(Gt(x, ZERO), mp), Gt(y, ZERO)),
+            Implies(And(Or(Gt(x, ZERO), Gt(y, ZERO)), mp), Gt(y, ZERO)))
+
+    def decide():
+        return _verdict(f, ArithCtx(ds), 0)
+
+    statuses = set()
+    for cap in range(4):
+        monkeypatch.setattr(arith, "_DEPTH_CAP", cap)
+        want = _with_prover(monkeypatch, UnmemoizedProver, decide)
+        assert _with_prover(monkeypatch, _Prover, decide) == want, cap
+        statuses.add(want[0][0])
+    assert statuses == {"valid", "unknown"}
+
+
+def test_an_entailment_is_kept_per_radical_mode():
+    # x >= 1 follows from sqrt(x)^2 >= 1 only once the radical is reduced
+    hyps = [Ge(x, ZERO), Ge(Pow(Sqrt(x), 2), ONE)]
+    for prover in (UnmemoizedProver, _Prover):
+        p = prover(simple_ds())
+        got = [p._entails(hyps, Ge(x, ONE), reduce) for reduce in (False, True, False)]
+        assert got == [False, True, False], prover
+
+
+def test_tank_proves_each_antecedent_once(monkeypatch, capsys):
+    calls, asked = [], set()
+    prove, antecedent = _Prover.prove, _Prover._antecedent
+
+    def counted(self, hyps, concl, depth=0):
+        calls.append((self, tuple(hyps), concl, depth))
+        return prove(self, hyps, concl, depth)
+
+    def recorded(self, plain, goal, depth):
+        asked.add((self, tuple(plain), goal, depth))
+        return antecedent(self, plain, goal, depth)
+
+    monkeypatch.setattr(_Prover, "prove", counted)
+    monkeypatch.setattr(_Prover, "_antecedent", recorded)
+    assert cli.main(["verify", str(MODELS / "tank.hsv"), "--seed", "0"]) == 0
+    # without the memo, this run made 322 prove calls
+    assert len(calls) < 322
+    proved = Counter(c for c in calls if c in asked)
+    assert proved and max(proved.values()) == 1
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -34,9 +34,11 @@ own, which imports hsverify from that tree's src/ and makes these calls:
 For each call it compares the exit code and the sha256 of stdout and of
 stderr; the tree's own path is replaced by ``<tree>`` first.  It prints the
 call count, the number of .smt2 files compared, the number of differences,
-every traceback, and the line count of the *.py files under each tree's
-src/.  It exits 1 when any call differs, or when no .smt2 file was
-compared.  Only the standard library is used.
+every traceback, the line count of the *.py files under each tree's src/,
+and each tree's total calls of arith._Prover.prove over the whole run (n/a
+when the tree has no such method), so that a speedup can be told apart
+from a change in the prover's work.  It exits 1 when any call differs, or
+when no .smt2 file was compared.  Only the standard library is used.
 """
 
 import contextlib
@@ -147,13 +149,24 @@ def _run(fn, tree: str) -> dict:
 
 
 def worker(tree: str, workloads_py: str, work: str) -> int:
-    """Make every call against tree and print one JSON line per call."""
+    """Make every call against tree and print one JSON line per call,
+    then one line with the count of arith._Prover.prove calls."""
     tree = os.path.realpath(tree)
     src = os.path.join(tree, "src")
     sys.path.insert(0, src)
-    from hsverify import cli, syntax
+    from hsverify import arith, cli, syntax
     if not os.path.realpath(cli.__file__).startswith(src + os.sep):
         raise ImportError(f"hsverify came from {cli.__file__}, not {src}")
+    prove_calls = None
+    prove = getattr(getattr(arith, "_Prover", None), "prove", None)
+    if prove is not None:
+        prove_calls = 0
+
+        def counted(*args, **kwargs):
+            nonlocal prove_calls
+            prove_calls += 1
+            return prove(*args, **kwargs)
+        arith._Prover.prove = counted
     W = _load(workloads_py, "same_output_workloads")
 
     def emit(label, fn, smt=lambda: ()):
@@ -222,6 +235,7 @@ def worker(tree: str, workloads_py: str, work: str) -> int:
             runpy.run_path(path, run_name="__main__")
             return 0
         emit(f"demo {d}", demo)
+    print(json.dumps({"prove_calls": prove_calls}))
     return 0
 
 
@@ -236,7 +250,8 @@ def _src_lines(tree: str) -> int:
     return total
 
 
-def _calls_of(tree: str, workloads_py: str, work: str) -> list:
+def _calls_of(tree: str, workloads_py: str, work: str) -> tuple:
+    """The worker's calls over tree, and its count of prove calls."""
     shutil.rmtree(work, ignore_errors=True)
     os.makedirs(work)
     done = subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", tree,
@@ -245,7 +260,8 @@ def _calls_of(tree: str, workloads_py: str, work: str) -> list:
     if done.returncode != 0:
         sys.stderr.write(done.stderr)
         raise SystemExit(f"same_output: the run over {tree} failed")
-    return [json.loads(line) for line in done.stdout.splitlines()]
+    *calls, prove_calls = [json.loads(line) for line in done.stdout.splitlines()]
+    return calls, prove_calls["prove_calls"]
 
 
 def main(argv) -> int:
@@ -258,7 +274,8 @@ def main(argv) -> int:
     workloads_py = os.path.join(change, "perfbench", "workloads.py")
     with tempfile.TemporaryDirectory() as tmp:
         work = os.path.join(tmp, "work")  # the same path for both trees
-        runs = [_calls_of(tree, workloads_py, work) for tree in (parent, change)]
+        runs, prove_calls = zip(*(_calls_of(tree, workloads_py, work)
+                                  for tree in (parent, change)))
     a, b = runs
     diffs = 0
     if [c["label"] for c in a] != [c["label"] for c in b]:
@@ -277,7 +294,8 @@ def main(argv) -> int:
     smt = sum(c["smt"] for c in b)
     print(f"calls: {len(b)}  smt2 files: {smt}  differences: {diffs}  "
           f"tracebacks: {len(tracebacks)}  "
-          f"src lines: {_src_lines(parent)} -> {_src_lines(change)}")
+          f"src lines: {_src_lines(parent)} -> {_src_lines(change)}  "
+          f"prove calls: {' -> '.join('n/a' if n is None else str(n) for n in prove_calls)}")
     if not smt:
         print("no .smt2 file was compared")
     return 1 if diffs or not smt else 0

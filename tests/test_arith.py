@@ -6,12 +6,11 @@ import math
 import pathlib
 import random
 import traceback
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-
-from collections import Counter
 
 from hsverify import arith, cli
 from hsverify.arith import (

@@ -20,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Iterable, Optional
 
 from . import expr as ex
@@ -42,6 +43,7 @@ from .expr import (
     Implies,
     Inner,
     Ite,
+    JUNCTIONS,
     Le,
     Ln,
     LogicalVar,
@@ -469,6 +471,14 @@ class Box:
 # Negation and atom normalization
 
 
+# The operand value that settles each junction by itself (expr.JUNCTIONS),
+# an Implies read as an Or of its negated antecedent, as _truth_kids reads
+# it; and the junction each value settles, so that a junction's De Morgan
+# dual is the one the other value settles.
+_SETTLES = {**JUNCTIONS, Implies: JUNCTIONS[Or]}
+_SETTLED_BY = {v: c for c, v in JUNCTIONS.items()}
+
+
 def negate(e: Expr) -> Expr:
     if isinstance(e, BoolLit):
         return BoolLit(not e.value)
@@ -476,12 +486,10 @@ def negate(e: Expr) -> Expr:
         return e.arg
     if type(e) in RELATIONS:
         return norm_rel(RELATIONS[type(e)].complement(e.left, e.right))
-    if isinstance(e, And):
-        return Or(negate(e.left), negate(e.right))
-    if isinstance(e, Or):
-        return And(negate(e.left), negate(e.right))
-    if isinstance(e, Implies):
-        return And(e.left, negate(e.right))
+    if type(e) in _SETTLES:
+        # an Implies's negated antecedent negates back to the antecedent
+        first = e.left if isinstance(e, Implies) else negate(e.left)
+        return _SETTLED_BY[not _SETTLES[type(e)]](first, negate(e.right))
     if isinstance(e, Iff):
         return Iff(e.left, negate(e.right))
     if isinstance(e, Ite):
@@ -1098,8 +1106,6 @@ class _Prover:
                         return None
                     f = a
                 s = _sign_mul(s, f)
-                if s is None:
-                    return None
             total = _sign_add(total, s)
             if total is None:
                 return None
@@ -1596,9 +1602,7 @@ def _linear_bound(q: Poly) -> Optional[tuple]:
     return key, c, -q.terms.get(MONO_ONE, Fraction(0)) / c
 
 
-def _sign_mul(a: str, b: str) -> Optional[str]:
-    if a == "0" or b == "0":
-        return "0"
+def _sign_mul(a: str, b: str) -> str:
     neg = (a in ("<", "<=")) != (b in ("<", "<="))
     strict = a in (">", "<") and b in (">", "<")
     if neg:
@@ -1609,10 +1613,6 @@ def _sign_mul(a: str, b: str) -> Optional[str]:
 def _sign_add(a: Optional[str], b: str) -> Optional[str]:
     if a is None:
         return b
-    if a == "0":
-        return b
-    if b == "0":
-        return a
     an, bn = a in ("<", "<="), b in ("<", "<=")
     if an != bn:
         return None
@@ -1674,6 +1674,23 @@ def _truth_kids(e: Expr) -> tuple:
     return ()
 
 
+def _junction(settle: bool) -> Callable:
+    def combine(a, b):
+        if a is settle or b is settle:
+            return settle
+        return None if a is None or b is None else not settle
+    return combine
+
+
+# Each connective's truth in Kleene's strong three-valued logic, True,
+# False or None, from the truths of its _truth_kids formulas.  The closures
+# of _truth_node compute it, and _answers_node takes its image.
+_KLEENE = {**{c: _junction(v) for c, v in _SETTLES.items()},
+           Not: lambda a: None if a is None else not a,
+           Iff: lambda a, b: None if a is None or b is None else a == b,
+           Ite: lambda c, a, b: (a if a == b else None) if c is None else (a if c else b)}
+
+
 def _truth_node(e: Expr) -> Callable:
     """The truth closure of one node; its formulas' closures are cached."""
     kids = [_truth(k) for k in _truth_kids(e)]
@@ -1689,51 +1706,29 @@ def _truth_node(e: Expr) -> Callable:
             except q[2]:
                 return None, {}
         return compare
-    if isinstance(e, And):
+    if type(e) in _SETTLES:
         fa, fb = kids
+        settle = _SETTLES[type(e)]
 
-        def both(s, env, q):
+        def junction(s, env, q):
             a, ia = fa(s, env, q)
-            if a is False:
-                return False, ia
+            if a is settle:
+                return a, ia
             b, ib = fb(s, env, q)
-            if b is False:
-                return False, ib
-            if a is True and b is True:
-                return True, {**ia, **ib}
-            return None, {}
-        return both
-    if isinstance(e, (Or, Implies)):
-        fa, fb = kids
-
-        def either(s, env, q):
-            a, ia = fa(s, env, q)
-            if a is True:
-                return True, ia
-            b, ib = fb(s, env, q)
-            if b is True:
-                return True, ib
-            if a is False and b is False:
-                return False, {**ia, **ib}
-            return None, {}
-        return either
-    if isinstance(e, Not):
-        f, = kids
-
-        def flip(s, env, q):
-            r, inst = f(s, env, q)
-            return (None if r is None else not r), inst
-        return flip
-    if isinstance(e, Iff):
-        fa, fb = kids
-
-        def same(s, env, q):
-            a, ia = fa(s, env, q)
-            b, ib = fb(s, env, q)
+            if b is settle:
+                return b, ib
             if a is None or b is None:
                 return None, {}
-            return a == b, {**ia, **ib}
-        return same
+            return b, {**ia, **ib}
+        return junction
+    if isinstance(e, (Not, Iff)):
+        combine = _KLEENE[type(e)]
+
+        def every(s, env, q):
+            outs = [f(s, env, q) for f in kids]
+            r = combine(*(r for r, _ in outs))
+            return r, ({} if r is None else {k: v for _, i in outs for k, v in i.items()})
+        return every
     if isinstance(e, Ite):
         fc, ft, fo = kids
 
@@ -1790,38 +1785,19 @@ def _truth(e: Expr) -> Callable:
     return cached(e, "_truth", _truth_kids, _truth_node)
 
 
-def _can(true: bool, false: bool) -> frozenset:
-    return frozenset(v for v, can in ((True, true), (False, false)) if can)
-
-
-_BOTH = _can(True, True)
-
-
 def _answers_node(e: Expr) -> frozenset:
-    """The answers of one node; its formulas' sets are cached.  Each rule
-    reads only which answers _truth_node's closure gets from its kids."""
-    kids = [k.__dict__["_answers"] for k in _truth_kids(e)]
+    """The answers of one node; its formulas' sets are cached.  A
+    connective's are the image of its _KLEENE rule over its kids' answers
+    and None, which every kid can give."""
     if isinstance(e, BoolLit):
         return frozenset((e.value,))
-    if isinstance(e, And):
-        a, b = kids
-        return _can(True in a and True in b, False in a or False in b)
-    if isinstance(e, (Or, Implies)):
-        a, b = kids
-        return _can(True in a or True in b, False in a and False in b)
-    if isinstance(e, Not):
-        return _can(False in kids[0], True in kids[0])
-    if isinstance(e, Iff):
-        a, b = kids
-        return _can((True in a and True in b) or (False in a and False in b),
-                    (True in a and False in b) or (False in a and True in b))
-    if isinstance(e, Ite):
-        return kids[1] | kids[2]
-    if isinstance(e, Forall):
-        return _can(False, False in kids[0])
-    if isinstance(e, Exists):
-        return _can(True in kids[0], False)
-    return _BOTH
+    kids = [k.__dict__["_answers"] | {None} for k in _truth_kids(e)]
+    combine = _KLEENE.get(type(e))
+    if combine is not None:
+        return frozenset(combine(*truths) for truths in product(*kids)) - {None}
+    if isinstance(e, (Forall, Exists)):
+        return kids[0] & {isinstance(e, Exists)}  # the body's value it seeks
+    return frozenset((True, False))
 
 
 def _answers(e: Expr) -> frozenset:

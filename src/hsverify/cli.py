@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .arith import ArithCtx, falsify
+from .deriv import NotDifferentiable
 from .expr import EvalError, Implies, RatLit, UnsupportedConstruct
 from .program import (
     SimConfig, StepSizeTooLarge, fmt_value, format_trace, simulate_traced,
@@ -41,7 +42,7 @@ class ModelError(Exception):
 
 
 # errors that leave one goal unrunnable; every command reports them as `error:`
-_GOAL_ERRORS = (TacticError, VcgError, ModelError)
+_GOAL_ERRORS = (TacticError, VcgError, ModelError, NotDifferentiable)
 
 
 @contextlib.contextmanager
@@ -109,6 +110,23 @@ def _init_check(goal: Goal, ctx: ArithCtx) -> ProofResult:
     return settle("init", (check_vc(vc, ctx),), exact=False)
 
 
+def _goal_flows(model: ModelFile, goal: Goal, table: FlowTable,
+                failed_flows: dict) -> FlowTable:
+    """The flows a goal's conditions go through: the certified table, or
+    for a flow(id) goal that flow alone."""
+    if goal.method.name != "flow":
+        return table
+    fid = goal.method.args[0]
+    if fid in failed_flows:
+        raise ModelError(f"flow {fid!r} failed certification: {failed_flows[fid]}")
+    flows = FlowTable(model.dataspace)
+    for decl in model.flows:
+        if decl.name == fid:
+            ode = model.programs[decl.target]
+            flows.register(ode.frame, ode.rhs, decl.flow)
+    return flows
+
+
 def run_goal(model: ModelFile, goal: Goal, table: FlowTable, failed_flows: dict,
              seed: int, trials: int = 300) -> ProofResult:
     ctx = _ctx(model, _goal_seed(seed, goal.name))
@@ -117,17 +135,8 @@ def run_goal(model: ModelFile, goal: Goal, table: FlowTable, failed_flows: dict,
     named = dict(model.assumes)
     facts = tuple(named[u] for u in goal.using)
     m = goal.method
-    flows = table
-    if m.name == "flow":
-        fid = m.args[0]
-        if fid in failed_flows:
-            raise ModelError(f"flow {fid!r} failed certification: {failed_flows[fid]}")
-        flows = FlowTable(model.dataspace)
-        for decl in model.flows:
-            if decl.name == fid:
-                ode = model.programs[decl.target]
-                flows.register(ode.frame, ode.rhs, decl.flow)
     if m.name in ("wp", "flow"):
+        flows = _goal_flows(model, goal, table, failed_flows)
         return settle("wp", [check_vc(vc, ctx, trials) for vc in gen_vcs(triple, flows)])
     if m.name in ("dInduct", "dInductAuto"):
         ind = d_induct(prog, goal.post, ctx, facts=facts,
@@ -282,9 +291,9 @@ def cmd_vcs(args) -> int:
         print(f"goal {goal.name} ({pretty_method(goal.method)}):")
         triple = Triple(goal.pre, model.programs[goal.prog_name], goal.post)
         try:
-            vcs = gen_vcs(triple, table)
+            vcs = gen_vcs(triple, _goal_flows(model, goal, table, failed))
             pairs = [(vc, ()) for vc in vcs]
-        except VcgError:
+        except (VcgError, ModelError):  # run_goal reports a failed named flow
             try:
                 r = run_goal(model, goal, table, failed, args.seed, trials=0)
             except _GOAL_ERRORS as e:
@@ -308,8 +317,9 @@ def cmd_falsify(args) -> int:
         ctx = _ctx(model, args.seed)
         triple = Triple(goal.pre, model.programs[goal.prog_name], goal.post)
         try:
-            formulas = [(vc.vc_id, vc.formula) for vc in gen_vcs(triple, table)]
-        except VcgError:
+            flows = _goal_flows(model, goal, table, failed)
+            formulas = [(vc.vc_id, vc.formula) for vc in gen_vcs(triple, flows)]
+        except (VcgError, ModelError):  # run_goal reports a failed named flow
             formulas = []
         for vc_id, f in formulas:
             w = falsify(f, ctx, trials=args.trials, seed=args.seed)

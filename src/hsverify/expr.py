@@ -289,6 +289,11 @@ RELATIONS = {Eq: Relation(operator.eq, Eq, Neq), Le: Relation(operator.le, Ge, G
              Lt: Relation(operator.lt, Gt, Ge), Ge: Relation(operator.ge, Le, Lt),
              Gt: Relation(operator.gt, Lt, Le), Neq: Relation(operator.ne, Neq, Eq)}
 COMPARISONS = tuple(RELATIONS)
+# What and and or mean in Kleene's strong three-valued logic, for the
+# simplifier, negation and q_eval alike: each maps to the operand value
+# that settles it by itself.  An Implies reads as an Or of its negated
+# antecedent.
+JUNCTIONS = {And: False, Or: True}
 CONNECTIVES = (And, Or, Not, Implies, Iff)
 
 
@@ -559,66 +564,35 @@ def fold_constants(e: Expr, s: Store, frame: Frame, formula: bool = False) -> Ex
     when e is a formula for q_eval, is an if-then-else in a truth position,
     which q_eval splits.  An if-then-else that does not fold whole folds in
     its condition only: its branches stay as they are, so a constant branch
-    is still evaluated only when the orbit reaches it.  Both walks run from
-    explicit stacks, like compile_expr."""
-    moves = {}  # id(node) -> the node can change along the orbit
-    stack = [(e, False)]
-    while stack:
-        node, kids_done = stack.pop()
-        if id(node) in moves:
-            continue
-        kids = _fold_children(node)
-        if kids and not kids_done:
-            stack.append((node, True))
-            stack.extend((k, False) for k in kids)
-            continue
-        moves[id(node)] = (kids is None or isinstance(node, LogicalVar)
-                           or isinstance(node, VarRead) and frame.overlaps(node.lens)
-                           or any(moves[id(k)] for k in kids))
-    out = {}  # (id(node), in a truth position) -> its folded form
-    stack = [(e, formula, False)]
-    while stack:
-        node, split, kids_done = stack.pop()
-        if (id(node), split) in out:
-            continue
-        kids = _fold_children(node)
-        if isinstance(node, Ite):
-            kids = kids[:1]  # the condition; the branches stay as they are
-        kids_split = split and isinstance(node, CONNECTIVES + (Ite,))
-        if kids_done:
-            new = tuple(out[id(k), kids_split] for k in kids)
-            same = all(a is b for a, b in zip(new, kids))
-            if isinstance(node, Ite):
-                new += (node.then, node.other)
-            out[id(node), split] = node if same else rebuild(node, new)
-            continue
-        if not (moves[id(node)] or isinstance(node, _UNFOLDED)
-                or split and isinstance(node, Ite)):
+    is still evaluated only when the orbit reaches it.  The walk is
+    rewrite's, with one callback for term positions and one for truth
+    positions, and a nested rewrite for an if-then-else's condition."""
+    def cond_only(t, fn):
+        c = rewrite(t.cond, fn)
+        return t if c is t.cond else Ite(c, t.then, t.other)
+
+    def term(t):
+        if isinstance(t, (Exists, Forall)):
+            return t
+        if not (isinstance(t, _UNFOLDED) or free_logicals(t)
+                or has_type(t, (Exists, Forall)) or not unrest(frame, t)):
             try:
-                v = compile_expr(node)(s, {})
+                v = compile_expr(t)(s, {})
             except Exception:
                 pass  # whatever it is, the unfolded node raises it again
             else:
                 if not isinstance(v, bool):
-                    out[id(node), split] = Folded(v)
-                    continue
-        if not kids:
-            out[id(node), split] = node
-            continue
-        stack.append((node, split, True))
-        stack.extend((k, kids_split, False) for k in kids)
-    return out[id(e), formula]
+                    return Folded(v)
+        return cond_only(t, term) if isinstance(t, Ite) else None
 
+    def truth(t):
+        if isinstance(t, CONNECTIVES):
+            return None
+        if isinstance(t, Ite):
+            return cond_only(t, truth)
+        return rewrite(t, term)
 
-def _fold_children(e) -> Optional[tuple]:
-    """The sub-terms fold_constants may rewrite; None for a node it keeps
-    whole (a quantifier, or a node it does not know)."""
-    if isinstance(e, (Exists, Forall)):
-        return None
-    try:
-        return children(e)
-    except UnsupportedConstruct:
-        return None
+    return rewrite(e, truth if formula else term)
 
 
 # ---------------------------------------------------------------------------
@@ -662,9 +636,9 @@ def _kids(e: Expr) -> tuple:
 
 
 # Each node's structural facts are built once, children first, through
-# cached, and only when asked for: its hash, its depth, its free logicals
-# and the set of node types in its tree, as a bitmask.  Nodes are
-# immutable, so a fact never goes stale.
+# cached, and only when asked for: its hash, its depth, its free logicals,
+# the lenses it reads and the set of node types in its tree, as a bitmask.
+# Nodes are immutable, so a fact never goes stale.
 
 _NODE_TYPES = tuple(Expr.__subclasses__())
 _BIT = {cls: 1 << i for i, cls in enumerate(_NODE_TYPES)}
@@ -770,9 +744,20 @@ def rewrite(e: Expr, fn: Callable) -> Expr:
     return done[0]
 
 
+def _lenses_of(e: Expr) -> tuple:
+    if isinstance(e, VarRead):
+        return (e.lens,)
+    out = ()
+    for k in _kids(e):
+        more = k.__dict__["_lenses"]
+        if more:
+            out = tuple(dict.fromkeys(out + more)) if out else more
+    return out
+
+
 def free_lenses(e: Expr) -> tuple:
     """Primitive lenses read anywhere in e, in first-occurrence order."""
-    return tuple(dict.fromkeys(t.lens for t in subterms(e) if isinstance(t, VarRead)))
+    return cached(e, "_lenses", _kids, _lenses_of)
 
 
 _NO_NAMES = frozenset()
@@ -1085,13 +1070,11 @@ def kind_of(e: Expr, dataspace: Dataspace) -> Kind:
 
 
 def _fold_binop(e, a, b):
+    """The literal a - b or a / b, for e a Sub or a Div; None when either
+    operand is not a literal or the divisor is 0."""
     if isinstance(a, RatLit) and isinstance(b, RatLit):
-        if isinstance(e, Add):
-            return RatLit(a.value + b.value)
         if isinstance(e, Sub):
             return RatLit(a.value - b.value)
-        if isinstance(e, Mul):
-            return RatLit(a.value * b.value)
         if isinstance(e, Div) and b.value != 0:
             return RatLit(a.value / b.value)
     return None
@@ -1317,19 +1300,13 @@ def _simplify_node(e: Expr) -> Expr:
             return simplify(conj(Eq(x, y) for x, y in zip(a.items, b.items)))
         return e
 
-    if isinstance(e, And):
-        a, b = e.left, e.right
-        if isinstance(a, BoolLit):
-            return b if a.value else (FALSE if total(b) else e)
-        if isinstance(b, BoolLit):
-            return a if b.value else (FALSE if total(a) else e)
-        return e
-    if isinstance(e, Or):
-        a, b = e.left, e.right
-        if isinstance(a, BoolLit):
-            return (TRUE if total(b) else e) if a.value else b
-        if isinstance(b, BoolLit):
-            return (TRUE if total(a) else e) if b.value else a
+    if type(e) in JUNCTIONS:
+        settle = JUNCTIONS[type(e)]
+        for lit, other in ((e.left, e.right), (e.right, e.left)):
+            if isinstance(lit, BoolLit):
+                if lit.value != settle:
+                    return other
+                return BoolLit(settle) if total(other) else e
         return e
     if isinstance(e, Not):
         if isinstance(e.arg, BoolLit):

@@ -34,8 +34,8 @@ from .program import (
 )
 from .vcg import VC, Triple, FlowTable, gen_vcs, wlp, MissingFlow, MissingLoopInvariant
 from .arith import (
-    ArithCtx, Verdict, Unpolyable, prove_vc, falsify, poly_normalize, expr_key, q_eval,
-    norm_rel, reduce_trig, vec_polys,
+    ArithCtx, Verdict, Unpolyable, prove_vc, falsify, poly_normalize, poly_to_expr, expr_key,
+    q_eval, norm_rel, reduce_trig, vec_polys,
 )
 
 
@@ -196,12 +196,10 @@ def _match_shapes(l: Expr, r: Expr, ds: Dataspace) -> tuple:
 
 def _exactly_valid(prem: Expr, ds: Dataspace) -> bool:
     """Premise holds by normalization alone: zero difference or signed constant."""
-    diff = poly_normalize(Sub(prem.left, prem.right), ds)
     if isinstance(prem, Eq):
-        return diff == ZERO
-    if isinstance(diff, RatLit):
-        return diff.value <= 0
-    return False
+        return _off_by(Sub(prem.left, prem.right), ds) is None
+    diff = poly_normalize(Sub(prem.left, prem.right), ds)
+    return isinstance(diff, RatLit) and diff.value <= 0
 
 
 def d_induct(ode: ODE, inv: Expr, ctx: ArithCtx, facts=(),
@@ -320,13 +318,17 @@ def _rows(frame: Frame, ds: Dataspace) -> list:
 
 def _off_by(e: Expr, ds: Dataspace) -> Optional[str]:
     """None when e is zero by normalization, coordinate by coordinate for
-    a vector term; else the normal form that shows it is not."""
+    a vector term; else the normal form, or the vector of normal
+    coordinates, that shows it is not."""
     if vec_dim(e, ds) is not None:
         try:
-            if all(reduce_trig(p).is_zero() for p in vec_polys(e, ds)):
-                return None
+            coords = [reduce_trig(p) for p in vec_polys(e, ds)]
         except Unpolyable:
             pass
+        else:
+            if all(p.is_zero() for p in coords):
+                return None
+            return expr_key(VecLit(tuple(poly_to_expr(p) for p in coords)))
     diff = poly_normalize(e, ds)
     return None if diff == ZERO else expr_key(diff)
 
@@ -350,7 +352,11 @@ def certify_flow(ode: ODE, flow: Subst, ctx: ArithCtx, *,
     ds = ctx.dataspace
     for m in ode.frame.members:
         e = flow.lookup(m)
-        d = deriv_in_var(e, TAU)
+        try:
+            d = deriv_in_var(e, TAU)
+        except NotDifferentiable as err:
+            raise DerivativeMismatch(
+                f"no symbolic d/dtau of the {m.name} component: {err}") from err
         if d.provisos:
             hyp = _hyp([Le(ZERO, LogicalVar(TAU)), *ctx.assumptions])
             for p in d.provisos:
@@ -477,7 +483,10 @@ def d_induct_mega(ode: ODE, pre: Expr, post: Expr, ctx: ArithCtx, *,
                             falsify_trials=0)
             if not init.valid:
                 continue
-            ind = d_induct(cur, a, ctx)
+            try:
+                ind = d_induct(cur, a, ctx)
+            except NotDifferentiable:
+                continue
             if ind.proved:
                 cur = d_cut(cur, a)
                 established.append(a)

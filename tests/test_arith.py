@@ -1547,6 +1547,8 @@ def test_answer_sets_of_binders_and_comparisons():
     assert arith._answers(Iff(TRUE, Exists("t", body))) == {True}
     assert arith._answers(Iff(BoolLit(False), Exists("t", body))) == {False}
     assert arith._answers(Ite(Lt(x, y), TRUE, Exists("t", body))) == {True}
+    # a condition never True picks the other branch, or none when undecided
+    assert arith._answers(Ite(Forall("t", body), BoolLit(False), TRUE)) == {True}
 
 
 @pytest.fixture

@@ -643,7 +643,7 @@ def test_a_negated_iff_is_proved(capsys, tmp_path, seed):
     assert (code, out, err) == (0, "goal g1: proved (wp)\ngoal g2: proved (wp)\n", "")
 
 
-OFF = "d/dtau of the p component is off by sub(add(scalarmul(mul(2,?tau),0),scalarmul(2,w)),w)"
+OFF = "d/dtau of the p component is off by veclit(w[1],w[2])"
 
 
 @pytest.mark.parametrize("flow, expected", [
@@ -660,6 +660,61 @@ def test_a_vector_flow_is_certified_by_coordinate(capsys, tmp_path, flow, expect
     code, out, err = run(capsys, "verify", p)
     assert (code, out) == expected
     assert "Traceback" not in err
+
+
+def test_a_constant_vector_is_invariant_by_normalization(capsys, tmp_path):
+    p = tmp_path / "still.hsv"
+    p.write_text("dataspace d {\n  variables p : vec[2], x : real;\n  constants P : vec[2];\n}\n\n"
+                 "program still = { p' = [0, 0], x' = 1 }\n\n"
+                 "goal g : { p = P } still { p = P } by dInduct\n")
+    assert run(capsys, "verify", p) == (0, "goal g: proved (dI)\n", "")
+
+
+# 1 / x has no symbolic derivative along x' = -x
+NO_DERIVATIVE = ("denominator moves with the frame: "
+                 "Div(left=RatLit(value=Fraction(1, 1)), right=VarRead(lens=x))")
+
+
+@pytest.mark.parametrize("method, expected", [
+    ("dInduct", (1, f"goal g: error -- {NO_DERIVATIVE}\n")),
+    ("dInductAuto", (1, f"goal g: error -- {NO_DERIVATIVE}\n")),
+    ("dInductMega", (0, "goal g: unknown (dI*)\n")),
+    ("dProve", (0, "goal g: unknown (dI*)\n")),
+])
+def test_a_term_with_no_derivative_ends_the_goal_not_the_run(capsys, tmp_path, method, expected):
+    p = tmp_path / "inv.hsv"
+    p.write_text("dataspace d {\n  variables x : real;\n}\n\nprogram dec = { x' = -x }\n\n"
+                 f"goal g : {{ x > 0 }} dec {{ 1 / x > 0 }} by {method}\n")
+    code, out, err = run(capsys, "verify", p)
+    assert (code, out, err) == (*expected, "")
+
+
+def test_a_flow_with_no_derivative_is_rejected(capsys, tmp_path):
+    p = tmp_path / "other.hsv"
+    p.write_text("dataspace d {\n  variables x : real;\n}\n\nprogram dec = { x' = -x }\n\n"
+                 "flow other for dec = [x ~> x / exp(tau)]\n\n"
+                 "goal g : { x > 0 } dec { x > 0 } by flow(other)\n")
+    cause = ("no symbolic d/dtau of the x component: denominator moves with the frame: "
+             "Div(left=VarRead(lens=x), right=Exp(arg=LogicalVar(name='tau')))")
+    why = f"flow 'other' failed certification: {cause}"
+    assert run(capsys, "verify", p) == (1, f"goal g: error -- {why}\n"
+                                           f"flow other: rejected: {cause}\n", "")
+    assert run(capsys, "vcs", p) == (1, f"goal g (flow(other)):\n  error: {why}\n", "")
+    assert run(capsys, "falsify", p) == (1, "", f"error: goal g: {why}\n")
+
+
+def test_vcs_follows_the_flow_a_goal_names(capsys, tmp_path):
+    # other is registered last for the field; pos_flow names shrink
+    p = tmp_path / "two.hsv"
+    p.write_text("dataspace d {\n  variables x : real;\n}\n\nprogram dec = { x' = -x }\n\n"
+                 "flow shrink for dec = [x ~> x * exp(-tau)]\n"
+                 "flow other for dec = [x ~> x * exp(0 - tau)]\n\n"
+                 "goal pos_flow : { x > 0 } dec { x > 0 } by flow(shrink)\n"
+                 "goal pos_wp : { x > 0 } dec { x > 0 } by wp\n")
+    code, out, err = run(capsys, "vcs", p)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].endswith("x * exp(-tau) > 0)")
+    assert out.splitlines()[3].endswith("x * exp(0 - tau) > 0)")
 
 
 def test_long_sum_inside_deep_brackets_parses(capsys, tmp_path):

@@ -66,6 +66,11 @@ def _free_of(name: str, e: Expr) -> bool:
     return name not in ex.free_logicals(e)
 
 
+def _no_derivative(why: str, e: Expr) -> NotDifferentiable:
+    from .syntax import pretty_expr  # syntax imports this module through arith
+    return NotDifferentiable(f"{why} {pretty_expr(e)}")
+
+
 def _derive(e: Expr, is_const: Callable[[Expr], bool],
             d_atom: Callable[[Expr], Expr], provisos: list) -> Expr:
     if is_const(e):
@@ -87,7 +92,7 @@ def _derive(e: Expr, is_const: Callable[[Expr], bool],
     if isinstance(e, Div):
         if is_const(e.right):
             return Div(d(e.left), e.right)
-        raise NotDifferentiable(f"denominator moves with the frame: {e!r}")
+        raise _no_derivative("denominator moves with the frame:", e)
     if isinstance(e, Pow):
         if e.exp == 0:
             return ZERO
@@ -116,8 +121,8 @@ def _derive(e: Expr, is_const: Callable[[Expr], bool],
     if isinstance(e, Ite):
         if is_const(e.cond):
             return Ite(e.cond, d(e.then), d(e.other))
-        raise NotDifferentiable(f"branch condition moves with the frame: {e.cond!r}")
-    raise NotDifferentiable(f"no derivative rule for {e!r}")
+        raise _no_derivative("branch condition moves with the frame:", e.cond)
+    raise _no_derivative("no derivative rule for", e)
 
 
 def lie_deriv(ctx: DerivCtx, e: Expr) -> DerivResult:

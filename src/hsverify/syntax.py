@@ -27,7 +27,8 @@ from .expr import (
     Add, And, BoolLit, Cos, Div, Eq, Exists, Exp, Expr, FALSE, Forall, Ge,
     Gt, Iff, Implies, Inner, Ite, Le, Ln, LogicalVar, Lt, Mul, Neg, Neq,
     Norm, Not, Or, Pow, RatLit, ScalarMul, Sin, Sqrt, Sub, Subst, TRUE,
-    VarRead, VecLit, MAX_DEPTH, RELATIONS, children, depth, kind_of, read,
+    VarRead, VecLit, MAX_DEPTH, RELATIONS, children, depth, free_lenses,
+    kind_of, read,
 )
 from .program import (
     Abort, Assign, Choice, Evol, HybridProgram, If, Loop, NONNEG, ODE, Seq,
@@ -191,6 +192,10 @@ _FUNCS1 = {"sin": Sin, "cos": Cos, "exp": Exp, "ln": Ln, "sqrt": Sqrt,
 
 _TOP_KEYWORDS = ("dataspace", "program", "flow", "goal")
 
+# each declaration section's keyword and role; the reader and the writer
+# both read this table
+_ROLES = {"constants": CONSTANT, "variables": VARIABLE, "ghost": GHOST}
+
 # Each infix operator's node and binding power, loosest first; the reader
 # and the writer both read this table.  `->` groups to the right, a
 # comparison takes no comparison as an operand, and the rest group to the
@@ -291,10 +296,23 @@ class _Parser:
         except (KindMismatch, StoreError) as err:
             raise ParseError(str(err), tok.line, tok.col) from err
 
-    def check_bool(self, e: Expr, tok: Token) -> Expr:
-        if self.check_kind(e, tok) != BOOL:
-            raise self.fail("expected a boolean formula", tok)
+    def located(self):
+        """The first token at the cursor, and the expression it starts."""
+        return self.peek(), self.expr()
+
+    def formula(self) -> Expr:
+        """A formula, whose kind error points at its first token."""
+        start, e = self.located()
+        if self.check_kind(e, start) != BOOL:
+            raise self.fail("expected a boolean formula", start)
         return e
+
+    def commas(self, read) -> list:
+        """read(), then again after each comma."""
+        items = [read()]
+        while self.take(","):
+            items.append(read())
+        return items
 
     # -- toplevel
 
@@ -336,32 +354,26 @@ class _Parser:
         self.ds = Dataspace()
         self.expect("{")
         while not self.take("}"):
-            if self.at("constants"):
-                self.decl_section(CONSTANT)
-            elif self.at("variables"):
-                self.decl_section(VARIABLE)
-            elif self.at("ghost"):
-                self.decl_section(GHOST)
-            elif self.at("assumes"):
-                self.assume_section()
+            role = _ROLES.get(self.peek().text)
+            if role is not None:
+                self.next()
+                self.commas(lambda: self.declaration(role))
+            elif self.take("assumes"):
+                self.commas(self.assumption)
             else:
                 raise self.fail("expected constants, assumes, variables, or ghost")
+            self.expect(";")
 
-    def decl_section(self, role: str) -> None:
-        self.next()
-        while True:
-            t = self.ident("declaration name")
-            self.expect(":")
-            k = self.kind()
-            if role == GHOST and k != REAL:
-                raise self.fail("ghost declarations are real-valued", t)
-            try:
-                self.ds.declare(t.text, k, role)
-            except StoreError as err:
-                raise ParseError(str(err), t.line, t.col) from err
-            if not self.take(","):
-                break
-        self.expect(";")
+    def declaration(self, role: str) -> None:
+        t = self.ident("declaration name")
+        self.expect(":")
+        k = self.kind()
+        if role == GHOST and k != REAL:
+            raise self.fail("ghost declarations are real-valued", t)
+        try:
+            self.ds.declare(t.text, k, role)
+        except StoreError as err:
+            raise ParseError(str(err), t.line, t.col) from err
 
     def kind(self) -> Kind:
         t = self.next()
@@ -378,19 +390,20 @@ class _Parser:
             return vec(int(d.value))
         raise self.fail(f"unknown kind {t.text!r}", t)
 
-    def assume_section(self) -> None:
-        self.next()
-        while True:
-            t = self.ident("assumption name")
-            if any(n == t.text for n, _ in self.assumes):
-                raise self.fail(f"duplicate assumption {t.text!r}", t)
-            self.expect(":")
-            start = self.peek()
-            e = self.check_bool(self.expr(), start)
-            self.assumes.append((t.text, e))
-            if not self.take(","):
-                break
-        self.expect(";")
+    def assumption(self) -> None:
+        t = self.ident("assumption name")
+        if any(n == t.text for n, _ in self.assumes):
+            raise self.fail(f"duplicate assumption {t.text!r}", t)
+        self.expect(":")
+        start = self.peek()
+        e = self.formula()
+        # every condition takes the assumptions as hypotheses, also where
+        # the program has moved the store: only constants stay put
+        for l in free_lenses(e):
+            if self.ds.role_of(l.name) != CONSTANT:
+                msg = f"assumption {t.text} reads {l.name}, which is not a constant"
+                raise self.fail(msg, start)
+        self.assumes.append((t.text, e))
 
     # -- expressions
 
@@ -448,15 +461,11 @@ class _Parser:
         e = self.atom()
         while self.at("["):
             t = self.next()
-            idx = self.next()
-            if idx.kind != "num" or idx.value.denominator != 1:
-                raise self.fail("coordinate index must be an integer", idx)
-            self.expect("]")
-            if isinstance(e, VarRead) and isinstance(e.lens, Var):
-                e = read(e.lens.name, int(idx.value))
-                self.check_kind(e, t)
-            else:
+            i = self.index()
+            if not (isinstance(e, VarRead) and isinstance(e.lens, Var)):
                 raise self.fail("coordinates apply to declared vector names", t)
+            e = read(e.lens.name, i)
+            self.check_kind(e, t)
         if self.take("^"):
             t = self.next()
             if t.kind != "num" or t.value.denominator != 1 or t.value < 0:
@@ -476,9 +485,7 @@ class _Parser:
             return e
         if self.take("["):
             with self.nested():
-                items = [self.expr()]
-                while self.take(","):
-                    items.append(self.expr())
+                items = self.commas(self.expr)
             self.expect("]")
             return VecLit(tuple(items))
         if self.take("if"):
@@ -561,12 +568,9 @@ class _Parser:
         if self.take("abort"):
             return Abort()
         if self.take("?"):
-            start = self.peek()
-            return Test(self.check_bool(self.expr(), start))
-        if self.at("if"):
-            self.next()
-            start = self.peek()
-            c = self.check_bool(self.expr(), start)
+            return Test(self.formula())
+        if self.take("if"):
+            c = self.formula()
             self.expect("then")
             with self.nested():
                 a = self.unit()
@@ -577,9 +581,7 @@ class _Parser:
             with self.nested():
                 body = self.program()
             self.expect("inv")
-            start = self.peek()
-            inv = self.check_bool(self.expr(), start)
-            return Loop(body, invariant=inv)
+            return Loop(body, invariant=self.formula())
         if self.at("{"):
             return self.braces()
         if self.at("(") and self.assignment_ahead():
@@ -615,101 +617,80 @@ class _Parser:
                 continue
             return toks[i].text == ")" and toks[i + 1].text == ":="
 
+    def index(self) -> int:
+        """A coordinate index and its closing bracket."""
+        idx = self.next()
+        if idx.kind != "num" or idx.value.denominator != 1:
+            raise self.fail("coordinate index must be an integer", idx)
+        self.expect("]")
+        return int(idx.value)
+
     def lens_ref(self):
+        """The lens a program writes, and its name's token."""
         t = self.ident("variable")
         if t.text not in self.space().names():
             raise self.fail(f"undeclared variable {t.text!r}", t)
-        if self.take("["):
-            idx = self.next()
-            if idx.kind != "num" or idx.value.denominator != 1:
-                raise self.fail("coordinate index must be an integer", idx)
-            self.expect("]")
-            l = Coord(t.text, int(idx.value))
-            self.check_kind(VarRead(l), t)
-            return l, t
-        return Var(t.text), t
+        if self.ds.role_of(t.text) == CONSTANT:
+            raise self.fail(f"constant {t.text!r} cannot be written", t)
+        if not self.take("["):
+            return Var(t.text), t
+        l = Coord(t.text, self.index())
+        self.check_kind(VarRead(l), t)
+        return l, t
+
+    def typed(self, target, term, what: str):
+        """The entry (lens, e) once e has the lens's kind; what is the kind
+        error, with {} for the lens's name."""
+        (l, lt), (start, e) = target, term
+        if self.check_kind(e, start) != self.check_kind(VarRead(l), lt):
+            raise self.fail(what.format(lt.text), start)
+        return l, e
+
+    def entry(self, seps: tuple, noun: str):
+        """A target lens, seps, and a term of the lens's kind."""
+        target = self.lens_ref()
+        for sep in seps:
+            self.expect(sep)
+        return self.typed(target, self.located(), noun + " for {} has the wrong kind")
 
     def assignment(self) -> Assign:
-        targets = []
-        tuple_form = self.take("(")
-        if tuple_form:
-            targets.append(self.lens_ref())
-            while self.take(","):
-                targets.append(self.lens_ref())
+        if self.take("("):
+            targets = self.commas(self.lens_ref)
             self.expect(")")
-        else:
-            targets.append(self.lens_ref())
-        self.expect(":=")
-        exprs = []
-        if tuple_form:
+            self.expect(":=")
             self.expect("(")
-            exprs.append((self.peek(), self.expr()))
-            while self.take(","):
-                exprs.append((self.peek(), self.expr()))
+            terms = self.commas(self.located)
             self.expect(")")
         else:
-            exprs.append((self.peek(), self.expr()))
-        if len(targets) != len(exprs):
+            targets = [self.lens_ref()]
+            self.expect(":=")
+            terms = [self.located()]
+        if len(targets) != len(terms):
             raise self.fail("assignment arity mismatch", targets[0][1])
-        entries = []
-        for (l, lt), (start, e) in zip(targets, exprs):
-            want = self.check_kind(VarRead(l), lt)
-            if self.check_kind(e, start) != want:
-                raise self.fail(f"assigned expression has the wrong kind for {lt.text}", start)
-            entries.append((l, e))
-        return Assign(Subst(tuple(entries), self.space()))
+        what = "assigned expression has the wrong kind for {}"
+        return Assign(Subst(tuple(self.typed(l, e, what) for l, e in zip(targets, terms)),
+                            self.space()))
 
     def braces(self) -> HybridProgram:
+        """`{x' = f, … | guard on lo..hi}` or `{evol x = e, … | guard}`."""
         self.expect("{")
-        if self.take("evol"):
-            entries = [self.flow_entry("=")]
-            while self.take(","):
-                entries.append(self.flow_entry("="))
-            guard, _ = self.guard_opt()
-            self.expect("}")
-            frame = Frame(tuple(l for l, _ in entries))
-            return Evol(frame, Subst(tuple(entries), self.space()), guard=guard)
-        entries = [self.ode_entry()]
-        while self.take(","):
-            entries.append(self.ode_entry())
-        guard, dur = self.guard_opt(allow_on=True)
-        self.expect("}")
-        frame = Frame(tuple(l for l, _ in entries))
-        return ODE(frame, Subst(tuple(entries), self.space()), guard=guard, dur=dur)
-
-    def ode_entry(self):
-        l, lt = self.lens_ref()
-        self.expect("'")
-        self.expect("=")
-        start = self.peek()
-        e = self.expr()
-        if self.check_kind(e, start) != self.check_kind(VarRead(l), lt):
-            raise self.fail(f"field for {lt.text} has the wrong kind", start)
-        return l, e
-
-    def flow_entry(self, sep: str):
-        l, lt = self.lens_ref()
-        self.expect(sep)
-        start = self.peek()
-        e = self.expr()
-        if self.check_kind(e, start) != self.check_kind(VarRead(l), lt):
-            raise self.fail(f"flow for {lt.text} has the wrong kind", start)
-        return l, e
-
-    def guard_opt(self, allow_on: bool = False):
-        guard = TRUE
+        evol = self.take("evol")
+        seps, noun = (("=",), "flow") if evol else (("'", "="), "field")
+        entries = self.commas(lambda: self.entry(seps, noun))
+        guard = self.formula() if self.take("|") else TRUE
         dur = NONNEG
-        if self.take("|"):
-            start = self.peek()
-            guard = self.check_bool(self.expr(), start)
-        if allow_on and self.take("on"):
+        if not evol and self.take("on"):
             lo = self.rat("duration bound")
             self.expect("..")
             hi = self.rat("duration bound")
             if lo < 0 or hi < lo:
                 raise self.fail("duration interval must satisfy 0 <= lo <= hi")
             dur = interval(lo, hi)
-        return guard, dur
+        self.expect("}")
+        frame, subst = Frame(tuple(l for l, _ in entries)), Subst(tuple(entries), self.space())
+        if evol:
+            return Evol(frame, subst, guard=guard)
+        return ODE(frame, subst, guard=guard, dur=dur)
 
     def rat(self, what: str) -> Fraction:
         neg = self.take("-")
@@ -740,9 +721,7 @@ class _Parser:
             raise self.fail(f"flow target {target.text!r} is not an ODE", target)
         self.expect("=")
         self.expect("[")
-        entries = [self.flow_entry("~>")]
-        while self.take(","):
-            entries.append(self.flow_entry("~>"))
+        entries = self.commas(lambda: self.entry(("~>",), "flow"))
         self.expect("]")
         lip = None
         if self.take("lipschitz"):
@@ -757,23 +736,17 @@ class _Parser:
             raise self.fail(f"duplicate goal {t.text!r}", t)
         self.expect(":")
         self.expect("{")
-        start = self.peek()
-        pre = self.check_bool(self.expr(), start)
+        pre = self.formula()
         self.expect("}")
         pt = self.ident("program name")
         if pt.text not in self.programs:
             raise self.fail(f"unknown program {pt.text!r}", pt)
         self.expect("{")
-        start = self.peek()
-        post = self.check_bool(self.expr(), start)
+        post = self.formula()
         self.expect("}")
         self.expect("by")
         method = self.method(t.text)
-        using = []
-        if self.take("using"):
-            using.append(self.ident("assumption name"))
-            while self.take(","):
-                using.append(self.ident("assumption name"))
+        using = self.commas(lambda: self.ident("assumption name")) if self.take("using") else []
         self.refs += [(t.text, "assumption", u) for u in using]
         self.goals.append(Goal(t.text, pre, pt.text, post, method,
                                tuple(u.text for u in using)))
@@ -794,8 +767,7 @@ class _Parser:
             if g.text not in self.space().names() or self.space().role_of(g.text) != GHOST:
                 raise self.fail(f"{g.text!r} is not a declared ghost", g)
             self.expect(",")
-            start = self.peek()
-            inv = self.check_bool(self.expr(), start)
+            inv = self.formula()
             self.expect(",")
             rate = self.rat("growth rate")
             self.expect(")")
@@ -810,8 +782,7 @@ def parse(text: str) -> ModelFile:
 # ---------------------------------------------------------------------------
 # The writer
 
-_FUNC_TEXT = {Sin: "sin", Cos: "cos", Exp: "exp", Ln: "ln", Sqrt: "sqrt",
-              Norm: "norm"}
+_FUNC_TEXT = {node: text for text, node in _FUNCS1.items()}
 # each infix node's token and binding power; a scaling prints as `*`
 _INFIX_TEXT = {node: (text, p) for text, (node, p) in _INFIX.items()}
 _INFIX_TEXT[ScalarMul] = _INFIX_TEXT[Mul]
@@ -866,11 +837,37 @@ def pretty_expr(e: Expr, prec: int = 0) -> str:
     raise TypeError(f"cannot print {e!r}")
 
 
-def _unit_text(p: HybridProgram) -> str:
+def _bracketed(p: HybridProgram, loose: tuple) -> str:
     s = pretty_program(p)
-    if isinstance(p, (Seq, Choice, Loop)):
-        return f"({s})"
-    return s
+    return f"({s})" if isinstance(p, loose) else s
+
+
+def _entries(entries, sep: str) -> str:
+    return ", ".join(f"{l}{sep}{pretty_expr(e)}" for l, e in entries)
+
+
+def _guard(g: Expr) -> str:
+    return "" if g == TRUE else f" | {pretty_expr(g)}"
+
+
+# `;` groups to the right, so its chain runs down `second`, and `|` groups
+# to the left, so its chain runs down `left`: each chain's text, the side
+# it runs down, the other side, and the parts it brackets
+_CHAINS = {Seq: (" ; ", "second", "first", (Seq, Choice)),
+           Choice: (" | ", "left", "right", (Choice,))}
+
+
+def _chain(p: HybridProgram) -> str:
+    node = type(p)
+    sep, down, side, loose = _CHAINS[node]
+    parts = []
+    while isinstance(p, node):
+        parts.append(getattr(p, side))
+        p = getattr(p, down)
+    parts.append(p)
+    if node is Choice:  # gathered from the right end
+        parts.reverse()
+    return sep.join(_bracketed(x, loose) for x in parts)
 
 
 def pretty_program(p: HybridProgram) -> str:
@@ -883,88 +880,54 @@ def pretty_program(p: HybridProgram) -> str:
     if isinstance(p, Assign):
         entries = p.subst.entries
         if len(entries) == 1:
-            l, e = entries[0]
-            return f"{l!r} := {pretty_expr(e)}"
+            return _entries(entries, " := ")
         lhs = ", ".join(repr(l) for l, _ in entries)
         rhs = ", ".join(pretty_expr(e) for _, e in entries)
         return f"({lhs}) := ({rhs})"
-    if isinstance(p, Seq):
-        parts = []
-        cur = p
-        while isinstance(cur, Seq):
-            parts.append(cur.first)
-            cur = cur.second
-        parts.append(cur)
-        return " ; ".join(_seq_part(x) for x in parts)
-    if isinstance(p, Choice):
-        parts = [p.right]
-        cur = p.left
-        while isinstance(cur, Choice):
-            parts.insert(0, cur.right)
-            cur = cur.left
-        parts.insert(0, cur)
-        return " | ".join(pretty_program(x) for x in parts)
+    if type(p) in _CHAINS:
+        return _chain(p)
     if isinstance(p, If):
-        return (f"if {pretty_expr(p.cond)} then {_unit_text(p.then)} "
-                f"else {_unit_text(p.other)}")
+        units = (Seq, Choice, Loop)
+        return (f"if {pretty_expr(p.cond)} then {_bracketed(p.then, units)} "
+                f"else {_bracketed(p.other, units)}")
     if isinstance(p, Loop):
         inv = pretty_expr(p.invariant) if p.invariant is not None else "true"
         return f"(loop {pretty_program(p.body)} inv {inv})"
     if isinstance(p, ODE):
-        inner = ", ".join(f"{l!r}' = {pretty_expr(e)}"
-                          for l, e in p.rhs.entries)
-        tail = "" if p.guard == TRUE else f" | {pretty_expr(p.guard)}"
-        if p.dur.hi is not None:
-            tail += f" on {p.dur.lo}..{p.dur.hi}"
-        return "{" + inner + tail + "}"
+        dur = "" if p.dur.hi is None else f" on {p.dur.lo}..{p.dur.hi}"
+        return "{" + _entries(p.rhs.entries, "' = ") + _guard(p.guard) + dur + "}"
     if isinstance(p, Evol):
-        inner = ", ".join(f"{l!r} = {pretty_expr(e)}"
-                          for l, e in p.flow.entries)
-        tail = "" if p.guard == TRUE else f" | {pretty_expr(p.guard)}"
-        return "{evol " + inner + tail + "}"
+        return "{evol " + _entries(p.flow.entries, " = ") + _guard(p.guard) + "}"
     raise TypeError(f"cannot print {p!r}")
 
 
-def _seq_part(p: HybridProgram) -> str:
-    if isinstance(p, (Seq, Choice)):
-        return f"({pretty_program(p)})"
-    return pretty_program(p)
-
-
 def pretty_method(m: Method) -> str:
-    if m.name == "flow":
-        return f"flow({m.args[0]})"
-    if m.name == "dGhost":
-        g, inv, rate = m.args
-        return f"dGhost({g}, {pretty_expr(inv)}, {rate})"
-    return m.name
+    """The method's name, then its arguments, if any, in brackets."""
+    if not m.args:
+        return m.name
+    args = (pretty_expr(a) if isinstance(a, Expr) else str(a) for a in m.args)
+    return f"{m.name}({', '.join(args)})"
 
 
 def pretty(model: ModelFile) -> str:
     ds = model.dataspace
     lines = [f"dataspace {model.name} {{"]
-    for role, kw in ((CONSTANT, "constants"), (VARIABLE, "variables"),
-                     (GHOST, "ghost")):
+    for kw, role in _ROLES.items():
         decls = [f"{n} : {ds.kind_of(n)!r}"
                  for n in ds.names() if ds.role_of(n) == role]
         if decls:
             lines.append(f"  {kw} {', '.join(decls)};")
     if model.assumes:
-        inner = ", ".join(f"{n}: {pretty_expr(e)}" for n, e in model.assumes)
-        lines.append(f"  assumes {inner};")
+        lines.append(f"  assumes {_entries(model.assumes, ': ')};")
     lines.append("}")
     for name, prog in model.programs.items():
-        lines.append("")
-        lines.append(f"program {name} = {pretty_program(prog)}")
+        lines += ["", f"program {name} = {pretty_program(prog)}"]
     for f in model.flows:
-        lines.append("")
-        inner = ", ".join(f"{l!r} ~> {pretty_expr(e)}"
-                          for l, e in f.flow.entries)
         tail = f" lipschitz {f.lipschitz}" if f.lipschitz is not None else ""
-        lines.append(f"flow {f.name} for {f.target} = [{inner}]{tail}")
+        inner = _entries(f.flow.entries, " ~> ")
+        lines += ["", f"flow {f.name} for {f.target} = [{inner}]{tail}"]
     for g in model.goals:
-        lines.append("")
         tail = f" using {', '.join(g.using)}" if g.using else ""
-        lines.append(f"goal {g.name} : {{ {pretty_expr(g.pre)} }} {g.prog_name} "
-                     f"{{ {pretty_expr(g.post)} }} by {pretty_method(g.method)}{tail}")
+        lines += ["", f"goal {g.name} : {{ {pretty_expr(g.pre)} }} {g.prog_name} "
+                      f"{{ {pretty_expr(g.post)} }} by {pretty_method(g.method)}{tail}"]
     return "\n".join(lines) + "\n"

@@ -336,6 +336,45 @@ def test_assignment_checks():
         parse_prog("x := flag")
 
 
+@pytest.mark.parametrize("src, where", [
+    # a formula that is not boolean, in each place the reader wants one
+    (PREAMBLE.replace("cpos: c > 0", "cpos: c + 1"), "6:17: expected a boolean formula"),
+    (PREAMBLE + "program p = ? x + 1", "9:15: expected a boolean formula"),
+    (PREAMBLE + "program p = if x then skip else skip", "9:16: expected a boolean formula"),
+    (PREAMBLE + "program p = loop skip inv x", "9:27: expected a boolean formula"),
+    (PREAMBLE + "program p = { x' = 1 | x }", "9:24: expected a boolean formula"),
+    (PREAMBLE + "goal g : { x } noop { true } by wp", "9:12: expected a boolean formula"),
+    (PREAMBLE + "goal g : { true } noop { x } by wp", "9:26: expected a boolean formula"),
+    (PREAMBLE + "goal g : { true } noop { true } by dGhost(y, x, 1)",
+     "9:46: expected a boolean formula"),
+    # a term of the wrong kind for its target
+    (PREAMBLE + "program p = { x' = 1, z' = flag }", "9:28: field for z has the wrong kind"),
+    (PREAMBLE + "program p = { evol x = x + tau, z = flag }",
+     "9:37: flow for z has the wrong kind"),
+    (PREAMBLE + "program p = { x' = 1 }\nflow f for p = [x ~> u]",
+     "10:22: flow for x has the wrong kind"),
+    (PREAMBLE + "program p = (x, z) := (1, flag)",
+     "9:27: assigned expression has the wrong kind for z"),
+    # a coordinate index that is not an integer, in a target and in a term
+    (PREAMBLE + "program p = u[x] := 0", "9:15: coordinate index must be an integer"),
+    (PREAMBLE + "program p = x := u[0.5]", "9:20: coordinate index must be an integer"),
+    (PREAMBLE + "program p = (x, z) := (1, 2, 3)", "9:14: assignment arity mismatch"),
+    # a constant as a target, which would make the assumption on it untrue
+    (PREAMBLE + "program q = c := 1", "9:13: constant 'c' cannot be written"),
+    (PREAMBLE + "program q = (x, c) := (1, 2)", "9:17: constant 'c' cannot be written"),
+    (PREAMBLE + "program q = { x' = 1, c' = 0 }", "9:23: constant 'c' cannot be written"),
+    (PREAMBLE + "program q = { evol c = c + tau }", "9:20: constant 'c' cannot be written"),
+    (PREAMBLE + "program q = { x' = 1 }\nflow f for q = [x ~> x + tau, c ~> c]",
+     "10:31: constant 'c' cannot be written"),
+], ids=["assumption", "test", "if", "inv", "guard", "pre", "post", "dGhost", "field",
+        "evol", "flow", "assign", "target-index", "term-index", "arity", "const-assign",
+        "const-tuple", "const-field", "const-evol", "const-flow"])
+def test_reader_errors_are_located(src, where):
+    with pytest.raises(ParseError) as e:
+        parse(src)
+    assert str(e.value) == where
+
+
 def test_seq_and_choice():
     p = parse_prog("skip ; x := 1 ; skip")
     assert p == Seq(Skip(), Seq(Assign(p.second.first.subst), Skip()))
@@ -547,12 +586,32 @@ goal stays : { x >= 0 } timed { x >= 0 } by dInductMega
 goal body : { true } timed { exists v. (v = 1 <-> x = 1) } by wp
 """
 
+# chains bracketed against their grouping, a tuple assignment, a loop as an
+# if branch, a ghost and a dGhost goal
+CHAINS = """
+dataspace chains {
+  constants k : real;
+  assumes kpos: k > 0;
+  variables x : real, z : real;
+  ghost y : real;
+}
+
+program a = x := x + 1
+program b = (x, z) := (z, x)
+program c = if x > 0 then loop a inv x > 0 else skip
+program left = (a ; b) ; c
+program right = a | (b | c)
+program dec = { x' = -k * x }
+
+goal pos : { x > 0 } dec { x > 0 } by dGhost(y, x * y^2 = 1, 1/2)
+"""
+
 ROUND_TRIP_MODELS = sorted(
     (pathlib.Path(__file__).resolve().parent.parent / "models").glob("*.hsv"))
 
 
-@pytest.mark.parametrize("src", [p.read_text() for p in ROUND_TRIP_MODELS] + [DURATIONS],
-                         ids=[p.name for p in ROUND_TRIP_MODELS] + ["durations"])
+@pytest.mark.parametrize("src", [p.read_text() for p in ROUND_TRIP_MODELS] + [DURATIONS, CHAINS],
+                         ids=[p.name for p in ROUND_TRIP_MODELS] + ["durations", "chains"])
 def test_round_trip_model(src):
     _assert_round_trip(src)
 

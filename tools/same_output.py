@@ -22,8 +22,9 @@ own, which imports hsverify from that tree's src/ and makes these calls:
     trials (falsify-generated's evol goals still sample binder grids);
   - ``vcs MODEL --seed 0`` over each models/*.hsv and each prove-generated
     model of seed 0, which prints every condition after substitution;
-  - ``syntax.pretty(syntax.parse(text))`` over the same models, which
-    prints each model through the model writer;
+  - ``syntax.pretty(syntax.parse(text))`` over the same models, each
+    falsify-generated model of seed 0 (guarded ``evol`` programs) and
+    PROBES, which prints each model through the model writer;
   - ``falsify MODEL --seed 0`` over each prove-generated model of seed 0,
     whose conditions the falsifier either tries or skips;
   - ``verify MODEL --seed 0 --emit-smt DIR`` over each prove-generated model
@@ -176,15 +177,17 @@ def worker(tree: str, workloads_py: str, work: str) -> int:
     def main_of(argv):
         return lambda: cli.main(list(argv))
 
-    generated = []  # the prove-generated models of seed 0
+    # the prove-generated and falsify-generated models of seed 0
+    seed0 = {"prove-generated": [], "falsify-generated": []}
     for name in W.WORKLOADS:
         for seed in SEEDS:
             where = os.path.join(work, f"{name}-{seed}")
             os.makedirs(where)
             for i, call in enumerate(W.GENERATORS[name](tree, seed, where)):
                 emit(f"{name} seed {seed} #{i} {call.label}", main_of(call.argv))
-                if name == "prove-generated" and seed == 0:
-                    generated.append(call.argv[1])
+                if seed == 0 and name in seed0:
+                    seed0[name].append(call.argv[1])
+    generated, falsified = seed0["prove-generated"], seed0["falsify-generated"]
     defect = list(W.KNOWN_DEFECT_ARGV)
     defect[1] = os.path.join(tree, defect[1])
     emit("known defect", main_of(defect))
@@ -208,7 +211,7 @@ def worker(tree: str, workloads_py: str, work: str) -> int:
                   "--seed", "0"]))
     for path in shipped + generated:
         emit(f"vcs {os.path.basename(path)}", main_of(["vcs", path, "--seed", "0"]))
-    for path in shipped + generated:
+    for path in shipped + generated + falsified + [probes]:
         def pretty(path=path):
             with open(path, encoding="utf-8") as f:
                 print(syntax.pretty(syntax.parse(f.read())), end="")

@@ -26,7 +26,8 @@ from .arith import ArithCtx, falsify
 from .deriv import NotDifferentiable
 from .expr import EvalError, Implies, RatLit, UnsupportedConstruct
 from .program import (
-    SimConfig, StepSizeTooLarge, fmt_value, format_trace, simulate_traced,
+    Loop, SimConfig, StepSizeTooLarge, fmt_value, format_trace, simulate_traced,
+    subprograms,
 )
 from .store import StoreError
 from .syntax import Goal, ModelFile, ParseError, parse, pretty_expr, pretty_method
@@ -127,6 +128,18 @@ def _goal_flows(model: ModelFile, goal: Goal, table: FlowTable,
     return flows
 
 
+def _goal_vcs(model: ModelFile, goal: Goal, table: FlowTable,
+              failed_flows: dict) -> Optional[list]:
+    """A goal's weakest-precondition conditions, or None when it has none:
+    a loop without an invariant, an ODE without a certified flow, or a
+    failed named flow, which run_goal reports."""
+    triple = Triple(goal.pre, model.programs[goal.prog_name], goal.post)
+    try:
+        return gen_vcs(triple, _goal_flows(model, goal, table, failed_flows))
+    except (VcgError, ModelError):
+        return None
+
+
 def run_goal(model: ModelFile, goal: Goal, table: FlowTable, failed_flows: dict,
              seed: int, trials: int = 300) -> ProofResult:
     ctx = _ctx(model, _goal_seed(seed, goal.name))
@@ -137,7 +150,9 @@ def run_goal(model: ModelFile, goal: Goal, table: FlowTable, failed_flows: dict,
     m = goal.method
     if m.name in ("wp", "flow"):
         flows = _goal_flows(model, goal, table, failed_flows)
-        return settle("wp", [check_vc(vc, ctx, trials) for vc in gen_vcs(triple, flows)])
+        # a loop's conditions hold only relative to its written invariant
+        return settle("wp", [check_vc(vc, ctx, trials) for vc in gen_vcs(triple, flows)],
+                      exact=not any(isinstance(q, Loop) for q in subprograms(prog)))
     if m.name in ("dInduct", "dInductAuto"):
         ind = d_induct(prog, goal.post, ctx, facts=facts,
                        exact=(m.name == "dInduct"))
@@ -289,11 +304,10 @@ def cmd_vcs(args) -> int:
     code = 0
     for goal in goals:
         print(f"goal {goal.name} ({pretty_method(goal.method)}):")
-        triple = Triple(goal.pre, model.programs[goal.prog_name], goal.post)
-        try:
-            vcs = gen_vcs(triple, _goal_flows(model, goal, table, failed))
+        vcs = _goal_vcs(model, goal, table, failed)
+        if vcs is not None:
             pairs = [(vc, ()) for vc in vcs]
-        except (VcgError, ModelError):  # run_goal reports a failed named flow
+        else:
             try:
                 r = run_goal(model, goal, table, failed, args.seed, trials=0)
             except _GOAL_ERRORS as e:
@@ -315,22 +329,17 @@ def cmd_falsify(args) -> int:
     table, _, failed = _certify_flows(model, args.seed)
     for goal in goals:
         ctx = _ctx(model, args.seed)
-        triple = Triple(goal.pre, model.programs[goal.prog_name], goal.post)
-        try:
-            flows = _goal_flows(model, goal, table, failed)
-            formulas = [(vc.vc_id, vc.formula) for vc in gen_vcs(triple, flows)]
-        except (VcgError, ModelError):  # run_goal reports a failed named flow
-            formulas = []
-        for vc_id, f in formulas:
-            w = falsify(f, ctx, trials=args.trials, seed=args.seed)
+        vcs = _goal_vcs(model, goal, table, failed) or []
+        for vc in vcs:
+            w = falsify(vc.formula, ctx, trials=args.trials, seed=args.seed)
             if w is not None:
-                print(f"goal {goal.name}: counterexample for {vc_id}")
+                print(f"goal {goal.name}: counterexample for {vc.vc_id}")
                 for n, v in w["store"].items():
                     print(f"  {n} = {fmt_value(v)}")
                 for n, v in w["env"].items():
                     print(f"  {n} = {fmt_value(v)} (logical)")
                 return 2
-        if not formulas:
+        if not vcs:
             try:
                 r = run_goal(model, goal, table, failed, args.seed, trials=args.trials)
             except _GOAL_ERRORS as e:

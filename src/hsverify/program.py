@@ -13,11 +13,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .arith import Box, q_eval
 from .expr import (
-    Expr, Folded, RatLit, Subst, TRUE, compile_expr, eval_expr, fold_constants,
+    Expr, Folded, RatLit, Subst, TRUE, compile_expr, conjuncts, eval_expr,
+    fold_constants, unrest,
 )
 from .store import Coord, Frame, Store, lens_get
 
@@ -139,28 +140,35 @@ class SimConfig:
     rng_seed: int = 0
 
 
+# the programs directly inside each compound program, by field name
+_PARTS = {Seq: ("first", "second"), Choice: ("left", "right"),
+          If: ("then", "other"), Loop: ("body",)}
+
+
+def subprograms(p: HybridProgram) -> Iterator[HybridProgram]:
+    """p and every program inside it, in pre-order."""
+    yield p
+    for name in _PARTS.get(type(p), ()):
+        yield from subprograms(getattr(p, name))
+
+
 def modset(p: HybridProgram) -> Frame:
     """Syntactic overapproximation of the lenses p can write."""
-    if isinstance(p, (Skip, Abort, Test)):
-        return Frame()
-    if isinstance(p, Assign):
-        return Frame(p.subst.lenses())
-    if isinstance(p, (Seq, Choice)):
-        a = p.first if isinstance(p, Seq) else p.left
-        b = p.second if isinstance(p, Seq) else p.right
-        return modset(a).union(modset(b))
-    if isinstance(p, If):
-        return modset(p.then).union(modset(p.other))
-    if isinstance(p, Loop):
-        return modset(p.body)
-    if isinstance(p, (ODE, Evol)):
-        return p.frame
-    raise TypeError(f"not a program: {p!r}")
+    return Frame(l for q in subprograms(p)
+                 for l in (q.subst.lenses() if isinstance(q, Assign) else
+                           q.frame if isinstance(q, (ODE, Evol)) else ()))
 
 
-def nmods(p: HybridProgram, a: Frame) -> bool:
-    """p provably leaves every lens of a alone."""
-    return modset(p).disjoint(a)
+def framed(p: HybridProgram, facts: Expr) -> list:
+    """The frame rule: the conjuncts of facts, each once and true dropped,
+    that read nothing p can write.  Each holds in every state a run of p
+    reaches from a state where facts hold."""
+    written = modset(p)
+    out = []
+    for a in conjuncts(facts):
+        if a != TRUE and a not in out and unrest(written, a):
+            out.append(a)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .expr import (
     Gt, Iff, Implies, Inner, Ite, Le, Ln, LogicalVar, Lt, Mul, Neg, Neq,
     Norm, Not, Or, Pow, RatLit, ScalarMul, Sin, Sqrt, Sub, Subst, TRUE,
     VarRead, VecLit, MAX_DEPTH, RELATIONS, children, depth, free_lenses,
-    kind_of, read,
+    free_logicals, kind_of, read,
 )
 from .program import (
     Abort, Assign, Choice, Evol, HybridProgram, If, Loop, NONNEG, ODE, Seq,
@@ -398,11 +398,14 @@ class _Parser:
         start = self.peek()
         e = self.formula()
         # every condition takes the assumptions as hypotheses, also where
-        # the program has moved the store: only constants stay put
-        for l in free_lenses(e):
-            if self.ds.role_of(l.name) != CONSTANT:
-                msg = f"assumption {t.text} reads {l.name}, which is not a constant"
-                raise self.fail(msg, start)
+        # the program has moved the store: only constants stay put.  A free
+        # logical is a name not declared yet, which a goal would read apart
+        # from the constant declared later.
+        bad = [l.name for l in free_lenses(e) if self.ds.role_of(l.name) != CONSTANT]
+        bad += sorted(free_logicals(e))
+        if bad:
+            msg = f"assumption {t.text} reads {bad[0]}, which is not a constant"
+            raise self.fail(msg, start)
         self.assumes.append((t.text, e))
 
     # -- expressions

@@ -29,8 +29,8 @@ from .expr import (
 )
 from .deriv import DerivCtx, NotDifferentiable, lie_deriv, deriv_in_var
 from .program import (
-    HybridProgram, Skip, Abort, Test, Assign, Seq, Choice, If, Loop,
-    ODE, Evol, TAU, SimConfig, simulate_traced,
+    HybridProgram, Seq, Choice, If, Loop, ODE, Evol, TAU, SimConfig,
+    framed, simulate_traced, subprograms,
 )
 from .vcg import VC, Triple, FlowTable, gen_vcs, wlp, MissingFlow, MissingLoopInvariant
 from .arith import (
@@ -260,11 +260,6 @@ def d_cut(ode: ODE, cut: Expr) -> ODE:
     return replace(ode, guard=guard)
 
 
-def d_discrete_atoms(ode: ODE, pre: Expr) -> list:
-    """Precondition conjuncts untouched by the field; invariant for free."""
-    return [a for a in _dedup(conjuncts(pre)) if unrest(ode.frame, a)]
-
-
 # ---------------------------------------------------------------------------
 # Differential ghosts
 
@@ -375,8 +370,8 @@ def certify_flow(ode: ODE, flow: Subst, ctx: ArithCtx, *,
 
     # the evolution guard is deliberately not a hypothesis: the bound must
     # hold on a convex region, and a guard need not describe one
-    free = replace(ctx, assumptions=tuple(a for a in ctx.assumptions
-                                          if unrest(ode.frame, a)), box=None)
+    free = replace(ctx, assumptions=tuple(framed(ode, conj(ctx.assumptions))),
+                   box=None)
     rows = _rows(ode.frame, ds)
     for xi in rows:
         fi = ode.rhs.lookup(xi)
@@ -458,7 +453,7 @@ def d_induct_mega(ode: ODE, pre: Expr, post: Expr, ctx: ArithCtx, *,
     outcomes = []
     cur = ode
     established = []
-    for a in d_discrete_atoms(ode, pre):
+    for a in framed(ode, pre):
         cur = d_cut(cur, a)
         established.append(a)
         steps.append(f"dD cut {expr_key(a)}")
@@ -511,14 +506,7 @@ def d_induct_mega(ode: ODE, pre: Expr, post: Expr, ctx: ArithCtx, *,
 
 
 def _discrete(p: HybridProgram) -> bool:
-    if isinstance(p, (ODE, Evol, Loop)):
-        return False
-    if isinstance(p, (Seq, Choice)):
-        kids = (p.first, p.second) if isinstance(p, Seq) else (p.left, p.right)
-        return all(_discrete(k) for k in kids)
-    if isinstance(p, If):
-        return _discrete(p.then) and _discrete(p.other)
-    return isinstance(p, (Skip, Abort, Test, Assign))
+    return not any(isinstance(q, (ODE, Evol, Loop)) for q in subprograms(p))
 
 
 def d_prove(triple: Triple, ctx: ArithCtx, flows: Optional[FlowTable] = None,
@@ -545,7 +533,9 @@ def d_prove(triple: Triple, ctx: ArithCtx, flows: Optional[FlowTable] = None,
         vcs = None
     wp = None
     if vcs is not None:
-        wp = settle("wp", [check_vc(vc, ctx, trials) for vc in vcs], exact=exact)
+        # a loop's conditions hold only relative to its written invariant
+        wp = settle("wp", [check_vc(vc, ctx, trials) for vc in vcs],
+                    exact=exact and not any(isinstance(q, Loop) for q in subprograms(p)))
         if wp.status != UNKNOWN:
             return wp
 
@@ -554,9 +544,10 @@ def d_prove(triple: Triple, ctx: ArithCtx, flows: Optional[FlowTable] = None,
         if p.invariant is None:
             raise MissingLoopInvariant("loop rule needs an invariant")
         inv = p.invariant
+        held = conj([inv, *framed(p, pre)])
         init = check_vc(VC("loop-init", Implies(pre, inv), "loop"), ctx)
-        keep = sub(inv, p.body, inv, False)
-        final = check_vc(VC("loop-post", Implies(inv, post), "loop"), ctx)
+        keep = sub(held, p.body, inv, False)
+        final = check_vc(VC("loop-post", Implies(held, post), "loop"), ctx)
         parts = [settle("loop", (init,), exact=False), keep,
                  settle("loop", (final,), exact=False)]
         r = settle("loop", parts=parts, steps=(f"loop invariant {expr_key(inv)}",))

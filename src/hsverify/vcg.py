@@ -4,7 +4,9 @@ Hoare-style triples over hybrid programs are reduced to first-order
 verification conditions by weakest liberal preconditions.  Differential
 equations go through a flow table: an ODE only admits a wlp once a certified
 closed-form solution is on record, and the resulting condition quantifies over
-the duration with the guard held down-closed along the flow.
+the duration with the guard held down-closed along the flow.  Each loop
+condition takes the precondition's facts that the program never writes as a
+hypothesis (the frame rule, `program.framed`).
 """
 
 from __future__ import annotations
@@ -21,16 +23,15 @@ from .expr import (
     Le,
     LogicalVar,
     Not,
-    RatLit,
     Subst,
     TRUE,
     VarRead,
+    conj,
     fresh_logical,
     free_logicals,
     num,
     subst_apply_expr,
     subst_logical,
-    unrest,
 )
 from .program import (
     Abort,
@@ -47,7 +48,7 @@ from .program import (
     Skip,
     TAU,
     Test,
-    modset,
+    framed,
 )
 from .store import Dataspace, Frame
 
@@ -61,10 +62,6 @@ class MissingFlow(VcgError):
 
 
 class MissingLoopInvariant(VcgError):
-    pass
-
-
-class FrameViolation(VcgError):
     pass
 
 
@@ -193,6 +190,8 @@ def gen_vcs(triple: Triple, flows: Optional[FlowTable] = None) -> List[VC]:
     sides: list = []
     body = wlp(triple.prog, triple.post, flows, sides)
     vcs = [VC("main", Implies(triple.pre, body), "precondition establishes wlp")]
+    # the frame rule: what the program never writes holds at every loop
+    frame = conj(framed(triple.prog, triple.pre)) if sides else TRUE
     counts: dict = {}
     for tag, f in sides:
         counts[tag] = counts.get(tag, 0) + 1
@@ -200,24 +199,6 @@ def gen_vcs(triple: Triple, flows: Optional[FlowTable] = None) -> List[VC]:
         origin = ("loop invariant is preserved by the body"
                   if tag == "loop-preserve" else
                   "loop invariant implies the postcondition")
-        vcs.append(VC(vc_id, f, origin))
+        vcs.append(VC(vc_id, f if frame == TRUE else Implies(frame, f), origin))
     return vcs
 
-
-# ---------------------------------------------------------------------------
-# Frame rule
-
-
-def apply_frame_rule(triple: Triple, invariant: Expr) -> Triple:
-    """Conjoin an invariant that the program provably cannot touch.
-
-    Sound because the program writes only inside its modification set and the
-    invariant reads nothing from it.
-    """
-    written = modset(triple.prog)
-    if not unrest(written, invariant):
-        names = ", ".join(sorted(written.names()))
-        raise FrameViolation(
-            f"invariant observes the written frame {{{names}}}")
-    return Triple(And(triple.pre, invariant), triple.prog,
-                  And(triple.post, invariant))

@@ -38,7 +38,7 @@ from hsverify.expr import (
     _rebalance, children, conj, eval_expr, free_logicals, has_type, num, read, rebuild, simplify,
     subst_logical, subst_term, subterms, total, vec_dim,
 )
-from hsverify.program import ODE, Choice, If, Loop, Seq
+from hsverify.program import ODE, Choice, If, Loop, Seq, subprograms
 from hsverify.syntax import _FUNCS1, Token, _Parser
 from hsverify.tactics import (
     UNKNOWN, ProofResult, _dedup, _discrete, check_vc, d_induct_mega, settle,
@@ -1593,7 +1593,9 @@ def reference_peel(formula: Expr) -> list:
 def reference_d_prove(triple: Triple, ctx: ArithCtx, flows=None,
                       depth: int = 8, exact: bool = True, trials: int = 300) -> ProofResult:
     """tactics.d_prove as it was before its recursion, branch split and
-    fallback were each written once; it recurses into itself."""
+    fallback were each written once; it recurses into itself.  Its
+    weakest-precondition attempt settles lossily on a program with a loop,
+    as d_prove's does."""
     pre, p, post = triple.pre, triple.prog, triple.post
     if depth <= 0:
         return ProofResult(UNKNOWN, "depth", ("search depth exhausted",))
@@ -1603,7 +1605,8 @@ def reference_d_prove(triple: Triple, ctx: ArithCtx, flows=None,
     except (MissingFlow, MissingLoopInvariant):
         vcs = None
     if vcs is not None:
-        r = settle("wp", [check_vc(vc, ctx, trials) for vc in vcs], exact=exact)
+        r = settle("wp", [check_vc(vc, ctx, trials) for vc in vcs],
+                   exact=exact and not any(isinstance(q, Loop) for q in subprograms(p)))
         if r.status != UNKNOWN:
             return r
         wp_fallback = r

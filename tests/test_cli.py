@@ -650,6 +650,9 @@ STORE_ASSUMPTIONS = [
     ("variables x : real;\n  assumes pos: x > 0;",
      "{ x' = -1 }", "x > 0", "dInductMega",
      "3:16: assumption pos reads x, which is not a constant"),
+    # read before its declaration, g would be a free logical in every goal
+    ("assumes pos: g > 0;\n  constants g : real;\n  variables x : real;",
+     "x := g", "x > 0", "wp", "2:16: assumption pos reads g, which is not a constant"),
 ]
 
 
@@ -659,6 +662,38 @@ def test_assumptions_hold_in_every_state(capsys, tmp_path, decls, prog, post, me
     p.write_text(f"dataspace d {{\n  {decls}\n}}\n\nprogram p = {prog}\n\n"
                  f"goal g : {{ true }} p {{ {post} }} by {method}\n")
     assert run(capsys, "verify", p) == (1, "", f"error: {p}:{where}\n")
+
+
+# loop goals over x and y: (name, pre, program, post, verdict by wp, verdict
+# by dProve).  The frame rule proves those whose invariant leaves out a fact
+# the loop never writes.  A falsified loop condition shows only that the
+# invariant fails, so s1 (valid) and bad (invalid) are unknown, not refuted.
+W1 = "loop x := x + y inv x >= 0"
+LOOP_GOALS = [
+    ("s1", "x >= 0", "loop x := x + 1 inv x >= 5", "x >= 0", "unknown (wp)", "unknown (wp)"),
+    ("w1", "x >= 0 and y >= 0", W1, "x >= 0", "proved (wp)", "proved (wp)"),
+    ("q1", "x >= 0 and y >= 0", "x := x + 1 ; loop x := x + y inv x >= 1", "x >= 1",
+     "proved (wp)", None),
+    ("f1", "x >= 0 and y > 0", W1, "x >= 0", "proved (wp)", "proved (wp)"),
+    ("f5", "x >= 0 and y >= 0", W1, "x >= 0 and y >= 0", None, "proved (wp)"),
+    ("f3", "x >= 0 and y >= 0", "loop { x' = y } inv x >= 0", "x >= 0", None, "proved (loop)"),
+    ("bad", "x >= 0", W1, "x >= 0", "unknown (wp)", "unknown (wp)"),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_loop_goals_are_framed_and_never_refuted_by_a_condition(capsys, tmp_path, seed):
+    p = tmp_path / "loops.hsv"
+    text = "dataspace d {\n  variables x : real, y : real;\n}\n\n"
+    want = []
+    for name, pre, prog, post, *verdicts in LOOP_GOALS:
+        text += f"program {name} = {prog}\n"
+        for method, verdict in zip(("wp", "dProve"), verdicts):
+            if verdict is not None:
+                text += f"goal {name}_{method} : {{ {pre} }} {name} {{ {post} }} by {method}\n"
+                want.append(f"goal {name}_{method}: {verdict}")
+    p.write_text(text)
+    assert run(capsys, "verify", p, "--seed", seed) == (0, "\n".join(want) + "\n", "")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -46,10 +46,11 @@ from hsverify.program import (
     eval_guard,
     format_trace,
     interval,
+    framed,
     modset,
-    nmods,
     simulate,
     simulate_traced,
+    subprograms,
     _orbit_field,
 )
 from hsverify import program
@@ -76,11 +77,28 @@ def test_modset_structure():
             If(read("flag"),
                Assign(Subst(((Coord("v", 1), num(0)),), ds)),
                Skip()))
+    assert list(subprograms(p)) == [p, p.first, p.second, p.second.then, p.second.other]
     assert modset(p).members == (Var("a"), Coord("v", 1))
-    assert nmods(p, Frame([Var("b"), Coord("v", 2)]))
-    assert not nmods(p, Frame([Var("v")]))
+    assert not any(modset(p).overlaps(l) for l in (Var("b"), Coord("v", 2)))
+    assert modset(p).overlaps(Var("v"))
     loop = Loop(p, invariant=TRUE)
     assert modset(loop) == modset(p)
+
+
+def test_framed():
+    """framed keeps each conjunct once, true dropped, that reads nothing
+    the program writes."""
+    ds = small_dataspace()
+    a, b, v1, v2 = read("a"), read("b"), read("v", 1), read("v", 2)
+    ode = ODE(Frame([Var("a")]), Subst(((Var("a"), b),), ds))
+    facts = And(And(Gt(b, num(0)), TRUE), And(Ge(a, num(0)), Gt(b, num(0))))
+    assert framed(ode, facts) == [Gt(b, num(0))]
+    # writing v[1] leaves v[2] alone, and a fact reading all of v is written
+    bump = Assign(Subst(((Coord("v", 1), num(0)),), ds))
+    facts = And(And(Ge(v2, a), Ge(v1, a)), And(Eq(read("v"), read("v")), Ge(v2, a)))
+    assert framed(bump, facts) == [Ge(v2, a)]
+    assert framed(Seq(bump, ode), facts) == []
+    assert framed(Skip(), TRUE) == []
 
 
 def test_skip_abort_test():

@@ -50,7 +50,6 @@ from hsverify.tactics import (
     UnsupportedRelation,
     certify_flow,
     d_cut,
-    d_discrete_atoms,
     d_ghost,
     d_induct,
     d_induct_mega,
@@ -157,15 +156,6 @@ def test_d_cut_conjoins_guard():
     assert d_cut(ode, cut).guard == cut
     twice = d_cut(d_cut(ode, cut), Le(read("x"), num(5)))
     assert twice.guard == And(cut, Le(read("x"), num(5)))
-
-
-def test_d_discrete_atoms():
-    ds = Dataspace()
-    ds.declare("x", REAL, VARIABLE)
-    ds.declare("c", REAL, CONSTANT)
-    ode = ODE(Frame((Var("x"),)), Subst(((Var("x"), read("c")),), ds))
-    pre = And(Gt(read("c"), ZERO), Ge(read("x"), ZERO))
-    assert d_discrete_atoms(ode, pre) == [Gt(read("c"), ZERO)]
 
 
 # -- ghosts

@@ -44,12 +44,10 @@ from hsverify.program import (
 from hsverify.store import Dataspace, Frame, REAL, Var
 from hsverify.vcg import (
     FlowTable,
-    FrameViolation,
     MissingFlow,
     MissingLoopInvariant,
     Triple,
     VC,
-    apply_frame_rule,
     gen_vcs,
     wlp,
 )
@@ -283,17 +281,19 @@ def test_guard_down_closure_hypothesis_is_usable():
 # -- frame rule -------------------------------------------------------------
 
 
-def test_frame_rule_conjoins_untouched_invariant():
+def test_loop_conditions_take_the_facts_the_program_never_writes():
+    """Each loop condition has the precondition's conjuncts that read
+    nothing the program writes as a hypothesis, each once; one that reads
+    a written name is left out, and a loop-free program gets none."""
     ds = xy_ds()
     bump = Assign(Subst(((Var("x"), Add(x, num(1))),), ds))
-    t = Triple(Ge(x, ZERO), bump, Ge(x, num(1)))
-    framed = apply_frame_rule(t, Eq(y, num(7)))
-    assert framed.pre == And(Ge(x, ZERO), Eq(y, num(7)))
-    assert framed.post == And(Ge(x, num(1)), Eq(y, num(7)))
-
-
-def test_frame_rule_rejects_observing_invariant():
-    ds = xy_ds()
-    bump = Assign(Subst(((Var("x"), Add(x, num(1))),), ds))
-    with pytest.raises(FrameViolation):
-        apply_frame_rule(Triple(TRUE, bump, TRUE), Ge(x, ZERO))
+    inv, seven = Ge(x, ZERO), Eq(y, num(7))
+    pre = And(And(inv, seven), seven)
+    vcs = gen_vcs(Triple(pre, Loop(bump, invariant=inv), Ge(x, num(-1))))
+    assert [(vc.vc_id, vc.formula) for vc in vcs] == [
+        ("main", Implies(pre, inv)),
+        ("loop-preserve", Implies(seven, Implies(inv, Ge(Add(x, num(1)), ZERO)))),
+        ("loop-post", Implies(seven, Implies(inv, Ge(x, num(-1))))),
+    ]
+    vcs = gen_vcs(Triple(pre, bump, Ge(x, num(1))))
+    assert [vc.formula for vc in vcs] == [Implies(pre, Ge(Add(x, num(1)), num(1)))]

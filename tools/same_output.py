@@ -65,7 +65,9 @@ PROBE_SEEDS = (0, 1, 2)
 # facts, three quantified goals, three invalid goals that the monotone rule
 # once proved (m4, m6, m7), four invalid goals once proved by a capturing
 # substitution (r1-r4) by wp and by dProve, two forms of one valid
-# equivalence, and one goal for each leaf rule of the sequent prover.
+# equivalence, one goal for each leaf rule of the sequent prover, and loop
+# goals whose conditions hold only relative to the written invariant: s1,
+# w1, q1, f1, f5 and f3 are valid and bad is not, by wp and by dProve.
 PROBES = """\
 dataspace probes {
   constants g : real, H : real;
@@ -79,6 +81,10 @@ program e = { evol x = x + tau }
 program decay = { x' = -x }
 program prod = { x' = x * y, y' = 1 }
 program ball = { h' = u, u' = -g | h >= 0 }
+program count = loop x := x + 1 inv x >= 5
+program add = loop x := x + y inv x >= 0
+program add1 = x := x + 1 ; loop x := x + y inv x >= 1
+program drift = loop { x' = y } inv x >= 0
 
 goal decay_pos : { x > 0 } decay { x > 0 } by dInductMega
 goal prod_zero : { x = 0 } prod { x = 0 } by dInductMega
@@ -119,6 +125,17 @@ goal leaf_interval : { x >= 2 } p { cos(x) < x } by wp
 goal leaf_monotone : { x >= 0 } p { forall t. 0 <= t -> x * exp(-t) <= x } by wp
 goal leaf_poly : { true } p { (x + y)^2 = x^2 + 2*x*y + y^2 } by wp
 goal leaf_div : { x > 0 } p { sqrt(x)^2 / x = 1 } by wp
+goal s1 : { x >= 0 } count { x >= 0 } by wp
+goal s1_dprove : { x >= 0 } count { x >= 0 } by dProve
+goal w1 : { x >= 0 and y >= 0 } add { x >= 0 } by wp
+goal w1_dprove : { x >= 0 and y >= 0 } add { x >= 0 } by dProve
+goal q1 : { x >= 0 and y >= 0 } add1 { x >= 1 } by wp
+goal f1 : { x >= 0 and y > 0 } add { x >= 0 } by wp
+goal f1_dprove : { x >= 0 and y > 0 } add { x >= 0 } by dProve
+goal f5 : { x >= 0 and y >= 0 } add { x >= 0 and y >= 0 } by dProve
+goal f3 : { x >= 0 and y >= 0 } drift { x >= 0 } by dProve
+goal bad : { x >= 0 } add { x >= 0 } by wp
+goal bad_dprove : { x >= 0 } add { x >= 0 } by dProve
 """
 
 

@@ -281,14 +281,14 @@ def test_guard_down_closure_hypothesis_is_usable():
 # -- frame rule -------------------------------------------------------------
 
 
-def test_loop_conditions_take_the_facts_the_program_never_writes():
+def test_frame_rule_conjoins_untouched_invariant():
     """Each loop condition has the precondition's conjuncts that read
-    nothing the program writes as a hypothesis, each once; one that reads
-    a written name is left out, and a loop-free program gets none."""
+    nothing the program writes as a hypothesis, each once and true
+    dropped; a loop-free program gets none."""
     ds = xy_ds()
     bump = Assign(Subst(((Var("x"), Add(x, num(1))),), ds))
     inv, seven = Ge(x, ZERO), Eq(y, num(7))
-    pre = And(And(inv, seven), seven)
+    pre = And(And(inv, And(seven, TRUE)), seven)
     vcs = gen_vcs(Triple(pre, Loop(bump, invariant=inv), Ge(x, num(-1))))
     assert [(vc.vc_id, vc.formula) for vc in vcs] == [
         ("main", Implies(pre, inv)),
@@ -297,3 +297,17 @@ def test_loop_conditions_take_the_facts_the_program_never_writes():
     ]
     vcs = gen_vcs(Triple(pre, bump, Ge(x, num(1))))
     assert [vc.formula for vc in vcs] == [Implies(pre, Ge(Add(x, num(1)), num(1)))]
+
+
+def test_frame_rule_rejects_observing_invariant():
+    """A precondition conjunct that reads a name the program writes is no
+    hypothesis of the loop conditions."""
+    ds = xy_ds()
+    bump = Assign(Subst(((Var("x"), Add(x, num(1))),), ds))
+    inv = Ge(x, ZERO)
+    vcs = gen_vcs(Triple(inv, Loop(bump, invariant=inv), Ge(x, num(-1))))
+    assert [(vc.vc_id, vc.formula) for vc in vcs] == [
+        ("main", Implies(inv, inv)),
+        ("loop-preserve", Implies(inv, Ge(Add(x, num(1)), ZERO))),
+        ("loop-post", Implies(inv, Ge(x, num(-1)))),
+    ]

@@ -26,14 +26,13 @@ from .arith import ArithCtx, falsify
 from .deriv import NotDifferentiable
 from .expr import EvalError, Implies, RatLit, UnsupportedConstruct
 from .program import (
-    Loop, SimConfig, StepSizeTooLarge, fmt_value, format_trace, simulate_traced,
-    subprograms,
+    SimConfig, StepSizeTooLarge, fmt_value, format_trace, simulate_traced,
 )
 from .store import StoreError
 from .syntax import Goal, ModelFile, ParseError, parse, pretty_expr, pretty_method
 from .tactics import (
     FlowCertError, ProofResult, TacticError, certify_flow, check_vc, d_ghost,
-    d_induct, d_induct_mega, d_prove, d_weaken, local_flow_auto, settle,
+    d_induct, d_induct_mega, d_prove, d_weaken, local_flow_auto, settle, wp_rule,
 )
 from .vcg import FlowTable, Triple, VC, VcgError, gen_vcs
 
@@ -108,7 +107,7 @@ def _init_check(goal: Goal, ctx: ArithCtx) -> ProofResult:
     if goal.pre == goal.post:
         return settle("init")
     vc = VC("init", Implies(goal.pre, goal.post), origin="init")
-    return settle("init", (check_vc(vc, ctx),), exact=False)
+    return settle("init", (check_vc(vc, ctx),))
 
 
 def _goal_flows(model: ModelFile, goal: Goal, table: FlowTable,
@@ -145,22 +144,16 @@ def run_goal(model: ModelFile, goal: Goal, table: FlowTable, failed_flows: dict,
     ctx = _ctx(model, _goal_seed(seed, goal.name))
     prog = model.programs[goal.prog_name]
     triple = Triple(goal.pre, prog, goal.post)
-    named = dict(model.assumes)
-    facts = tuple(named[u] for u in goal.using)
     m = goal.method
     if m.name in ("wp", "flow"):
-        flows = _goal_flows(model, goal, table, failed_flows)
-        # a loop's conditions hold only relative to its written invariant
-        return settle("wp", [check_vc(vc, ctx, trials) for vc in gen_vcs(triple, flows)],
-                      exact=not any(isinstance(q, Loop) for q in subprograms(prog)))
+        return wp_rule(triple, ctx, _goal_flows(model, goal, table, failed_flows), trials)
     if m.name in ("dInduct", "dInductAuto"):
-        ind = d_induct(prog, goal.post, ctx, facts=facts,
-                       exact=(m.name == "dInduct"))
+        ind = d_induct(prog, goal.post, ctx, exact=(m.name == "dInduct"))
         return settle(ind.rule, parts=(_init_check(goal, ctx), ind))
     if m.name == "dInductMega":
         return d_induct_mega(prog, goal.pre, goal.post, ctx, refute=trials > 0)
     if m.name == "dWeaken":
-        return d_weaken(prog, goal.post, ctx, facts=facts)
+        return d_weaken(prog, goal.post, ctx)
     if m.name == "dGhost":
         g, inv, rate = m.args
         gh = d_ghost(prog, goal.post, g, RatLit(Fraction(rate)), inv, ctx)

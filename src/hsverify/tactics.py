@@ -131,14 +131,15 @@ def check_vc(vc: VC, ctx: ArithCtx, trials: int = 0) -> VcOutcome:
 
 
 def settle(rule: str, outcomes=(), parts=(), steps=(),
-           exact: bool = True) -> ProofResult:
+           exact: bool = False) -> ProofResult:
     """The one place a verdict is formed from conditions and sub-results.
 
     Proved iff every outcome is valid and every part is proved.  Otherwise
     refuted by the first falsified outcome (only when exact, since a lossy
-    rule's conditions may fail on a true goal) or by the first refuted part,
-    with its witness.  Otherwise unknown.  A part counts by its status, not
-    its outcomes: some unknown results carry no outcomes at all.
+    rule's conditions may fail on a true goal; wp_rule alone asks) or by
+    the first refuted part, with its witness.  Otherwise unknown.  A part
+    counts by its status, not its outcomes: some unknown results carry no
+    outcomes at all.
     """
     own = tuple(outcomes)
     outcomes = own + tuple(o for p in parts for o in p.outcomes)
@@ -155,8 +156,15 @@ def settle(rule: str, outcomes=(), parts=(), steps=(),
     return ProofResult(UNKNOWN, rule, steps, outcomes)
 
 
-def _hyp(parts) -> Expr:
-    return conj([p for p in parts if p != TRUE])
+def wp_rule(triple: Triple, ctx: ArithCtx, flows: Optional[FlowTable],
+            trials: int, exact: bool = True) -> ProofResult:
+    """The weakest-precondition rule: check every gen_vcs condition, with
+    the falsifier's budget trials each.  Only here does a falsified
+    condition refute, and only when exact and the program holds no loop:
+    a loop's conditions hold only relative to its written invariant."""
+    outcomes = [check_vc(vc, ctx, trials) for vc in gen_vcs(triple, flows)]
+    return settle("wp", outcomes, exact=exact and not any(
+        isinstance(q, Loop) for q in subprograms(triple.prog)))
 
 
 def _dedup(exprs) -> list:
@@ -202,7 +210,7 @@ def _exactly_valid(prem: Expr, ds: Dataspace) -> bool:
     return isinstance(diff, RatLit) and diff.value <= 0
 
 
-def d_induct(ode: ODE, inv: Expr, ctx: ArithCtx, facts=(),
+def d_induct(ode: ODE, inv: Expr, ctx: ArithCtx,
              exact: bool = False) -> ProofResult:
     """Differential induction: the invariant's derivative inequality holds
     everywhere in the evolution domain.
@@ -215,7 +223,7 @@ def d_induct(ode: ODE, inv: Expr, ctx: ArithCtx, facts=(),
     if not isinstance(ode, ODE):
         raise NotAnODE(f"d_induct needs an ODE, got {type(ode).__name__}")
     dctx = DerivCtx(ode.frame, ode.rhs)
-    hyp = _hyp([ode.guard, *facts])
+    hyp = ode.guard
     outcomes = []
     steps = []
     for i, atom in enumerate(conjuncts(inv)):
@@ -239,17 +247,16 @@ def d_induct(ode: ODE, inv: Expr, ctx: ArithCtx, facts=(),
             outcomes.extend(check_vc(sv, ctx) for sv in side_vcs)
             outcomes.append(check_vc(vc, ctx))
         steps.append(f"dI {expr_key(atom)}")
-    return settle("dI", outcomes, steps=steps, exact=False)
+    return settle("dI", outcomes, steps=steps)
 
 
-def d_weaken(ode: ODE, post: Expr, ctx: ArithCtx, facts=()) -> ProofResult:
+def d_weaken(ode: ODE, post: Expr, ctx: ArithCtx) -> ProofResult:
     """Differential weakening: the evolution domain already implies post."""
     if not isinstance(ode, (ODE, Evol)):
         raise NotAnODE(f"d_weaken needs an ODE, got {type(ode).__name__}")
-    hyp = _hyp([ode.guard, *facts])
+    hyp = ode.guard
     vc = VC("weaken", Implies(hyp, post) if hyp != TRUE else post, origin="dW")
-    return settle("dW", (check_vc(vc, ctx),), steps=(f"dW {expr_key(post)}",),
-                  exact=False)
+    return settle("dW", (check_vc(vc, ctx),), steps=(f"dW {expr_key(post)}",))
 
 
 def d_cut(ode: ODE, cut: Expr) -> ODE:
@@ -295,7 +302,7 @@ def d_ghost(ode: ODE, target: Expr, ghost: str, k: Expr, ghost_inv: Expr,
     ev = check_vc(VC("ghost-equiv", equiv, origin="dG"), ctx)
     ind = d_induct(ext, ghost_inv, ctx)
     return settle("dG", (ev,), (ind,),
-                  (f"dG {ghost}' = {expr_key(Mul(k, read(ghost)))}",), exact=False)
+                  (f"dG {ghost}' = {expr_key(Mul(k, read(ghost)))}",))
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +359,13 @@ def certify_flow(ode: ODE, flow: Subst, ctx: ArithCtx, *,
         except NotDifferentiable as err:
             raise DerivativeMismatch(
                 f"no symbolic d/dtau of the {m.name} component: {err}") from err
-        if d.provisos:
-            hyp = _hyp([Le(ZERO, LogicalVar(TAU)), *ctx.assumptions])
-            for p in d.provisos:
-                v = prove_vc(Implies(hyp, p), ctx, vc_name="flow-proviso",
-                             falsify_trials=0)
-                if not v.valid:
-                    raise DerivativeMismatch(
-                        f"side condition for {m.name} not discharged: {expr_key(p)}")
+        for p in d.provisos:
+            # prove_vc adds the assumptions
+            v = prove_vc(Implies(Le(ZERO, LogicalVar(TAU)), p), ctx,
+                         vc_name="flow-proviso", falsify_trials=0)
+            if not v.valid:
+                raise DerivativeMismatch(
+                    f"side condition for {m.name} not discharged: {expr_key(p)}")
         along = subst_apply_expr(ode.rhs.lookup(m), flow)
         diff = _off_by(Sub(d.expr, along), ds)
         if diff is not None:
@@ -528,16 +534,11 @@ def d_prove(triple: Triple, ctx: ArithCtx, flows: Optional[FlowTable] = None,
                        exact=exact, trials=trials)
 
     try:
-        vcs = gen_vcs(triple, flows)
+        wp = wp_rule(triple, ctx, flows, trials, exact)
     except (MissingFlow, MissingLoopInvariant):
-        vcs = None
-    wp = None
-    if vcs is not None:
-        # a loop's conditions hold only relative to its written invariant
-        wp = settle("wp", [check_vc(vc, ctx, trials) for vc in vcs],
-                    exact=exact and not any(isinstance(q, Loop) for q in subprograms(p)))
-        if wp.status != UNKNOWN:
-            return wp
+        wp = None
+    if wp is not None and wp.status != UNKNOWN:
+        return wp
 
     r = None  # the structural result
     if isinstance(p, Loop):
@@ -548,8 +549,7 @@ def d_prove(triple: Triple, ctx: ArithCtx, flows: Optional[FlowTable] = None,
         init = check_vc(VC("loop-init", Implies(pre, inv), "loop"), ctx)
         keep = sub(held, p.body, inv, False)
         final = check_vc(VC("loop-post", Implies(held, post), "loop"), ctx)
-        parts = [settle("loop", (init,), exact=False), keep,
-                 settle("loop", (final,), exact=False)]
+        parts = [settle("loop", (init,)), keep, settle("loop", (final,))]
         r = settle("loop", parts=parts, steps=(f"loop invariant {expr_key(inv)}",))
     elif isinstance(p, Seq):
         a, b = p.first, p.second

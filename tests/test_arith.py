@@ -10,7 +10,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hsverify import arith, cli
 from hsverify.arith import (
@@ -1243,6 +1243,7 @@ def _formula_ds():
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1))
+@example(27036)
 def test_q_eval_matches_the_reference_walker(seed):
     rng = random.Random(seed)
     f = _rand_formula(rng, [], 3)

@@ -696,6 +696,31 @@ def test_loop_goals_are_framed_and_never_refuted_by_a_condition(capsys, tmp_path
     assert run(capsys, "verify", p, "--seed", seed) == (0, "\n".join(want) + "\n", "")
 
 
+# goals naming an assumption, which every condition takes as a hypothesis
+# already: (method, program, post, verdict)
+USING_GOALS = [
+    ("dInduct", "{ x' = c }", "x >= 0", "unknown (dI)"),
+    ("dInductAuto", "{ x' = c }", "x >= 0", "proved (dI)"),
+    ("dWeaken", "{ x' = -c | x >= 0 }", "x >= 0", "proved (dW)"),
+]
+
+
+@pytest.mark.parametrize("method, prog, post, verdict", USING_GOALS)
+def test_using_adds_no_hypothesis(capsys, tmp_path, method, prog, post, verdict):
+    outs = []
+    for tail in (" using cpos", ""):
+        p = tmp_path / ("using" if tail else "plain") / "m.hsv"
+        p.parent.mkdir()
+        p.write_text("dataspace d {\n  constants c : real;\n  assumes cpos: c > 0;\n"
+                     f"  variables x : real;\n}}\n\nprogram p = {prog}\n\n"
+                     f"goal g : {{ x >= 0 }} p {{ {post} }} by {method}{tail}\n")
+        outs.append((run(capsys, "vcs", p), run(capsys, "verify", p, "--json", "-")))
+    assert outs[0] == outs[1]
+    (_, vcs, _), (_, report, _) = outs[0]
+    assert "c > 0" not in vcs
+    assert report.startswith(f"goal g: {verdict}\n")
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_a_negated_iff_is_proved(capsys, tmp_path, seed):
     p = tmp_path / "iff.hsv"

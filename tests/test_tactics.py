@@ -286,6 +286,34 @@ def test_certify_flow_rejects_a_wrong_vector_member():
         certify_flow(ode, model.flows[0].flow, ArithCtx(model.dataspace))
 
 
+# x' = 1 with a logarithm in the flow: d/dtau of ln(u) has the proviso
+# u > 0, proved under 0 <= tau and the assumptions
+LOG_FLOW = """\
+dataspace d {
+  constants c : real;
+  assumes cpos: c > 0;
+  variables x : real;
+}
+
+program up = { x' = 1 }
+flow log for up = [x ~> FLOW]
+"""
+
+
+@pytest.mark.parametrize("flow, assumed, message", [
+    # the proviso holds through cpos; the derivative is then wrong
+    ("x + ln(tau + c)", True, "d/dtau of the x component is off by add(div(1,add(?tau,c)),-1)"),
+    ("x + ln(tau + c)", False, "side condition for x not discharged: gt(add(?tau,c),0)"),
+    ("x + ln(tau)", True, "side condition for x not discharged: gt(?tau,0)"),
+])
+def test_certify_flow_proves_a_proviso_under_the_assumptions(flow, assumed, message):
+    model = parse(LOG_FLOW.replace("FLOW", flow))
+    ctx = ArithCtx(model.dataspace, assumptions=model.assumptions() if assumed else ())
+    with pytest.raises(DerivativeMismatch) as err:
+        certify_flow(model.programs["up"], model.flows[0].flow, ctx)
+    assert str(err.value) == message
+
+
 def test_local_flow_auto_picks_a_constant():
     ds, ode = decay()
     cert = local_flow_auto(ode, decay_flow(ds), ArithCtx(ds))

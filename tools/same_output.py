@@ -67,7 +67,9 @@ PROBE_SEEDS = (0, 1, 2)
 # substitution (r1-r4) by wp and by dProve, two forms of one valid
 # equivalence, one goal for each leaf rule of the sequent prover, and loop
 # goals whose conditions hold only relative to the written invariant: s1,
-# w1, q1, f1, f5 and f3 are valid and bad is not, by wp and by dProve.
+# w1, q1, f1, f5 and f3 are valid and bad is not, by wp and by dProve; and
+# goals by dInduct, dInductAuto and dWeaken that name an assumption, which
+# every condition takes as a hypothesis already.
 PROBES = """\
 dataspace probes {
   constants g : real, H : real;
@@ -85,6 +87,7 @@ program count = loop x := x + 1 inv x >= 5
 program add = loop x := x + y inv x >= 0
 program add1 = x := x + 1 ; loop x := x + y inv x >= 1
 program drift = loop { x' = y } inv x >= 0
+program fall = { u' = -g }
 
 goal decay_pos : { x > 0 } decay { x > 0 } by dInductMega
 goal prod_zero : { x = 0 } prod { x = 0 } by dInductMega
@@ -136,6 +139,9 @@ goal f5 : { x >= 0 and y >= 0 } add { x >= 0 and y >= 0 } by dProve
 goal f3 : { x >= 0 and y >= 0 } drift { x >= 0 } by dProve
 goal bad : { x >= 0 } add { x >= 0 } by wp
 goal bad_dprove : { x >= 0 } add { x >= 0 } by dProve
+goal fall_ind : { u <= 0 } fall { u <= 0 } by dInduct using gpos
+goal fall_auto : { u <= 0 } fall { u <= 0 } by dInductAuto using gpos
+goal ball_floor : { h >= 0 } ball { h >= 0 } by dWeaken using gpos
 """
 
 

@@ -2165,4 +2165,4 @@ def prove_vc(formula: Expr, ctx: ArithCtx, *, vc_name: str = "vc",
         return Verdict("invalid", rule="falsify", witness=w)
     return Verdict("unknown", rule="residual",
                    residual=tuple(sq.formula() for sq in residual),
-                   query=(full, ctx, vc_name))
+                   query=(formula, ctx, vc_name))

@@ -161,6 +161,19 @@ def test_emit_smt_writes_residual(capsys, hard_model, tmp_path):
     assert text.rstrip().endswith("(check-sat)")
 
 
+def test_emit_smt_asserts_each_assumption_once(capsys, tmp_path):
+    p = tmp_path / "assumed.hsv"
+    p.write_text("dataspace d {\n  constants c : real;\n  assumes cpos: c > 0;\n"
+                 "  variables x : real;\n}\n\nprogram p = skip\n\n"
+                 "goal g : { true } p { exp(c * x) >= 1 + c * x } by wp\n")
+    d = tmp_path / "smt"
+    assert run(capsys, "verify", p, "--trials", 50, "--emit-smt", d) \
+        == (0, "goal g: unknown (wp)\n", "")
+    text = (d / "g_main.smt2").read_text()
+    assert text.count("(> c 0.0)") == 1
+    assert "(assert (not (>= (exp (* c x)) (+ (* c x) 1.0))))" in text
+
+
 def test_smt_text_is_built_only_for_emit_smt(capsys, hard_model, tmp_path, monkeypatch):
     from hsverify import arith
 

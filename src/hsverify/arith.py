@@ -1721,23 +1721,15 @@ def _truth_node(e: Expr) -> Callable:
                 return None, {}
             return b, {**ia, **ib}
         return junction
-    if isinstance(e, Not):
-        fa, = kids
-        negate_truth = _KLEENE[Not]
+    if isinstance(e, (Not, Iff)):
+        combine = _KLEENE[type(e)]
+        drop = type(e) is Iff  # an undecided iff keeps no instances; a not its operand's
 
-        def negation(s, env, q):
-            a, ia = fa(s, env, q)
-            return negate_truth(a), ia  # undecided or not, the operand's instances
-        return negation
-    if isinstance(e, Iff):
-        fa, fb = kids
-        combine = _KLEENE[Iff]
-
-        def iff(s, env, q):
-            (a, ia), (b, ib) = fa(s, env, q), fb(s, env, q)
-            r = combine(a, b)
-            return r, ({} if r is None else {**ia, **ib})
-        return iff
+        def every(s, env, q):
+            outs = [f(s, env, q) for f in kids]
+            r = combine(*(r for r, _ in outs))
+            return r, ({} if r is None and drop else {k: v for _, i in outs for k, v in i.items()})
+        return every
     if isinstance(e, Ite):
         fc, ft, fo = kids
 

@@ -135,11 +135,10 @@ def settle(rule: str, outcomes=(), parts=(), steps=(),
     """The one place a verdict is formed from conditions and sub-results.
 
     Proved iff every outcome is valid and every part is proved.  Otherwise
-    refuted by the first falsified outcome (only when exact, since a lossy
-    rule's conditions may fail on a true goal; wp_rule alone asks) or by
+    refuted by the first falsified outcome (only when exact, which wp_rule
+    alone asks: a lossy rule's conditions may fail on a true goal) or by
     the first refuted part, with its witness.  Otherwise unknown.  A part
-    counts by its status, not its outcomes: some unknown results carry no
-    outcomes at all.
+    counts by its status: some unknown results carry no outcomes at all.
     """
     own = tuple(outcomes)
     outcomes = own + tuple(o for p in parts for o in p.outcomes)
@@ -158,10 +157,9 @@ def settle(rule: str, outcomes=(), parts=(), steps=(),
 
 def wp_rule(triple: Triple, ctx: ArithCtx, flows: Optional[FlowTable],
             trials: int, exact: bool = True) -> ProofResult:
-    """The weakest-precondition rule: check every gen_vcs condition, with
-    the falsifier's budget trials each.  Only here does a falsified
-    condition refute, and only when exact and the program holds no loop:
-    a loop's conditions hold only relative to its written invariant."""
+    """Check every gen_vcs condition with trials falsifier trials each; the
+    one rule that a falsified condition refutes, when exact and the program
+    holds no loop (a loop's conditions hold only relative to its invariant)."""
     outcomes = [check_vc(vc, ctx, trials) for vc in gen_vcs(triple, flows)]
     return settle("wp", outcomes, exact=exact and not any(
         isinstance(q, Loop) for q in subprograms(triple.prog)))
@@ -254,8 +252,7 @@ def d_weaken(ode: ODE, post: Expr, ctx: ArithCtx) -> ProofResult:
     """Differential weakening: the evolution domain already implies post."""
     if not isinstance(ode, (ODE, Evol)):
         raise NotAnODE(f"d_weaken needs an ODE, got {type(ode).__name__}")
-    hyp = ode.guard
-    vc = VC("weaken", Implies(hyp, post) if hyp != TRUE else post, origin="dW")
+    vc = VC("weaken", Implies(ode.guard, post) if ode.guard != TRUE else post, origin="dW")
     return settle("dW", (check_vc(vc, ctx),), steps=(f"dW {expr_key(post)}",))
 
 

@@ -146,7 +146,8 @@ def run_goal(model: ModelFile, goal: Goal, table: FlowTable, failed_flows: dict,
     triple = Triple(goal.pre, prog, goal.post)
     m = goal.method
     if m.name in ("wp", "flow"):
-        return wp_rule(triple, ctx, _goal_flows(model, goal, table, failed_flows), trials)
+        flows = _goal_flows(model, goal, table, failed_flows)
+        return wp_rule(triple, ctx, flows, trials, exact=True)
     if m.name in ("dInduct", "dInductAuto"):
         ind = d_induct(prog, goal.post, ctx, exact=(m.name == "dInduct"))
         return settle(ind.rule, parts=(_init_check(goal, ctx), ind))

@@ -156,7 +156,7 @@ def settle(rule: str, outcomes=(), parts=(), steps=(),
 
 
 def wp_rule(triple: Triple, ctx: ArithCtx, flows: Optional[FlowTable],
-            trials: int, exact: bool = True) -> ProofResult:
+            trials: int, exact: bool) -> ProofResult:
     """Check every gen_vcs condition with trials falsifier trials each; the
     one rule that a falsified condition refutes, when exact and the program
     holds no loop (a loop's conditions hold only relative to its invariant)."""

@@ -461,7 +461,18 @@ def d_induct_mega(ode: ODE, pre: Expr, post: Expr, ctx: ArithCtx, *,
         established.append(a)
         steps.append(f"dD cut {expr_key(a)}")
 
-    candidates = _dedup(conjuncts(pre) + conjuncts(post))
+    # a candidate's start check reads pre alone, so it is made once
+    candidates = []
+    for a in _dedup(conjuncts(pre) + conjuncts(post)):
+        if a in established:
+            continue
+        try:
+            _oriented(a)
+        except UnsupportedRelation:
+            continue
+        if prove_vc(Implies(pre, a), ctx, vc_name="induct-init",
+                    falsify_trials=0).valid:
+            candidates.append(a)
     for _ in range(_MEGA_ROUNDS):
         w = d_weaken(cur, post, ctx)
         outcomes = list(w.outcomes)
@@ -471,15 +482,6 @@ def d_induct_mega(ode: ODE, pre: Expr, post: Expr, ctx: ArithCtx, *,
         progress = False
         for a in candidates:
             if a in established:
-                continue
-            try:
-                for c in conjuncts(a):
-                    _oriented(c)
-            except UnsupportedRelation:
-                continue
-            init = prove_vc(Implies(pre, a), ctx, vc_name="induct-init",
-                            falsify_trials=0)
-            if not init.valid:
                 continue
             try:
                 ind = d_induct(cur, a, ctx)

@@ -415,7 +415,7 @@ def local_flow_auto(ode: ODE, flow: Subst, ctx: ArithCtx) -> CertResult:
 
 
 _REFUTE_ATTEMPTS = 5  # precondition states _refute_by_simulation tries
-_MEGA_ROUNDS = 8  # cut rounds of d_induct_mega
+_MEGA_ROUNDS = 8  # d_induct_mega: at most 8 cuts, then one weakening
 
 
 def _refute_by_simulation(ode: ODE, pre: Expr, post: Expr,
@@ -442,29 +442,28 @@ def _refute_by_simulation(ode: ODE, pre: Expr, post: Expr,
 
 def d_induct_mega(ode: ODE, pre: Expr, post: Expr, ctx: ArithCtx, *,
                   refute: bool = True) -> ProofResult:
-    """Search loop over the ODE rules.
+    """Search loop over the ODE rules: at most 8 cuts, then one weakening.
 
-    Free cuts first (precondition conjuncts the field cannot move), then
-    repeatedly: close by weakening against the accumulated domain, or cut
-    in one more conjunct that is both initially true and inductive.  When
-    nothing closes, a short simulation hunts for a concrete orbit leaving
-    the postcondition before giving up as unknown.
+    Free cuts first (precondition conjuncts the field cannot move).  Then
+    each round cuts in the first conjunct of pre or post that is both
+    initially true and inductive, until a round finds none or
+    _MEGA_ROUNDS cuts are in, and weakening against the accumulated domain
+    closes the goal.  When it does not, a short simulation hunts for a
+    concrete orbit leaving the postcondition before giving up as unknown.
     """
     if not isinstance(ode, ODE):
         raise NotAnODE(f"d_induct_mega needs an ODE, got {type(ode).__name__}")
     steps = []
-    outcomes = []
     cur = ode
-    established = []
-    for a in framed(ode, pre):
+    free = framed(ode, pre)
+    for a in free:
         cur = d_cut(cur, a)
-        established.append(a)
         steps.append(f"dD cut {expr_key(a)}")
 
     # a candidate's start check reads pre alone, so it is made once
     candidates = []
     for a in _dedup(conjuncts(pre) + conjuncts(post)):
-        if a in established:
+        if a in free:
             continue
         try:
             _oriented(a)
@@ -473,37 +472,34 @@ def d_induct_mega(ode: ODE, pre: Expr, post: Expr, ctx: ArithCtx, *,
         if prove_vc(Implies(pre, a), ctx, vc_name="induct-init",
                     falsify_trials=0).valid:
             candidates.append(a)
+    failed = []  # the last round's failed induction outcomes
     for _ in range(_MEGA_ROUNDS):
-        w = d_weaken(cur, post, ctx)
-        outcomes = list(w.outcomes)
-        if w.proved:
-            return ProofResult(PROVED, "dI*", tuple(steps + list(w.steps)),
-                               tuple(outcomes))
-        progress = False
+        failed = []
         for a in candidates:
-            if a in established:
-                continue
             try:
                 ind = d_induct(cur, a, ctx)
             except NotDifferentiable:
                 continue
             if ind.proved:
                 cur = d_cut(cur, a)
-                established.append(a)
+                candidates.remove(a)
                 steps.append(f"dC {expr_key(a)} by dI")
-                progress = True
                 break
-            outcomes.extend(ind.outcomes)
-        if not progress:
+            failed.extend(ind.outcomes)
+        else:
             break
+    w = d_weaken(cur, post, ctx)
+    if w.proved:
+        return ProofResult(PROVED, "dI*", tuple(steps + list(w.steps)), w.outcomes)
+    outcomes = w.outcomes + tuple(failed)
 
     if refute:
         w = _refute_by_simulation(ode, pre, post, ctx)
         if w is not None:
             return ProofResult(REFUTED, "dI*",
                                tuple(steps + ["orbit leaves the postcondition"]),
-                               tuple(outcomes), witness=w)
-    return ProofResult(UNKNOWN, "dI*", tuple(steps), tuple(outcomes))
+                               outcomes, witness=w)
+    return ProofResult(UNKNOWN, "dI*", tuple(steps), outcomes)
 
 
 # ---------------------------------------------------------------------------

@@ -448,7 +448,9 @@ def d_induct_mega(ode: ODE, pre: Expr, post: Expr, ctx: ArithCtx, *,
     each round cuts in the first conjunct of pre or post that is both
     initially true and inductive, until a round finds none or
     _MEGA_ROUNDS cuts are in, and weakening against the accumulated domain
-    closes the goal.  When it does not, a short simulation hunts for a
+    closes the goal.  The prover can lose a proof to added hypotheses, so
+    a weakening that fails is asked again of each shorter chain of cuts,
+    shortest first.  When none closes, a short simulation hunts for a
     concrete orbit leaving the postcondition before giving up as unknown.
     """
     if not isinstance(ode, ODE):
@@ -472,6 +474,7 @@ def d_induct_mega(ode: ODE, pre: Expr, post: Expr, ctx: ArithCtx, *,
         if prove_vc(Implies(pre, a), ctx, vc_name="induct-init",
                     falsify_trials=0).valid:
             candidates.append(a)
+    chain = [(cur, len(steps))]  # each domain, with the steps that built it
     failed = []  # the last round's failed induction outcomes
     for _ in range(_MEGA_ROUNDS):
         failed = []
@@ -484,14 +487,18 @@ def d_induct_mega(ode: ODE, pre: Expr, post: Expr, ctx: ArithCtx, *,
                 cur = d_cut(cur, a)
                 candidates.remove(a)
                 steps.append(f"dC {expr_key(a)} by dI")
+                chain.append((cur, len(steps)))
                 break
             failed.extend(ind.outcomes)
         else:
             break
-    w = d_weaken(cur, post, ctx)
-    if w.proved:
-        return ProofResult(PROVED, "dI*", tuple(steps + list(w.steps)), w.outcomes)
-    outcomes = w.outcomes + tuple(failed)
+    top = None
+    for dom, n in chain[-1:] + chain[:-1]:
+        w = d_weaken(dom, post, ctx)
+        if w.proved:
+            return ProofResult(PROVED, "dI*", tuple(steps[:n]) + w.steps, w.outcomes)
+        top = top or w
+    outcomes = top.outcomes + tuple(failed)
 
     if refute:
         w = _refute_by_simulation(ode, pre, post, ctx)

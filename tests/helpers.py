@@ -2,7 +2,7 @@
 the reference expression evaluator, simplifier, traversals, falsifier
 samplers, three-valued evaluator, falsifier, kind checker, polynomial
 builder, polynomial normalizer, condition prover, sequent prover and
-peeler, triple prover and expression reader."""
+peeler, triple prover, ODE search ladder and expression reader."""
 
 import dataclasses
 import math
@@ -29,19 +29,22 @@ from hsverify.arith import (
     _DEPTH_CAP, _GRID, _NICE, _ORDERS, _SPLIT_BUDGET, ArithCtx, Box, Poly, Row, Sequent,
     Unpolyable, Verdict, _Budget, _Prover, _bound_terms, _flatten_hyp, _inexact, _ite_cond,
     _open, _ratfunc, _sampler, _set_ite_cond, _skolemize, _store_samplers, _vec_eq, expr_key,
-    falsify, negate, norm_rel, peel, poly_of, poly_to_expr, reduce_trig,
+    falsify, negate, norm_rel, peel, poly_of, poly_to_expr, prove_vc, reduce_trig,
 )
+from hsverify.deriv import NotDifferentiable
 from hsverify.expr import (
     FALSE, ONE, TRUE, ZERO, Add, And, BoolLit, Cos, Div, Eq, Exists, Exp, Expr, Forall, Ge, Gt,
     Iff, Implies, Inner, Ite, Le, Ln, LogicalVar, Lt, Mul, Neg, Neq, Norm, Not, Or, Pow, RatLit,
     ScalarMul, Sin, Sqrt, Sub, UnsupportedConstruct, VarRead, VecLit, _exact_sqrt, _fold_binop,
-    _rebalance, children, conj, eval_expr, free_logicals, has_type, num, read, rebuild, simplify,
-    subst_logical, subst_term, subterms, total, vec_dim,
+    _rebalance, children, conj, conjuncts, eval_expr, free_logicals, has_type, num, read, rebuild,
+    simplify, subst_logical, subst_term, subterms, total, vec_dim,
 )
-from hsverify.program import ODE, Choice, If, Loop, Seq, subprograms
+from hsverify.program import ODE, Choice, If, Loop, Seq, framed, subprograms
 from hsverify.syntax import _FUNCS1, Token, _Parser
 from hsverify.tactics import (
-    UNKNOWN, ProofResult, _dedup, _discrete, check_vc, d_induct_mega, settle,
+    _MEGA_ROUNDS, PROVED, REFUTED, UNKNOWN, NotAnODE, ProofResult, UnsupportedRelation,
+    _dedup, _discrete, _oriented, _refute_by_simulation, check_vc, d_cut, d_induct,
+    d_induct_mega, d_weaken, settle,
 )
 from hsverify.vcg import VC, MissingFlow, MissingLoopInvariant, Triple, gen_vcs, wlp
 
@@ -1679,6 +1682,65 @@ def reference_d_prove(triple: Triple, ctx: ArithCtx, flows=None,
     if best is not None:
         return best
     return ProofResult(UNKNOWN, "dProve", ("no rule closed the goal",))
+
+
+def reference_d_induct_mega(ode: ODE, pre: Expr, post: Expr, ctx: ArithCtx, *,
+                            refute: bool = True) -> ProofResult:
+    """tactics.d_induct_mega as it was when every round tried a weakening
+    first and made each candidate's start check again, copied verbatim:
+    the oracle of the ladder that cuts to a fixpoint and weakens once."""
+    if not isinstance(ode, ODE):
+        raise NotAnODE(f"d_induct_mega needs an ODE, got {type(ode).__name__}")
+    steps = []
+    outcomes = []
+    cur = ode
+    established = []
+    for a in framed(ode, pre):
+        cur = d_cut(cur, a)
+        established.append(a)
+        steps.append(f"dD cut {expr_key(a)}")
+
+    candidates = _dedup(conjuncts(pre) + conjuncts(post))
+    for _ in range(_MEGA_ROUNDS):
+        w = d_weaken(cur, post, ctx)
+        outcomes = list(w.outcomes)
+        if w.proved:
+            return ProofResult(PROVED, "dI*", tuple(steps + list(w.steps)),
+                               tuple(outcomes))
+        progress = False
+        for a in candidates:
+            if a in established:
+                continue
+            try:
+                for c in conjuncts(a):
+                    _oriented(c)
+            except UnsupportedRelation:
+                continue
+            init = prove_vc(Implies(pre, a), ctx, vc_name="induct-init",
+                            falsify_trials=0)
+            if not init.valid:
+                continue
+            try:
+                ind = d_induct(cur, a, ctx)
+            except NotDifferentiable:
+                continue
+            if ind.proved:
+                cur = d_cut(cur, a)
+                established.append(a)
+                steps.append(f"dC {expr_key(a)} by dI")
+                progress = True
+                break
+            outcomes.extend(ind.outcomes)
+        if not progress:
+            break
+
+    if refute:
+        w = _refute_by_simulation(ode, pre, post, ctx)
+        if w is not None:
+            return ProofResult(REFUTED, "dI*",
+                               tuple(steps + ["orbit leaves the postcondition"]),
+                               tuple(outcomes), witness=w)
+    return ProofResult(UNKNOWN, "dI*", tuple(steps), tuple(outcomes))
 
 
 class ReferenceParser(_Parser):

@@ -1,7 +1,9 @@
 """Differential proof rules, flow certification, and the triple prover."""
 
+import pathlib
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -31,12 +33,14 @@ from hsverify.expr import (
     TRUE,
     UnsupportedConstruct,
     ZERO,
+    conjuncts,
     num,
     read,
 )
 from hsverify.program import TAU, Assign, Choice, Evol, If, Loop, ODE, Seq, Skip, Test
 from hsverify.store import CONSTANT, Dataspace, Frame, GHOST, REAL, VARIABLE, Var
 from hsverify.syntax import parse
+from hsverify import tactics
 from hsverify.tactics import (
     AllConstantsFailed,
     CertResult,
@@ -59,7 +63,9 @@ from hsverify.tactics import (
 )
 from hsverify.vcg import FlowTable, MissingLoopInvariant, Triple
 
-from helpers import reference_d_prove
+from helpers import reference_d_induct_mega, reference_d_prove
+
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
 
 def pendulum():
@@ -404,6 +410,123 @@ def test_mega_unknown_keeps_residual():
     assert r.status == "unknown"
     assert r.residual
     assert r.smt
+
+
+def test_mega_tank_fill_step_weakens_once(monkeypatch):
+    model = parse((MODELS / "tank.hsv").read_text(encoding="utf-8"))
+    goal = next(g for g in model.goals if g.name == "fill_step")
+    weakened = []
+
+    def counted(ode, post, ctx):
+        weakened.append(post)
+        return d_weaken(ode, post, ctx)
+
+    monkeypatch.setattr(tactics, "d_weaken", counted)
+    r = run_goal(model, goal, FlowTable(model.dataspace), {}, 0)
+    assert r.proved
+    assert r.steps == (
+        "dC le(0,t) by dI",
+        "dC eq(h,add(mul(sub(ci,co),t),hm)) by dI",
+        "dC le(hl,h) by dI",
+        "dW and(and(and(le(0,t),eq(h,add(mul(sub(ci,co),t),hm))),le(hl,h)),le(h,hu))",
+    )
+    assert len(weakened) == 1
+
+
+# goals whose ladder cuts inductive candidates that a weakening tried
+# after fewer cuts would not have needed
+_CUT_FIRST = """
+dataspace cuts {
+  variables x : real, z : real;
+}
+program up = { x' = 1, z' = 1 }
+program down = { x' = -1, z' = 1 | x <= 5 }
+goal lift : { x >= 1 and z >= 0 } up { x >= 0 } by dInductMega
+goal held : { x <= 5 } down { x <= 5 } by dInductMega
+"""
+
+
+@pytest.mark.parametrize("name,steps", [
+    ("lift", ("dC ge(x,1) by dI", "dC ge(z,0) by dI", "dC ge(x,0) by dI", "dW ge(x,0)")),
+    ("held", ("dC le(x,5) by dI", "dW le(x,5)")),
+])
+def test_mega_cuts_every_inductive_candidate_then_weakens(name, steps):
+    model = parse(_CUT_FIRST)
+    goal = next(g for g in model.goals if g.name == name)
+    r = run_goal(model, goal, FlowTable(model.dataspace), {}, 0)
+    assert r.proved
+    assert r.steps == steps
+    assert [(o.vc.vc_id, o.verdict.rule) for o in r.outcomes] == [("weaken", "assumption")]
+
+
+def test_mega_asks_each_shorter_chain_when_the_whole_one_fails(monkeypatch):
+    # over the empty domain x >= 0 and x < 0 the whole chain's weakening
+    # fails, with x > -2 cut in as well; the chain of two cuts proves it
+    ds = Dataspace()
+    ds.declare("x", REAL, VARIABLE)
+    x = read("x")
+    ode = ODE(Frame((Var("x"),)), Subst(((Var("x"), Neg(x)),), ds), Ge(x, ZERO))
+    pre = And(And(Le(x, num(2)), Gt(x, num(-2))), Lt(x, ZERO))
+    post = And(Ge(x, num(-1)), Le(x, num(-1)))
+    cuts = []
+
+    def counted(ode, post, ctx):
+        cuts.append(len(conjuncts(ode.guard)) - 1)
+        return d_weaken(ode, post, ctx)
+
+    monkeypatch.setattr(tactics, "d_weaken", counted)
+    r = d_induct_mega(ode, pre, post, ArithCtx(ds))
+    assert r.proved
+    assert r.steps == ("dC le(x,2) by dI", "dC lt(x,0) by dI", "dW and(ge(x,-1),le(x,-1))")
+    assert cuts == [3, 0, 1, 2]
+
+
+def _rand_poly(rng, names):
+    monos = [num(1)] + [read(n) for n in names] + [
+        Mul(read(a), read(b)) for i, a in enumerate(names) for b in names[i:]]
+    terms = []
+    for _ in range(rng.randint(1, 2)):
+        c, m = rng.choice((-2, -1, 1, 1, 2, Fraction(1, 2))), rng.choice(monos)
+        terms.append(m if c == 1 else Mul(num(c), m))
+    return reduce(Add, terms)
+
+
+def _rand_atom(rng, names):
+    side = read(rng.choice(names)) if rng.random() < 0.7 else _rand_poly(rng, names)
+    return rng.choice((Ge, Le, Gt, Lt, Eq))(side, num(rng.randint(-2, 2)))
+
+
+def _rand_conj(rng, names, pool=()):
+    atoms = [rng.choice(pool) if pool and rng.random() < 0.5 else _rand_atom(rng, names)
+             for _ in range(rng.randint(1, 3))]
+    return reduce(And, atoms)
+
+
+def test_mega_keeps_the_reference_ladder_verdicts():
+    """The ladder that cuts to a fixpoint and weakens once gives the
+    verbatim reference's status on seeded polynomial ODE goals over one or
+    two variables, with one to three conjuncts in pre and post."""
+    rng = random.Random(33)
+    ds = Dataspace()
+    for n in ("x", "y"):
+        ds.declare(n, REAL, VARIABLE)
+    seen = set()
+    for i in range(60):
+        names = ["x", "y"][:rng.randint(1, 2)]
+        guard = _rand_atom(rng, names) if rng.random() < 0.4 else TRUE
+        ode = ODE(Frame(tuple(Var(n) for n in names)),
+                  Subst(tuple((Var(n), _rand_poly(rng, names)) for n in names), ds), guard)
+        pre = _rand_conj(rng, names)
+        post = _rand_conj(rng, names, pool=conjuncts(pre))
+        ctx = ArithCtx(ds, seed=i)
+        got = d_induct_mega(ode, pre, post, ctx)
+        want = reference_d_induct_mega(ode, pre, post, ctx)
+        assert got.status == want.status, (ode, pre, post)
+        if not want.proved:
+            # six candidates at most: neither ladder reaches its 8-cut limit
+            assert _proof_summary(got) == _proof_summary(want), (ode, pre, post)
+        seen.add(got.status)
+    assert seen == {"proved", "refuted", "unknown"}
 
 
 def test_d_prove_discrete_assignment():

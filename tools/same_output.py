@@ -69,7 +69,9 @@ PROBE_SEEDS = (0, 1, 2)
 # goals whose conditions hold only relative to the written invariant: s1,
 # w1, q1, f1, f5 and f3 are valid and bad is not, by wp and by dProve; and
 # goals by dInduct, dInductAuto and dWeaken that name an assumption, which
-# every condition takes as a hypothesis already.
+# every condition takes as a hypothesis already; and three dInductMega goals
+# whose steps show how many cuts the ladder makes before it weakens: cut_lift
+# and cut_held, and cut_back, which only a shorter chain of cuts proves.
 PROBES = """\
 dataspace probes {
   constants g : real, H : real;
@@ -88,6 +90,9 @@ program add = loop x := x + y inv x >= 0
 program add1 = x := x + 1 ; loop x := x + y inv x >= 1
 program drift = loop { x' = y } inv x >= 0
 program fall = { u' = -g }
+program up = { x' = 1, y' = 1 }
+program down = { x' = -1, y' = 1 | x <= 5 }
+program back = { x' = -x | x >= 0 }
 
 goal decay_pos : { x > 0 } decay { x > 0 } by dInductMega
 goal prod_zero : { x = 0 } prod { x = 0 } by dInductMega
@@ -142,6 +147,9 @@ goal bad_dprove : { x >= 0 } add { x >= 0 } by dProve
 goal fall_ind : { u <= 0 } fall { u <= 0 } by dInduct using gpos
 goal fall_auto : { u <= 0 } fall { u <= 0 } by dInductAuto using gpos
 goal ball_floor : { h >= 0 } ball { h >= 0 } by dWeaken using gpos
+goal cut_lift : { x >= 1 and y >= 0 } up { x >= 0 } by dInductMega
+goal cut_held : { x <= 5 } down { x <= 5 } by dInductMega
+goal cut_back : { x <= 2 and x > -2 and x < 0 } back { x >= -1 and x <= -1 } by dInductMega
 """
 
 

@@ -449,7 +449,7 @@ goal held : { x <= 5 } down { x <= 5 } by dInductMega
 @pytest.mark.parametrize("name,steps", [
     ("lift", ("dC ge(x,1) by dI", "dC ge(z,0) by dI", "dC ge(x,0) by dI", "dW ge(x,0)")),
     ("held", ("dC le(x,5) by dI", "dW le(x,5)")),
-])
+], ids=["lift", "held"])
 def test_mega_cuts_every_inductive_candidate_then_weakens(name, steps):
     model = parse(_CUT_FIRST)
     goal = next(g for g in model.goals if g.name == name)

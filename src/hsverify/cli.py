@@ -24,9 +24,9 @@ from typing import Optional
 
 from .arith import ArithCtx, falsify
 from .deriv import NotDifferentiable
-from .expr import EvalError, Implies, RatLit, UnsupportedConstruct
+from .expr import Implies, RatLit
 from .program import (
-    SimConfig, StepSizeTooLarge, fmt_value, format_trace, simulate_traced,
+    SIMULATION_ERRORS, SimConfig, fmt_value, format_trace, simulate_traced,
 )
 from .store import StoreError
 from .syntax import Goal, ModelFile, ParseError, parse, pretty_expr, pretty_method
@@ -418,7 +418,7 @@ def cmd_simulate(args) -> int:
     cfg = SimConfig(step=args.step, horizon=args.horizon, rng_seed=args.seed)
     try:
         trace = format_trace(simulate_traced(prog, s0, cfg))
-    except (EvalError, OverflowError, UnsupportedConstruct, StepSizeTooLarge) as e:
+    except SIMULATION_ERRORS as e:
         raise ModelError(f"simulation stopped: {e}") from e
     if args.trace:
         _write(args.trace, trace)

@@ -354,9 +354,25 @@ def _raiser(cls: type, msg: str) -> Callable:
     return fail
 
 
+def _same(a, b) -> bool:
+    """Exactly a == b, without Fraction's dispatch (from_float) for a float
+    and a Fraction: they are equal when the float is finite with the same
+    ratio.  Tuples compare element by element, with tuple =='s identity
+    shortcut, so a tuple holding a NaN object equals itself."""
+    ta, tb = type(a), type(b)
+    if ta is float and tb is Fraction:
+        return math.isfinite(a) and a.as_integer_ratio() == (b.numerator, b.denominator)
+    if ta is Fraction and tb is float:
+        return _same(b, a)
+    if ta is tuple and tb is tuple:
+        return len(a) == len(b) and all(x is y or _same(x, y) for x, y in zip(a, b))
+    return a == b
+
+
 # Binary nodes that combine two values with no check of their own; both
 # sides are evaluated, connectives included.
-_COMBINE = {**{c: r.test for c, r in RELATIONS.items()}, Iff: operator.eq,
+_COMBINE = {**{c: r.test for c, r in RELATIONS.items()}, Eq: _same,
+            Neq: lambda a, b: not _same(a, b), Iff: operator.eq,
             And: lambda a, b: a and b, Or: lambda a, b: a or b,
             Implies: lambda a, b: (not a) or b}
 

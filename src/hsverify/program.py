@@ -17,8 +17,8 @@ from typing import Iterator, Optional
 
 from .arith import Box, q_eval
 from .expr import (
-    Expr, Folded, RatLit, Subst, TRUE, compile_expr, conjuncts, eval_expr,
-    fold_constants, unrest,
+    EvalError, Expr, Folded, RatLit, Subst, TRUE, UnsupportedConstruct,
+    compile_expr, conjuncts, eval_expr, fold_constants, unrest,
 )
 from .store import Coord, Frame, Store, lens_get
 
@@ -27,6 +27,12 @@ TAU = "tau"
 
 class StepSizeTooLarge(Exception):
     """The admissible duration is below the step's bisection resolution."""
+
+
+# The errors that stop a simulation: a value the model cannot evaluate, a
+# float beyond range, a quantified guard, or a guard region thinner than
+# bisection resolves.
+SIMULATION_ERRORS = (EvalError, OverflowError, UnsupportedConstruct, StepSizeTooLarge)
 
 
 @dataclass(frozen=True)
@@ -251,7 +257,8 @@ class _Sim:
     def _integrate(self, p: ODE, t: float, s: Store) -> list:
         cfg = self.cfg
         guard = fold_constants(p.guard, s, p.frame, formula=True)
-        if not eval_guard(guard, s):
+        checked = guard != TRUE  # a true guard holds everywhere: never evaluated
+        if checked and not eval_guard(guard, s):
             return []
         y0, unpack, fdot = _orbit_field(p, s)
 
@@ -281,31 +288,29 @@ class _Sim:
         h = cfg.step
         nsteps = max(1, int(round(cfg.horizon / h)))
         hi = p.dur._hi  # once tau reaches it, no later step adds a sample
-        samples = []
+        samples = []  # (time, flat state, its store if one is built yet)
         tau = 0.0
         y = y0
         if p.dur.contains(tau):
-            samples.append((t, s))
+            samples.append((t, y0, s))
         for k in range(1, nsteps + 1):
             if hi is not None and tau >= hi:
                 break
             y_next = rk4(y, h)
-            st = unpack(y_next)
-            if not eval_guard(guard, st):
+            st = unpack(y_next) if checked else None
+            if checked and not eval_guard(guard, st):
                 adv, y_b = bisect_to_boundary(y)
                 if adv == 0.0 and tau == 0.0:
                     raise StepSizeTooLarge(
                         f"guard region thinner than step/{1 << _BISECT_DEPTH}; reduce step")
-                if adv > 0.0:
-                    st_b = unpack(y_b)
-                    if p.dur.contains(tau + adv):
-                        samples.append((t + tau + adv, st_b))
+                if adv > 0.0 and p.dur.contains(tau + adv):
+                    samples.append((t + tau + adv, y_b, None))
                 break
             tau = k * h  # as _evolve's grid: a sum of steps drifts off it
             y = y_next
             if p.dur.contains(tau):
-                samples.append((t + tau, st))
-        return _thin(samples, cfg.samples_per_orbit)
+                samples.append((t + tau, y, st))
+        return _kept(samples, cfg.samples_per_orbit, unpack)
 
     # -- closed-form path
 
@@ -315,19 +320,29 @@ class _Sim:
         flows = [compile_expr(fold_constants(p.flow.lookup(m), s, Frame()))
                  for m in p.frame.members]
         guard = fold_constants(p.guard, s, p.frame, formula=True)
+        checked = guard != TRUE
         _, unpack = _stage_stores(p.frame.members, s)
         nsteps = max(1, int(round(cfg.horizon / cfg.step)))
         samples = []
+        # Every grid point is evaluated, so an error anywhere stops the run,
+        # but only a guard check or a kept sample builds a store.
         for k in range(nsteps + 1):
             tau = k * cfg.step
             env = {TAU: tau}
             # the parser kind-checks every flow, so each value has its
             # member's shape, as an RK4 stage does
-            st = unpack(_flat(f(s, env) for f in flows))
-            if not eval_guard(guard, st, env):
+            y = _flat(f(s, env) for f in flows)
+            st = unpack(y) if checked else None
+            if checked and not eval_guard(guard, st, env):
                 break
-            samples.append((t + tau, st))
-        return _thin(samples, cfg.samples_per_orbit)
+            samples.append((t + tau, y, st))
+        return _kept(samples, cfg.samples_per_orbit, unpack)
+
+
+def _kept(samples: list, n: int, unpack) -> list:
+    """The samples that _thin keeps, each (time, flat state y, its store or
+    None), as (time, store): unpack(y) builds each store not yet built."""
+    return [(t, unpack(y) if st is None else st) for t, y, st in _thin(samples, n)]
 
 
 def _flat(values) -> tuple:
@@ -427,11 +442,6 @@ _BISECT_DEPTH = 10
 def simulate_traced(p: HybridProgram, s: Store, cfg: Optional[SimConfig] = None) -> list:
     """Sampled reachable states as (time, store) pairs."""
     return _Sim(cfg or SimConfig()).run(p, 0.0, s)
-
-
-def simulate(p: HybridProgram, s: Store, cfg: Optional[SimConfig] = None) -> list:
-    """Sampled reachable states of p from s, in time order along each path."""
-    return [st for _, st in simulate_traced(p, s, cfg)]
 
 
 def fmt_value(v) -> str:

@@ -25,11 +25,11 @@ from .expr import (
     And, Not, Implies, Iff, Exists, Ite, VecLit,
     TRUE, ZERO, num, read, conj, conjuncts,
     free_logicals, fresh_logical, subst_logical, subst_apply_expr, subst_term,
-    unrest, simplify, vec_dim, Subst, EvalError,
+    unrest, simplify, vec_dim, Subst,
 )
 from .deriv import DerivCtx, NotDifferentiable, lie_deriv, deriv_in_var
 from .program import (
-    HybridProgram, Seq, Choice, If, Loop, ODE, Evol, TAU, SimConfig,
+    HybridProgram, Seq, Choice, If, Loop, ODE, Evol, TAU, SIMULATION_ERRORS, SimConfig,
     framed, simulate_traced, subprograms,
 )
 from .vcg import VC, Triple, FlowTable, gen_vcs, wlp, MissingFlow, MissingLoopInvariant
@@ -431,8 +431,8 @@ def _refute_by_simulation(ode: ODE, pre: Expr, post: Expr,
         env = dict(w["env"])
         try:
             orbit = simulate_traced(ode, s0, cfg)
-        except (OverflowError, EvalError):
-            continue  # a numeric error ends the orbit unread: no exit found here
+        except SIMULATION_ERRORS:
+            continue  # an error ends the orbit unread: no exit found here
         for t, st in orbit:
             # 1e-7 rather than the guard's 1e-9: the orbit carries RK4 error
             if q_eval(post, st, env, ctx.box, tol=1e-7)[0] is False:

@@ -2,7 +2,8 @@
 the reference expression evaluator, simplifier, traversals, falsifier
 samplers, three-valued evaluator, falsifier, kind checker, polynomial
 builder, polynomial normalizer, condition prover, sequent prover and
-peeler, triple prover, ODE search ladder and expression reader."""
+peeler, triple prover, ODE search ladder, expression reader and orbit
+sampler."""
 
 import dataclasses
 import math
@@ -39,7 +40,10 @@ from hsverify.expr import (
     _rebalance, children, conj, conjuncts, eval_expr, free_logicals, has_type, num, read, rebuild,
     simplify, subst_logical, subst_term, subterms, total, vec_dim,
 )
-from hsverify.program import ODE, Choice, If, Loop, Seq, framed, subprograms
+from hsverify.program import (
+    _BISECT_DEPTH, ODE, TAU, Choice, Evol, If, Loop, Seq, StepSizeTooLarge, _flat, _orbit_field,
+    _stage_stores, _thin, eval_guard, framed, subprograms,
+)
 from hsverify.syntax import _FUNCS1, Token, _Parser
 from hsverify.tactics import (
     _MEGA_ROUNDS, PROVED, REFUTED, UNKNOWN, NotAnODE, ProofResult, UnsupportedRelation,
@@ -1932,3 +1936,87 @@ class ReferenceParser(_Parser):
                 return read(t.text)
             return LogicalVar(t.text)
         raise self.fail(f"expected an expression, found {t.text or 'end of input'!r}")
+
+
+# ---------------------------------------------------------------------------
+# Reference orbit sampler: a verbatim copy of the simulator's ODE and
+# closed-form paths as they were when every step and grid point built a
+# store and checked the guard on it, true or not.
+
+
+def reference_simulate_traced(p, s, cfg) -> list:
+    """The (time, store) samples of the ODE or Evol p from s at time 0."""
+    return (_reference_integrate if isinstance(p, ODE) else _reference_evolve)(p, 0.0, s, cfg)
+
+
+def _reference_integrate(p: ODE, t: float, s: Store, cfg) -> list:
+    guard = ex.fold_constants(p.guard, s, p.frame, formula=True)
+    if not eval_guard(guard, s):
+        return []
+    y0, unpack, fdot = _orbit_field(p, s)
+
+    def rk4(y: tuple, h: float) -> tuple:
+        half = h / 2.0
+        k1 = fdot(y)
+        k2 = fdot(tuple([a + half * b for a, b in zip(y, k1)]))
+        k3 = fdot(tuple([a + half * b for a, b in zip(y, k2)]))
+        k4 = fdot(tuple([a + h * b for a, b in zip(y, k3)]))
+        return tuple([a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                      for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+
+    def bisect_to_boundary(y_good: tuple):
+        adv = 0.0
+        rem = h
+        for _ in range(_BISECT_DEPTH):
+            rem /= 2.0
+            y_try = rk4(y_good, rem)
+            if eval_guard(guard, unpack(y_try)):
+                y_good = y_try
+                adv += rem
+        return adv, y_good
+
+    h = cfg.step
+    nsteps = max(1, int(round(cfg.horizon / h)))
+    hi = p.dur._hi
+    samples = []
+    tau = 0.0
+    y = y0
+    if p.dur.contains(tau):
+        samples.append((t, s))
+    for k in range(1, nsteps + 1):
+        if hi is not None and tau >= hi:
+            break
+        y_next = rk4(y, h)
+        st = unpack(y_next)
+        if not eval_guard(guard, st):
+            adv, y_b = bisect_to_boundary(y)
+            if adv == 0.0 and tau == 0.0:
+                raise StepSizeTooLarge(
+                    f"guard region thinner than step/{1 << _BISECT_DEPTH}; reduce step")
+            if adv > 0.0:
+                st_b = unpack(y_b)
+                if p.dur.contains(tau + adv):
+                    samples.append((t + tau + adv, st_b))
+            break
+        tau = k * h
+        y = y_next
+        if p.dur.contains(tau):
+            samples.append((t + tau, st))
+    return _thin(samples, cfg.samples_per_orbit)
+
+
+def _reference_evolve(p: Evol, t: float, s: Store, cfg) -> list:
+    flows = [ex.compile_expr(ex.fold_constants(p.flow.lookup(m), s, Frame()))
+             for m in p.frame.members]
+    guard = ex.fold_constants(p.guard, s, p.frame, formula=True)
+    _, unpack = _stage_stores(p.frame.members, s)
+    nsteps = max(1, int(round(cfg.horizon / cfg.step)))
+    samples = []
+    for k in range(nsteps + 1):
+        tau = k * cfg.step
+        env = {TAU: tau}
+        st = unpack(_flat(f(s, env) for f in flows))
+        if not eval_guard(guard, st, env):
+            break
+        samples.append((t + tau, st))
+    return _thin(samples, cfg.samples_per_orbit)

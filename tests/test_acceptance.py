@@ -49,7 +49,6 @@ from hsverify.program import (
     TAU,
     Test,
     modset,
-    simulate,
     simulate_traced,
 )
 from hsverify.store import Coord, Dataspace, Frame, REAL, Var, lens_get, lens_indep, lens_put
@@ -369,7 +368,7 @@ def test_11_precondition_soundness_sampling():
                 continue
             hits += 1
             for k in range(WLP_RUNS):
-                for out in simulate(p, s, SimConfig(rng_seed=k)):
+                for _, out in simulate_traced(p, s, SimConfig(rng_seed=k)):
                     assert bool(eval_expr(q, out)), (p, q)
                     outcomes += 1
             if hits >= 3:

@@ -416,6 +416,19 @@ def test_simulate_stop_is_reported(capsys, tmp_path, ode, args):
     assert out == ""
 
 
+@pytest.mark.parametrize("ode, goal", [
+    # the guard region is thinner than the orbit search's step
+    ("{ x' = 1, y' = x | x * y = 0 }", "{ x = 0 and y >= 1 } p { y >= 2 }"),
+    # a quantified guard has no evaluation
+    ("{ x' = 1 | exists v. v >= x }", "{ x >= 1 } p { x >= 5 }"),
+])
+def test_a_stopped_orbit_search_ends_in_a_verdict(capsys, tmp_path, ode, goal):
+    p = tmp_path / "stop.hsv"
+    p.write_text("dataspace d {\n  variables x : real, y : real;\n}\n\n"
+                 f"program p = {ode}\n\ngoal g : {goal} by dInductMega\n")
+    assert run(capsys, "verify", p) == (0, "goal g: unknown (dI*)\n", "")
+
+
 # the prover cannot refute this goal, but the falsifier can at x = 1
 SHRINK = """\
 dataspace d {

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from hsverify.expr import (
     Lt,
     Mul,
     Neg,
+    Neq,
     Norm,
     Not,
     Pow,
@@ -159,6 +161,54 @@ def test_compiled_matches_reference_walker(seed):
     p = rand_rat(rng)
     for s, env in ((exact, {"p": p}), (_float_twin(exact), {"p": float(p)})):
         assert _outcome(eval_expr, e, s, env) == _outcome(reference_eval, e, s, env)
+
+
+# floats at the edges (signed zeros, infinities, NaN, subnormals, the
+# largest), Fractions equal to some of them, bools, ints, and tuples of these
+_EDGE_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                2.2250738585072014e-308, 1e308, -1e308, 0.5, 1.0, 0.1)
+_SCALARS = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(),
+    st.sampled_from([f for f in _EDGE_FLOATS if math.isfinite(f)]).map(Fraction),
+    st.fractions(max_denominator=8),
+    st.floats(allow_nan=False, allow_infinity=False).map(Fraction),
+    st.booleans(),
+    st.integers(-2, 2),
+)
+_VALUES = st.recursive(_SCALARS, lambda kids: st.lists(kids, max_size=3).map(tuple),
+                       max_leaves=6)
+
+
+def _twin(v):
+    """v with each finite float as its Fraction and each Fraction as its
+    nearest float, so that _same meets equal values of the other type."""
+    if isinstance(v, tuple):
+        return tuple(_twin(c) for c in v)
+    if isinstance(v, float):
+        return Fraction(v) if math.isfinite(v) else v
+    return float(v) if isinstance(v, Fraction) else v
+
+
+@settings(max_examples=500, deadline=None)
+@given(_VALUES, _VALUES, st.sampled_from(("other", "twin", "itself")))
+def test_same_is_exactly_equality(a, b, pair):
+    b = {"other": b, "twin": _twin(a), "itself": a}[pair]
+    for x, y in ((a, b), (b, a)):
+        same = ex._same(x, y)
+        assert type(same) is bool and same == (x == y)
+        assert ex._COMBINE[Eq](x, y) == (x == y)
+        assert ex._COMBINE[Neq](x, y) == (x != y)
+
+
+def test_same_keeps_the_identity_shortcut_of_tuples():
+    nan = float("nan")
+    held = (1.0, nan, Fraction(1, 2))
+    assert ex._same(held, held) and held == held
+    copy = (1.0, float("nan"), Fraction(1, 2))
+    assert not ex._same(held, copy) and held != copy
+    twins = ((0.5, (nan,)), (Fraction(1, 2), (nan,)))
+    assert ex._same(*twins) and twins[0] == twins[1]
 
 
 @pytest.mark.parametrize("e,err", [

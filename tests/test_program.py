@@ -25,6 +25,7 @@ from hsverify.expr import (
     Sub,
     Subst,
     TRUE,
+    VecLit,
     fold_constants,
     num,
     read,
@@ -48,7 +49,6 @@ from hsverify.program import (
     interval,
     framed,
     modset,
-    simulate,
     simulate_traced,
     subprograms,
     _orbit_field,
@@ -57,7 +57,10 @@ from hsverify import program
 from hsverify.store import Coord, Dataspace, Frame, REAL, Var, lens_get, vec
 from hsverify.expr import Exp, LogicalVar, Mul, eval_expr
 
-from helpers import rand_any_expr, rand_rat, rand_store, reference_eval, small_dataspace
+from helpers import (
+    rand_any_expr, rand_rat, rand_store, rand_total_expr, reference_eval,
+    reference_simulate_traced, small_dataspace,
+)
 
 
 def xy_ds():
@@ -104,10 +107,10 @@ def test_framed():
 def test_skip_abort_test():
     ds = xy_ds()
     s = ds.make_store({"x": 1, "t": 0})
-    assert simulate(Skip(), s) == [s]
-    assert simulate(Abort(), s) == []
-    assert simulate(Test(Ge(read("x"), num(0))), s) == [s]
-    assert simulate(Test(Ge(read("x"), num(2))), s) == []
+    assert simulate_traced(Skip(), s) == [(0.0, s)]
+    assert simulate_traced(Abort(), s) == []
+    assert simulate_traced(Test(Ge(read("x"), num(0))), s) == [(0.0, s)]
+    assert simulate_traced(Test(Ge(read("x"), num(2))), s) == []
 
 
 def test_assign_and_seq():
@@ -115,9 +118,9 @@ def test_assign_and_seq():
     s = ds.make_store({"x": Fraction(1), "t": Fraction(0)})
     p = Seq(Assign(Subst(((Var("x"), num(5)),), ds)),
             Assign(Subst(((Var("t"), read("x")),), ds)))
-    out = simulate(p, s)
+    out = simulate_traced(p, s)
     assert len(out) == 1
-    assert out[0].get("x") == 5 and out[0].get("t") == 5
+    assert out[0][1].get("x") == 5 and out[0][1].get("t") == 5
 
 
 def test_choice_seeded_and_explored():
@@ -125,16 +128,16 @@ def test_choice_seeded_and_explored():
     s = ds.make_store({"x": 0, "t": 0})
     p = Choice(Assign(Subst(((Var("x"), num(1)),), ds)),
                Assign(Subst(((Var("x"), num(2)),), ds)))
-    a = simulate(p, s, SimConfig(rng_seed=1))
-    b = simulate(p, s, SimConfig(rng_seed=1))
+    a = simulate_traced(p, s, SimConfig(rng_seed=1))
+    b = simulate_traced(p, s, SimConfig(rng_seed=1))
     assert a == b
 
 
 def test_decay_reaches_inverse_e():
     ds = xy_ds()
     s = ds.make_store({"x": Fraction(1), "t": 0})
-    out = simulate(decay(ds), s, SimConfig(step=0.01, horizon=1.0, samples_per_orbit=200))
-    assert abs(out[-1].get("x") - math.exp(-1)) < 1e-8
+    out = simulate_traced(decay(ds), s, SimConfig(step=0.01, horizon=1.0, samples_per_orbit=200))
+    assert abs(out[-1][1].get("x") - math.exp(-1)) < 1e-8
 
 
 def test_rk4_fourth_order_convergence():
@@ -163,7 +166,7 @@ def test_guard_stops_orbit_with_down_closure():
     assert max(st.get("t") for _, st in out) <= 1.0 + 1e-6
     # Guard false at entry: the orbit is empty.
     s_bad = ds.make_store({"x": 0, "t": Fraction(2)})
-    assert simulate(clock, s_bad, SimConfig(step=0.25, horizon=2.0)) == []
+    assert simulate_traced(clock, s_bad, SimConfig(step=0.25, horizon=2.0)) == []
 
 
 def test_guard_boundary_is_refined_by_bisection():
@@ -193,7 +196,7 @@ def test_step_too_large_for_thin_guard():
     thin = ODE(Frame([Var("t")]), Subst(((Var("t"), num(1)),), ds),
                guard=Le(read("t"), num("1e-9")))
     with pytest.raises(StepSizeTooLarge):
-        simulate(thin, s, SimConfig(step=10.0, horizon=20.0))
+        simulate_traced(thin, s, SimConfig(step=10.0, horizon=20.0))
 
 
 def test_duration_interval_filters_samples():
@@ -270,7 +273,7 @@ def test_discrete_vars_constant_through_ode():
     ds.declare("k", REAL)
     s = ds.make_store({"x": Fraction(1), "k": Fraction(42)})
     ode = ODE(Frame([Var("x")]), Subst(((Var("x"), Neg(read("x"))),), ds))
-    for st in simulate(ode, s, SimConfig(step=0.1, horizon=1.0)):
+    for _, st in simulate_traced(ode, s, SimConfig(step=0.1, horizon=1.0)):
         assert st.get("k") == Fraction(42)
 
 
@@ -281,7 +284,7 @@ def test_ode_over_coordinates_keeps_the_rest_of_the_vector():
     rhs = Subst(((Coord("v", 2), num(1)), (Coord("w", 1), read("v", 2)),
                  (Coord("w", 3), Neg(num(1)))), ds)
     ode = ODE(Frame([Coord("v", 2), Coord("w", 1), Coord("w", 3)]), rhs)
-    last = simulate(ode, s, SimConfig(step=0.25, horizon=1.0))[-1]
+    last = simulate_traced(ode, s, SimConfig(step=0.25, horizon=1.0))[-1][1]
     assert last.get("v") == (Fraction(5), 1.0)
     assert last.get("w") == (pytest.approx(0.5), Fraction(7), -1.0)
     assert type(last.get("w")[1]) is Fraction
@@ -301,8 +304,8 @@ def test_loop_iterations_bounded_by_horizon():
     ds = xy_ds()
     s = ds.make_store({"x": Fraction(0), "t": 0})
     bump = Assign(Subst(((Var("x"), Add(read("x"), num(1))),), ds))
-    out = simulate(Loop(bump), s, SimConfig(horizon=3.0))
-    assert {st.get("x") for st in out} == {0, 1, 2, 3}
+    out = simulate_traced(Loop(bump), s, SimConfig(horizon=3.0))
+    assert {st.get("x") for _, st in out} == {0, 1, 2, 3}
 
 
 def test_trace_format():
@@ -390,6 +393,81 @@ def test_folded_guard_decides_as_the_guard(seed):
     unpack = _orbit_field(ode, s)[1]
     for st in [s] + [unpack(y) for y in ys]:
         assert _outcome(eval_guard, folded, st) == _outcome(eval_guard, ode.guard, st)
+
+
+def _bits(v):
+    """A store value with each float as its exact bits and each other
+    value with its type."""
+    if isinstance(v, tuple):
+        return tuple(_bits(c) for c in v)
+    return v.hex() if isinstance(v, float) else (type(v).__name__, repr(v))
+
+
+def _samples(p, s, cfg, simulate):
+    """simulate's samples bit for bit, or the error it raised."""
+    try:
+        out = simulate(p, s, cfg)
+    except Exception as err:
+        return type(err), str(err)
+    return [(t.hex(), [(name, _bits(v)) for name, v in st.items()]) for t, st in out]
+
+
+def _sampled_orbit(seed):
+    """_orbit's ODE, or one whose field has each member's kind, with a
+    guard that is true, folds (it reads nothing the frame moves) or moves,
+    and an optional duration interval; or an evol over the same frame whose
+    flows follow tau and can divide by zero at a grid point.  Step, horizon
+    and samples per orbit vary too."""
+    ode, s, _ = _orbit(seed)
+    rng = random.Random(f"sampled:{seed}")
+    frame, ds = ode.frame, s.dataspace
+    cfg = SimConfig(step=rng.choice((0.25, 0.125, 0.0625, 0.1)), horizon=rng.choice((0.5, 1.0, 2.0)),
+                    samples_per_orbit=rng.choice((2, 3, 5, 64)))
+    cmp = rng.choice((Le, Ge, Gt, Eq))
+    kind = rng.choice(("true", "folded", "moving"))
+    if kind == "true":
+        guard = TRUE
+    elif kind == "folded":
+        still = [n for n in ("a", "b") if not any(m.name == n for m in frame.members)]
+        guard = cmp(read(rng.choice(still)), num(rand_rat(rng)))
+    elif rng.random() < 0.5:
+        guard = ode.guard
+    else:  # the first member is real in every frame
+        first = frame.members[0]
+        guard = cmp(read(first.name, getattr(first, "index", None)), num(rand_rat(rng)))
+
+    def subst(term):
+        rows = []
+        for m in frame.members:
+            v = lens_get(m, s)
+            rows.append((m, VecLit(tuple(term() for _ in v)) if isinstance(v, tuple) else term()))
+        return Subst(tuple(rows), ds)
+
+    pick = rng.random()
+    if pick < 0.6:
+        rhs = ode.rhs if rng.random() < 0.5 else subst(lambda: rand_total_expr(rng, ds, 2))
+        if pick < 0.3:
+            lo = rand_rat(rng, 0, 1)
+            return ODE(frame, rhs, guard, interval(lo, lo + rand_rat(rng, 0, 2))), s, cfg
+        return ODE(frame, rhs, guard), s, cfg
+    tau = LogicalVar("tau")
+
+    def flow():
+        e = Add(rand_total_expr(rng, ds, 2), Mul(tau, rand_total_expr(rng, ds, 1)))
+        if rng.random() < 0.3:  # 1 / (tau - r) divides by zero where tau = r
+            e = Add(e, Div(num(1), Sub(tau, num(rand_rat(rng, 0, 2)))))
+        return e
+
+    if guard is ode.guard:
+        guard = cmp(tau, num(rand_rat(rng, 0, 2)))
+    return Evol(frame, subst(flow), guard), s, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_orbit_samples_match_the_reference_bit_for_bit(seed):
+    p, s, cfg = _sampled_orbit(seed)
+    assert _samples(p, s, cfg, simulate_traced) == _samples(p, s, cfg, reference_simulate_traced)
 
 
 def test_constant_sub_terms_fold_exactly():

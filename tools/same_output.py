@@ -71,7 +71,9 @@ PROBE_SEEDS = (0, 1, 2)
 # goals by dInduct, dInductAuto and dWeaken that name an assumption, which
 # every condition takes as a hypothesis already; and three dInductMega goals
 # whose steps show how many cuts the ladder makes before it weakens: cut_lift
-# and cut_held, and cut_back, which only a shorter chain of cuts proves.
+# and cut_held, and cut_back, which only a shorter chain of cuts proves; and
+# two dInductMega goals whose orbit search stops: on a guard region thinner
+# than its step (orbit_thin) and on a quantified guard (orbit_quantified).
 PROBES = """\
 dataspace probes {
   constants g : real, H : real;
@@ -93,6 +95,8 @@ program fall = { u' = -g }
 program up = { x' = 1, y' = 1 }
 program down = { x' = -1, y' = 1 | x <= 5 }
 program back = { x' = -x | x >= 0 }
+program thin = { x' = 1, y' = x | x * y = 0 }
+program open_guard = { x' = 1 | exists v. v >= x }
 
 goal decay_pos : { x > 0 } decay { x > 0 } by dInductMega
 goal prod_zero : { x = 0 } prod { x = 0 } by dInductMega
@@ -150,6 +154,8 @@ goal ball_floor : { h >= 0 } ball { h >= 0 } by dWeaken using gpos
 goal cut_lift : { x >= 1 and y >= 0 } up { x >= 0 } by dInductMega
 goal cut_held : { x <= 5 } down { x <= 5 } by dInductMega
 goal cut_back : { x <= 2 and x > -2 and x < 0 } back { x >= -1 and x <= -1 } by dInductMega
+goal orbit_thin : { x = 0 and y >= 1 } thin { y >= 2 } by dInductMega
+goal orbit_quantified : { x >= 1 } open_guard { x >= 5 } by dInductMega
 """
 
 

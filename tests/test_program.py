@@ -210,10 +210,12 @@ def test_duration_interval_filters_samples():
 
 def test_duration_interval_ends_the_integration(monkeypatch):
     # once tau reaches the interval's end no step can add a sample, so no
-    # step is taken: the guard is checked once per step
+    # step is taken: the guard, one that does not fold, is checked once per
+    # step
     ds = xy_ds()
     s = ds.make_store({"x": 1, "t": 0})
-    grow = ODE(Frame([Var("x")]), Subst(((Var("x"), read("x")),), ds), dur=interval(0, 1))
+    grow = ODE(Frame([Var("x")]), Subst(((Var("x"), read("x")),), ds),
+               guard=Ge(read("x"), num(0)), dur=interval(0, 1))
     checks = []
     check = program.eval_guard
     monkeypatch.setattr(program, "eval_guard", lambda *a: checks.append(1) or check(*a))
@@ -221,8 +223,21 @@ def test_duration_interval_ends_the_integration(monkeypatch):
     for horizon in (1.0, 100.0):
         del checks[:]
         orbits.append(simulate_traced(grow, s, SimConfig(step=0.01, horizon=horizon)))
+        assert 100 <= len(checks) <= 103
     assert orbits[0] == orbits[1]
-    assert len(checks) <= 103
+
+
+def test_a_true_guard_is_never_evaluated(monkeypatch):
+    ds = xy_ds()
+    s = ds.make_store({"x": 1, "t": 0})
+    grow = ODE(Frame([Var("x")]), Subst(((Var("x"), read("x")),), ds))
+    flow = Evol(Frame([Var("x")]), Subst(((Var("x"), Add(read("x"), LogicalVar("tau"))),), ds))
+    checks = []
+    check = program.eval_guard
+    monkeypatch.setattr(program, "eval_guard", lambda *a: checks.append(1) or check(*a))
+    for p in (grow, flow):
+        assert len(simulate_traced(p, s, SimConfig(step=0.01, horizon=1.0))) > 1
+    assert checks == []
 
 
 def test_evol_samples_are_built_without_lens_writes(monkeypatch):

@@ -683,8 +683,10 @@ _FM_MAX_VARS = 26
 _FM_MAX_ROWS = 700
 
 
-def _fm_infeasible(rows: list) -> bool:
-    """True when the conjunction of rows (each poly >= 0 / > 0) is impossible."""
+def _fm_infeasible(rows: list) -> Optional[bool]:
+    """True when the conjunction of rows (each poly >= 0 / > 0) is
+    impossible, False when elimination leaves it possible, None when
+    elimination passes _FM_MAX_VARS or _FM_MAX_ROWS and gives up."""
     rows = [r for r in rows if r.poly.terms or r.strict]
     sup: dict = {}
     for r in rows:
@@ -694,7 +696,7 @@ def _fm_infeasible(rows: list) -> bool:
                 sup[m] += 1
     variables = sorted(sup, key=lambda m: (sup[m], _mono_sort_key(m)))
     if len(variables) > _FM_MAX_VARS:
-        return False
+        return None
     for v in variables:
         lower, upper, rest = [], [], []
         for r in rows:
@@ -714,7 +716,7 @@ def _fm_infeasible(rows: list) -> bool:
                     combined = r1.poly.scale(-c2).add(r2.poly.scale(c1))
                     new.append(Row(combined, r1.strict or r2.strict))
                     if len(new) > _FM_MAX_ROWS:
-                        return False
+                        return None
         rows = new
     for r in rows:
         c = r.poly.as_const()
@@ -980,13 +982,19 @@ class _Prover:
     def _fm(self, hyps: list, neg_rows: list, quick: bool = False,
             reduce_radicals: bool = True) -> bool:
         # groups share no atom, so the rows are infeasible exactly when
-        # one group is; each group is decided on its own, under the caps
+        # one group is; each group is decided on its own, under the caps.
+        # When the products pass a cap, the group is decided on its rows
+        # without them, a subset: added hypotheses then cost no proof
+        # that needs no product
         for rows in _independent(self._rows(hyps, reduce_radicals) + neg_rows):
             rows = rows + _sign_facts(rows) + self._radical_facts(hyps, rows)
+            got = None
             if not quick:
-                rows = _augment(rows)
-                rows = rows + _sign_facts(rows)
-            if _fm_infeasible(rows):
+                more = _augment(rows)
+                got = _fm_infeasible(more + _sign_facts(more))
+            if got is None:
+                got = _fm_infeasible(rows)
+            if got:
                 return True
         return False
 

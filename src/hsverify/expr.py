@@ -321,6 +321,16 @@ def conjuncts(e: Expr) -> list:
     return [e]
 
 
+def distinct(parts) -> list:
+    """parts each once, in order, with true dropped: the conjunction
+    stays the same."""
+    out = []
+    for e in parts:
+        if e != TRUE and e not in out:
+            out.append(e)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 

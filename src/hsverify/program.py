@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 from .arith import Box, q_eval
 from .expr import (
     EvalError, Expr, Folded, RatLit, Subst, TRUE, UnsupportedConstruct,
-    compile_expr, conjuncts, eval_expr, fold_constants, unrest,
+    compile_expr, conjuncts, distinct, eval_expr, fold_constants, unrest,
 )
 from .store import Coord, Frame, Store, lens_get
 
@@ -170,11 +170,7 @@ def framed(p: HybridProgram, facts: Expr) -> list:
     that read nothing p can write.  Each holds in every state a run of p
     reaches from a state where facts hold."""
     written = modset(p)
-    out = []
-    for a in conjuncts(facts):
-        if a != TRUE and a not in out and unrest(written, a):
-            out.append(a)
-    return out
+    return [a for a in distinct(conjuncts(facts)) if unrest(written, a)]
 
 
 # ---------------------------------------------------------------------------

@@ -374,9 +374,6 @@ class Frame:
     def overlaps(self, l: LensRef) -> bool:
         return any(not _prim_indep(p, q) for p in _primitives(l) for q in self.members)
 
-    def disjoint(self, other: "Frame") -> bool:
-        return not any(self.overlaps(m) for m in other.members)
-
     def union(self, other: "Frame") -> "Frame":
         return Frame(self.members + other.members)
 

@@ -23,7 +23,7 @@ from .store import Dataspace, Frame, Var
 from .expr import (
     Expr, RatLit, VarRead, LogicalVar, Add, Mul, Neg, Sub, Eq, Le, Lt, Ge,
     And, Not, Implies, Iff, Exists, Ite, VecLit,
-    TRUE, ZERO, num, read, conj, conjuncts,
+    TRUE, ZERO, num, read, conj, conjuncts, distinct,
     free_logicals, fresh_logical, subst_logical, subst_apply_expr, subst_term,
     unrest, simplify, vec_dim, Subst,
 )
@@ -163,14 +163,6 @@ def wp_rule(triple: Triple, ctx: ArithCtx, flows: Optional[FlowTable],
     outcomes = [check_vc(vc, ctx, trials) for vc in gen_vcs(triple, flows)]
     return settle("wp", outcomes, exact=exact and not any(
         isinstance(q, Loop) for q in subprograms(triple.prog)))
-
-
-def _dedup(exprs) -> list:
-    out = []
-    for e in exprs:
-        if e != TRUE and e not in out:
-            out.append(e)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -447,11 +439,10 @@ def d_induct_mega(ode: ODE, pre: Expr, post: Expr, ctx: ArithCtx, *,
     Free cuts first (precondition conjuncts the field cannot move).  Then
     each round cuts in the first conjunct of pre or post that is both
     initially true and inductive, until a round finds none or
-    _MEGA_ROUNDS cuts are in, and weakening against the accumulated domain
-    closes the goal.  The prover can lose a proof to added hypotheses, so
-    a weakening that fails is asked again of each shorter chain of cuts,
-    shortest first.  When none closes, a short simulation hunts for a
-    concrete orbit leaving the postcondition before giving up as unknown.
+    _MEGA_ROUNDS cuts are in.  Then one weakening against the accumulated
+    domain tries to close the goal.  When it fails, a short simulation
+    hunts for a concrete orbit leaving the postcondition before giving up
+    as unknown.
     """
     if not isinstance(ode, ODE):
         raise NotAnODE(f"d_induct_mega needs an ODE, got {type(ode).__name__}")
@@ -464,7 +455,7 @@ def d_induct_mega(ode: ODE, pre: Expr, post: Expr, ctx: ArithCtx, *,
 
     # a candidate's start check reads pre alone, so it is made once
     candidates = []
-    for a in _dedup(conjuncts(pre) + conjuncts(post)):
+    for a in distinct(conjuncts(pre) + conjuncts(post)):
         if a in free:
             continue
         try:
@@ -474,7 +465,6 @@ def d_induct_mega(ode: ODE, pre: Expr, post: Expr, ctx: ArithCtx, *,
         if prove_vc(Implies(pre, a), ctx, vc_name="induct-init",
                     falsify_trials=0).valid:
             candidates.append(a)
-    chain = [(cur, len(steps))]  # each domain, with the steps that built it
     failed = []  # the last round's failed induction outcomes
     for _ in range(_MEGA_ROUNDS):
         failed = []
@@ -487,18 +477,14 @@ def d_induct_mega(ode: ODE, pre: Expr, post: Expr, ctx: ArithCtx, *,
                 cur = d_cut(cur, a)
                 candidates.remove(a)
                 steps.append(f"dC {expr_key(a)} by dI")
-                chain.append((cur, len(steps)))
                 break
             failed.extend(ind.outcomes)
         else:
             break
-    top = None
-    for dom, n in chain[-1:] + chain[:-1]:
-        w = d_weaken(dom, post, ctx)
-        if w.proved:
-            return ProofResult(PROVED, "dI*", tuple(steps[:n]) + w.steps, w.outcomes)
-        top = top or w
-    outcomes = top.outcomes + tuple(failed)
+    w = d_weaken(cur, post, ctx)
+    if w.proved:
+        return ProofResult(PROVED, "dI*", tuple(steps) + w.steps, w.outcomes)
+    outcomes = w.outcomes + tuple(failed)
 
     if refute:
         w = _refute_by_simulation(ode, pre, post, ctx)
@@ -559,7 +545,7 @@ def d_prove(triple: Triple, ctx: ArithCtx, flows: Optional[FlowTable] = None,
             r = sub(pre, a, wlp(b, post), exact)
             if r.status != UNKNOWN:
                 return r
-        for mid in _dedup([post, pre]):
+        for mid in distinct([post, pre]):
             ra = sub(pre, a, mid, False)
             if not ra.proved:
                 continue

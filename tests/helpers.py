@@ -37,8 +37,8 @@ from hsverify.expr import (
     FALSE, ONE, TRUE, ZERO, Add, And, BoolLit, Cos, Div, Eq, Exists, Exp, Expr, Forall, Ge, Gt,
     Iff, Implies, Inner, Ite, Le, Ln, LogicalVar, Lt, Mul, Neg, Neq, Norm, Not, Or, Pow, RatLit,
     ScalarMul, Sin, Sqrt, Sub, UnsupportedConstruct, VarRead, VecLit, _exact_sqrt, _fold_binop,
-    _rebalance, children, conj, conjuncts, eval_expr, free_logicals, has_type, num, read, rebuild,
-    simplify, subst_logical, subst_term, subterms, total, vec_dim,
+    _rebalance, children, conj, conjuncts, distinct, eval_expr, free_logicals, has_type, num,
+    read, rebuild, simplify, subst_logical, subst_term, subterms, total, vec_dim,
 )
 from hsverify.program import (
     _BISECT_DEPTH, ODE, TAU, Choice, Evol, If, Loop, Seq, StepSizeTooLarge, _flat, _orbit_field,
@@ -47,7 +47,7 @@ from hsverify.program import (
 from hsverify.syntax import _FUNCS1, Token, _Parser
 from hsverify.tactics import (
     _MEGA_ROUNDS, PROVED, REFUTED, UNKNOWN, NotAnODE, ProofResult, UnsupportedRelation,
-    _dedup, _discrete, _oriented, _refute_by_simulation, check_vc, d_cut, d_induct,
+    _discrete, _oriented, _refute_by_simulation, check_vc, d_cut, d_induct,
     d_induct_mega, d_weaken, settle,
 )
 from hsverify.vcg import VC, MissingFlow, MissingLoopInvariant, Triple, gen_vcs, wlp
@@ -1643,7 +1643,7 @@ def reference_d_prove(triple: Triple, ctx: ArithCtx, flows=None,
             if r.status != UNKNOWN:
                 return r
             best = r
-        for mid in _dedup([post, pre]):
+        for mid in distinct([post, pre]):
             ra = reference_d_prove(Triple(pre, a, mid), ctx, flows, depth - 1, exact=False, trials=trials)
             if not ra.proved:
                 continue
@@ -1704,7 +1704,7 @@ def reference_d_induct_mega(ode: ODE, pre: Expr, post: Expr, ctx: ArithCtx, *,
         established.append(a)
         steps.append(f"dD cut {expr_key(a)}")
 
-    candidates = _dedup(conjuncts(pre) + conjuncts(post))
+    candidates = distinct(conjuncts(pre) + conjuncts(post))
     for _ in range(_MEGA_ROUNDS):
         w = d_weaken(cur, post, ctx)
         outcomes = list(w.outcomes)

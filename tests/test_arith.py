@@ -417,6 +417,18 @@ def test_linear_fourier_motzkin():
     assert prove_vc(f, ctx_for(ds)).valid
 
 
+def test_a_capped_fourier_motzkin_group_is_decided_without_its_products():
+    # the pairwise products of these 4 hypotheses push elimination past
+    # _FM_MAX_ROWS; the 3 that keep x >= 0 and x < 0 prove the goal alone,
+    # so the 4 must as well
+    ds = simple_ds()
+    f = Implies(And(And(And(Ge(x, ZERO), Le(x, num(2))), Lt(x, ZERO)), Gt(x, num(-2))),
+                Le(x, num(-1)))
+    v = prove_vc(f, ctx_for(ds))
+    assert v.status == "valid"
+    assert v.rule == "fourier-motzkin"
+
+
 def test_nonlinear_product_augmentation():
     # tau >= 0 and c > 0 entail x <= x + c*tau
     ds = Dataspace()

@@ -459,9 +459,10 @@ def test_mega_cuts_every_inductive_candidate_then_weakens(name, steps):
     assert [(o.vc.vc_id, o.verdict.rule) for o in r.outcomes] == [("weaken", "assumption")]
 
 
-def test_mega_asks_each_shorter_chain_when_the_whole_one_fails(monkeypatch):
-    # over the empty domain x >= 0 and x < 0 the whole chain's weakening
-    # fails, with x > -2 cut in as well; the chain of two cuts proves it
+def test_mega_weakens_the_whole_chain_once(monkeypatch):
+    # the domain x >= 0 and x < 0 is empty; with x <= 2 and x > -2 cut in
+    # as well, the products of the prover's Fourier-Motzkin rule pass its
+    # row cap, and the rows without them close the one weakening
     ds = Dataspace()
     ds.declare("x", REAL, VARIABLE)
     x = read("x")
@@ -477,8 +478,9 @@ def test_mega_asks_each_shorter_chain_when_the_whole_one_fails(monkeypatch):
     monkeypatch.setattr(tactics, "d_weaken", counted)
     r = d_induct_mega(ode, pre, post, ArithCtx(ds))
     assert r.proved
-    assert r.steps == ("dC le(x,2) by dI", "dC lt(x,0) by dI", "dW and(ge(x,-1),le(x,-1))")
-    assert cuts == [3, 0, 1, 2]
+    assert r.steps == ("dC le(x,2) by dI", "dC lt(x,0) by dI", "dC gt(x,-2) by dI",
+                       "dW and(ge(x,-1),le(x,-1))")
+    assert cuts == [3]
 
 
 def _rand_poly(rng, names):
@@ -502,22 +504,33 @@ def _rand_conj(rng, names, pool=()):
     return reduce(And, atoms)
 
 
+def _rand_mega_goal(rng, ds):
+    """A polynomial ODE over one or two of ds's variables x and y, an
+    optional guard, and one to three conjuncts in pre and post."""
+    names = ["x", "y"][:rng.randint(1, 2)]
+    guard = _rand_atom(rng, names) if rng.random() < 0.4 else TRUE
+    ode = ODE(Frame(tuple(Var(n) for n in names)),
+              Subst(tuple((Var(n), _rand_poly(rng, names)) for n in names), ds), guard)
+    pre = _rand_conj(rng, names)
+    return ode, pre, _rand_conj(rng, names, pool=conjuncts(pre))
+
+
+def _xy_dataspace():
+    ds = Dataspace()
+    for n in ("x", "y"):
+        ds.declare(n, REAL, VARIABLE)
+    return ds
+
+
 def test_mega_keeps_the_reference_ladder_verdicts():
     """The ladder that cuts to a fixpoint and weakens once gives the
     verbatim reference's status on seeded polynomial ODE goals over one or
     two variables, with one to three conjuncts in pre and post."""
     rng = random.Random(33)
-    ds = Dataspace()
-    for n in ("x", "y"):
-        ds.declare(n, REAL, VARIABLE)
+    ds = _xy_dataspace()
     seen = set()
     for i in range(60):
-        names = ["x", "y"][:rng.randint(1, 2)]
-        guard = _rand_atom(rng, names) if rng.random() < 0.4 else TRUE
-        ode = ODE(Frame(tuple(Var(n) for n in names)),
-                  Subst(tuple((Var(n), _rand_poly(rng, names)) for n in names), ds), guard)
-        pre = _rand_conj(rng, names)
-        post = _rand_conj(rng, names, pool=conjuncts(pre))
+        ode, pre, post = _rand_mega_goal(rng, ds)
         ctx = ArithCtx(ds, seed=i)
         got = d_induct_mega(ode, pre, post, ctx)
         want = reference_d_induct_mega(ode, pre, post, ctx)
@@ -527,6 +540,34 @@ def test_mega_keeps_the_reference_ladder_verdicts():
             assert _proof_summary(got) == _proof_summary(want), (ode, pre, post)
         seen.add(got.status)
     assert seen == {"proved", "refuted", "unknown"}
+
+
+# goals of _rand_mega_goal, by generator seed and draw index, that the
+# whole chain's one weakening proves only because a capped Fourier-Motzkin
+# group is decided on its rows without products
+_CAPPED_SWEEP_GOALS = (
+    (1, 111), (1, 587), (1, 1756), (2, 10), (2, 41), (2, 610), (2, 1787),
+    (3, 38), (3, 1368), (3, 1374), (4, 431), (4, 1007), (4, 1113), (5, 394),
+)
+
+
+@pytest.mark.parametrize("seed,index", _CAPPED_SWEEP_GOALS,
+                         ids=[f"{s}:{i}" for s, i in _CAPPED_SWEEP_GOALS])
+def test_mega_proves_capped_goals_with_one_weakening(monkeypatch, seed, index):
+    rng = random.Random(seed)
+    ds = _xy_dataspace()
+    for _ in range(index + 1):
+        ode, pre, post = _rand_mega_goal(rng, ds)
+    weakened = []
+
+    def counted(ode, post, ctx):
+        weakened.append(post)
+        return d_weaken(ode, post, ctx)
+
+    monkeypatch.setattr(tactics, "d_weaken", counted)
+    r = d_induct_mega(ode, pre, post, ArithCtx(ds, seed=index))
+    assert r.proved, (ode, pre, post)
+    assert len(weakened) == 1
 
 
 def test_d_prove_discrete_assignment():

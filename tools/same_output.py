@@ -71,9 +71,11 @@ PROBE_SEEDS = (0, 1, 2)
 # goals by dInduct, dInductAuto and dWeaken that name an assumption, which
 # every condition takes as a hypothesis already; and three dInductMega goals
 # whose steps show how many cuts the ladder makes before it weakens: cut_lift
-# and cut_held, and cut_back, which only a shorter chain of cuts proves; and
-# two dInductMega goals whose orbit search stops: on a guard region thinner
-# than its step (orbit_thin) and on a quantified guard (orbit_quantified).
+# and cut_held, and cut_back, whose domain is empty; and two dInductMega
+# goals whose orbit search stops: on a guard region thinner than its step
+# (orbit_thin) and on a quantified guard (orbit_quantified); and fm_cap,
+# whose Fourier-Motzkin products pass the row cap, so it is proved on the
+# hypotheses' rows without them.
 PROBES = """\
 dataspace probes {
   constants g : real, H : real;
@@ -156,6 +158,7 @@ goal cut_held : { x <= 5 } down { x <= 5 } by dInductMega
 goal cut_back : { x <= 2 and x > -2 and x < 0 } back { x >= -1 and x <= -1 } by dInductMega
 goal orbit_thin : { x = 0 and y >= 1 } thin { y >= 2 } by dInductMega
 goal orbit_quantified : { x >= 1 } open_guard { x >= 5 } by dInductMega
+goal fm_cap : { x >= 0 and x <= 2 and x < 0 and x > -2 } p { x <= -1 } by wp
 """
 
 
